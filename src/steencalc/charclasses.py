@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from .errors import (
     MissingCodim,
@@ -270,7 +269,7 @@ def _product_one_plus_power_expansion(c, max_weight):
     return out
 
 
-def _substitute_chern(parent, dvec, chern, degree_bound):
+def _substitute_chern(parent, dvec, chern):
     """prod_j chern[j-1]^{d_j}, or zero when a needed c_j is missing."""
     acc = parent.one()
     for j, d in enumerate(dvec, start=1):
@@ -293,7 +292,7 @@ def _splitting_total(parent, chern, c, truncation):
         w = _dvec_weight(dvec)
         if not w:
             continue
-        term = _substitute_chern(parent, dvec, chern, bound)
+        term = _substitute_chern(parent, dvec, chern)
         if term:
             pieces[w] = pieces.get(w, parent.zero()) + term.scale(coeff)
     for w, piece in pieces.items():

@@ -105,8 +105,9 @@ def _load_program(path):
     return dsl.build_program(dsl.parse(source))
 
 
-def _resolvers(rings_path):
-    program = _load_program(rings_path) if rings_path else None
+def _resolvers(program):
+    """Ring and bundle resolvers over a program's declarations (program may
+    be None), falling back to the built-in scenario rings."""
     local = program.rings if program else {}
     bundles = program.bundles if program else {}
 
@@ -196,18 +197,7 @@ def _query_from_args(args):
 def _dispatch(args):
     if args.command == "run":
         program = _load_program(args.file)
-
-        def resolve_ring(name):
-            if name in program.rings:
-                return program.rings[name]
-            return corpus.resolve_ring(name)
-
-        def resolve_bundle(name):
-            if name not in program.bundles:
-                raise UnknownGenerator("no bundle %r in scope" % name)
-            decl = program.bundles[name]
-            return decl, resolve_ring(decl.ring)
-
+        resolve_ring, resolve_bundle = _resolvers(program)
         return [
             execute_query(q, resolve_ring, resolve_bundle, _corpus_hook)
             for q in program.queries
@@ -215,7 +205,9 @@ def _dispatch(args):
     query = _query_from_args(args)
     if args.command in ("adem", "corpus"):
         return [execute_query(query, corpus.resolve_ring, corpus_hook=_corpus_hook)]
-    resolve_ring, resolve_bundle = _resolvers(getattr(args, "rings", None))
+    rings_path = getattr(args, "rings", None)
+    program = _load_program(rings_path) if rings_path else None
+    resolve_ring, resolve_bundle = _resolvers(program)
     return [execute_query(query, resolve_ring, resolve_bundle, _corpus_hook)]
 
 

@@ -1,12 +1,14 @@
 """Built-in presentations and regression scenarios.
 
-Each scenario is a source file in the input language plus, where a check
-cannot be phrased as a single query (products of several operation values),
-a programmatic identity evaluated against a frozen literal.  The sources
-here are the same bytes as the shipped data files; a test pins that.
+Each scenario is a source file in the input language, NAME.steen in the
+package's data directory (or in the directory named by STEENCALC_CORPUS_DIR),
+defining a ring called NAME and the queries run against it.  The files are
+the scenarios: to add one, drop in a file.  Where a check cannot be phrased
+as a single query (products of several operation values), EXTRA_CHECKS adds
+a named identity evaluated against a frozen literal.
 
-The Thom-space rings declare their actions through the Wu formula
-Sq^i(w_j) = sum_t binom(j+t-i-1, t) w_{i-t} w_{j+t} with w_0 = 1 and
+The Thom-space rings MO3 and MO5 declare their actions through the Wu
+formula Sq^i(w_j) = sum_t binom(j+t-i-1, t) w_{i-t} w_{j+t} with w_0 = 1 and
 w_k = 0 above the rank, and Sq^i(s) = w_i s on the Thom class, whose top
 operation s^2 = w_n s is carried by a rewrite rule.
 """
@@ -14,29 +16,25 @@ operation s^2 = w_n s is carried by a rewrite rule.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 from . import dsl
 from .errors import ScenarioIncomplete, UnknownGenerator
-from .obstructions import HsInput
-from .rings import GeneratorSpec, RingPresentation, TwistedClass
-from .steenrod import binom_mod_ell
+from .rings import GeneratorSpec, RingPresentation
 
 ENV_DATA_DIR = "STEENCALC_CORPUS_DIR"
+_PACKAGE_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 @dataclass
 class Scenario:
     name: str
-    description: str
     source: str
     presentation: RingPresentation
     queries: tuple
     # label -> callable(presentation) returning (ok, detail)
     extra_checks: tuple = ()
-    hs_data: Optional[HsInput] = None
 
 
 @dataclass
@@ -66,50 +64,7 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _scenario_from_source(name, description, source, extra_checks=(),
-                          hs_class=None, hs_q=None):
-    ast = dsl.parse(source)
-    program = dsl.build_program(ast)
-    if name not in program.rings:
-        raise ScenarioIncomplete("scenario %s must define ring %s" % (name, name))
-    pres = program.rings[name]
-    hs_data = None
-    if hs_class is not None:
-        poly, degree, twist = hs_class
-        value = dsl.poly_to_element(pres, dsl.parse_poly(poly))
-        hs_data = HsInput(pres, TwistedClass(value, degree, twist), hs_q)
-    return Scenario(name, description, source, pres, program.queries,
-                    tuple(extra_checks), hs_data)
-
-
-# ------------------------------------------------------------- Thom spaces
-
-
-def _wu_rhs(n, i, j):
-    terms = []
-    for t in range(i + 1):
-        if j + t > n or not binom_mod_ell(j + t - i - 1, t, 2):
-            continue
-        if i - t > 0:
-            terms.append("w%d*w%d" % (i - t, j + t))
-        else:
-            terms.append("w%d" % (j + t))
-    return " + ".join(terms) if terms else "0"
-
-
-def _mo_source(n, queries):
-    lines = ["ring MO%d {" % n, "  prime = 2;"]
-    for j in range(1, n + 1):
-        lines.append("  gen w%d deg=%d;" % (j, j))
-    lines.append("  gen s deg=%d;" % n)
-    lines.append("  rule s^2 = w%d*s;" % n)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            lines.append("  action Sq^%d(w%d) = %s;" % (i, j, _wu_rhs(n, i, j)))
-    for i in range(1, n):
-        lines.append("  action Sq^%d(s) = w%d*s;" % (i, i))
-    lines.append("}")
-    return "\n".join(lines) + "\n" + queries
+# ------------------------------------------------------- identity checks
 
 
 def _sw_composite(pres, x):
@@ -131,318 +86,80 @@ def _composite_check(label, x_poly, expect_poly):
     return (label, check)
 
 
-def scenario_bo_mo(n: int) -> Scenario:
-    """Thom-space ring of rank n with the Wu-formula action."""
-    if n == 3:
-        queries = "\n".join(
-            [
-                'apply "Sq^2" to s in MO3 expect w2*s;',
-                'apply "Sq^1" to w1 in MO3 expect w1^2;',
-                "normalize s^2 in MO3 expect w3*s;",
-                'apply "Sq^1" to w2*s in MO3 expect w3*s;',
-                'apply "Sq^1" to (w1^2 + w2)*s in MO3 expect w1^3*s + w3*s;',
-                'apply "Sq^2" to w2*s in MO3 expect w1^2*w2*s + w1*w3*s;',
-                'apply "Sq^2 Sq^1" to w2*s in MO3 expect w1^2*w3*s;',
-            ]
-        ) + "\n"
-        extra = (
-            _composite_check(
-                "composite operator on w2*s",
-                "w2*s",
-                "w1*w2*w3^4*s + w3^5*s",
-            ),
-            _composite_check(
-                "composite operator on (w1^2 + w2)*s",
-                "(w1^2 + w2)*s",
-                "w1^3*w2^3*w3^2*s + w1^2*w2^2*w3^3*s + w1*w2*w3^4*s + w3^5*s",
-            ),
-        )
-        return _scenario_from_source(
-            "MO3",
-            "rank-3 Thom-space computations behind the Stiefel-Whitney counterexample",
-            _mo_source(3, queries),
-            extra,
-        )
-    if n == 5:
-        queries = "\n".join(
-            [
-                'apply "Sq^1" to s in MO5 expect w1*s;',
-                'apply "Sq^2" to s in MO5 expect w2*s;',
-                "normalize s^2 in MO5 expect w5*s;",
-                'apply "Sq^2 Sq^1" to s in MO5 expect w1^3*s + w1*w2*s;',
-                'apply "Sq^3" to s in MO5 expect w3*s;',
-            ]
-        ) + "\n"
-
-        def identity(pres):
-            s = pres.gen("s")
-            lhs = pres.apply_letter(2, pres.apply_letter(1, s)) * s * s
-            sq1, sq2 = pres.apply_letter(1, s), pres.apply_letter(2, s)
-            rhs = sq1 * sq1 * sq1 + sq1 * sq2 * s
-            if lhs == rhs:
-                return True, lhs.render()
-            return False, "lhs %s, rhs %s" % (lhs.render(), rhs.render())
-
-        return _scenario_from_source(
-            "MO5",
-            "rank-5 Thom-space identity forcing the degree-18 contradiction",
-            _mo_source(5, queries),
-            (("Sq^2 Sq^1(s)*s^2 = Sq^1(s)^3 + Sq^1(s)*Sq^2(s)*s", identity),),
-        )
-    raise ScenarioIncomplete("only the rank-3 and rank-5 Thom scenarios are built in")
-
-
-# --------------------------------------------------- classifying spaces
-
-
-def scenario_classifying(ell: int) -> Scenario:
-    """Product of two cyclic groups and a torus: the ring whose classes
-    survive to a variety over a finite field with diagonal Frobenius."""
-    name = "CLASSIFYING%d" % ell
-    q = 3 if ell == 2 else 2
-    if ell == 2:
-        source = "\n".join(
-            [
-                "ring %s {" % name,
-                "  prime = 2;",
-                "  gen x1 deg=1 twist=1 frob=1;",
-                "  gen x2 deg=1 twist=1 frob=1;",
-                "  gen t deg=2 twist=1 frob=1;",
-                "  action Sq^1(t) = 0;",
-                "}",
-                'apply "Sq^1" to x1*x2 in %s expect x1^2*x2 + x1*x2^2;' % name,
-                'apply "Sq^3 Sq^1" to x1*x2 in %s expect x1^4*x2^2 + x1^2*x2^4;' % name,
-                "obstruct frobenius --q %d on x1^4*x2^2 + x1^2*x2^4 in %s twist = 2 expect not-in-image;" % (q, name),
-                "obstruct hs --q %d on x1*x2 in %s twist = 2 expect nonvanishing;" % (q, name),
-            ]
-        ) + "\n"
-    else:
-        source = "\n".join(
-            [
-                "ring %s {" % name,
-                "  prime = %d;" % ell,
-                "  gen x1 deg=1 twist=1 odd frob=1;",
-                "  gen x2 deg=1 twist=1 odd frob=1;",
-                "  gen y1 deg=2 twist=1 frob=1;",
-                "  gen y2 deg=2 twist=1 frob=1;",
-                "  gen t deg=2 twist=1 frob=1;",
-                "  action b(x1) = y1;",
-                "  action b(x2) = y2;",
-                "  action b(y1) = 0;",
-                "  action b(y2) = 0;",
-                "  action b(t) = 0;",
-                "}",
-                'apply "b" to x1*x2 in %s expect y1*x2 - x1*y2;' % name,
-                'apply "b P^1 b" to x1*x2 in %s expect y1^%d*y2 - y1*y2^%d;' % (name, ell, ell),
-                "obstruct frobenius --q %d on y1^%d*y2 - y1*y2^%d in %s twist = 2 expect not-in-image;" % (q, ell, ell, name),
-                "obstruct hs --q %d on x1*x2 in %s twist = 2 expect nonvanishing;" % (q, name),
-            ]
-        ) + "\n"
-    return _scenario_from_source(
-        name,
-        "classifying-space ring with Frobenius data; descent obstruction fires",
-        source,
-        hs_class=("x1*x2", 2, 2),
-        hs_q=q,
-    )
-
-
-# --------------------------------------------------------- small witnesses
-
-
-def scenario_p2_real() -> Scenario:
-    """Projective plane over the reals: the degree-6 class that the twisted
-    operator corrects to zero."""
-    source = "\n".join(
-        [
-            "ring P2REAL {",
-            "  prime = 2;",
-            "  gen w deg=1;",
-            "  gen l deg=2 twist=1;",
-            "  rule l^3 = 0;",
-            "  action Sq^1(l) = w*l;",
-            "  omega = w;",
-            "}",
-            'apply "Sq^1" to l in P2REAL expect w*l;',
-            'apply "Sq^2" to l^2 in P2REAL expect w^2*l^2;',
-            "obstruct weird --codim 2 --which 1 on l^2 in P2REAL twist = 2 expect 0;",
-        ]
-    ) + "\n"
-    return _scenario_from_source(
-        "P2REAL",
-        "real projective plane; Sq^2 of the square of the hyperplane class",
-        source,
-    )
-
-
-def scenario_real_fourfold() -> Scenario:
-    """Fourfold witness where the codimension-2 twisted operator detects a
-    non-algebraic degree-4 class."""
-    source = "\n".join(
-        [
-            "ring REALFOURFOLD {",
-            "  prime = 2;",
-            "  gen w deg=1;",
-            "  gen b deg=1;",
-            "  rule b^2 = b*w;",
-            "  rule w^8 = 0;",
-            "  action Sq^1(b) = b*w;",
-            "  omega = w;",
-            "}",
-            "normalize b^2 in REALFOURFOLD expect b*w;",
-            'apply "Sq^1" to w in REALFOURFOLD expect w^2;',
-            "obstruct weird --codim 2 --which 2 on b*w^3 in REALFOURFOLD twist = 2 expect b*w^6;",
-            "obstruct odd --max-degree 5 on b*w^3 in REALFOURFOLD twist = 2 expect vanishes;",
-        ]
-    ) + "\n"
-    return _scenario_from_source(
-        "REALFOURFOLD",
-        "torsion witness: plain odd operations vanish, the omega-corrected one fires",
-        source,
-    )
-
-
-def scenario_prop5() -> Scenario:
-    """Witness with a degree-3 class whose top operation survives a product,
-    so an odd-degree operation obstructs."""
-    source = "\n".join(
-        [
-            "ring PROP5 {",
-            "  prime = 2;",
-            "  gen s deg=3;",
-            "  gen t deg=1;",
-            "  rule s^4 = 0;",
-            "  rule t^2 = 0;",
-            "  action Sq^1(s) = 0;",
-            "  action Sq^2(s) = 0;",
-            "}",
-            'apply "Sq^3" to s*t in PROP5 expect s^2*t;',
-            "obstruct odd --max-degree 3 on s*t in PROP5 twist = 2 expect nonvanishing;",
-        ]
-    ) + "\n"
-    return _scenario_from_source(
-        "PROP5",
-        "product witness killed by no odd operation: Sq^3 hits the square",
-        source,
-    )
-
-
-# ------------------------------------------------------ projective bundles
-
-
-def scenario_projective_bundle(n: int, ell: int) -> Scenario:
-    """P^n bundle ring over a small base; the relative Wu identity holds in
-    every degree the truncation sees."""
-    if not 1 <= n <= 4:
-        raise ScenarioIncomplete("projective scenarios cover 1 <= n <= 4")
-    name = "PROJ%d_%d" % (n, ell)
-    if ell == 2:
-        header = [
-            "ring %s {" % name,
-            "  prime = 2;",
-            "  gen w deg=1;",
-            "  gen u deg=2 twist=1;",
-            "  gen l deg=2 twist=1;",
-            "  rule l^%d = 0;" % (n + 1),
-            "  action Sq^1(u) = w*u;",
-            "  action Sq^1(l) = w*l;",
-            "  omega = w;",
-            "}",
-        ]
-        samples = ["w^2", "u", "u*w", "u^2"]
-    else:
-        header = [
-            "ring %s {" % name,
-            "  prime = %d;" % ell,
-            "  gen v deg=2 twist=1;",
-            "  gen l deg=2 twist=1;",
-            "  rule l^%d = 0;" % (n + 1),
-            "  action b(v) = 0;",
-            "  action b(l) = 0;",
-            "}",
-        ]
-        samples = ["v", "v^2"]
-    queries = []
-    for m in range(n + 1):
-        queries.append("wu-check --n %d --m %d in %s expect true;" % (n, m, name))
-    for y in samples:
-        queries.append(
-            "wu-check --n %d --m %d in %s y = %s expect true;" % (n, min(1, n), name, y)
-        )
-    source = "\n".join(header + queries) + "\n"
-    return _scenario_from_source(
-        name,
-        "P^%d bundle at the prime %d: pushforward Wu identity" % (n, ell),
-        source,
-    )
+# Scenario name -> (label, check) pairs run after the file's queries.  In
+# characteristic 2, MO5's identity is the composite on s vanishing.
+EXTRA_CHECKS = {
+    "MO3": (
+        _composite_check(
+            "composite operator on w2*s",
+            "w2*s",
+            "w1*w2*w3^4*s + w3^5*s",
+        ),
+        _composite_check(
+            "composite operator on (w1^2 + w2)*s",
+            "(w1^2 + w2)*s",
+            "w1^3*w2^3*w3^2*s + w1^2*w2^2*w3^3*s + w1*w2*w3^4*s + w3^5*s",
+        ),
+    ),
+    "MO5": (
+        _composite_check(
+            "Sq^2 Sq^1(s)*s^2 = Sq^1(s)^3 + Sq^1(s)*Sq^2(s)*s", "s", "0"
+        ),
+    ),
+}
 
 
 # ------------------------------------------------------------ the registry
 
 
-BUILDERS: dict = {
-    "MO3": lambda: scenario_bo_mo(3),
-    "MO5": lambda: scenario_bo_mo(5),
-    "CLASSIFYING2": lambda: scenario_classifying(2),
-    "CLASSIFYING3": lambda: scenario_classifying(3),
-    "CLASSIFYING5": lambda: scenario_classifying(5),
-    "P2REAL": scenario_p2_real,
-    "REALFOURFOLD": scenario_real_fourfold,
-    "PROP5": scenario_prop5,
-}
-for _n in range(1, 5):
-    for _ell in (2, 3):
-        BUILDERS["PROJ%d_%d" % (_n, _ell)] = (
-            lambda n=_n, ell=_ell: scenario_projective_bundle(n, ell)
-        )
+def _corpus_dir() -> str:
+    """The directory the scenarios are read from."""
+    return os.environ.get(ENV_DATA_DIR) or _PACKAGE_DATA_DIR
+
+
+def _path(directory: str, name: str) -> str:
+    return os.path.join(directory, name + ".steen")
+
+
+def data_file_path(name: str) -> str:
+    return _path(_corpus_dir(), name)
 
 
 @lru_cache(maxsize=None)
+def _load(directory: str, name: str) -> Scenario:
+    path = _path(directory, name)
+    if not os.path.isfile(path):
+        raise ScenarioIncomplete("no scenario %r in %s" % (name, directory))
+    with open(path, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    program = dsl.build_program(dsl.parse(source))
+    if name not in program.rings:
+        raise ScenarioIncomplete("scenario %s must define ring %s" % (name, name))
+    return Scenario(name, source, program.rings[name], program.queries,
+                    EXTRA_CHECKS.get(name, ()))
+
+
 def get_scenario(name: str) -> Scenario:
-    override = os.environ.get(ENV_DATA_DIR)
-    if override:
-        path = os.path.join(override, name + ".steen")
-        if not os.path.exists(path):
-            raise ScenarioIncomplete("no scenario file %s" % path)
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        return _scenario_from_source(name, "loaded from %s" % path, source)
-    if name not in BUILDERS:
-        raise ScenarioIncomplete("unknown scenario %r" % name)
-    return BUILDERS[name]()
+    """The scenario NAME of the current corpus directory, parsed and built
+    once per (directory, name)."""
+    return _load(_corpus_dir(), name)
 
 
 def scenario_names():
-    return sorted(BUILDERS)
+    return sorted(
+        f[: -len(".steen")] for f in os.listdir(_corpus_dir()) if f.endswith(".steen")
+    )
 
 
 def resolve_ring(name: str) -> RingPresentation:
     """Presentation of a built-in scenario ring, by scenario name."""
-    if name not in BUILDERS and not os.environ.get(ENV_DATA_DIR):
-        raise UnknownGenerator("no ring %r in scope" % name)
-    return get_scenario(name).presentation
-
-
-def data_file_path(name: str) -> str:
-    here = os.path.dirname(__file__)
-    return os.path.join(here, "data", name + ".steen")
-
-
-def write_data_files(target_dir: Optional[str] = None):
-    """Serialize every built-in scenario; returns the paths written."""
-    paths = []
-    for name in scenario_names():
-        s = BUILDERS[name]()
-        path = (
-            os.path.join(target_dir, name + ".steen")
-            if target_dir
-            else data_file_path(name)
-        )
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(s.source)
-        paths.append(path)
-    return paths
+    directory = _corpus_dir()
+    try:
+        return _load(directory, name).presentation
+    except ScenarioIncomplete:
+        if not os.path.isfile(_path(directory, name)):
+            raise UnknownGenerator("no ring %r in scope" % name) from None
+        raise
 
 
 # ---------------------------------------------------------------- running

@@ -14,8 +14,9 @@ A source file is a sequence of ring blocks, bundle blocks, and queries:
 
 Queries name either a ring from the same file or a built-in one.  Parsing is
 split from meaning: parse() builds the syntax tree (every node carries a
-line:col span, excluded from equality so rendered trees round-trip), then a
-semantic pass checks names and homogeneity and builds the presentations.
+line:col span, excluded from equality so rendered trees round-trip), then
+build_program, the semantic pass, checks names and homogeneity and builds
+the presentations.
 Parenthesized subpolynomials are expanded at parse time; factor order inside
 a term is preserved, since at odd primes x2*x1 is not x1*x2.
 """
@@ -29,10 +30,8 @@ from typing import Optional
 from .errors import (
     DslSyntaxError,
     DuplicateGenerator,
-    MissingCodim,
     NonHomogeneous,
     NonHomogeneousInput,
-    SteencalcError,
     UnknownGenerator,
 )
 from .rings import GeneratorSpec, RewriteRule, RingPresentation
@@ -123,7 +122,6 @@ class GenDecl:
     twist: int = 0
     odd: bool = False
     frob: Optional[int] = None
-    filt: int = 0
     span: Optional[Span] = field(default=None, compare=False)
 
 
@@ -407,7 +405,7 @@ class _Parser:
                 self.expect_word("deg")
                 self.expect_sym("=")
                 deg = self.expect_int("a degree")
-                twist, odd, frob, filt = 0, False, None, 0
+                twist, odd, frob = 0, False, None
                 while not self.at_sym(";"):
                     if self.eat_word("twist"):
                         self.expect_sym("=")
@@ -417,16 +415,13 @@ class _Parser:
                     elif self.eat_word("frob"):
                         self.expect_sym("=")
                         frob = self.expect_int("a Frobenius exponent")
-                    elif self.eat_word("filt"):
-                        self.expect_sym("=")
-                        filt = self.expect_int("a filtration level")
                     else:
                         self.fail(
                             "found %r" % self.peek().value,
-                            ("twist", "odd", "frob", "filt", ";"),
+                            ("twist", "odd", "frob", ";"),
                         )
                 self.expect_sym(";")
-                gens.append(GenDecl(gname, deg, twist, odd, frob, filt, span=ispan))
+                gens.append(GenDecl(gname, deg, twist, odd, frob, span=ispan))
             elif self.eat_word("rule"):
                 gname = self.expect_ident("a generator name")
                 self.expect_sym("^")
@@ -649,11 +644,9 @@ class _Parser:
 
 
 def parse(source: str) -> FileAst:
-    """Parse a source file; declarations are also semantically checked so
-    name and homogeneity errors surface with their spans."""
-    ast = _Parser(_lex(source)).parse_file()
-    build_program(ast)
-    return ast
+    """Parse a source file into its syntax tree.  Syntax only: name and
+    homogeneity errors surface from build_program."""
+    return _Parser(_lex(source)).parse_file()
 
 
 def parse_poly(text: str) -> Poly:
@@ -676,8 +669,6 @@ def render_gen(g: GenDecl):
         bits.append("odd")
     if g.frob is not None:
         bits.append("frob=%d" % g.frob)
-    if g.filt:
-        bits.append("filt=%d" % g.filt)
     return " ".join(bits) + ";"
 
 
@@ -814,7 +805,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
         GeneratorSpec(
             g.name, g.degree, twist=g.twist,
             parity="odd" if g.odd else "even",
-            action={}, frobenius_exponent=g.frob, filtration=g.filt,
+            action={}, frobenius_exponent=g.frob,
         )
         for g in block.gens
     ]
@@ -850,7 +841,6 @@ def build_ring(block: RingBlock) -> RingPresentation:
         GeneratorSpec(
             s.name, s.degree, twist=s.twist, parity=s.parity,
             action=actions[s.name], frobenius_exponent=s.frobenius_exponent,
-            filtration=s.filtration,
         )
         for s in specs
     ]

@@ -15,7 +15,7 @@ the check is the chain they force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -156,20 +156,16 @@ class HsInput:
     presentation: RingPresentation
     z: TwistedClass
     q: int
-    omega_name: Optional[str] = None
 
 
-def hs_scripted_check(scenario) -> ObstructionReport:
+def hs_scripted_check(data: HsInput) -> ObstructionReport:
     """Run the filtration argument.  At the prime 2 the composite Sq^3 Sq^1
     must miss im(F - Id); the wrapper y = psi(b z) then has Sq^3(y) =
     psi(Sq^3 Sq^1 z) nonzero in the graded model, omega Sq^2(y) and omega^3 y
     die in filtration 2, so the codimension-2 operator fires on y.  Odd
     primes route through b P^1 b instead."""
-    data = scenario
-    if not isinstance(data, HsInput):
-        data = getattr(scenario, "hs_data", None)
-    if data is None or data.z is None:
-        raise ScenarioIncomplete("scenario carries no descent data")
+    if not isinstance(data, HsInput) or data.z is None:
+        raise ScenarioIncomplete("the descent check needs an HsInput")
     pres = data.presentation
     z = data.z
     ell = pres.prime

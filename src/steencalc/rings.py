@@ -1,8 +1,8 @@
 """Finitely presented graded-commutative F_l-algebras carrying Steenrod actions.
 
 A presentation fixes a prime l, an ordered list of generators (degree, Tate
-twist, Koszul parity, declared operation action, optional Frobenius and
-filtration data), and rewrite rules of the shape g^k = lower-order terms.
+twist, Koszul parity, declared operation action, optional Frobenius
+data), and rewrite rules of the shape g^k = lower-order terms.
 Monomials are exponent tuples over the generator order; elements are kept in
 normal form: no monomial divisible by a rule's lead power, odd-parity
 exponents at most 1.
@@ -27,7 +27,7 @@ from .errors import (
     OmegaUndeclared,
     RuleNonTermination,
 )
-from .steenrod import SteenrodElement, _require_prime, parse_operation
+from .steenrod import _require_prime, parse_operation
 
 _MAX_REDUCTIONS = 1_000_000
 
@@ -49,8 +49,6 @@ class GeneratorSpec:
     parity: str = "even"
     action: dict = field(default_factory=dict)
     frobenius_exponent: Optional[int] = None
-    filtration: int = 0
-    unstable: bool = True
 
 
 @dataclass
@@ -207,8 +205,6 @@ class RingPresentation:
                 raise ValueError(
                     "generator %s: parity must match degree mod 2 at odd primes" % g.name
                 )
-            if g.filtration < 0:
-                raise ValueError("negative filtration")
         if omega is not None:
             if omega not in self.index:
                 raise OmegaUndeclared("omega names undeclared generator %r" % omega)
@@ -292,9 +288,6 @@ class RingPresentation:
     def monomial_twist(self, m):
         return sum(e * g.twist for e, g in zip(m, self.generators))
 
-    def monomial_filtration(self, m):
-        return sum(e * g.filtration for e, g in zip(m, self.generators))
-
     def zero(self):
         return RingElement(self, {})
 
@@ -375,6 +368,8 @@ class RingPresentation:
             return {m: 1}
         if m in self._reducing:
             raise RuleNonTermination("rule cycle at monomial %r" % (m,))
+        if not self._reducing:
+            self._steps = 0  # the bound applies to one top-level reduction
         self._steps += 1
         if self._steps > _MAX_REDUCTIONS:
             raise RuleNonTermination("rewriting exceeded %d steps" % _MAX_REDUCTIONS)
@@ -618,16 +613,18 @@ class RingPresentation:
     def check_action_consistency(self, max_degree):
         """Re-derive every rewrite rule under all operations of degree up to
         max_degree and compare both evaluation paths; also compare declared
-        top action components against the l-th power for unstable
-        generators.  Returns a ConsistencyReport."""
+        top action components against the l-th power.  Returns a
+        ConsistencyReport."""
         failures = []
         for gi, (k, rhs) in sorted(self.rules.items()):
             g = self.generators[gi]
             lead = _power_tuple(self.n, gi, k)
             rhs_elt = self.element(rhs)
             cap = max_degree if self.prime == 2 else max_degree // (2 * (self.prime - 1))
+            # the Cartan formula on the raw lead follows the other side of the rule
+            total = self._total_on_monomial(lead, cap)
             for i in range(1, cap + 1):
-                via_lead = self._apply_letter_raw(i, lead)
+                via_lead = total[i] if i < len(total) else self.zero()
                 via_rhs = self.apply_letter(i, rhs_elt)
                 if via_lead != via_rhs:
                     op = "Sq^%d" % i if self.prime == 2 else "P^%d" % i
@@ -636,7 +633,7 @@ class RingPresentation:
                         % (op, g.name, k, via_lead.render(), via_rhs.render())
                     )
             if self.prime > 2:
-                via_lead = self._beta_raw(lead)
+                via_lead = self._beta_monomial(lead)
                 via_rhs = self.bockstein(rhs_elt)
                 if via_lead != via_rhs:
                     failures.append(
@@ -644,8 +641,6 @@ class RingPresentation:
                         % (g.name, k, via_lead.render(), via_rhs.render())
                     )
         for gi, g in enumerate(self.generators):
-            if not g.unstable:
-                continue
             top = g.degree if self.prime == 2 else (g.degree // 2 if g.degree % 2 == 0 else None)
             if top is None or top == 0:
                 continue
@@ -656,45 +651,6 @@ class RingPresentation:
                     % (g.name, self.prime)
                 )
         return ConsistencyReport(not failures, tuple(failures))
-
-    def _apply_letter_raw(self, letter, raw_monomial):
-        """Letter action on a not-necessarily-reduced monomial: the Cartan
-        product is taken over the raw exponents, so this follows the other
-        side of a rewrite rule honestly."""
-        cap = letter
-        deg = self.monomial_degree(raw_monomial)
-        if self.prime == 2 and letter > deg:
-            return self.zero()
-        if self.prime > 2 and 2 * letter > deg:
-            return self.zero()
-        result = [self.one()] + [self.zero()] * cap
-        for gi, e in enumerate(raw_monomial):
-            if not e:
-                continue
-            base = self._gen_total(gi, cap)
-            for _ in range(e):
-                result = self._oppoly_mul(result, base, cap)
-        return result[letter]
-
-    def _beta_raw(self, raw_monomial):
-        gi = next((i for i, e in enumerate(raw_monomial) if e), None)
-        if gi is None:
-            return self.zero()
-        g = self.generators[gi]
-        e = raw_monomial[gi]
-        rest = list(raw_monomial)
-        rest[gi] = 0
-        rest = tuple(rest)
-        comp = self._action[gi]
-        if "b" not in comp:
-            raise MissingActionComponent("Bockstein of %s is not declared" % g.name)
-        beta_g = comp["b"]
-        count = e if g.degree % 2 == 0 else e % 2
-        head = beta_g * self.element({_power_tuple(self.n, gi, e - 1): 1})
-        head = head.scale(count) * self.element({rest: 1})
-        sign = -1 if (e * g.degree) % 2 else 1
-        tail = (self._beta_raw(rest) * self.element({_power_tuple(self.n, gi, e): 1})).scale(sign)
-        return head + tail
 
     # -------------------------------------------------------------- printing
 
@@ -735,29 +691,3 @@ def _power_tuple(n, gi, e):
     exps = [0] * n
     exps[gi] = e
     return tuple(exps)
-
-
-# Module-level forms with the presentation passed explicitly.
-
-def normal_form(p: RingPresentation, e) -> RingElement:
-    return p.normal_form(e)
-
-
-def multiply(p: RingPresentation, a: RingElement, b: RingElement) -> RingElement:
-    return p.multiply(a, b)
-
-
-def apply_op(p: RingPresentation, op, x: TwistedClass) -> TwistedClass:
-    return p.apply_op(op, x)
-
-
-def bockstein_twisted(p: RingPresentation, x: TwistedClass) -> TwistedClass:
-    return p.bockstein_twisted(x)
-
-
-def check_action_consistency(p: RingPresentation, max_degree: int) -> ConsistencyReport:
-    return p.check_action_consistency(max_degree)
-
-
-def basis_of_degree(p: RingPresentation, degree: int, twist=None):
-    return p.basis_of_degree(degree, twist)

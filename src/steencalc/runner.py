@@ -9,19 +9,18 @@ order comes from the ring's renderers, never from dict iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import dsl
 from .charclasses import (
-    TotalClass,
     VirtualBundle,
     fiber_dimension,
     verify_relative_wu_projective,
     w_bro,
     w_et,
 )
-from .errors import MissingCodim, NonHomogeneousInput, SteencalcError, UnknownGenerator
+from .errors import MissingCodim, NonHomogeneousInput, SteencalcError
 from .obstructions import (
     FrobeniusContext,
     HsInput,
@@ -30,7 +29,7 @@ from .obstructions import (
     odd_vanishing_check,
     weird_operator,
 )
-from .rings import RingPresentation, TwistedClass
+from .rings import TwistedClass
 from .steenrod import parse_operation
 
 

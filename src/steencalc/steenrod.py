@@ -110,22 +110,6 @@ class SteenrodMonomial:
         s1 = next((s for s in self.word if s > 0), 0)
         return 2 * self.prime * s1 + eps0 - self.degree()
 
-    def acts_nontrivially_on_class_of_degree(self, n: int) -> bool:
-        """Whether this admissible word can act nonzero on some degree-n class.
-
-        True when excess < n.  At excess == n the bottom operation is an
-        l-th power, nonzero unless an odd-prime word leads with the
-        Bockstein (which kills l-th powers).
-        """
-        e = self.excess()
-        if e < n:
-            return True
-        if e > n:
-            return False
-        if self.prime == 2:
-            return True
-        return not (self.word and self.word[0] == 0)
-
     def render(self) -> str:
         if not self.word:
             return "1"
@@ -467,32 +451,6 @@ def parse_operation(text: str, prime: int) -> SteenrodElement:
 
 def render_operation(e: SteenrodElement) -> str:
     return e.render()
-
-
-# Convenience module-level forms mirroring the method names.
-
-def degree(m: SteenrodMonomial) -> int:
-    return m.degree()
-
-
-def is_admissible(m: SteenrodMonomial) -> bool:
-    return m.is_admissible()
-
-
-def excess(m: SteenrodMonomial) -> int:
-    return m.excess()
-
-
-def acts_nontrivially_on_class_of_degree(m: SteenrodMonomial, n: int) -> bool:
-    return m.acts_nontrivially_on_class_of_degree(n)
-
-
-def adem_normalize(e: SteenrodElement) -> SteenrodElement:
-    return e.adem_normalize()
-
-
-def multiply(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
-    return a.multiply(b)
 
 
 def admissible_monomials(prime, max_degree, parity=None):

@@ -444,8 +444,11 @@ def test_gate_5_frobenius_membership_controls():
 
         for name in ("CLASSIFYING2", "CLASSIFYING3"):
             scn = corpus.get_scenario(name)
-            assert hs_scripted_check(scn).fires
-            data = scn.hs_data
+            query = next(q for q in scn.queries
+                         if isinstance(q, dsl.ObstructQuery) and q.kind == "hs")
+            z = dsl.poly_to_element(scn.presentation, query.poly)
+            data = HsInput(scn.presentation, TwistedClass(z, z.degree(), query.twist), query.q)
+            assert hs_scripted_check(data).fires
             quiet = hs_scripted_check(
                 HsInput(data.presentation, TwistedClass(data.presentation.zero(), 2, 2), data.q)
             )

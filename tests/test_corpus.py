@@ -1,6 +1,5 @@
-"""The shipped scenario library must run clean and round-trip through disk."""
-
-import os
+"""The shipped scenario library must run clean, and the corpus directory
+can be switched at run time."""
 
 import pytest
 
@@ -20,27 +19,10 @@ def test_every_scenario_passes(name):
 
 
 @pytest.mark.parametrize("name", corpus.scenario_names())
-def test_shipped_data_matches_builder(name):
-    path = corpus.data_file_path(name)
-    with open(path, encoding="utf-8") as fh:
-        on_disk = fh.read()
-    assert on_disk == corpus.get_scenario(name).source
-
-
-@pytest.mark.parametrize("name", corpus.scenario_names())
 def test_shipped_data_parses(name):
     with open(corpus.data_file_path(name), encoding="utf-8") as fh:
         ast = dsl.parse(fh.read())
     assert any(r.name == name for r in ast.rings)
-
-
-def test_write_data_files_round_trips(tmp_path):
-    paths = corpus.write_data_files(str(tmp_path))
-    assert len(paths) == len(corpus.scenario_names())
-    for path in paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == corpus.get_scenario(name).source
 
 
 def test_env_override_changes_lookup(tmp_path, monkeypatch):
@@ -54,7 +36,6 @@ def test_env_override_changes_lookup(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     monkeypatch.setenv(corpus.ENV_DATA_DIR, str(tmp_path))
-    corpus.get_scenario.cache_clear()
     try:
         s = corpus.get_scenario("TINY")
         assert s.presentation.prime == 2
@@ -63,20 +44,48 @@ def test_env_override_changes_lookup(tmp_path, monkeypatch):
             corpus.get_scenario("MO3")  # not present in the override dir
     finally:
         monkeypatch.delenv(corpus.ENV_DATA_DIR)
-        corpus.get_scenario.cache_clear()
 
 
 def test_override_requires_matching_ring_name(tmp_path, monkeypatch):
     bad = tmp_path / "ODD.steen"
     bad.write_text("ring OTHER {\n  prime = 2;\n  gen a deg=1;\n}\n", encoding="utf-8")
     monkeypatch.setenv(corpus.ENV_DATA_DIR, str(tmp_path))
-    corpus.get_scenario.cache_clear()
     try:
         with pytest.raises(ScenarioIncomplete):
             corpus.get_scenario("ODD")
     finally:
         monkeypatch.delenv(corpus.ENV_DATA_DIR)
-        corpus.get_scenario.cache_clear()
+
+
+def test_switching_corpus_dir_in_one_process(tmp_path, monkeypatch, capsys):
+    from steencalc.cli import main
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    for directory, degree in ((first, 1), (second, 2)):
+        directory.mkdir()
+        (directory / "TINY.steen").write_text(
+            "ring TINY {\n  prime = 2;\n  gen a deg=%d;\n}\n" % degree,
+            encoding="utf-8",
+        )
+    (second / "EXTRA.steen").write_text(
+        "ring EXTRA {\n  prime = 2;\n  gen e deg=3;\n}\n", encoding="utf-8"
+    )
+    seen = []
+    for directory in (first, second, first):
+        monkeypatch.setenv(corpus.ENV_DATA_DIR, str(directory))
+        seen.append(corpus.get_scenario("TINY").presentation.generators[0].degree)
+        seen.append(corpus.scenario_names())
+    assert seen == [1, ["TINY"], 2, ["EXTRA", "TINY"], 1, ["TINY"]]
+
+    # corpus list and corpus run all read the override directory's files
+    monkeypatch.setenv(corpus.ENV_DATA_DIR, str(second))
+    assert main(["corpus", "list"]) == 0
+    assert capsys.readouterr().out.split() == ["corpus", "list;", "EXTRA", "TINY"]
+    assert main(["corpus", "run", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "scenario EXTRA: pass" in out and "scenario TINY: pass" in out
+    monkeypatch.delenv(corpus.ENV_DATA_DIR)
+    assert "MO3" in corpus.scenario_names()
 
 
 def test_resolve_ring_unknown():

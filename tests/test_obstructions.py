@@ -16,6 +16,7 @@ from steencalc import (
     ScenarioIncomplete,
     TwistedClass,
     corpus,
+    dsl,
     hs_scripted_check,
     in_image_F_minus_Id,
     odd_vanishing_check,
@@ -216,10 +217,19 @@ def test_membership_collapses_at_two():
 # ---------------------------------------------------------------- descent
 
 
+def _hs_input(scenario):
+    """The descent input named by a scenario's `obstruct hs` query."""
+    query = next(q for q in scenario.queries
+                 if isinstance(q, dsl.ObstructQuery) and q.kind == "hs")
+    pres = scenario.presentation
+    value = dsl.poly_to_element(pres, query.poly)
+    return HsInput(pres, TwistedClass(value, value.degree(), query.twist), query.q)
+
+
 def test_descent_fires_on_classifying_scenarios():
     for name in ("CLASSIFYING2", "CLASSIFYING3", "CLASSIFYING5"):
         scenario = corpus.get_scenario(name)
-        report = hs_scripted_check(scenario)
+        report = hs_scripted_check(_hs_input(scenario))
         assert report.fires, name
         assert report.verdict == "nonvanishing"
 

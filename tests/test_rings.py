@@ -11,7 +11,10 @@ from steencalc import (
     RewriteRule,
     RingPresentation,
     TwistedClass,
+    corpus,
+    dsl,
     model_ring,
+    rings,
 )
 from steencalc.errors import RuleNonTermination
 
@@ -69,6 +72,24 @@ def test_rule_cycle_detected():
             ],
         )
         R.gen("g", 2)
+
+
+def test_reduction_bound_is_per_call(monkeypatch):
+    """The rewrite step bound limits one reduction, not the presentation's
+    lifetime: many cheap reductions in a row never trip it."""
+    monkeypatch.setattr(rings, "_MAX_REDUCTIONS", 50)
+    with open(corpus.data_file_path("MO3"), encoding="utf-8") as fh:
+        mo3 = dsl.build_program(dsl.parse(fh.read())).rings["MO3"]
+    for a in range(120):  # each w1^a*s^2 needs one rewrite step
+        assert mo3.element({(a, 0, 0, 2): 1}) == mo3.element({(a, 0, 1, 1): 1})
+    # a single reduction longer than the bound still raises
+    R = RingPresentation(
+        2, [GeneratorSpec("x", 1), GeneratorSpec("y", 2)],
+        rules=[RewriteRule("x", 2, {(0, 1): 1})],
+    )
+    assert R.gen("x", 80) == R.gen("y", 40)  # 40 nested steps
+    with pytest.raises(RuleNonTermination):
+        R.gen("x", 120)
 
 
 def test_rule_rhs_must_be_lead_reduced():
@@ -326,3 +347,28 @@ def test_consistency_report_clean_on_model_rings():
     for ell in (2, 3, 5):
         rep = model_ring(ell).check_action_consistency(10)
         assert rep.ok, rep.failures
+
+
+def _ring(source, name):
+    return dsl.build_program(dsl.parse(source)).rings[name]
+
+
+def test_consistency_reports_planted_failures():
+    bad2 = _ring(
+        "ring A { prime = 2; gen w deg=1; gen l deg=2; rule l^2 = w^4;"
+        " action Sq^1(l) = w*l; }", "A",
+    )
+    rep = bad2.check_action_consistency(12)
+    assert not rep.ok
+    assert "Sq^2(l^2): lead gives w^6, rhs gives 0" in rep.failures
+
+    odd = (
+        "ring B { prime = 3; gen x deg=1 odd; gen y deg=2; gen v deg=4;"
+        " rule y^2 = v; action b(x) = 0; action b(y) = x*y; action b(v) = %s;"
+        " action P^1(v) = 2*v^2; }"
+    )
+    rep = _ring(odd % "0", "B").check_action_consistency(12)
+    assert not rep.ok
+    assert rep.failures == ("b(y^2): lead gives 2*x*v, rhs gives 0",)
+    rep = _ring(odd % "2*x*v", "B").check_action_consistency(12)
+    assert rep.ok and rep.failures == ()
