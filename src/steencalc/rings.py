@@ -18,6 +18,7 @@ everything above it is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional
 
 from .errors import (
@@ -226,6 +227,7 @@ class RingPresentation:
         self._steps = 0
         self._total_cache = {}
         self._beta_cache = {}
+        self._gen_totals = [None] * self.n
         # validate rules now that reduction is available
         g_by_i = self.generators
         for gi, (k, rhs) in self.rules.items():
@@ -305,27 +307,14 @@ class RingPresentation:
         to normal form."""
         if isinstance(raw, RingElement):
             return raw
-        ell = self.prime
         terms = {}
         for m, c in raw.items():
-            c %= ell
-            if not c:
+            if not c % self.prime:
                 continue
             if len(m) != self.n:
                 raise ValueError("monomial of width %d in %d-generator ring" % (len(m), self.n))
-            for red, rc in self._reduce(tuple(m)).items():
-                new = (terms.get(red, 0) + c * rc) % ell
-                if new:
-                    terms[red] = new
-                else:
-                    terms.pop(red, None)
+            self._addmul(terms, c, self._reduce(tuple(m)))
         return RingElement(self, terms)
-
-    def normal_form(self, e):
-        """Normal form of raw polynomial data (dict or element)."""
-        if isinstance(e, RingElement):
-            return e  # elements are normal by construction
-        return self.element(e)
 
     # ----------------------------------------------------------- arithmetic
 
@@ -347,7 +336,7 @@ class RingPresentation:
             if m1[i] + m2[i] > 1:
                 return 0, None
         sign = self._koszul_sign(m1, m2) if self._odd else 1
-        return sign, tuple(a + b for a, b in zip(m1, m2))
+        return sign, tuple(map(add, m1, m2))
 
     def _reduce(self, m):
         """Normal form of a single raw monomial, as a terms dict."""
@@ -379,151 +368,172 @@ class RingPresentation:
             rest = list(m)
             rest[gi] -= k
             rest = tuple(rest)
-            ell = self.prime
             out = {}
             for rm, rc in rhs.items():
-                rc %= ell
-                if not rc:
+                if not rc % self.prime:
                     continue
                 sign, comb = self._mul_monomials(rest, rm)
-                if not sign:
-                    continue
-                for red, c2 in self._reduce(comb).items():
-                    new = (out.get(red, 0) + sign * rc * c2) % ell
-                    if new:
-                        out[red] = new
-                    else:
-                        out.pop(red, None)
+                if sign:
+                    self._addmul(out, sign * rc, self._reduce(comb))
         finally:
             self._reducing.discard(m)
         self._reduce_cache[m] = out
         return out
 
-    def multiply(self, a, b):
+    def _addmul(self, acc, c, a, b=None):
+        """acc += c*a*b in place, on terms dicts (acc += c*a when b is None);
+        returns acc.  Products are reduced to normal form."""
         ell = self.prime
-        terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                sign, comb = self._mul_monomials(m1, m2)
+        if b is None:
+            for m, v in a.items():
+                new = (acc.get(m, 0) + c * v) % ell
+                if new:
+                    acc[m] = new
+                else:
+                    acc.pop(m, None)
+            return acc
+        mul, reduced = self._mul_monomials, self._reduce_cache.get
+        for m1, c1 in a.items():
+            c1 *= c
+            for m2, c2 in b.items():
+                sign, comb = mul(m1, m2)
                 if not sign:
                     continue
-                c = (sign * c1 * c2) % ell
-                if not c:
+                cc = sign * c1 * c2 % ell
+                if not cc:
                     continue
-                for red, rc in self._reduce(comb).items():
-                    new = (terms.get(red, 0) + c * rc) % ell
+                nf = reduced(comb)
+                if nf is None:
+                    nf = self._reduce(comb)
+                for red, rc in nf.items():
+                    new = (acc.get(red, 0) + cc * rc) % ell
                     if new:
-                        terms[red] = new
+                        acc[red] = new
                     else:
-                        terms.pop(red, None)
-        return RingElement(self, terms)
+                        acc.pop(red, None)
+        return acc
+
+    def multiply(self, a, b):
+        return RingElement(self, self._addmul({}, 1, a.terms, b.terms))
 
     # -------------------------------------------------------------- actions
 
-    def _gen_total(self, gi, cap):
-        """Components 0..cap of the total operation on generator gi, as a
-        list of RingElements indexed by operation degree (Sq^i or P^i)."""
-        g = self.generators[gi]
-        top = g.degree if self.prime == 2 else g.degree // 2
-        cap = min(cap, top)
-        comp = self._action[gi]
-        out = [self.gen(g.name)]
-        for i in range(1, cap + 1):
-            if i in comp:
-                out.append(comp[i])
-            elif i == top and (self.prime == 2 or g.degree % 2 == 0):
-                # instability: the operation dual to the degree squares / l-th
-                # powers the class; for odd-degree generators at odd primes
-                # no component is forced, so it must be declared
-                out.append(self.gen(g.name) ** self.prime)
-            else:
+    def _gen_total(self, gi):
+        """(components, top) of the total operation on generator gi: the
+        components 0, 1, ... as terms dicts indexed by operation degree
+        (Sq^i or P^i), and the instability bound top above which all vanish.
+        The list stops before the first undeclared component, so it is
+        shorter than top + 1 exactly when one is missing; computed once."""
+        cached = self._gen_totals[gi]
+        if cached is None:
+            g = self.generators[gi]
+            top = g.degree if self.prime == 2 else g.degree // 2
+            comp = self._action[gi]
+            out = [self.gen(g.name).terms]
+            for i in range(1, top + 1):
+                if i in comp:
+                    out.append(comp[i].terms)
+                elif i == top and (self.prime == 2 or g.degree % 2 == 0):
+                    # instability: the operation dual to the degree squares / l-th
+                    # powers the class; for odd-degree generators at odd primes
+                    # no component is forced, so it must be declared
+                    out.append((self.gen(g.name) ** self.prime).terms)
+                else:
+                    break
+            cached = self._gen_totals[gi] = (out, top)
+        return cached
+
+    def _total_on_monomial(self, m, k):
+        """Components 0..min(k, instability bound) of the total Sq (l=2) or
+        total P (odd l) on a raw monomial, as a list of terms dicts.
+
+        The cache holds one entry per monomial: the longest prefix of
+        components computed so far, extended in place when a later request
+        reaches further.  The Cartan formula is applied multiplicatively,
+        total(m) = total(m - e_g) * total(g) with g the last generator of m,
+        so factors are taken in generator-index order and need no Koszul
+        sign at odd primes.  A missing action component raises
+        MissingActionComponent only when component k reaches it, naming the
+        first such generator in index order."""
+        cache = self._total_cache
+        entry = cache.get(m)
+        if entry is not None and len(entry) > k:
+            return entry
+        # walk down m, m - e_g, ... to a monomial cached far enough (or the
+        # unit), then build the prefixes back up
+        chain = []
+        deg = self.monomial_degree(m)
+        while True:
+            cap = min(k, deg if self.prime == 2 else deg // 2)
+            entry = cache.get(m)
+            if entry is not None and len(entry) > cap:
+                break
+            if not deg:
+                entry = cache[m] = [{m: 1}]
+                break
+            gi = max(i for i, e in enumerate(m) if e)
+            chain.append((m, gi, cap))
+            m = m[:gi] + (m[gi] - 1,) + m[gi + 1:]
+            deg -= self.generators[gi].degree
+        for m, gi, cap in reversed(chain):
+            sub = entry
+            comps, top = self._gen_total(gi)
+            if len(comps) <= min(cap, top):
                 raise MissingActionComponent(
                     "component %d of the action on %s is needed but not declared"
-                    % (i, g.name)
+                    % (len(comps), self.generators[gi].name)
                 )
-        return out
-
-    def _oppoly_mul(self, a, b, cap):
-        out = [self.zero() for _ in range(cap + 1)]
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > cap:
-                    break
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return out
-
-    def _total_on_monomial(self, m, cap):
-        """Components 0..cap of the total Sq (l=2) or total P (odd l) on a
-        raw monomial, through the Cartan formula."""
-        deg = self.monomial_degree(m)
-        cap = min(cap, deg if self.prime == 2 else deg // 2)
-        if cap < 0:
-            cap = 0
-        key = (m, cap)
-        cached = self._total_cache.get(key)
-        if cached is not None:
-            return cached
-        result = [self.one()] + [self.zero()] * cap
-        for gi, e in enumerate(m):
-            if not e:
-                continue
-            base = self._gen_total(gi, cap)
-            for _ in range(e):
-                result = self._oppoly_mul(result, base, cap)
-        self._total_cache[key] = result
-        return result
+            entry = cache.setdefault(m, [])
+            for i in range(len(entry), cap + 1):
+                acc = {}
+                for j in range(max(0, i - len(sub) + 1), min(i, top) + 1):
+                    self._addmul(acc, 1, sub[i - j], comps[j])
+                entry.append(acc)
+        return entry
 
     def _beta_monomial(self, m):
-        """Bockstein of one monomial, as a RingElement (signed derivation)."""
+        """Bockstein of one monomial at an odd prime, as a terms dict
+        (signed derivation)."""
         cached = self._beta_cache.get(m)
         if cached is not None:
             return cached
+        out = {}
         gi = next((i for i, e in enumerate(m) if e), None)
-        if gi is None:
-            out = self.zero()
-        else:
+        if gi is not None:
             g = self.generators[gi]
             e = m[gi]
-            rest = list(m)
-            rest[gi] = 0
-            rest = tuple(rest)
-            if self.prime == 2:
-                beta_g = self._gen_total(gi, 1)[1]
-            else:
-                comp = self._action[gi]
-                if "b" not in comp:
-                    raise MissingActionComponent(
-                        "Bockstein of generator %s is needed but not declared" % g.name
-                    )
-                beta_g = comp["b"]
+            rest = m[:gi] + (0,) + m[gi + 1:]
+            comp = self._action[gi]
+            if "b" not in comp:
+                raise MissingActionComponent(
+                    "Bockstein of generator %s is needed but not declared" % g.name
+                )
             # beta(g^e * rest) = beta(g^e)*rest + (-1)^{deg(g^e)} g^e * beta(rest)
             # where beta(g^e) = [e] beta(g) g^{e-1} and [e] alternates for
             # odd-degree g (moving beta(g) past g flips a sign per factor)
             count = e if g.degree % 2 == 0 else e % 2
-            head = beta_g.scale(count) * self.element({_power_tuple(self.n, gi, e - 1): 1})
+            g_before = self._reduce(_power_tuple(self.n, gi, e - 1))
+            head = self._addmul({}, count, comp["b"].terms, g_before)
+            self._addmul(out, 1, head, self._reduce(rest))
             sign = -1 if (e * g.degree) % 2 else 1
-            g_power = self.element({_power_tuple(self.n, gi, e): 1})
-            out = head * self.element({rest: 1})
-            out = out + (g_power * self._beta_monomial(rest)).scale(sign)
+            g_power = self._reduce(_power_tuple(self.n, gi, e))
+            self._addmul(out, sign, g_power, self._beta_monomial(rest))
         self._beta_cache[m] = out
         return out
 
     def apply_letter(self, letter, x):
         """Apply one word letter (int i for Sq^i / P^i, 0 for the odd-prime
         Bockstein) to a RingElement."""
-        out = self.zero()
+        out = {}
         if self.prime > 2 and letter == 0:
             for m, c in x.terms.items():
-                out = out + self._beta_monomial(m).scale(c)
-            return out
+                self._addmul(out, c, self._beta_monomial(m))
+            return RingElement(self, out)
         for m, c in x.terms.items():
             total = self._total_on_monomial(m, letter)
             if letter < len(total):
-                out = out + total[letter].scale(c)
-        return out
+                self._addmul(out, c, total[letter])
+        return RingElement(self, out)
 
     def apply_word(self, word, x):
         for letter in reversed(word):
@@ -536,10 +546,10 @@ class RingPresentation:
             op = parse_operation(op, self.prime)
         if op.prime != self.prime:
             raise MixedPrimes("operation at prime %d on ring at prime %d" % (op.prime, self.prime))
-        out = self.zero()
+        out = {}
         for mono, coeff in op.terms.items():
-            out = out + self.apply_word(mono.word, x).scale(coeff)
-        return out
+            self._addmul(out, coeff, self.apply_word(mono.word, x).terms)
+        return RingElement(self, out)
 
     def apply_op(self, op, x):
         """Apply a degree-homogeneous operation to a TwistedClass."""
@@ -553,16 +563,25 @@ class RingPresentation:
 
     def total_sq(self, x):
         """All components of the total Sq (or total P at odd primes) of a
-        homogeneous element, as a dict operation-degree -> RingElement."""
+        homogeneous element, as a dict operation-degree -> RingElement.
+
+        One pass: each monomial's cached Cartan prefix (see
+        _total_on_monomial) is asked for once, up to its own instability
+        bound.  A missing action component raises the error the
+        letter-by-letter order meets first: the lowest component needed."""
         cap = max((self.monomial_degree(m) for m in x.terms), default=0)
         if self.prime > 2:
             cap //= 2
-        out = {}
-        for i in range(cap + 1):
-            comp = self.apply_letter(i, x) if i else x
-            if comp:
-                out[i] = comp
-        return out
+        comps = [{} for _ in range(cap + 1)]
+        try:
+            for m, c in x.terms.items():
+                for acc, t in zip(comps, self._total_on_monomial(m, cap)):
+                    self._addmul(acc, c, t)
+        except MissingActionComponent:
+            for i in range(1, cap + 1):
+                self.apply_letter(i, x)
+            raise
+        return {i: RingElement(self, t) for i, t in enumerate(comps) if t}
 
     def bockstein(self, x):
         if self.prime == 2:
@@ -624,7 +643,7 @@ class RingPresentation:
             # the Cartan formula on the raw lead follows the other side of the rule
             total = self._total_on_monomial(lead, cap)
             for i in range(1, cap + 1):
-                via_lead = total[i] if i < len(total) else self.zero()
+                via_lead = RingElement(self, total[i] if i < len(total) else {})
                 via_rhs = self.apply_letter(i, rhs_elt)
                 if via_lead != via_rhs:
                     op = "Sq^%d" % i if self.prime == 2 else "P^%d" % i
@@ -633,7 +652,7 @@ class RingPresentation:
                         % (op, g.name, k, via_lead.render(), via_rhs.render())
                     )
             if self.prime > 2:
-                via_lead = self._beta_monomial(lead)
+                via_lead = RingElement(self, self._beta_monomial(lead))
                 via_rhs = self.bockstein(rhs_elt)
                 if via_lead != via_rhs:
                     failures.append(

@@ -10,9 +10,15 @@ cohomology of an n-fold product of cyclic classifying spaces:
 
 Words are tuples applied rightmost letter first; at odd l the letter 0 is
 the Bockstein and a positive letter s is P^s.
+
+`CartanReference` is the one exception to the rule above: it runs the
+per-component Cartan path on a given presentation through that
+presentation's public methods, as a differential check of the cached one.
 """
 
 from math import comb
+
+from steencalc.errors import MissingActionComponent
 
 
 def binom2(a, k):
@@ -255,3 +261,97 @@ def poly_mul(a, b, ell):
 
 def weight_piece(poly, weight):
     return {m: c for m, c in poly.items() if sum(m) == weight}
+
+
+# ------------------------------------ per-cap Cartan reference path
+
+
+class CartanReference:
+    """The engine's former Cartan and Bockstein path, kept as a differential
+    reference: every request recomputes the total operation on a monomial
+    from the generators, truncated at the requested component, by
+    convolving one generator factor at a time in index order.
+
+    It reads only a presentation's public surface: its generator specs and
+    their declared actions, `element`, `gen`, `zero`, `one` and `multiply`.
+    """
+
+    def __init__(self, R):
+        self.R = R
+        self.declared = []
+        for g in R.generators:
+            comp = {}
+            for key, raw in (g.action or {}).items():
+                comp[1 if (key == "b" and R.prime == 2) else key] = R.element(raw)
+            self.declared.append(comp)
+
+    def _gen_total(self, gi, cap):
+        R = self.R
+        g = R.generators[gi]
+        top = g.degree if R.prime == 2 else g.degree // 2
+        out = [R.gen(g.name)]
+        for i in range(1, min(cap, top) + 1):
+            if i in self.declared[gi]:
+                out.append(self.declared[gi][i])
+            elif i == top and (R.prime == 2 or g.degree % 2 == 0):
+                out.append(R.gen(g.name) ** R.prime)
+            else:
+                raise MissingActionComponent(
+                    "component %d of the action on %s is needed but not declared"
+                    % (i, g.name)
+                )
+        return out
+
+    def _oppoly_mul(self, a, b, cap):
+        out = [self.R.zero() for _ in range(cap + 1)]
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                if i + j > cap:
+                    break
+                out[i + j] = out[i + j] + self.R.multiply(ai, bj)
+        return out
+
+    def _total_on_monomial(self, m, cap):
+        R = self.R
+        deg = sum(e * g.degree for e, g in zip(m, R.generators))
+        cap = min(cap, deg if R.prime == 2 else deg // 2)
+        result = [R.one()] + [R.zero()] * cap
+        for gi, e in enumerate(m):
+            if e:
+                base = self._gen_total(gi, cap)
+                for _ in range(e):
+                    result = self._oppoly_mul(result, base, cap)
+        return result
+
+    def _beta_monomial(self, m):
+        R = self.R
+        gi = next((i for i, e in enumerate(m) if e), None)
+        if gi is None:
+            return R.zero()
+        g = R.generators[gi]
+        e = m[gi]
+        rest = m[:gi] + (0,) + m[gi + 1:]
+        if "b" not in self.declared[gi]:
+            raise MissingActionComponent(
+                "Bockstein of generator %s is needed but not declared" % g.name
+            )
+        count = e if g.degree % 2 == 0 else e % 2
+        head = R.multiply(self.declared[gi]["b"].scale(count), R.gen(g.name, e - 1))
+        out = R.multiply(head, R.element({rest: 1}))
+        sign = -1 if (e * g.degree) % 2 else 1
+        return out + R.multiply(R.gen(g.name, e), self._beta_monomial(rest)).scale(sign)
+
+    def apply_letter(self, letter, x):
+        """Sq^letter / P^letter of x, or the Bockstein for letter 0 at odd l."""
+        out = self.R.zero()
+        for m, c in x.terms.items():
+            if self.R.prime > 2 and letter == 0:
+                out = out + self._beta_monomial(m).scale(c)
+                continue
+            total = self._total_on_monomial(m, letter)
+            if letter < len(total):
+                out = out + total[letter].scale(c)
+        return out
+
+    def bockstein(self, x):
+        return self.apply_letter(1 if self.R.prime == 2 else 0, x)

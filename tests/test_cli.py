@@ -1,6 +1,9 @@
 """Exit codes, output formats, and the file evaluation path."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,3 +185,15 @@ def test_rings_file_takes_priority(tmp_path, capsys):
     code = main(["apply", "Sq^4", "z", "--ring", "MO3", "--rings", str(path),
                  "--expect", "z^2"])
     assert code == 0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["corpus", "list"]) == 0
+    want = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "steencalc", "corpus", "list"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want

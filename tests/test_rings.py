@@ -18,7 +18,7 @@ from steencalc import (
 )
 from steencalc.errors import RuleNonTermination
 
-from oracles import Model2, ModelOdd
+from oracles import CartanReference, Model2, ModelOdd
 
 
 @pytest.fixture(scope="module")
@@ -241,12 +241,102 @@ def test_missing_component_raises():
         R.apply_letter(1, R.gen("v"))
 
 
+def test_missing_component_raises_lazily_through_the_cache():
+    R = RingPresentation(
+        2,
+        [
+            GeneratorSpec("w", 1),
+            GeneratorSpec("u", 2),  # Sq^1 never given
+            GeneratorSpec("v", 3, action={1: {(4, 0, 0): 1}}),  # Sq^2 never given
+        ],
+    )
+    v = R.gen("v")
+    assert R.apply_letter(1, v) == R.gen("w", 4)
+    for request in (
+        lambda: R.apply_letter(2, v),
+        lambda: R.apply_letter(3, v),
+        lambda: R.total_sq(v),
+    ):
+        with pytest.raises(MissingActionComponent, match="^component 2 of the action on v "):
+            request()
+    assert R.apply_letter(1, v) == R.gen("w", 4)
+    # total_sq reports the lowest missing component, as Sq^1, Sq^2, ... would,
+    # not the first one its monomial order meets
+    x = R.element({(1, 0, 1): 1, (2, 1, 0): 1})  # w*v + w^2*u
+    ref = CartanReference(R)
+    with pytest.raises(MissingActionComponent) as want:
+        for i in range(5):
+            ref.apply_letter(i, x)
+    with pytest.raises(MissingActionComponent, match="^component 1 of the action on u ") as got:
+        R.total_sq(x)
+    assert str(got.value) == str(want.value)
+
+
 def test_odd_degree_generator_needs_declared_p_at_odd_prime():
     S = RingPresentation(
         3, [GeneratorSpec("u", 3, twist=1, parity="odd", action={"b": {}})]
     )
     with pytest.raises(MissingActionComponent):
         S.apply_letter(1, S.gen("u"))
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_cartan_factors_keep_koszul_order(ell):
+    # factors are multiplied in generator-index order; taking the first
+    # generator off instead moves x1 past x2 and flips the sign
+    R = model_ring(ell, 2)
+    x1, x2, y2 = R.gen("x1"), R.gen("x2"), R.gen("y2")
+    m = x1 * x2 * y2
+    assert R.total_sq(m)[0] == m
+    u, v = x1 + x2.scale(2), x2 * y2 ** 2
+    conv = {}
+    for i, a in R.total_sq(u).items():
+        for j, b in R.total_sq(v).items():
+            conv[i + j] = conv.get(i + j, R.zero()) + a * b
+    assert {k: c for k, c in conv.items() if c} == R.total_sq(u * v)
+
+
+# ------------------------------------- cached Cartan path vs the reference
+
+
+DIFF_RINGS = ["model:2:3", "model:2:5", "model:3:2", "model:3:3", "model:5:2"]
+DIFF_RINGS += corpus.scenario_names()
+_diff_cache = {}
+
+
+def _diff_ring(key):
+    # one presentation per key for the whole run, so the cache warms up
+    # across examples and later requests extend earlier prefixes
+    if key not in _diff_cache:
+        if key.startswith("model:"):
+            R = model_ring(*map(int, key.split(":")[1:]))
+        else:
+            R = corpus.resolve_ring(key)
+        bases = {d: R.basis_of_degree(d) for d in range(1, 11)}
+        _diff_cache[key] = (R, CartanReference(R), {d: b for d, b in bases.items() if b})
+    return _diff_cache[key]
+
+
+@pytest.mark.parametrize("key", DIFF_RINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cached_cartan_path_matches_reference(key, data):
+    R, ref, bases = _diff_ring(key)
+    degree = data.draw(st.sampled_from(sorted(bases)))
+    monos = data.draw(st.lists(st.sampled_from(bases[degree]), min_size=1, max_size=4, unique=True))
+    x = R.element({m: data.draw(st.integers(1, R.prime - 1)) for m in monos})
+    cap = degree if R.prime == 2 else degree // 2
+    total_first = data.draw(st.booleans())
+    if total_first:
+        total = R.total_sq(x)
+    for k in data.draw(st.permutations(range(cap + 2))):
+        assert R.apply_letter(k, x) == ref.apply_letter(k, x), k
+    if not total_first:
+        total = R.total_sq(x)
+    for i in range(cap + 2):
+        want = x if i == 0 else ref.apply_letter(i, x)
+        assert total.get(i, R.zero()) == want, i
+    assert R.bockstein(x) == ref.bockstein(x)
 
 
 # ------------------------------------------------------------- twist data
