@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
+    InvalidArgument,
     MissingCodim,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
@@ -76,18 +77,17 @@ class TotalClass:
         if isinstance(other, RingElement):
             other = TotalClass.of_element(self.parent, other, self.bound)
         bound = min(self.bound, other.bound)
+        addmul = self.parent._addmul
         comps = {}
         for d1, e1 in self.components.items():
             for d2, e2 in other.components.items():
-                d = d1 + d2
-                if d > bound:
-                    continue
-                prod = e1 * e2
-                if not prod:
-                    continue
-                acc = comps.get(d)
-                comps[d] = prod if acc is None else acc + prod
-        return TotalClass(self.parent, bound, comps)
+                if d1 + d2 <= bound:
+                    addmul(comps.setdefault(d1 + d2, {}), 1, e1.terms, e2.terms)
+        return self._from_terms(bound, comps)
+
+    def _from_terms(self, bound, comps):
+        parent = self.parent
+        return TotalClass(parent, bound, {d: RingElement(parent, t) for d, t in comps.items()})
 
     def inverse(self):
         """Multiplicative inverse of a class with scalar unit part."""
@@ -100,25 +100,30 @@ class TotalClass:
         if scalar is None:
             raise NonHomogeneousInput("inverse needs an invertible scalar in degree 0")
         inv0 = pow(scalar, -1, self.parent.prime)
-        out = {0: one.scale(inv0)}
+        addmul = self.parent._addmul
+        out = {0: one.scale(inv0).terms}
         for d in range(1, self.bound + 1):
-            acc = self.parent.zero()
+            acc = {}
             for i in range(1, d + 1):
-                fi = self.component(i)
+                fi = self.components.get(i)
                 gj = out.get(d - i)
-                if fi and gj is not None:
-                    acc = acc + fi * gj
-            acc = acc.scale(-inv0)
+                if fi and gj:
+                    addmul(acc, -inv0, fi.terms, gj)
             if acc:
                 out[d] = acc
-        return TotalClass(self.parent, self.bound, out)
+        return self._from_terms(self.bound, out)
 
     def power(self, n):
         if n < 0:
             return self.inverse().power(-n)
         result = TotalClass.unit(self.parent, self.bound)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -449,10 +454,10 @@ def verify_relative_wu_projective(parent: RingPresentation, y, m: int,
     class).  Exact in every degree up to the instability-forced bound."""
     gi, n = _hyperplane_data(parent, hyperplane)
     if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+        raise InvalidArgument("need 0 <= m <= n")
     for mono in y.terms:
         if mono[gi]:
-            raise ValueError("y must be a base class (no hyperplane factor)")
+            raise InvalidArgument("y must be a base class (no hyperplane factor)")
     ydeg = max((parent.monomial_degree(mo) for mo in y.terms), default=0)
     bound = parent.prime * (ydeg + 2 * m) + 2 * (n - m) + 2
     lam = parent.gen(hyperplane)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import corpus, dsl
 from .errors import SteencalcError, UnknownGenerator
@@ -25,6 +26,7 @@ from .runner import QueryResult, execute_query
 _FORMATS = ("text", "json", "json-like-structured")
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="steencalc",
@@ -102,6 +104,13 @@ def _build_parser():
 def _load_program(path):
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
+    return _build_source(source)
+
+
+@lru_cache(maxsize=8)
+def _build_source(source):
+    """The program of a source text, built once per distinct text, so a
+    long-lived process reuses its presentations and their caches."""
     return dsl.build_program(dsl.parse(source))
 
 

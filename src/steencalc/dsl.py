@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DslSyntaxError,
@@ -47,13 +47,13 @@ _TOKEN = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<string>"[^"\n]*")
   | (?P<sym>[{}();=^*+\-,])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # int | ident | string | sym | flag | eof
     value: str
     line: int
@@ -61,26 +61,24 @@ class Token:
 
 
 def _lex(source):
+    """One pass of the token pattern; every character matches some group,
+    so the matches tile the source.  Only whitespace crosses lines."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            raise DslSyntaxError("unexpected character %r" % source[pos], line, col)
-        text = m.group(0)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        if kind == "kw":
-            kind = "ident"
-        if kind != "ws":
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise DslSyntaxError("unexpected character %r" % m.group(), line, col)
+        tokens.append(Token("ident" if kind == "kw" else kind, m.group(), line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -255,8 +253,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        # next() never moves past the eof token, so pos is always in range
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.peek()

@@ -9,6 +9,10 @@ class SteencalcError(Exception):
     """Base class for all errors raised deliberately by this package."""
 
 
+class InvalidArgument(SteencalcError, ValueError):
+    """A query argument lies outside the range its computation is defined on."""
+
+
 # ---------------------------------------------------------------- operations
 
 

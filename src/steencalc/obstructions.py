@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    InvalidArgument,
     MissingFrobeniusData,
     OmegaUndeclared,
     ScenarioIncomplete,
@@ -77,9 +78,9 @@ def weird_operator(x: TwistedClass, c: int, which: int,
     codimension c."""
     parent = x.value.parent
     if parent.prime != 2:
-        raise ValueError("the omega-corrected operators live at the prime 2")
+        raise InvalidArgument("the omega-corrected operators live at the prime 2")
     if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+        raise InvalidArgument("which must be 1 or 2")
     half = (c * (c - 1) // 2) % 2
     linear = (c + 1) % 2
     need_omega = half or (which == 2 and linear)
@@ -111,7 +112,7 @@ class FrobeniusContext:
 
     def __post_init__(self):
         if self.q % self.parent.prime == 0:
-            raise ValueError("q must be prime to %d" % self.parent.prime)
+            raise InvalidArgument("q must be prime to %d" % self.parent.prime)
 
     def eigenvalue(self, m, twist: int) -> int:
         ell = self.parent.prime

@@ -14,11 +14,15 @@ the Bockstein and a positive letter s is P^s.
 `CartanReference` is the one exception to the rule above: it runs the
 per-component Cartan path on a given presentation through that
 presentation's public methods, as a differential check of the cached one.
+Likewise `total_class_mul_reference` multiplies total classes through the
+public RingElement operators, and `reference_lex` is the character-by-
+character lexer the DSL front end once used.
 """
 
+import re
 from math import comb
 
-from steencalc.errors import MissingActionComponent
+from steencalc.errors import DslSyntaxError, MissingActionComponent
 
 
 def binom2(a, k):
@@ -355,3 +359,68 @@ class CartanReference:
 
     def bockstein(self, x):
         return self.apply_letter(1 if self.R.prime == 2 else 0, x)
+
+
+# ------------------------------------------- total-class product reference
+
+
+def total_class_mul_reference(a, b):
+    """Components of the product of two TotalClasses (degree -> RingElement),
+    summed one RingElement product at a time with `+`."""
+    bound = min(a.bound, b.bound)
+    comps = {}
+    for d1, e1 in a.components.items():
+        for d2, e2 in b.components.items():
+            d = d1 + d2
+            if d > bound:
+                continue
+            prod = e1 * e2
+            if not prod:
+                continue
+            acc = comps.get(d)
+            comps[d] = prod if acc is None else acc + prod
+    return {d: e for d, e in comps.items() if e}
+
+
+# -------------------------------------------------------- reference lexer
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<flag>--[a-z][a-z-]*)
+  | (?P<kw>wu-check)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<sym>[{}();=^*+\-,])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_lex(source):
+    """Tokens of a DSL source as (kind, value, line, col) tuples, ending in
+    an eof token; one anchored match per token, tracking line and column
+    as it goes.  Raises DslSyntaxError on a character no token starts with."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        if m is None:
+            raise DslSyntaxError("unexpected character %r" % source[pos], line, col)
+        text = m.group(0)
+        kind = m.lastgroup
+        if kind == "kw":
+            kind = "ident"
+        if kind != "ws":
+            tokens.append((kind, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens

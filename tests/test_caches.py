@@ -1,0 +1,48 @@
+"""Process-wide caches stay bounded: every functools.lru_cache in the package
+has a finite maxsize, except the tables named below."""
+
+import importlib
+import inspect
+import pkgutil
+
+import steencalc
+
+# Keyed by Adem pairs, by symmetric-function weights, and by one corpus
+# scenario per (directory, name): their size follows the largest degree or
+# the number of files asked for, not the number of calls.
+UNBOUNDED = {
+    "steencalc.steenrod._adem_sq",
+    "steencalc.steenrod._adem_pp",
+    "steencalc.steenrod._adem_pbp",
+    "steencalc.charclasses._power_sum_in_elementary",
+    "steencalc.charclasses._product_one_plus_power_expansion",
+    "steencalc.corpus._load",
+}
+
+
+def _lru_tables():
+    """(qualified name, wrapper) of every lru_cache defined in the package,
+    at module level or on a class."""
+    for info in pkgutil.iter_modules(steencalc.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module("steencalc." + info.name)
+        owners = [module] + [
+            cls for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for value in vars(owner).values():
+                value = getattr(value, "__func__", value)
+                if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                    yield "%s.%s" % (module.__name__, value.__qualname__), value
+
+
+def test_every_lru_cache_is_bounded():
+    tables = dict(_lru_tables())
+    assert UNBOUNDED <= set(tables), "an allowlisted table was renamed or removed"
+    assert {"steencalc.cli._build_parser", "steencalc.cli._build_source"} <= set(tables)
+    unbounded = {
+        name for name, fn in tables.items() if fn.cache_parameters()["maxsize"] is None
+    }
+    assert unbounded == UNBOUNDED

@@ -1,6 +1,7 @@
 """Total classes, splitting-principle reduction, pushforward identities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steencalc import (
     GeneratorSpec,
@@ -20,12 +21,13 @@ from steencalc import (
     w_bro,
     w_et,
 )
-from steencalc import corpus, dsl
+from steencalc import corpus, dsl, model_ring
 
 from oracles import (
     elementary_symmetric,
     poly_mul,
     product_one_plus_power,
+    total_class_mul_reference,
     weight_piece,
 )
 
@@ -99,6 +101,70 @@ def test_totalclass_inverse_and_power():
     assert f * f.inverse() == TotalClass.unit(R, 12)
     assert f.power(-2) == (f * f).inverse()
     assert f.power(0) == TotalClass.unit(R, 12)
+
+
+# ------------------------------- total-class arithmetic against the reference
+
+
+TOTAL_RINGS = ["model:2:3", "model:3:2", "model:5:2"]
+TOTAL_RINGS += [n for n in corpus.scenario_names() if n.startswith("PROJ")]
+_total_rings = {}
+
+
+def _total_ring(key):
+    if key not in _total_rings:
+        if key.startswith("model:"):
+            R = model_ring(*map(int, key.split(":")[1:]))
+        else:
+            R = corpus.resolve_ring(key)
+        _total_rings[key] = (R, {d: R.basis_of_degree(d) for d in range(1, 9)})
+    return _total_rings[key]
+
+
+def _draw_total(data, key, unit=None):
+    """A random TotalClass truncated at a bound of 0..8, with up to three
+    monomials per degree and the given scalar (or a random one) in degree 0."""
+    R, bases = _total_ring(key)
+    bound = data.draw(st.integers(0, 8))
+    if unit is None:
+        unit = data.draw(st.integers(0, R.prime - 1))
+    comps = {0: R.one().scale(unit)}
+    for d in range(1, bound + 1):
+        if bases[d] and data.draw(st.booleans()):
+            monos = data.draw(st.lists(st.sampled_from(bases[d]), max_size=3, unique=True))
+            comps[d] = R.element({m: data.draw(st.integers(1, R.prime - 1)) for m in monos})
+    return TotalClass(R, bound, comps)
+
+
+def _reference_product(a, b):
+    return TotalClass(a.parent, min(a.bound, b.bound), total_class_mul_reference(a, b))
+
+
+@pytest.mark.parametrize("key", TOTAL_RINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_totalclass_product_matches_reference(key, data):
+    a, b = _draw_total(data, key), _draw_total(data, key)
+    assert a * b == _reference_product(a, b)
+    assert (a * b).components == total_class_mul_reference(a, b)
+
+
+@pytest.mark.parametrize("key", TOTAL_RINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_totalclass_power_and_inverse(key, data):
+    R, _ = _total_ring(key)
+    x = _draw_total(data, key, unit=data.draw(st.integers(1, R.prime - 1)))
+    unit = TotalClass.unit(R, x.bound)
+    inv = x.inverse()
+    assert _reference_product(x, inv) == unit
+    assert _reference_product(inv, x) == unit
+    n = data.draw(st.integers(-4, 9))
+    base = x if n >= 0 else inv
+    want = unit
+    for _ in range(abs(n)):
+        want = _reference_product(want, base)
+    assert x.power(n) == want
 
 
 def test_totalclass_inverse_needs_unit():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from steencalc import corpus
-from steencalc.cli import main
+from steencalc.cli import _build_parser, main
 
 
 def test_apply_against_builtin_ring(capsys):
@@ -197,3 +197,87 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
+
+
+# ------------------------------------------- arguments outside their range
+
+
+BAD_ARGUMENTS = {
+    "wu-m-out-of-range": (
+        ["wu-check", "--n", "1", "--m", "2", "--ring", "PROJ1_2"], "need 0 <= m <= n"),
+    "wu-y-on-the-fiber": (
+        ["wu-check", "--n", "1", "--m", "1", "--ring", "PROJ1_2", "--y", "l"],
+        "y must be a base class (no hyperplane factor)"),
+    "frobenius-q-not-prime-to-l": (
+        ["obstruct", "frobenius", "x1", "--q", "2", "--ring", "CLASSIFYING2"],
+        "q must be prime to 2"),
+    "hs-q-not-prime-to-l": (
+        ["obstruct", "hs", "x1", "--q", "2", "--ring", "CLASSIFYING2"],
+        "q must be prime to 2"),
+    "weird-at-odd-prime": (
+        ["obstruct", "weird", "v", "--codim", "1", "--ring", "PROJ1_3"],
+        "the omega-corrected operators live at the prime 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_query_argument_is_exit_2(case, capsys):
+    argv, message = BAD_ARGUMENTS[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
+def test_bad_query_argument_in_a_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "which.steen"
+    path.write_text(
+        "obstruct weird --codim 1 --which 3 on x1 in CLASSIFYING2;\n", encoding="utf-8"
+    )
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: which must be 1 or 2\n"
+
+
+# ------------------------------------- per-process parser and program caches
+
+
+def _ring_file(path, gen):
+    path.write_text(
+        "ring R {\n  prime = 2;\n  gen %s deg=1;\n}\n" % gen, encoding="utf-8"
+    )
+
+
+def test_edited_rings_file_is_seen_by_the_next_call(tmp_path, capsys):
+    path = tmp_path / "rings.steen"
+    _ring_file(path, "a")
+    assert main(["normalize", "a^2", "--ring", "R", "--rings", str(path)]) == 0
+    assert "a^2" in capsys.readouterr().out
+    _ring_file(path, "b")
+    assert main(["normalize", "b^2", "--ring", "R", "--rings", str(path)]) == 0
+    assert "b^2" in capsys.readouterr().out
+    assert main(["normalize", "a^2", "--ring", "R", "--rings", str(path)]) == 2
+    assert "unknown generator 'a'" in capsys.readouterr().err
+
+
+def test_syntax_errors_in_a_rings_file_are_not_cached(tmp_path, capsys):
+    path = tmp_path / "broken.steen"
+    path.write_text("ring R {\n  prime = 2;\n  gen a deg=;\n}\n", encoding="utf-8")
+    argv = ["normalize", "a", "--ring", "R", "--rings", str(path)]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0] == "error: 3:13: found ';' (expected a degree)\n"
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    plain = ["--format", "json", "apply", "Sq^1", "l", "--ring", "P2REAL"]
+    assert main(plain + ["--twist", "1"]) == 0
+    assert "twist = 1" in capsys.readouterr().out
+    assert main(plain) == 0
+    reused = capsys.readouterr().out
+    _build_parser.cache_clear()
+    assert main(plain) == 0
+    assert reused == capsys.readouterr().out
+    assert "twist" not in reused

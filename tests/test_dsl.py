@@ -1,6 +1,7 @@
 """Surface syntax: lexing, parsing, rendering, and elaboration into rings."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steencalc import (
     DslSyntaxError,
@@ -9,6 +10,8 @@ from steencalc import (
     UnknownGenerator,
 )
 from steencalc import corpus, dsl
+
+from oracles import reference_lex
 
 
 RING_P2 = (
@@ -77,6 +80,55 @@ def test_trailing_garbage_rejected_by_parse_poly():
         dsl.parse_poly("w*l extra")
     with pytest.raises(DslSyntaxError):
         dsl.parse_poly("")
+
+
+# ------------------------------------------ lexer against the reference
+
+
+def _lex_outcome(lex, source):
+    """(kind, value, line, col) tokens, or the error's message and span."""
+    try:
+        return [tuple(tok) for tok in lex(source)]
+    except DslSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+# pieces of the DSL alphabet and the places where line and column tracking
+# can slip: line breaks, comments, quotes, flags, the hyphenated keyword
+LEX_PIECES = [
+    "\n", "\r\n", " ", "\t", "\x0b", "\u2028", "# comment", "#", "#x\n", '"Sq^2"',
+    '""', '"a\nb"', "--n", "--max-degree", "--", "--N", "-", "wu-check", "wu-checks",
+    "wu", "check", "x1", "Sq", "_a", "12", "0", "^", "{", "}", "(", ")", ";", "=", "*",
+    "+", ",",
+]
+# characters no token starts with
+STRAY = ["@", "!", "'", "\\", ".", "$", "\u00e9", "\u00a0", '"']
+
+
+@st.composite
+def dsl_like_text(draw):
+    """Pieces of the alphabet, with at most one stray character somewhere, so
+    both whole token streams and error positions after a prefix are drawn."""
+    pieces = draw(st.lists(st.sampled_from(LEX_PIECES), max_size=30))
+    if draw(st.booleans()):
+        stray = draw(st.one_of(st.sampled_from(STRAY), st.characters()))
+        pieces.insert(draw(st.integers(0, len(pieces))), stray)
+    return "".join(pieces)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(dsl_like_text())
+def test_lexer_matches_reference(source):
+    assert _lex_outcome(dsl._lex, source) == _lex_outcome(reference_lex, source)
+
+
+@pytest.mark.parametrize("name", corpus.scenario_names())
+def test_lexer_matches_reference_on_shipped_files(name):
+    with open(corpus.data_file_path(name), encoding="utf-8") as fh:
+        source = fh.read()
+    tokens = _lex_outcome(dsl._lex, source)
+    assert tokens[0] != "error"
+    assert tokens == _lex_outcome(reference_lex, source)
 
 
 # ------------------------------------------------------------- polynomials
