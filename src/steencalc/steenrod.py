@@ -21,19 +21,24 @@ from functools import lru_cache
 from .errors import (
     DslSyntaxError,
     InternalNonTermination,
+    InvalidArgument,
     MixedPrimes,
     NotAdmissible,
 )
 
-# Pair rewrites are memoized; a full normalization pass that exceeds this
-# many expansions indicates a cycle and raises InternalNonTermination.
+# Pair rewrites are memoized; one normalization call that exceeds this many
+# expansions indicates a cycle and raises InternalNonTermination.
 _MAX_REWRITE_STEPS = 1_000_000
 
 
 def _require_prime(ell):
-    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell**0.5) + 1)):
-        raise ValueError("not a prime: %r" % (ell,))
-    return ell
+    if ell >= 2:
+        d = 2
+        while d * d <= ell and ell % d:
+            d += 1
+        if d * d > ell:
+            return ell
+    raise InvalidArgument("not a prime: %r" % (ell,))
 
 
 def binom_mod_ell(n: int, k: int, ell: int) -> int:
@@ -86,9 +91,6 @@ class SteenrodMonomial:
             return sum(self.word)
         return sum(1 if s == 0 else 2 * s * (self.prime - 1) for s in self.word)
 
-    def length(self) -> int:
-        return len(self.word)
-
     def is_admissible(self) -> bool:
         return _is_admissible_word(self.prime, self.word)
 
@@ -119,6 +121,16 @@ class SteenrodMonomial:
 
     def __repr__(self):
         return "SteenrodMonomial(p=%d, %s)" % (self.prime, self.render())
+
+
+def _monomial(prime, word):
+    """SteenrodMonomial(prime, word) without re-validation, for words this
+    module built from validated words and Adem table entries."""
+    mono = object.__new__(SteenrodMonomial)
+    fields = mono.__dict__
+    fields["prime"] = prime
+    fields["word"] = word
+    return mono
 
 
 def _is_admissible_word(prime, word):
@@ -180,56 +192,56 @@ def _adem_pbp(ell, a, b):
     return out
 
 
-def _leftmost_rewrite(prime, word):
-    """Find the leftmost non-admissible spot.
-
-    Returns (start, width, expansion) where expansion is a list of
-    (replacement_letters, coeff), or None when the word is admissible.
-    """
-    n = len(word)
-    for j in range(n - 1):
-        a = word[j]
-        if a == 0:
-            if word[j + 1] == 0:
-                return j, 2, []  # b b = 0
-            continue
-        nxt = word[j + 1]
-        if nxt > 0:
-            if a < prime * nxt:
-                exp = _adem_sq(a, nxt) if prime == 2 else _adem_pp(prime, a, nxt)
-                return j, 2, exp
-        elif j + 2 < n and word[j + 2] > 0:
-            if a <= prime * word[j + 2]:
-                return j, 3, _adem_pbp(prime, a, word[j + 2])
-    return None
-
-
 def _normalize_words(prime, terms):
     """Rewrite a dict word -> coeff into admissible form.  Internal raw words
-    (for example with adjacent Bocksteins from concatenation) are allowed."""
+    (for example with adjacent Bocksteins from concatenation) are allowed.
+
+    Each word is rewritten at its leftmost non-admissible spot until none is
+    left.  After a rewrite at position j, word[:j] holds no such spot, and
+    the P^a b P^b check looks two letters back, so the scan of each product
+    resumes at j - 2.  Coefficients are kept in 1..l-1: table entries are
+    nonzero mod l, so no product of them vanishes."""
+    adem_sq, adem_pp, adem_pbp = _adem_sq, _adem_pp, _adem_pbp
+    even = prime == 2
     result = {}
-    pending = list(terms.items())
+    pending = [(word, c % prime, 0) for word, c in terms.items() if c % prime]
+    pop, push = pending.pop, pending.append
     steps = 0
     while pending:
-        word, coeff = pending.pop()
-        coeff %= prime
-        if not coeff:
-            continue
-        spot = _leftmost_rewrite(prime, word)
-        if spot is None:
+        word, coeff, j = pop()
+        last = len(word) - 1
+        while j < last:
+            a = word[j]
+            nxt = word[j + 1]
+            if not a:
+                if not nxt:
+                    width, expansion = 2, ()  # b b = 0
+                    break
+            elif nxt:
+                if a < prime * nxt:
+                    width = 2
+                    expansion = adem_sq(a, nxt) if even else adem_pp(prime, a, nxt)
+                    break
+            elif j < last - 1:
+                b = word[j + 2]
+                if b and a <= prime * b:
+                    width, expansion = 3, adem_pbp(prime, a, b)
+                    break
+            j += 1
+        else:
             new = (result.get(word, 0) + coeff) % prime
             if new:
                 result[word] = new
             else:
-                result.pop(word, None)
+                del result[word]
             continue
         steps += 1
         if steps > _MAX_REWRITE_STEPS:
             raise InternalNonTermination("Adem rewriting exceeded %d steps" % _MAX_REWRITE_STEPS)
-        j, width, expansion = spot
         head, tail = word[:j], word[j + width:]
+        j = j - 2 if j > 2 else 0
         for repl, c in expansion:
-            pending.append((head + repl + tail, coeff * c))
+            push((head + repl + tail, coeff * c % prime, j))
     return result
 
 
@@ -256,32 +268,14 @@ class SteenrodElement:
                 clean[mono] = coeff
         self.terms = clean
 
-    # ---------------------------------------------------------- constructors
-
     @classmethod
-    def zero(cls, prime):
-        return cls(prime)
-
-    @classmethod
-    def one(cls, prime):
-        return cls(prime, {(): 1})
-
-    @classmethod
-    def sq(cls, i, prime=2):
-        """Sq^i at l=2, or P^i at an odd prime."""
-        if i < 0:
-            raise ValueError("negative operation index")
-        return cls.one(prime) if i == 0 else cls(prime, {(i,): 1})
-
-    @classmethod
-    def bockstein(cls, prime):
-        if prime == 2:
-            return cls(2, {(1,): 1})
-        return cls(prime, {(0,): 1})
-
-    @classmethod
-    def monomial(cls, mono):
-        return cls(mono.prime, {mono: 1})
+    def _trusted(cls, prime, terms):
+        """An element over a checked prime whose terms dict maps
+        SteenrodMonomial -> coefficient in 1..l-1, built by this module."""
+        element = object.__new__(cls)
+        element.prime = prime
+        element.terms = terms
+        return element
 
     # ------------------------------------------------------------ arithmetic
 
@@ -297,15 +291,16 @@ class SteenrodElement:
             if new:
                 terms[m] = new
             else:
-                terms.pop(m, None)
-        return SteenrodElement(self.prime, terms)
+                del terms[m]
+        return SteenrodElement._trusted(self.prime, terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c %= self.prime
-        return SteenrodElement(self.prime, {m: (c * v) % self.prime for m, v in self.terms.items()})
+        terms = {m: (c * v) % self.prime for m, v in self.terms.items()} if c else {}
+        return SteenrodElement._trusted(self.prime, terms)
 
     def multiply(self, other) -> "SteenrodElement":
         """Concatenate words and renormalize with Adem relations."""
@@ -315,13 +310,18 @@ class SteenrodElement:
             for m2, c2 in other.terms.items():
                 word = m1.word + m2.word
                 raw[word] = raw.get(word, 0) + c1 * c2
-        return SteenrodElement(self.prime, _normalize_words(self.prime, raw))
+        return self._normalized(raw)
 
     __mul__ = multiply
 
     def adem_normalize(self) -> "SteenrodElement":
-        raw = {m.word: c for m, c in self.terms.items()}
-        return SteenrodElement(self.prime, _normalize_words(self.prime, raw))
+        return self._normalized({m.word: c for m, c in self.terms.items()})
+
+    def _normalized(self, raw):
+        # raw holds validated words of this prime and their concatenations
+        p = self.prime
+        words = _normalize_words(p, raw)
+        return SteenrodElement._trusted(p, {_monomial(p, w): c for w, c in words.items()})
 
     def is_admissible(self) -> bool:
         return all(m.is_admissible() for m in self.terms)
@@ -456,6 +456,7 @@ def render_operation(e: SteenrodElement) -> str:
 def admissible_monomials(prime, max_degree, parity=None):
     """All admissible words of degree <= max_degree, optionally filtered to
     odd or even degree ('odd'/'even').  Sorted by (degree, word)."""
+    _require_prime(prime)
     out = [()]
     if prime == 2:
         def grow(word, budget):
@@ -490,7 +491,7 @@ def admissible_monomials(prime, max_degree, parity=None):
                 grow(w, s1, max_degree - eps0 - step * s1)
     monos = []
     for w in sorted(set(out)):
-        m = SteenrodMonomial(prime, w)
+        m = _monomial(prime, w)
         d = m.degree()
         if d > max_degree:
             continue

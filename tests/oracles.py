@@ -15,14 +15,17 @@ the Bockstein and a positive letter s is P^s.
 per-component Cartan path on a given presentation through that
 presentation's public methods, as a differential check of the cached one.
 Likewise `total_class_mul_reference` multiplies total classes through the
-public RingElement operators, and `reference_lex` is the character-by-
-character lexer the DSL front end once used.
+public RingElement operators, `reference_lex` is the character-by-
+character lexer the DSL front end once used, and
+`reference_normalize_words` is the Adem normaliser that rescanned every
+word from its first letter, over the engine's own Adem pair tables.
 """
 
 import re
 from math import comb
 
-from steencalc.errors import DslSyntaxError, MissingActionComponent
+from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
+from steencalc.steenrod import _MAX_REWRITE_STEPS, _adem_pbp, _adem_pp, _adem_sq
 
 
 def binom2(a, k):
@@ -424,3 +427,59 @@ def reference_lex(source):
         pos = m.end()
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+# ------------------------------------------------- Adem rewriting, restarted
+
+
+def _leftmost_rewrite(prime, word):
+    """Find the leftmost non-admissible spot.
+
+    Returns (start, width, expansion) where expansion is a list of
+    (replacement_letters, coeff), or None when the word is admissible.
+    """
+    n = len(word)
+    for j in range(n - 1):
+        a = word[j]
+        if a == 0:
+            if word[j + 1] == 0:
+                return j, 2, []  # b b = 0
+            continue
+        nxt = word[j + 1]
+        if nxt > 0:
+            if a < prime * nxt:
+                exp = _adem_sq(a, nxt) if prime == 2 else _adem_pp(prime, a, nxt)
+                return j, 2, exp
+        elif j + 2 < n and word[j + 2] > 0:
+            if a <= prime * word[j + 2]:
+                return j, 3, _adem_pbp(prime, a, word[j + 2])
+    return None
+
+
+def reference_normalize_words(prime, terms):
+    """Rewrite a dict word -> coeff into admissible form.  Internal raw words
+    (for example with adjacent Bocksteins from concatenation) are allowed."""
+    result = {}
+    pending = list(terms.items())
+    steps = 0
+    while pending:
+        word, coeff = pending.pop()
+        coeff %= prime
+        if not coeff:
+            continue
+        spot = _leftmost_rewrite(prime, word)
+        if spot is None:
+            new = (result.get(word, 0) + coeff) % prime
+            if new:
+                result[word] = new
+            else:
+                result.pop(word, None)
+            continue
+        steps += 1
+        if steps > _MAX_REWRITE_STEPS:
+            raise InternalNonTermination("Adem rewriting exceeded %d steps" % _MAX_REWRITE_STEPS)
+        j, width, expansion = spot
+        head, tail = word[:j], word[j + width:]
+        for repl, c in expansion:
+            pending.append((head + repl + tail, coeff * c))
+    return result

@@ -217,6 +217,7 @@ BAD_ARGUMENTS = {
     "weird-at-odd-prime": (
         ["obstruct", "weird", "v", "--codim", "1", "--ring", "PROJ1_3"],
         "the omega-corrected operators live at the prime 2"),
+    "adem-prime-not-prime": (["adem", "Sq^1", "--prime", "4"], "not a prime: 4"),
 }
 
 
@@ -236,6 +237,15 @@ def test_bad_query_argument_in_a_file_is_exit_2(tmp_path, capsys):
     )
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == "error: which must be 1 or 2\n"
+
+
+def test_non_prime_in_a_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "adem.steen"
+    path.write_text('adem "Sq^1" prime = 4;\n', encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: not a prime: 4\n"
+    assert captured.out == ""
 
 
 # ------------------------------------- per-process parser and program caches

@@ -1,9 +1,10 @@
 """Operation words: parsing, admissibility, Adem normalization."""
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steencalc import (
     MixedPrimes,
@@ -12,10 +13,12 @@ from steencalc import (
     binom_mod_ell,
     parse_operation,
     render_operation,
+    steenrod,
 )
-from steencalc.steenrod import SteenrodMonomial
+from steencalc.errors import InternalNonTermination, InvalidArgument
+from steencalc.steenrod import SteenrodMonomial, _normalize_words
 
-from oracles import Model2, ModelOdd, binom_mod
+from oracles import Model2, ModelOdd, binom_mod, reference_normalize_words
 
 
 def _word_element(word, prime):
@@ -197,3 +200,111 @@ def test_bockstein_squared_is_zero_odd():
     for prime in (3, 5):
         elt = _word_element((0, 0), prime).adem_normalize()
         assert not elt.monomials()
+
+
+# ------------------------------------------- the rewrite loop, differentially
+
+
+def _letters(prime, top):
+    return st.integers(1 if prime == 2 else 0, top)
+
+
+def _raw_terms(prime):
+    """Raw words (non-admissible ones and adjacent Bocksteins included) with
+    coefficients that may vanish mod the prime."""
+    words = st.lists(_letters(prime, 9 if prime == 2 else 3), max_size=6).map(tuple)
+    return st.dictionaries(words, st.integers(-prime, 2 * prime), max_size=4)
+
+
+def _table_lookups():
+    tables = (steenrod._adem_sq, steenrod._adem_pp, steenrod._adem_pbp)
+    return sum(t.cache_info().hits + t.cache_info().misses for t in tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(st.just(p), _raw_terms(p))))
+@example((3, {(0, 0): 1, (1, 0, 0, 2): 2, (0, 1, 0, 1): 1}))
+@example((5, {(2, 0, 0, 0, 1): 4, (0, 0, 3, 1): 1}))
+@example((7, {(1, 1, 0, 1): 3, (0, 3, 0, 1): 6}))
+@example((2, {(2, 2, 2, 2): 1, (1, 1): 1, (): 3}))
+def test_normalize_words_matches_restarting_reference(case):
+    """Resuming each scan two letters before the last rewrite finds the same
+    leftmost spots as rescanning every word from its start: the same normal
+    form, built in the same order, from the same Adem table lookups."""
+    prime, terms = case
+    before = _table_lookups()
+    got = _normalize_words(prime, dict(terms))
+    middle = _table_lookups()
+    want = reference_normalize_words(prime, dict(terms))
+    assert list(got.items()) == list(want.items())
+    assert middle - before == _table_lookups() - middle
+
+
+def _elements(prime):
+    words = st.lists(_letters(prime, 5 if prime == 2 else 2), max_size=3).map(tuple)
+    terms = st.dictionaries(words, st.integers(1, prime - 1), max_size=3)
+    return terms.map(lambda t: SteenrodElement(prime, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(*[_elements(p)] * 3)))
+def test_products_are_associative(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
+# ------------------------------------- trusted results, validated entry points
+
+
+def _assert_like_validated(element):
+    for mono in element.terms:
+        fresh = SteenrodMonomial(element.prime, mono.word)
+        assert type(mono) is SteenrodMonomial
+        assert mono == fresh and fresh == mono and hash(mono) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mono.word = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mono.prime = 2
+
+
+@pytest.mark.parametrize("prime, a, b", [
+    (2, "Sq^2 Sq^2 + Sq^1", "Sq^3 Sq^1 + Sq^2"),
+    (3, "b P^1 b P^1 + 2 P^1", "P^1 b + b"),
+    (5, "P^2 P^1 + 3 b P^1", "4 P^1 + b"),
+])
+def test_results_hold_validated_monomials(prime, a, b):
+    x, y = parse_operation(a, prime), parse_operation(b, prime)
+    for result in (x.adem_normalize(), x.multiply(y), x * y, x + y, x - y,
+                   x.scale(2), x.scale(prime), x + x.scale(-1)):
+        _assert_like_validated(result)
+    assert x.scale(prime) == SteenrodElement(prime)
+    assert x + x.scale(-1) == SteenrodElement(prime)
+
+
+def test_public_entry_points_still_validate():
+    with pytest.raises(InvalidArgument, match="not a prime: 4"):
+        SteenrodMonomial(4, (1,))
+    with pytest.raises(InvalidArgument):
+        SteenrodElement(1, {})
+    with pytest.raises(InvalidArgument):
+        parse_operation("Sq^1", 9)
+    with pytest.raises(InvalidArgument):
+        admissible_monomials(6, 4)
+    with pytest.raises(ValueError, match="bad letter"):
+        SteenrodMonomial(2, (0,))
+    with pytest.raises(ValueError, match="bad letter"):
+        SteenrodElement(3, {(1, -1): 1})
+    with pytest.raises(ValueError, match="bad letter"):
+        SteenrodElement(5, {(1.0,): 1})
+    for ell in (2, 3, 5, 7, 11, 97):
+        assert SteenrodElement(ell).prime == ell
+
+
+def test_rewrite_step_bound_is_per_call(monkeypatch):
+    """The step bound limits one normalization call: a long rewrite trips
+    it, and the next small calls, together past the bound, do not."""
+    monkeypatch.setattr(steenrod, "_MAX_REWRITE_STEPS", 3)
+    with pytest.raises(InternalNonTermination):
+        _word_element((1, 2, 3, 4, 5), 2).adem_normalize()
+    for _ in range(10):  # one rewrite step each
+        assert render_operation(parse_operation("Sq^2 Sq^2", 2).adem_normalize()) == "Sq^3 Sq^1"
