@@ -10,12 +10,21 @@ with the given Chern classes, so no root ever leaks into a result.
 
 Inhomogeneous results are carried by TotalClass, a finite sum of homogeneous
 pieces below a truncation bound on the cohomological degree.
+
+Powers of eta = 1 + omega and the normal class of P^n over the base have
+closed forms, so no truncated series is raised to a power on their paths:
+eta^e = sum_i C(e, i) omega^i for every integer e, and, because the
+hyperplane class satisfies lambda^(n+1) = 0, the normal class
+eta (eta + lambda)^-(n+1) is sum_{k<=n} C(-(n+1), k) lambda^k eta^-(n+k) at
+l = 2 and (1 + lambda^(l-1))^-(n+1) = sum_{k<=n} C(-(n+1), k) lambda^(k(l-1))
+at odd l.  The binomials are taken mod l with steenrod.binom_mod_ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     InvalidArgument,
@@ -25,6 +34,7 @@ from .errors import (
     OmegaUndeclared,
 )
 from .rings import RingElement, RingPresentation, TwistedClass
+from .steenrod import binom_mod_ell
 
 
 class TotalClass:
@@ -83,11 +93,11 @@ class TotalClass:
             for d2, e2 in other.components.items():
                 if d1 + d2 <= bound:
                     addmul(comps.setdefault(d1 + d2, {}), 1, e1.terms, e2.terms)
-        return self._from_terms(bound, comps)
+        return self._from_terms(self.parent, bound, comps)
 
-    def _from_terms(self, bound, comps):
-        parent = self.parent
-        return TotalClass(parent, bound, {d: RingElement(parent, t) for d, t in comps.items()})
+    @classmethod
+    def _from_terms(cls, parent, bound, comps):
+        return cls(parent, bound, {d: RingElement(parent, t) for d, t in comps.items()})
 
     def inverse(self):
         """Multiplicative inverse of a class with scalar unit part."""
@@ -111,7 +121,7 @@ class TotalClass:
                     addmul(acc, -inv0, fi.terms, gj)
             if acc:
                 out[d] = acc
-        return self._from_terms(self.bound, out)
+        return self._from_terms(self.parent, self.bound, out)
 
     def power(self, n):
         if n < 0:
@@ -177,64 +187,43 @@ class VirtualBundle:
 # --------------------------------------------------------------------------
 # Symmetric-function reduction, carried out in the basis of elementary
 # symmetric functions.  An e-polynomial is a dict mapping an exponent tuple
-# (d_1, d_2, ...) for e_1^{d_1} e_2^{d_2} ... (trailing zeros stripped) to a
+# (d_1, d_2, ...) for e_1^{d_1} e_2^{d_2} ... (no trailing zeros) to a
 # coefficient.  The weight of e_j is j, so everything stays finite once
-# truncated by weight, independent of any root count.
+# truncated by weight.  A bundle of rank r has c_j = 0 for j > r, so the
+# tables work in Z[e_1..e_r]: setting e_j = 0 for j > r is a ring map into a
+# torsion-free ring, so dropping every longer dvec at every step keeps the
+# exact divisions exact.
 
 
 def _dvec_weight(dvec):
     return sum(j * d for j, d in enumerate(dvec, start=1))
 
 
-def _trim(dvec):
-    n = len(dvec)
-    while n and not dvec[n - 1]:
-        n -= 1
-    return tuple(dvec[:n])
-
-
-def _emul(a, b, max_weight):
-    out = {}
+def _emul(acc, c, a, b):
+    """acc += c*a*b on e-polynomials, in place; zero entries may remain."""
     for da, ca in a.items():
-        wa = _dvec_weight(da)
+        ca *= c
         for db, cb in b.items():
-            if wa + _dvec_weight(db) > max_weight:
-                continue
-            n = max(len(da), len(db))
-            key = tuple(
-                (da[i] if i < len(da) else 0) + (db[i] if i < len(db) else 0)
-                for i in range(n)
-            )
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
+            key = tuple(map(add, da, db)) + da[len(db):] + db[len(da):]
+            acc[key] = acc.get(key, 0) + ca * cb
 
 
 @lru_cache(maxsize=None)
-def _power_sum_in_elementary(n):
-    """p_n in the e-basis, by Newton's identity
+def _power_sum_in_elementary(n, r):
+    """p_n in the e-basis of Z[e_1..e_r], by Newton's identity
     p_n = e_1 p_{n-1} - e_2 p_{n-2} + ... + (-1)^{n-1} n e_n."""
     if n == 0:
         return {(): 1}
-    top = (0,) * (n - 1) + (1,)
-    out = {top: (-1) ** (n - 1) * n}
-    for i in range(1, n):
-        e_i = {(0,) * (i - 1) + (1,): (-1) ** (i - 1)}
-        for dvec, coeff in _emul(e_i, _power_sum_in_elementary(n - i), n).items():
-            c = out.get(dvec, 0) + coeff
-            if c:
-                out[dvec] = c
-            else:
-                out.pop(dvec, None)
-    return out
+    out = {(0,) * (n - 1) + (1,): (-1) ** (n - 1) * n} if n <= r else {}
+    for i in range(1, min(n - 1, r) + 1):
+        _emul(out, (-1) ** (i - 1), {(0,) * (i - 1) + (1,): 1}, _power_sum_in_elementary(n - i, r))
+    return {dvec: coeff for dvec, coeff in out.items() if coeff}
 
 
 @lru_cache(maxsize=None)
-def _product_one_plus_power_expansion(c, max_weight):
-    """prod_i (1 + t_i^c) through weight max_weight, in the e-basis.
+def _product_one_plus_power_expansion(c, max_weight, r):
+    """prod_i (1 + t_i^c) through weight max_weight, in the e-basis of
+    Z[e_1..e_r].
 
     W = exp(sum_m (-1)^{m+1} p_{cm} / m) is evaluated by the weighted
     Euler-derivative recurrence n W_n = sum_{cm <= n} (-1)^{m+1} c p_{cm}
@@ -243,48 +232,31 @@ def _product_one_plus_power_expansion(c, max_weight):
     by_weight = {0: {(): 1}}
     for n in range(1, max_weight + 1):
         acc = {}
-        m = 1
-        while c * m <= n:
+        for m in range(1, n // c + 1):
             rest = by_weight.get(n - c * m)
             if rest:
-                sign = c if m % 2 else -c
-                for d1, c1 in _power_sum_in_elementary(c * m).items():
-                    for d2, c2 in rest.items():
-                        k = max(len(d1), len(d2))
-                        key = tuple(
-                            (d1[i] if i < len(d1) else 0)
-                            + (d2[i] if i < len(d2) else 0)
-                            for i in range(k)
-                        )
-                        acc[key] = acc.get(key, 0) + sign * c1 * c2
-            m += 1
+                _emul(acc, c if m % 2 else -c, _power_sum_in_elementary(c * m, r), rest)
         piece = {}
         for dvec, coeff in acc.items():
             if coeff:
-                q, r = divmod(coeff, n)
-                if r:
+                q, rem = divmod(coeff, n)
+                if rem:
                     raise ArithmeticError("non-integral symmetric expansion")
                 piece[dvec] = q
         if piece:
             by_weight[n] = piece
-    out = {}
-    for chunk in by_weight.values():
-        for dvec, coeff in chunk.items():
-            out[_trim(dvec)] = coeff
-    return out
+    return {dvec: coeff for chunk in by_weight.values() for dvec, coeff in chunk.items()}
 
 
 def _substitute_chern(parent, dvec, chern):
-    """prod_j chern[j-1]^{d_j}, or zero when a needed c_j is missing."""
+    """prod_j chern[j-1]^{d_j}; the rank-pruned tables give dvecs no longer
+    than chern."""
     acc = parent.one()
-    for j, d in enumerate(dvec, start=1):
-        if not d:
-            continue
-        if j > len(chern):
-            return parent.zero()
-        acc = acc * (chern[j - 1] ** d)
-        if not acc:
-            return acc
+    for cj, d in zip(chern, dvec):
+        if d:
+            acc = acc * (cj ** d)
+            if not acc:
+                return acc
     return acc
 
 
@@ -293,7 +265,7 @@ def _splitting_total(parent, chern, c, truncation):
     bound = 2 * truncation
     comps = {0: parent.one()}
     pieces = {}
-    for dvec, coeff in _product_one_plus_power_expansion(c, truncation).items():
+    for dvec, coeff in _product_one_plus_power_expansion(c, truncation, len(chern)).items():
         w = _dvec_weight(dvec)
         if not w:
             continue
@@ -306,11 +278,19 @@ def _splitting_total(parent, chern, c, truncation):
     return TotalClass(parent, bound, comps)
 
 
-def _eta(parent, bound):
+def _eta_power(parent, e, bound):
+    """eta^e = (1 + omega)^e = sum_i C(e, i) omega^i for any integer e, at
+    l = 2, through degree bound and up to the first omega^i that is zero."""
     if parent.omega is None:
         raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
-    omega = parent.gen(parent.omega)
-    return TotalClass(parent, bound, {0: parent.one(), 1: omega})
+    comps = {}
+    for i in range(bound + 1 if e < 0 else min(bound, e) + 1):
+        if binom_mod_ell(e, i, 2):
+            power = parent.gen(parent.omega, i)
+            if not power:
+                break
+            comps[i] = power
+    return TotalClass(parent, bound, comps)
 
 
 def w_bro(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
@@ -327,27 +307,22 @@ def w_bro(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
 
 def w_et(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
     """Etale total class: prod (1 + omega + t) for l = 2, the Chow formula
-    for odd l.  Rank enters only through the factor (1 + omega)^rank."""
+    for odd l.  At l = 2 a bundle of rank r with Chern classes c_j has
+    prod_i (eta + t_i) = sum_j eta^(r-j) c_j (c_0 = 1, eta = 1 + omega), each
+    eta power in closed form; a virtual bundle divides the numerator's sum at
+    the virtual rank by the denominator's sum at rank 0."""
     v.validate(parent)
     if parent.prime != 2:
         return w_bro(parent, v)
     bound = 2 * v.truncation
-    eta = _eta(parent, bound)
-
-    def side(chern):
-        # sum_j eta^(-j) c_j; the global eta^rank is applied once at the end
-        acc = TotalClass.unit(parent, bound)
-        inv = eta.inverse()
-        power = TotalClass.unit(parent, bound)
+    sides = []
+    for rank, chern in ((v.rank, v.numerator_chern), (0, v.denominator_chern)):
+        side = _eta_power(parent, rank, bound)
         for j, cj in enumerate(chern, start=1):
-            power = power * inv
-            acc = acc + power * cj
-        return acc
-
-    out = eta.power(v.rank) * side(v.numerator_chern)
-    if v.denominator_chern:
-        out = out * side(v.denominator_chern).inverse()
-    return out
+            side = side + _eta_power(parent, rank - j, bound) * cj
+        sides.append(side)
+    num, den = sides
+    return num * den.inverse() if v.denominator_chern else num
 
 
 def verify_wet_chow(parent: RingPresentation, v: VirtualBundle) -> bool:
@@ -356,14 +331,10 @@ def verify_wet_chow(parent: RingPresentation, v: VirtualBundle) -> bool:
     if parent.prime != 2:
         return w_et(parent, v) == w_bro(parent, v)
     bound = 2 * v.truncation
-    lhs = w_et(parent, v)
-    chow = w_bro(parent, v)
-    eta = _eta(parent, bound)
     rhs = TotalClass(parent, bound)
-    for d, piece in chow.components.items():
-        j = d // 2
-        rhs = rhs + eta.power(v.rank - j) * piece
-    return lhs == rhs
+    for d, piece in w_bro(parent, v).components.items():
+        rhs = rhs + _eta_power(parent, v.rank - d // 2, bound) * piece
+    return w_et(parent, v) == rhs
 
 
 # --------------------------------------------------------------------------
@@ -418,17 +389,27 @@ def projective_pushforward(parent: RingPresentation, x, n: int, hyperplane: str 
 def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
                         hyperplane: str = "l") -> TotalClass:
     """w_et of the relative virtual normal bundle of P^n -> point over the
-    base: (1+omega)/(1+omega+l)^(n+1) at l=2, (1+l^(l-1))^-(n+1) at odd l."""
-    gi, fiber_n = _hyperplane_data(parent, hyperplane)
-    lam = parent.gen(hyperplane)
-    if parent.prime == 2:
-        eta = _eta(parent, bound)
-        denom = eta + TotalClass(parent, bound, {2: lam})
-        return eta * denom.power(-(n + 1))
-    one_plus = TotalClass.unit(parent, bound) + TotalClass(
-        parent, bound, {2 * (parent.prime - 1): lam ** (parent.prime - 1)}
-    )
-    return one_plus.power(-(n + 1))
+    base: eta/(eta + lambda)^(n+1) with eta = 1 + omega at l = 2, and
+    (1 + lambda^(l-1))^-(n+1) at odd l, for lambda the hyperplane class.
+    Since lambda^(n+1) = 0 both are finite sums in closed form:
+    sum_{k<=n} C(-(n+1), k) lambda^k eta^-(n+k) at l = 2 and
+    sum_{k<=n} C(-(n+1), k) lambda^(k(l-1)) at odd l."""
+    _hyperplane_data(parent, hyperplane)
+    ell = parent.prime
+    step = 1 if ell == 2 else ell - 1  # lambda-power per k
+    comps = {}
+    for k in range(min(n, bound // (2 * step)) + 1):
+        coeff = binom_mod_ell(-(n + 1), k, ell)
+        if not coeff:
+            continue
+        shift = 2 * k * step
+        eta = {0: parent.one()}
+        if ell == 2:
+            eta = _eta_power(parent, -(n + k), bound - shift).components
+        lam_k = parent.gen(hyperplane, k * step).terms
+        for d, piece in eta.items():
+            parent._addmul(comps.setdefault(d + shift, {}), coeff, piece.terms, lam_k)
+    return TotalClass._from_terms(parent, bound, comps)
 
 
 def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass:
@@ -478,10 +459,9 @@ def twisted_total_on_cycle(parent: RingPresentation, x: TwistedClass,
         raise MissingCodim("twisted_total_on_cycle needs the cycle codimension")
     if parent.prime != 2:
         return total_operation_class(parent, x.value, bound)
-    eta = _eta(parent, bound)
-    out = TotalClass(parent, bound)
-    for i in range(0, x.degree // 2 + 1):
+    out = _eta_power(parent, x.codim, bound) * x.value  # Sq^0 x = x
+    for i in range(1, x.degree // 2 + 1):
         piece = parent.apply_letter(2 * i, x.value)
         if piece:
-            out = out + eta.power(x.codim - i) * piece
+            out = out + _eta_power(parent, x.codim - i, bound) * piece
     return out

@@ -32,7 +32,7 @@ _MAX_REWRITE_STEPS = 1_000_000
 
 
 def _require_prime(ell):
-    if ell >= 2:
+    if isinstance(ell, int) and ell >= 2:
         d = 2
         while d * d <= ell and ell % d:
             d += 1

@@ -22,6 +22,7 @@ from steencalc import (
     w_et,
 )
 from steencalc import corpus, dsl, model_ring
+from steencalc.charclasses import _eta_power, _product_one_plus_power_expansion
 
 from oracles import (
     elementary_symmetric,
@@ -220,6 +221,129 @@ def test_wet_equals_wbro_at_odd_primes():
     R = _root_ring(3, 2)
     v = VirtualBundle(2, [_elementary_in_ring(R, 2, 1), _elementary_in_ring(R, 2, 2)], [], 10)
     assert w_et(R, v) == w_bro(R, v)
+
+
+# ------------------------------------- closed forms against power and inverse
+#
+# The engine writes eta^e = (1 + omega)^e, the normal class of P^n over the
+# base and the etale class as finite binomial sums; TotalClass.power and
+# inverse, truncated-series routes of their own, give the same classes.
+
+_bundle_rings = {}
+
+
+def _dsl_ring(name, lines):
+    source = "ring %s {\n%s}\n" % (name, "".join("  %s;\n" % line for line in lines))
+    return dsl.build_program(dsl.parse(source)).rings[name]
+
+
+def _bundle_ring(key):
+    """P^n-bundle rings: the shipped PROJn_2 and PROJn_3, and PROJn_5 built
+    here from DSL text; "NIL" is a base where omega^3 = 0."""
+    if key not in _bundle_rings:
+        if key == "NIL":
+            R = _dsl_ring(key, ["prime = 2", "gen w deg=1", "gen l deg=2 twist=1", "rule w^3 = 0",
+                                "rule l^3 = 0", "action Sq^1(l) = w*l", "omega = w"])
+        elif key.endswith("_5"):
+            R = _dsl_ring(key, ["prime = 5", "gen v deg=2 twist=1", "gen l deg=2 twist=1",
+                                "rule l^%d = 0" % (int(key[4:-2]) + 1),
+                                "action b(v) = 0", "action b(l) = 0"])
+        else:
+            R = corpus.resolve_ring(key)
+        _bundle_rings[key] = R
+    return _bundle_rings[key]
+
+
+PROJ_KEYS = ["PROJ%d_%d" % (n, ell) for n in range(1, 5) for ell in (2, 3, 5)]
+OMEGA_KEYS = [k for k in PROJ_KEYS if k.endswith("_2")] + ["NIL"]
+
+
+def _eta(R, bound):
+    return TotalClass(R, bound, {0: R.one(), 1: R.gen(R.omega)})
+
+
+def _draw_homogeneous(data, R, degree):
+    monos = R.basis_of_degree(degree)
+    picked = data.draw(st.lists(st.sampled_from(monos), max_size=3, unique=True)) if monos else []
+    return R.element({m: data.draw(st.integers(1, R.prime - 1)) for m in picked})
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(PROJ_KEYS), bound=st.integers(0, 40))
+def test_normal_bundle_total_matches_power_route(key, bound):
+    R = _bundle_ring(key)
+    n, ell = int(key[4:-2]), R.prime
+    lam = R.gen("l")
+    if ell == 2:
+        eta = _eta(R, bound)
+        want = eta * (eta + TotalClass(R, bound, {2: lam})).power(-(n + 1))
+    else:
+        step = TotalClass(R, bound, {2 * (ell - 1): lam ** (ell - 1)})
+        want = (TotalClass.unit(R, bound) + step).power(-(n + 1))
+    assert normal_bundle_total(R, n, bound) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(OMEGA_KEYS), e=st.integers(-9, 9), bound=st.integers(0, 24))
+def test_eta_power_matches_power_route(key, e, bound):
+    R = _bundle_ring(key)
+    assert _eta_power(R, e, bound) == _eta(R, bound).power(e)
+
+
+def _w_et_by_power(R, v):
+    """eta^rank * side(num) * side(den)^-1 with side(c) = sum_j eta^-j c_j,
+    every eta power taken by TotalClass.power and inverse."""
+    bound = 2 * v.truncation
+    eta = _eta(R, bound)
+    inv = eta.inverse()
+
+    def side(chern):
+        acc = power = TotalClass.unit(R, bound)
+        for cj in chern:
+            power = power * inv
+            acc = acc + power * cj
+        return acc
+
+    return eta.power(v.rank) * side(v.numerator_chern) * side(v.denominator_chern).inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(OMEGA_KEYS), data=st.data())
+def test_w_et_matches_power_route(key, data):
+    R = _bundle_ring(key)
+    num, den = (
+        [_draw_homogeneous(data, R, 2 * j) for j in range(1, data.draw(st.integers(0, 3)) + 1)]
+        for _ in range(2)
+    )
+    rank = data.draw(st.integers(-5, 5))
+    v = VirtualBundle(rank, num, den, truncation=data.draw(st.integers(0, 8)))
+    assert w_et(R, v) == _w_et_by_power(R, v)
+    assert verify_wet_chow(R, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(OMEGA_KEYS), data=st.data())
+def test_twisted_total_matches_power_route(key, data):
+    R = _bundle_ring(key)
+    degree = data.draw(st.integers(0, 8))
+    codim = data.draw(st.integers(-2, degree // 2))
+    bound = data.draw(st.integers(degree, 20))
+    x = TwistedClass(_draw_homogeneous(data, R, degree), degree, degree // 2, codim=codim)
+    want = TotalClass(R, bound)
+    for i in range(degree // 2 + 1):
+        want = want + _eta(R, bound).power(codim - i) * R.apply_letter(2 * i, x.value)
+    assert twisted_total_on_cycle(R, x, bound) == want
+
+
+@pytest.mark.parametrize("c", [1, 2, 4])
+def test_rank_pruned_expansion_is_the_restriction(c):
+    """Truncating to Z[e_1..e_r] keeps exactly the dvecs of length <= r; a
+    weight-w expansion at rank w is unpruned, since no dvec is longer."""
+    for w in range(21):
+        full = _product_one_plus_power_expansion(c, w, w)
+        for r in range(7):
+            want = {dvec: k for dvec, k in full.items() if len(dvec) <= r}
+            assert _product_one_plus_power_expansion(c, w, r) == want, (c, w, r)
 
 
 # ------------------------------------------------------------- pushforward

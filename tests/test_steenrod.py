@@ -300,6 +300,14 @@ def test_public_entry_points_still_validate():
         assert SteenrodElement(ell).prime == ell
 
 
+@pytest.mark.parametrize("prime", [5.0, "5", None])
+def test_non_integer_prime_is_invalid_argument(prime):
+    with pytest.raises(InvalidArgument, match="not a prime"):
+        SteenrodElement(prime, {(1, 1): 1}).adem_normalize()
+    with pytest.raises(InvalidArgument, match="not a prime"):
+        binom_mod_ell(4, 2, prime)
+
+
 def test_rewrite_step_bound_is_per_call(monkeypatch):
     """The step bound limits one normalization call: a long rewrite trips
     it, and the next small calls, together past the bound, do not."""
