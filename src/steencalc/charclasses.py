@@ -92,12 +92,12 @@ class TotalClass:
         for d1, e1 in self.components.items():
             for d2, e2 in other.components.items():
                 if d1 + d2 <= bound:
-                    addmul(comps.setdefault(d1 + d2, {}), 1, e1.terms, e2.terms)
+                    addmul(comps.setdefault(d1 + d2, {}), 1, e1._packed, e2._packed)
         return self._from_terms(self.parent, bound, comps)
 
     @classmethod
     def _from_terms(cls, parent, bound, comps):
-        return cls(parent, bound, {d: RingElement(parent, t) for d, t in comps.items()})
+        return cls(parent, bound, {d: parent._wrap(t) for d, t in comps.items()})
 
     def inverse(self):
         """Multiplicative inverse of a class with scalar unit part."""
@@ -111,14 +111,14 @@ class TotalClass:
             raise NonHomogeneousInput("inverse needs an invertible scalar in degree 0")
         inv0 = pow(scalar, -1, self.parent.prime)
         addmul = self.parent._addmul
-        out = {0: one.scale(inv0).terms}
+        out = {0: one.scale(inv0)._packed}
         for d in range(1, self.bound + 1):
             acc = {}
             for i in range(1, d + 1):
                 fi = self.components.get(i)
                 gj = out.get(d - i)
                 if fi and gj:
-                    addmul(acc, -inv0, fi.terms, gj)
+                    addmul(acc, -inv0, fi._packed, gj)
             if acc:
                 out[d] = acc
         return self._from_terms(self.parent, self.bound, out)
@@ -278,18 +278,28 @@ def _splitting_total(parent, chern, c, truncation):
     return TotalClass(parent, bound, comps)
 
 
-def _eta_power(parent, e, bound):
-    """eta^e = (1 + omega)^e = sum_i C(e, i) omega^i for any integer e, at
-    l = 2, through degree bound and up to the first omega^i that is zero."""
+def _omega_powers(parent, bound):
+    """[1, omega, omega^2, ...] through degree bound, stopping before the
+    first zero power, as one running product."""
     if parent.omega is None:
         raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
+    omega = parent.gen(parent.omega)
+    powers = [parent.one()]
+    while len(powers) <= bound:
+        power = powers[-1] * omega
+        if not power:
+            break
+        powers.append(power)
+    return powers
+
+
+def _eta_power(parent, omegas, e, bound):
+    """eta^e = (1 + omega)^e = sum_i C(e, i) omega^i for any integer e, at
+    l = 2, through degree bound, from the powers omegas of _omega_powers."""
     comps = {}
-    for i in range(bound + 1 if e < 0 else min(bound, e) + 1):
+    for i in range(min(bound if e < 0 else e, bound, len(omegas) - 1) + 1):
         if binom_mod_ell(e, i, 2):
-            power = parent.gen(parent.omega, i)
-            if not power:
-                break
-            comps[i] = power
+            comps[i] = omegas[i]
     return TotalClass(parent, bound, comps)
 
 
@@ -315,11 +325,12 @@ def w_et(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
     if parent.prime != 2:
         return w_bro(parent, v)
     bound = 2 * v.truncation
+    omegas = _omega_powers(parent, bound)
     sides = []
     for rank, chern in ((v.rank, v.numerator_chern), (0, v.denominator_chern)):
-        side = _eta_power(parent, rank, bound)
+        side = _eta_power(parent, omegas, rank, bound)
         for j, cj in enumerate(chern, start=1):
-            side = side + _eta_power(parent, rank - j, bound) * cj
+            side = side + _eta_power(parent, omegas, rank - j, bound) * cj
         sides.append(side)
     num, den = sides
     return num * den.inverse() if v.denominator_chern else num
@@ -332,8 +343,9 @@ def verify_wet_chow(parent: RingPresentation, v: VirtualBundle) -> bool:
         return w_et(parent, v) == w_bro(parent, v)
     bound = 2 * v.truncation
     rhs = TotalClass(parent, bound)
+    omegas = _omega_powers(parent, bound)
     for d, piece in w_bro(parent, v).components.items():
-        rhs = rhs + _eta_power(parent, v.rank - d // 2, bound) * piece
+        rhs = rhs + _eta_power(parent, omegas, v.rank - d // 2, bound) * piece
     return w_et(parent, v) == rhs
 
 
@@ -377,13 +389,11 @@ def projective_pushforward(parent: RingPresentation, x, n: int, hyperplane: str 
                 comps[d - 2 * n] = pushed
         return TotalClass(parent, x.bound - 2 * n, comps)
     terms = {}
-    for m, c in x.terms.items():
-        if m[gi] != n:
-            continue
-        stripped = list(m)
-        stripped[gi] = 0
-        terms[tuple(stripped)] = c
-    return RingElement(parent, terms)
+    lam_n = n * parent._units[gi]
+    for m, c in x._packed.items():
+        if parent._unpack(m)[gi] == n:
+            terms[m - lam_n] = c
+    return parent._wrap(terms)
 
 
 def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
@@ -397,6 +407,7 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
     _hyperplane_data(parent, hyperplane)
     ell = parent.prime
     step = 1 if ell == 2 else ell - 1  # lambda-power per k
+    omegas = None  # built on first use, so an empty range of k needs no omega
     comps = {}
     for k in range(min(n, bound // (2 * step)) + 1):
         coeff = binom_mod_ell(-(n + 1), k, ell)
@@ -405,20 +416,20 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
         shift = 2 * k * step
         eta = {0: parent.one()}
         if ell == 2:
-            eta = _eta_power(parent, -(n + k), bound - shift).components
-        lam_k = parent.gen(hyperplane, k * step).terms
+            omegas = omegas or _omega_powers(parent, bound)
+            eta = _eta_power(parent, omegas, -(n + k), bound - shift).components
+        lam_k = parent.gen(hyperplane, k * step)._packed
         for d, piece in eta.items():
-            parent._addmul(comps.setdefault(d + shift, {}), coeff, piece.terms, lam_k)
+            parent._addmul(comps.setdefault(d + shift, {}), coeff, piece._packed, lam_k)
     return TotalClass._from_terms(parent, bound, comps)
 
 
 def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass:
     """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass."""
     comps = {}
-    for m, c in x.terms.items():
-        mono = parent.element({m: c})
-        deg = parent.monomial_degree(m)
-        for i, piece in parent.total_sq(mono).items():
+    for m, c in x._packed.items():
+        deg = parent._degree(m)
+        for i, piece in parent.total_sq(parent._wrap({m: c})).items():
             shift = i if parent.prime == 2 else 2 * i * (parent.prime - 1)
             d = deg + shift
             if d > bound:
@@ -459,9 +470,10 @@ def twisted_total_on_cycle(parent: RingPresentation, x: TwistedClass,
         raise MissingCodim("twisted_total_on_cycle needs the cycle codimension")
     if parent.prime != 2:
         return total_operation_class(parent, x.value, bound)
-    out = _eta_power(parent, x.codim, bound) * x.value  # Sq^0 x = x
+    omegas = _omega_powers(parent, bound)
+    out = _eta_power(parent, omegas, x.codim, bound) * x.value  # Sq^0 x = x
     for i in range(1, x.degree // 2 + 1):
         piece = parent.apply_letter(2 * i, x.value)
         if piece:
-            out = out + _eta_power(parent, x.codim - i, bound) * piece
+            out = out + _eta_power(parent, omegas, x.codim - i, bound) * piece
     return out

@@ -34,7 +34,7 @@ from .errors import (
     NonHomogeneousInput,
     UnknownGenerator,
 )
-from .rings import GeneratorSpec, RewriteRule, RingPresentation
+from .rings import GeneratorSpec, RewriteRule, RingPresentation, check_generators
 
 # ----------------------------------------------------------------- lexing
 
@@ -788,8 +788,40 @@ def poly_to_element(pres: RingPresentation, poly: Poly, span=None):
     return acc
 
 
-def _poly_to_raw(pres: RingPresentation, poly: Poly, span=None):
-    return dict(poly_to_element(pres, poly, span).terms)
+def _poly_to_raw(prime, gens, poly, span=None):
+    """What poly_to_element gives in the rule-free presentation on gens
+    (name -> (index, odd)), as an exponent-tuple dict: exponents add, an
+    odd factor taken past the odd ones of higher index already in the term
+    flips the sign, and odd squares vanish.  Names are checked in the same
+    order, up to the first factor that makes the term zero."""
+    out = {}
+    for coeff, factors in poly.terms:
+        c = coeff % prime
+        exps, odds = [0] * len(gens), [0] * len(gens)
+        for name, exp in factors:
+            if name not in gens:
+                raise UnknownGenerator(
+                    "unknown generator %r%s"
+                    % (name, " at %d:%d" % span if span else "")
+                )
+            gi, odd = gens[name]
+            if c and odd and exp:
+                if odds[gi] or exp > 1:
+                    c = 0
+                elif sum(odds[gi + 1:]) % 2:
+                    c = prime - c
+                odds[gi] = 1
+            exps[gi] += exp
+            if not c:
+                break
+        if c:
+            m = tuple(exps)
+            new = (out.get(m, 0) + c) % prime
+            if new:
+                out[m] = new
+            else:
+                del out[m]
+    return out
 
 
 def build_ring(block: RingBlock) -> RingPresentation:
@@ -809,22 +841,20 @@ def build_ring(block: RingBlock) -> RingPresentation:
         for g in block.gens
     ]
     try:
-        skeleton = RingPresentation(block.prime, specs, rules=(), omega=block.omega)
+        check_generators(block.prime, specs, block.omega)
     except (NonHomogeneousInput, ValueError) as exc:
         raise NonHomogeneous(str(exc)) from exc
-
-    def convert(poly, span):
-        return _poly_to_raw(skeleton, poly, span)
-
+    gens = {g.name: (i, g.odd) for i, g in enumerate(block.gens)}
     rules = [
-        RewriteRule(r.gen, r.power, convert(r.rhs, r.span)) for r in block.rules
+        RewriteRule(r.gen, r.power, _poly_to_raw(block.prime, gens, r.rhs, r.span))
+        for r in block.rules
     ]
     for r in block.rules:
-        if r.gen not in skeleton.index:
+        if r.gen not in gens:
             raise UnknownGenerator("rule on unknown generator %r" % r.gen)
     actions = {g.name: dict(g.action or {}) for g in specs}
     for a in block.actions:
-        if a.gen not in skeleton.index:
+        if a.gen not in gens:
             raise UnknownGenerator("action on unknown generator %r" % a.gen)
         if a.kind == "Sq" and block.prime != 2:
             raise NonHomogeneous("Sq actions need prime 2 (ring %s)" % block.name)
@@ -835,7 +865,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
             raise DuplicateGenerator(
                 "action %s(%s) declared twice" % (a.op_text(), a.gen)
             )
-        actions[a.gen][key] = convert(a.rhs, a.span)
+        actions[a.gen][key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
     specs = [
         GeneratorSpec(
             s.name, s.degree, twist=s.twist, parity=s.parity,

@@ -3,9 +3,16 @@
 A presentation fixes a prime l, an ordered list of generators (degree, Tate
 twist, Koszul parity, declared operation action, optional Frobenius
 data), and rewrite rules of the shape g^k = lower-order terms.
-Monomials are exponent tuples over the generator order; elements are kept in
-normal form: no monomial divisible by a rule's lead power, odd-parity
-exponents at most 1.
+Elements are kept in normal form: no monomial divisible by a rule's lead
+power, odd-parity exponents at most 1.
+
+Internally a monomial is one int with a _FIELD_BITS-bit field per generator,
+generator 0 most significant, so int order is exponent-tuple order and a
+product is a sum.  Exponents stay below _FIELD_LIMIT, so adding two never
+reaches a field's top (guard) bit; adding the presentation's offsets sets it
+exactly where an exponent reaches its rule's power (2 for odd generators,
+else the limit, which raises InvalidArgument).  Tuples remain the surface of
+terms, element(), monomial_degree, render_monomial and basis_of_degree.
 
 Operations act through the Cartan formula from the declared generator
 actions.  Total operations are finite degreewise, so no truncation is needed
@@ -18,10 +25,11 @@ everything above it is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from struct import Struct
 from typing import Optional
 
 from .errors import (
+    InvalidArgument,
     MissingActionComponent,
     MixedPrimes,
     NonHomogeneousInput,
@@ -31,6 +39,10 @@ from .errors import (
 from .steenrod import _require_prime, parse_operation
 
 _MAX_REDUCTIONS = 1_000_000
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_LIMIT = 1 << (_FIELD_BITS - 2)
+_GUARD = 1 << (_FIELD_BITS - 1)
 
 
 @dataclass
@@ -63,13 +75,20 @@ class RewriteRule:
 
 
 class RingElement:
-    """Normal-form F_l-linear combination of monomials of one presentation."""
+    """Normal-form F_l-linear combination of monomials of one presentation,
+    kept as a dict packed monomial -> coeff in 1..l-1.  `terms` builds its
+    exponent-tuple view on each read; RingElement(parent, terms) takes one."""
 
-    __slots__ = ("parent", "terms")
+    __slots__ = ("parent", "_packed")
 
     def __init__(self, parent, terms):
         self.parent = parent
-        self.terms = terms  # exponent tuple -> coeff in 1..l-1; kept normal
+        self._packed = {parent._pack(m): c for m, c in terms.items()}
+
+    @property
+    def terms(self):
+        unpack = self.parent._unpack
+        return {unpack(m): c for m, c in self._packed.items()}
 
     def _check(self, other):
         if self.parent is not other.parent:
@@ -78,14 +97,14 @@ class RingElement:
     def __add__(self, other):
         self._check(other)
         ell = self.parent.prime
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = dict(self._packed)
+        for m, c in other._packed.items():
             new = (terms.get(m, 0) + c) % ell
             if new:
                 terms[m] = new
             else:
                 terms.pop(m, None)
-        return RingElement(self.parent, terms)
+        return self.parent._wrap(terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -93,9 +112,7 @@ class RingElement:
     def scale(self, c):
         ell = self.parent.prime
         c %= ell
-        if c == 0:
-            return RingElement(self.parent, {})
-        return RingElement(self.parent, {m: (c * v) % ell for m, v in self.terms.items()})
+        return self.parent._wrap({m: (c * v) % ell for m, v in self._packed.items()} if c else {})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -108,8 +125,7 @@ class RingElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a ring element")
-        result = self.parent.one()
-        base = self
+        result, base = self.parent.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -121,33 +137,31 @@ class RingElement:
         return (
             isinstance(other, RingElement)
             and self.parent is other.parent
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._packed.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_homogeneous(self):
-        degs = {self.parent.monomial_degree(m) for m in self.terms}
-        return len(degs) <= 1
+        return self.degree() is not None or not self._packed
 
     def degree(self):
         """Common degree of the terms, None for zero or mixed elements."""
-        degs = {self.parent.monomial_degree(m) for m in self.terms}
+        degs = {self.parent._degree(m) for m in self._packed}
         return degs.pop() if len(degs) == 1 else None
 
     def homogeneous_components(self):
         out = {}
-        for m, c in self.terms.items():
-            d = self.parent.monomial_degree(m)
-            out.setdefault(d, {})[m] = c
-        return {d: RingElement(self.parent, t) for d, t in sorted(out.items())}
+        for m, c in self._packed.items():
+            out.setdefault(self.parent._degree(m), {})[m] = c
+        return {d: self.parent._wrap(t) for d, t in sorted(out.items())}
 
     def monomials(self):
-        return sorted(self.terms)
+        return [self.parent._unpack(m) for m in sorted(self._packed)]
 
     def render(self):
         return self.parent.render_element(self)
@@ -181,36 +195,47 @@ class TwistedClass:
                 )
 
 
+def check_generators(prime, generators, omega=None):
+    """A presentation's checks on prime, generators and omega, made first."""
+    _require_prime(prime)
+    names = [g.name for g in generators]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate generator names")
+    for g in generators:
+        if g.degree < 1:
+            raise ValueError("generator %s must have positive degree" % g.name)
+        if g.parity not in ("even", "odd"):
+            raise ValueError("parity must be even or odd")
+        if g.parity == "odd" and prime == 2:
+            raise ValueError("odd-parity generators need an odd prime")
+        if prime > 2 and g.parity != ("odd" if g.degree % 2 else "even"):
+            raise ValueError(
+                "generator %s: parity must match degree mod 2 at odd primes" % g.name
+            )
+    if omega is not None:
+        if omega not in names:
+            raise OmegaUndeclared("omega names undeclared generator %r" % omega)
+        if generators[names.index(omega)].degree != 1:
+            raise OmegaUndeclared("omega must have degree 1")
+
+
 class RingPresentation:
     """Immutable presented algebra; all heavy state is caching."""
 
     def __init__(self, prime, generators, rules=(), omega=None):
-        _require_prime(prime)
-        self.prime = prime
         self.generators = tuple(generators)
+        check_generators(prime, self.generators, omega)
+        self.prime = prime
         self.omega = omega
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
-        self.index = {n: i for i, n in enumerate(names)}
-        self.n = len(names)
-        self._odd = tuple(i for i, g in enumerate(self.generators) if g.parity == "odd")
-        for g in self.generators:
-            if g.degree < 1:
-                raise ValueError("generator %s must have positive degree" % g.name)
-            if g.parity not in ("even", "odd"):
-                raise ValueError("parity must be even or odd")
-            if g.parity == "odd" and prime == 2:
-                raise ValueError("odd-parity generators need an odd prime")
-            if prime > 2 and g.parity != ("odd" if g.degree % 2 else "even"):
-                raise ValueError(
-                    "generator %s: parity must match degree mod 2 at odd primes" % g.name
-                )
-        if omega is not None:
-            if omega not in self.index:
-                raise OmegaUndeclared("omega names undeclared generator %r" % omega)
-            if self.generators[self.index[omega]].degree != 1:
-                raise OmegaUndeclared("omega must have degree 1")
+        self.index = {g.name: i for i, g in enumerate(self.generators)}
+        self.n = len(self.generators)
+        self._shifts = tuple(range((self.n - 1) * _FIELD_BITS, -1, -_FIELD_BITS))
+        self._units = tuple(1 << s for s in self._shifts)
+        self._fields = Struct(">%dI" % self.n)  # "I": one unsigned _FIELD_BITS = 32 field
+        self._odd_bits = sum(u for u, g in zip(self._units, self.generators) if g.parity == "odd")
+        self._odd_high = self._odd_bits * (_FIELD_MASK - 1)  # odd exponents above 1
+        self._guard = _GUARD * sum(self._units)
+        self._over = _FIELD_LIMIT * sum(self._units)
 
         self.rules = {}
         for r in rules:
@@ -247,6 +272,14 @@ class RingPresentation:
                     raise NonHomogeneousInput("rule on %s is not twist-homogeneous" % g_by_i[gi].name)
             if g_by_i[gi].parity == "odd" and any(c % prime for c in rhs.values()):
                 raise ValueError("odd-parity generator %s already squares to zero" % g_by_i[gi].name)
+        # packed rules, and per field the offset that sets its guard bit once
+        # the exponent reaches the rule's power (2 for odd generators)
+        self._rules = tuple((self._shifts[gi], k, k * self._units[gi],
+                             {self._pack(m): c % prime for m, c in rhs.items() if c % prime})
+                            for gi, (k, rhs) in self.rules.items())
+        caps = [2 if g.parity == "odd" else self.rules.get(gi, (_FIELD_LIMIT,))[0]
+                for gi, g in enumerate(g_by_i)]
+        self._offsets = sum((_GUARD - min(c, _FIELD_LIMIT)) * u for c, u in zip(caps, self._units))
         # normalize declared actions into RingElements
         self._action = []
         for g in self.generators:
@@ -254,17 +287,15 @@ class RingPresentation:
             for key, raw in (g.action or {}).items():
                 k = 1 if (key == "b" and prime == 2) else key
                 if k == "b":
-                    comp["b"] = self.element(raw)
-                    self._validate_component(g, comp["b"], g.degree + 1)
-                    continue
-                if not isinstance(k, int) or k < 1:
+                    shift = 1
+                elif not isinstance(k, int) or k < 1:
                     raise ValueError("bad action key %r on %s" % (key, g.name))
-                top = g.degree if prime == 2 else g.degree // 2
-                if k > top:
+                elif k > (g.degree if prime == 2 else g.degree // 2):
                     raise ValueError(
                         "action component %d on %s lies above instability" % (k, g.name)
                     )
-                shift = k if prime == 2 else 2 * k * (prime - 1)
+                else:
+                    shift = k if prime == 2 else 2 * k * (prime - 1)
                 comp[k] = self.element(raw)
                 self._validate_component(g, comp[k], g.degree + shift)
             self._action.append(comp)
@@ -290,17 +321,39 @@ class RingPresentation:
     def monomial_twist(self, m):
         return sum(e * g.twist for e, g in zip(m, self.generators))
 
+    def _pack(self, m):
+        """The packed int of an exponent tuple."""
+        if len(m) != self.n:
+            raise ValueError("monomial of width %d in %d-generator ring" % (len(m), self.n))
+        packed = 0
+        for e in m:
+            if not 0 <= e < _FIELD_LIMIT:
+                raise InvalidArgument("exponent %d outside 0..%d" % (e, _FIELD_LIMIT - 1))
+            packed = packed << _FIELD_BITS | e
+        return packed
+
+    def _unpack(self, m):
+        return self._fields.unpack(m.to_bytes(self._fields.size, "big"))
+
+    def _degree(self, m):
+        return self.monomial_degree(self._unpack(m))
+
+    def _wrap(self, packed):
+        """The element with this packed terms dict, taken as normal."""
+        x = object.__new__(RingElement)
+        x.parent, x._packed = self, packed
+        return x
+
     def zero(self):
-        return RingElement(self, {})
+        return self._wrap({})
 
     def one(self):
-        return RingElement(self, {(0,) * self.n: 1})
+        return self._wrap({0: 1})
 
     def gen(self, name, power=1):
-        gi = self.index[name]
-        exps = [0] * self.n
-        exps[gi] = power
-        return self.element({tuple(exps): 1})
+        if not 0 <= power < _FIELD_LIMIT:
+            raise InvalidArgument("exponent %d outside 0..%d" % (power, _FIELD_LIMIT - 1))
+        return self._wrap(dict(self._reduce(power * self._units[self.index[name]])))
 
     def element(self, raw):
         """Build an element from a raw dict exponent-tuple -> int, reducing
@@ -309,54 +362,31 @@ class RingPresentation:
             return raw
         terms = {}
         for m, c in raw.items():
-            if not c % self.prime:
-                continue
-            if len(m) != self.n:
-                raise ValueError("monomial of width %d in %d-generator ring" % (len(m), self.n))
-            self._addmul(terms, c, self._reduce(tuple(m)))
-        return RingElement(self, terms)
+            if c % self.prime:
+                self._addmul(terms, c, self._reduce(self._pack(m)))
+        return self._wrap(terms)
 
     # ----------------------------------------------------------- arithmetic
 
-    def _koszul_sign(self, m1, m2):
-        # sign from moving odd factors of m1 past lower-index odd factors of m2
-        swaps = 0
-        for i in self._odd:
-            if not m1[i]:
-                continue
-            for j in self._odd:
-                if j >= i:
-                    break
-                swaps += m1[i] * m2[j]
-        return -1 if swaps % 2 else 1
-
-    def _mul_monomials(self, m1, m2):
-        """(sign, combined exponents) or (0, None) when an odd square appears."""
-        for i in self._odd:
-            if m1[i] + m2[i] > 1:
-                return 0, None
-        sign = self._koszul_sign(m1, m2) if self._odd else 1
-        return sign, tuple(map(add, m1, m2))
-
     def _reduce(self, m):
-        """Normal form of a single raw monomial, as a terms dict."""
+        """Normal form of a single raw packed monomial, as a terms dict."""
         cached = self._reduce_cache.get(m)
         if cached is not None:
             return cached
-        for i in self._odd:
-            if m[i] > 1:
-                self._reduce_cache[m] = {}
-                return {}
-        hit = None
-        for gi, (k, rhs) in self.rules.items():
-            if m[gi] >= k:
-                hit = (gi, k, rhs)
+        if m & self._over:
+            raise InvalidArgument("monomial %s has an exponent of %d or more"
+                                  % (self.render_monomial(self._unpack(m)), _FIELD_LIMIT))
+        if m & self._odd_high:
+            out = self._reduce_cache[m] = {}
+            return out
+        for shift, k, lead, rhs in self._rules:
+            if m >> shift & _FIELD_MASK >= k:
                 break
-        if hit is None:
-            self._reduce_cache[m] = {m: 1}
-            return {m: 1}
+        else:
+            out = self._reduce_cache[m] = {m: 1}
+            return out
         if m in self._reducing:
-            raise RuleNonTermination("rule cycle at monomial %r" % (m,))
+            raise RuleNonTermination("rule cycle at monomial %r" % (self._unpack(m),))
         if not self._reducing:
             self._steps = 0  # the bound applies to one top-level reduction
         self._steps += 1
@@ -364,25 +394,22 @@ class RingPresentation:
             raise RuleNonTermination("rewriting exceeded %d steps" % _MAX_REDUCTIONS)
         self._reducing.add(m)
         try:
-            gi, k, rhs = hit
-            rest = list(m)
-            rest[gi] -= k
-            rest = tuple(rest)
+            rest = m - lead
+            odd = rest & self._odd_bits
             out = {}
             for rm, rc in rhs.items():
-                if not rc % self.prime:
-                    continue
-                sign, comb = self._mul_monomials(rest, rm)
-                if sign:
-                    self._addmul(out, sign * rc, self._reduce(comb))
+                if not odd & rm:
+                    sign = -1 if _swap_parity(odd, rm & self._odd_bits) else 1
+                    self._addmul(out, sign * rc, self._reduce(rest + rm))
         finally:
             self._reducing.discard(m)
         self._reduce_cache[m] = out
         return out
 
     def _addmul(self, acc, c, a, b=None):
-        """acc += c*a*b in place, on terms dicts (acc += c*a when b is None);
-        returns acc.  Products are reduced to normal form."""
+        """acc += c*a*b in place, on packed terms dicts (acc += c*a when b is
+        None); returns acc.  Products are reduced to normal form: a product
+        whose guard test is clear is already normal and is added directly."""
         ell = self.prime
         if b is None:
             for m, v in a.items():
@@ -392,29 +419,29 @@ class RingPresentation:
                 else:
                     acc.pop(m, None)
             return acc
-        mul, reduced = self._mul_monomials, self._reduce_cache.get
+        odd, offsets, guard = self._odd_bits, self._offsets, self._guard
         for m1, c1 in a.items():
             c1 *= c
+            o1 = m1 & odd
             for m2, c2 in b.items():
-                sign, comb = mul(m1, m2)
-                if not sign:
+                if o1 and m2 & odd:
+                    if o1 & m2:
+                        continue  # an odd square
+                    if _swap_parity(o1, m2 & odd):
+                        c2 = -c2
+                m = m1 + m2
+                if (m + offsets) & guard:
+                    self._addmul(acc, c1 * c2, self._reduce_cache.get(m) or self._reduce(m))
                     continue
-                cc = sign * c1 * c2 % ell
-                if not cc:
-                    continue
-                nf = reduced(comb)
-                if nf is None:
-                    nf = self._reduce(comb)
-                for red, rc in nf.items():
-                    new = (acc.get(red, 0) + cc * rc) % ell
-                    if new:
-                        acc[red] = new
-                    else:
-                        acc.pop(red, None)
+                new = (acc.get(m, 0) + c1 * c2) % ell
+                if new:
+                    acc[m] = new
+                else:
+                    acc.pop(m, None)
         return acc
 
     def multiply(self, a, b):
-        return RingElement(self, self._addmul({}, 1, a.terms, b.terms))
+        return self._wrap(self._addmul({}, 1, a._packed, b._packed))
 
     # -------------------------------------------------------------- actions
 
@@ -429,15 +456,15 @@ class RingPresentation:
             g = self.generators[gi]
             top = g.degree if self.prime == 2 else g.degree // 2
             comp = self._action[gi]
-            out = [self.gen(g.name).terms]
+            out = [self.gen(g.name)._packed]
             for i in range(1, top + 1):
                 if i in comp:
-                    out.append(comp[i].terms)
+                    out.append(comp[i]._packed)
                 elif i == top and (self.prime == 2 or g.degree % 2 == 0):
                     # instability: the operation dual to the degree squares / l-th
                     # powers the class; for odd-degree generators at odd primes
                     # no component is forced, so it must be declared
-                    out.append((self.gen(g.name) ** self.prime).terms)
+                    out.append((self.gen(g.name) ** self.prime)._packed)
                 else:
                     break
             cached = self._gen_totals[gi] = (out, top)
@@ -445,16 +472,14 @@ class RingPresentation:
 
     def _total_on_monomial(self, m, k):
         """Components 0..min(k, instability bound) of the total Sq (l=2) or
-        total P (odd l) on a raw monomial, as a list of terms dicts.
+        total P (odd l) on a raw packed monomial, as a list of terms dicts.
 
-        The cache holds one entry per monomial: the longest prefix of
-        components computed so far, extended in place when a later request
-        reaches further.  The Cartan formula is applied multiplicatively,
-        total(m) = total(m - e_g) * total(g) with g the last generator of m,
-        so factors are taken in generator-index order and need no Koszul
-        sign at odd primes.  A missing action component raises
-        MissingActionComponent only when component k reaches it, naming the
-        first such generator in index order."""
+        The cache holds one entry per monomial, the longest prefix computed
+        so far, extended in place.  The Cartan formula is applied as
+        total(m) = total(m - e_g) * total(g), g the last generator of m, so
+        factors come in index order and need no Koszul sign.  A missing
+        action component raises MissingActionComponent only when component k
+        reaches it, naming the first such generator in index order."""
         cache = self._total_cache
         entry = cache.get(m)
         if entry is not None and len(entry) > k:
@@ -462,7 +487,7 @@ class RingPresentation:
         # walk down m, m - e_g, ... to a monomial cached far enough (or the
         # unit), then build the prefixes back up
         chain = []
-        deg = self.monomial_degree(m)
+        deg = self._degree(m)
         while True:
             cap = min(k, deg if self.prime == 2 else deg // 2)
             entry = cache.get(m)
@@ -471,9 +496,9 @@ class RingPresentation:
             if not deg:
                 entry = cache[m] = [{m: 1}]
                 break
-            gi = max(i for i, e in enumerate(m) if e)
+            gi = self.n - 1 - ((m & -m).bit_length() - 1) // _FIELD_BITS  # lowest field
             chain.append((m, gi, cap))
-            m = m[:gi] + (m[gi] - 1,) + m[gi + 1:]
+            m -= self._units[gi]
             deg -= self.generators[gi].degree
         for m, gi, cap in reversed(chain):
             sub = entry
@@ -487,7 +512,8 @@ class RingPresentation:
             for i in range(len(entry), cap + 1):
                 acc = {}
                 for j in range(max(0, i - len(sub) + 1), min(i, top) + 1):
-                    self._addmul(acc, 1, sub[i - j], comps[j])
+                    if sub[i - j]:
+                        self._addmul(acc, 1, sub[i - j], comps[j])
                 entry.append(acc)
         return entry
 
@@ -498,11 +524,11 @@ class RingPresentation:
         if cached is not None:
             return cached
         out = {}
-        gi = next((i for i, e in enumerate(m) if e), None)
-        if gi is not None:
+        if m:
+            gi = self.n - 1 - (m.bit_length() - 1) // _FIELD_BITS  # highest field
             g = self.generators[gi]
-            e = m[gi]
-            rest = m[:gi] + (0,) + m[gi + 1:]
+            e = m >> self._shifts[gi]
+            rest = m - e * self._units[gi]
             comp = self._action[gi]
             if "b" not in comp:
                 raise MissingActionComponent(
@@ -512,11 +538,11 @@ class RingPresentation:
             # where beta(g^e) = [e] beta(g) g^{e-1} and [e] alternates for
             # odd-degree g (moving beta(g) past g flips a sign per factor)
             count = e if g.degree % 2 == 0 else e % 2
-            g_before = self._reduce(_power_tuple(self.n, gi, e - 1))
-            head = self._addmul({}, count, comp["b"].terms, g_before)
+            g_before = self._reduce((e - 1) * self._units[gi])
+            head = self._addmul({}, count, comp["b"]._packed, g_before)
             self._addmul(out, 1, head, self._reduce(rest))
             sign = -1 if (e * g.degree) % 2 else 1
-            g_power = self._reduce(_power_tuple(self.n, gi, e))
+            g_power = self._reduce(m - rest)
             self._addmul(out, sign, g_power, self._beta_monomial(rest))
         self._beta_cache[m] = out
         return out
@@ -526,14 +552,14 @@ class RingPresentation:
         Bockstein) to a RingElement."""
         out = {}
         if self.prime > 2 and letter == 0:
-            for m, c in x.terms.items():
+            for m, c in x._packed.items():
                 self._addmul(out, c, self._beta_monomial(m))
-            return RingElement(self, out)
-        for m, c in x.terms.items():
+            return self._wrap(out)
+        for m, c in x._packed.items():
             total = self._total_on_monomial(m, letter)
             if letter < len(total):
                 self._addmul(out, c, total[letter])
-        return RingElement(self, out)
+        return self._wrap(out)
 
     def apply_word(self, word, x):
         for letter in reversed(word):
@@ -548,8 +574,8 @@ class RingPresentation:
             raise MixedPrimes("operation at prime %d on ring at prime %d" % (op.prime, self.prime))
         out = {}
         for mono, coeff in op.terms.items():
-            self._addmul(out, coeff, self.apply_word(mono.word, x).terms)
-        return RingElement(self, out)
+            self._addmul(out, coeff, self.apply_word(mono.word, x)._packed)
+        return self._wrap(out)
 
     def apply_op(self, op, x):
         """Apply a degree-homogeneous operation to a TwistedClass."""
@@ -565,28 +591,23 @@ class RingPresentation:
         """All components of the total Sq (or total P at odd primes) of a
         homogeneous element, as a dict operation-degree -> RingElement.
 
-        One pass: each monomial's cached Cartan prefix (see
-        _total_on_monomial) is asked for once, up to its own instability
-        bound.  A missing action component raises the error the
-        letter-by-letter order meets first: the lowest component needed."""
-        cap = max((self.monomial_degree(m) for m in x.terms), default=0)
-        if self.prime > 2:
-            cap //= 2
+        One pass: each monomial's cached Cartan prefix (_total_on_monomial)
+        is asked for once, up to its instability bound.  A missing action
+        component raises the error that letter-by-letter order meets first."""
+        cap = max((self._degree(m) for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
         comps = [{} for _ in range(cap + 1)]
         try:
-            for m, c in x.terms.items():
+            for m, c in x._packed.items():
                 for acc, t in zip(comps, self._total_on_monomial(m, cap)):
                     self._addmul(acc, c, t)
         except MissingActionComponent:
             for i in range(1, cap + 1):
                 self.apply_letter(i, x)
             raise
-        return {i: RingElement(self, t) for i, t in enumerate(comps) if t}
+        return {i: self._wrap(t) for i, t in enumerate(comps) if t}
 
     def bockstein(self, x):
-        if self.prime == 2:
-            return self.apply_letter(1, x)
-        return self.apply_letter(0, x)
+        return self.apply_letter(1 if self.prime == 2 else 0, x)
 
     def bockstein_twisted(self, x: TwistedClass) -> TwistedClass:
         """Twisted Bockstein d_r = b + r*omega on a class of twist r."""
@@ -604,14 +625,8 @@ class RingPresentation:
         """Normal-form monomials of the given degree (and twist residue,
         when one is supplied), sorted lexicographically."""
         out = []
-        caps = []
-        for gi, g in enumerate(self.generators):
-            cap = degree // g.degree
-            if g.parity == "odd":
-                cap = min(cap, 1)
-            if gi in self.rules:
-                cap = min(cap, self.rules[gi][0] - 1)
-            caps.append(cap)
+        caps = [1 if g.parity == "odd" else self.rules.get(gi, (degree + 2,))[0] - 1
+                for gi, g in enumerate(self.generators)]
 
         def rec(gi, left, exps):
             if gi == self.n:
@@ -637,33 +652,26 @@ class RingPresentation:
         failures = []
         for gi, (k, rhs) in sorted(self.rules.items()):
             g = self.generators[gi]
-            lead = _power_tuple(self.n, gi, k)
+            lead = k * self._units[gi]
             rhs_elt = self.element(rhs)
             cap = max_degree if self.prime == 2 else max_degree // (2 * (self.prime - 1))
             # the Cartan formula on the raw lead follows the other side of the rule
             total = self._total_on_monomial(lead, cap)
-            for i in range(1, cap + 1):
-                via_lead = RingElement(self, total[i] if i < len(total) else {})
-                via_rhs = self.apply_letter(i, rhs_elt)
+            paths = [("%s^%d" % ("Sq" if self.prime == 2 else "P", i),
+                      self._wrap(total[i] if i < len(total) else {}), self.apply_letter(i, rhs_elt))
+                     for i in range(1, cap + 1)]
+            if self.prime > 2:
+                paths.append(("b", self._wrap(self._beta_monomial(lead)), self.bockstein(rhs_elt)))
+            for op, via_lead, via_rhs in paths:
                 if via_lead != via_rhs:
-                    op = "Sq^%d" % i if self.prime == 2 else "P^%d" % i
                     failures.append(
                         "%s(%s^%d): lead gives %s, rhs gives %s"
                         % (op, g.name, k, via_lead.render(), via_rhs.render())
                     )
-            if self.prime > 2:
-                via_lead = RingElement(self, self._beta_monomial(lead))
-                via_rhs = self.bockstein(rhs_elt)
-                if via_lead != via_rhs:
-                    failures.append(
-                        "b(%s^%d): lead gives %s, rhs gives %s"
-                        % (g.name, k, via_lead.render(), via_rhs.render())
-                    )
         for gi, g in enumerate(self.generators):
-            top = g.degree if self.prime == 2 else (g.degree // 2 if g.degree % 2 == 0 else None)
-            if top is None or top == 0:
+            if self.prime > 2 and g.degree % 2:
                 continue
-            declared = self._action[gi].get(top)
+            declared = self._action[gi].get(g.degree if self.prime == 2 else g.degree // 2)
             if declared is not None and declared != self.gen(g.name) ** self.prime:
                 failures.append(
                     "top action on unstable %s differs from its %d-th power"
@@ -674,30 +682,16 @@ class RingPresentation:
     # -------------------------------------------------------------- printing
 
     def render_monomial(self, m):
-        if not any(m):
-            return "1"
-        parts = []
-        for gi, e in enumerate(m):
-            if not e:
-                continue
-            name = self.generators[gi].name
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
+        return "*".join(g.name if e == 1 else "%s^%d" % (g.name, e)
+                        for g, e in zip(self.generators, m) if e) or "1"
 
     def render_element(self, x):
-        if not x.terms:
-            return "0"
+        terms = x.terms
         parts = []
-        for m in sorted(x.terms, key=lambda m: (self.monomial_degree(m), m)):
-            c = x.terms[m]
-            body = self.render_monomial(m)
-            if c == 1:
-                parts.append(body)
-            elif body == "1":
-                parts.append("%d" % c)
-            else:
-                parts.append("%d*%s" % (c, body))
-        return " + ".join(parts)
+        for m in sorted(terms, key=lambda m: (self.monomial_degree(m), m)):
+            c, body = terms[m], self.render_monomial(m)
+            parts.append(body if c == 1 else "%d" % c if body == "1" else "%d*%s" % (c, body))
+        return " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -706,7 +700,12 @@ class ConsistencyReport:
     failures: tuple
 
 
-def _power_tuple(n, gi, e):
-    exps = [0] * n
-    exps[gi] = e
-    return tuple(exps)
+def _swap_parity(o1, o2):
+    """Parity of the swaps moving each odd factor of a left monomial (bits o1)
+    past the right one's odd factors of lower index (bits of o2 above it)."""
+    swaps = 0
+    while o1:
+        low = o1 & -o1
+        swaps += (o2 >> low.bit_length()).bit_count()
+        o1 ^= low
+    return swaps & 1

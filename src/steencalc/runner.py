@@ -49,14 +49,15 @@ class QueryResult:
 def element_record(x):
     """Structured form of a ring element: list of (exponent map, coeff)."""
     parent = x.parent
+    terms = x.terms
     out = []
-    for m in x.monomials():
+    for m in sorted(terms):
         out.append(
             {
                 "monomial": {
                     g.name: e for g, e in zip(parent.generators, m) if e
                 },
-                "coeff": x.terms[m] % parent.prime,
+                "coeff": terms[m] % parent.prime,
             }
         )
     return out
@@ -65,8 +66,9 @@ def element_record(x):
 def diff_elements(got, want):
     """Monomial-level difference summary between two ring elements."""
     parent = got.parent
-    missing = [m for m in want.terms if want.terms[m] != got.terms.get(m, 0)]
-    extra = [m for m in got.terms if m not in want.terms]
+    got, want = got.terms, want.terms
+    missing = [m for m in want if want[m] != got.get(m, 0)]
+    extra = [m for m in got if m not in want]
     bits = []
     key = lambda m: (parent.monomial_degree(m), m)
     if missing:

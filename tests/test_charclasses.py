@@ -22,7 +22,7 @@ from steencalc import (
     w_et,
 )
 from steencalc import corpus, dsl, model_ring
-from steencalc.charclasses import _eta_power, _product_one_plus_power_expansion
+from steencalc.charclasses import _eta_power, _omega_powers, _product_one_plus_power_expansion
 
 from oracles import (
     elementary_symmetric,
@@ -287,7 +287,7 @@ def test_normal_bundle_total_matches_power_route(key, bound):
 @given(key=st.sampled_from(OMEGA_KEYS), e=st.integers(-9, 9), bound=st.integers(0, 24))
 def test_eta_power_matches_power_route(key, e, bound):
     R = _bundle_ring(key)
-    assert _eta_power(R, e, bound) == _eta(R, bound).power(e)
+    assert _eta_power(R, _omega_powers(R, bound), e, bound) == _eta(R, bound).power(e)
 
 
 def _w_et_by_power(R, v):

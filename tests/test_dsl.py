@@ -9,7 +9,7 @@ from steencalc import (
     NonHomogeneous,
     UnknownGenerator,
 )
-from steencalc import corpus, dsl
+from steencalc import GeneratorSpec, OmegaUndeclared, RingPresentation, corpus, dsl, rings
 
 from oracles import reference_lex
 
@@ -272,3 +272,59 @@ def test_bundle_block_round_trip():
     assert dsl.parse(dsl.render(ast)) == ast
     prog = _build(source)
     assert "E" in prog.bundles
+
+
+# ----------------------------------------- rule and action polynomials
+
+
+def _rule_free_poly_to_raw(prime, decls, poly, span):
+    """A polynomial evaluated by poly_to_element in a rule-free presentation
+    on the same generators: the route dsl._poly_to_raw must agree with."""
+    skeleton = RingPresentation(prime, [
+        GeneratorSpec(name, 1 if odd else 2, parity="odd" if odd else "even")
+        for name, odd in decls
+    ])
+    return dsl.poly_to_element(skeleton, poly, span).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rule_polys_convert_as_in_a_rule_free_presentation(data):
+    prime = data.draw(st.sampled_from([2, 3, 5]))
+    odds = st.booleans() if prime > 2 else st.just(False)
+    decls = [("g%d" % i, data.draw(odds)) for i in range(data.draw(st.integers(1, 4)))]
+    unknown = ["zz"] if data.draw(st.integers(0, 3)) == 0 else []
+    names = st.sampled_from([name for name, _ in decls] + unknown)
+    factor = st.tuples(names, st.sampled_from([1, 1, 1, 2, 0, 3]))
+    term = st.tuples(st.integers(-6, 6), st.lists(factor, max_size=4).map(tuple))
+    poly = dsl.Poly(tuple(data.draw(st.lists(term, max_size=5))))
+    gens = {name: (i, odd) for i, (name, odd) in enumerate(decls)}
+    results = []
+    for convert in (lambda: _rule_free_poly_to_raw(prime, decls, poly, (3, 7)),
+                    lambda: dsl._poly_to_raw(prime, gens, poly, (3, 7))):
+        try:
+            results.append(list(convert().items()))
+        except UnknownGenerator as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
+def test_build_ring_makes_one_presentation(monkeypatch):
+    made = []
+    init = rings.RingPresentation.__init__
+    monkeypatch.setattr(rings.RingPresentation, "__init__",
+                        lambda self, *args, **kw: made.append(1) or init(self, *args, **kw))
+    _build(RING_P2)
+    assert len(made) == 1
+
+
+def test_generator_checks_come_before_rule_polys():
+    # the generators are checked before any rule or action is read
+    with pytest.raises(NonHomogeneous, match="parity must match degree"):
+        _build("ring R {\n  prime = 3;\n  gen y deg=2 odd;\n  rule y^2 = zz;\n}")
+    with pytest.raises(NonHomogeneous, match="not a prime: 4"):
+        _build("ring R {\n  prime = 4;\n  gen y deg=2;\n  rule y^2 = zz;\n}")
+    with pytest.raises(OmegaUndeclared, match="omega names undeclared generator 'v'"):
+        _build("ring R {\n  prime = 2;\n  gen y deg=2;\n  rule y^2 = zz;\n  omega = v;\n}")
+    with pytest.raises(UnknownGenerator, match="^unknown generator 'zz' at 4:3$"):
+        _build("ring R {\n  prime = 2;\n  gen y deg=2;\n  rule y^2 = zz;\n}")

@@ -1,14 +1,19 @@
 """Presented rings: normal forms, Koszul signs, operation actions, twists."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steencalc import (
     GeneratorSpec,
+    InvalidArgument,
     MissingActionComponent,
     NonHomogeneousInput,
     OmegaUndeclared,
     RewriteRule,
+    RingElement,
     RingPresentation,
     TwistedClass,
     corpus,
@@ -462,3 +467,251 @@ def test_consistency_reports_planted_failures():
     assert rep.failures == ("b(y^2): lead gives 2*x*v, rhs gives 0",)
     rep = _ring(odd % "2*x*v", "B").check_action_consistency(12)
     assert rep.ok and rep.failures == ()
+
+
+# --------------------------------------------- packed monomials vs tuples
+
+
+class TupleReference:
+    """The tuple-keyed kernel that packed monomials replaced: exponent
+    tuples, the first matching rule in declaration order rewritten as
+    rest * rhs, odd squares vanishing, and the Koszul sign counted pair by
+    pair.  total() takes the Cartan factors in generator-index order with
+    the generator's l-th power formed as RingElement.__pow__ forms it, so it
+    matches the engine even where the rules are not confluent."""
+
+    def __init__(self, R):
+        self.R, self.cache = R, {}
+        self.odd = [i for i, g in enumerate(R.generators) if g.parity == "odd"]
+
+    def sign(self, m1, m2):
+        swaps = sum(m1[i] * m2[j] for i in self.odd for j in self.odd if j < i)
+        return -1 if swaps % 2 else 1
+
+    def mul_monomials(self, m1, m2):
+        if any(m1[i] + m2[i] > 1 for i in self.odd):
+            return 0, None
+        return self.sign(m1, m2), tuple(a + b for a, b in zip(m1, m2))
+
+    def reduce(self, m):
+        if m not in self.cache:
+            out = {}
+            hit = next(((gi, k, rhs) for gi, (k, rhs) in self.R.rules.items() if m[gi] >= k), None)
+            if any(m[i] > 1 for i in self.odd):
+                pass  # an odd square
+            elif hit is None:
+                out = {m: 1}
+            else:
+                gi, k, rhs = hit
+                rest = m[:gi] + (m[gi] - k,) + m[gi + 1:]
+                for rm, rc in rhs.items():
+                    sign, comb = self.mul_monomials(rest, rm)
+                    if sign and rc % self.R.prime:
+                        self.add(out, sign * rc, self.reduce(comb))
+            self.cache[m] = out
+        return self.cache[m]
+
+    def add(self, acc, c, terms):
+        for m, v in terms.items():
+            acc[m] = (acc.get(m, 0) + c * v) % self.R.prime
+            if not acc[m]:
+                del acc[m]
+        return acc
+
+    def nf(self, raw):
+        out = {}
+        for m, c in raw.items():
+            self.add(out, c, self.reduce(m))
+        return out
+
+    def multiply(self, a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                sign, comb = self.mul_monomials(m1, m2)
+                if sign:
+                    self.add(out, sign * c1 * c2, self.reduce(comb))
+        return out
+
+    def total(self, m, cap):
+        R = self.R
+        out = [self.nf({(0,) * R.n: 1})] + [{} for _ in range(cap)]
+        for gi, e in enumerate(m):
+            g = R.generators[gi]
+            top = g.degree if R.prime == 2 else g.degree // 2
+            unit = tuple(int(i == gi) for i in range(R.n))
+            power, base, k = self.nf({(0,) * R.n: 1}), self.nf({unit: 1}), R.prime
+            while k:
+                power = self.multiply(power, base) if k & 1 else power
+                base, k = (self.multiply(base, base) if k > 1 else base), k >> 1
+            comps = [self.nf({unit: 1})] + [self.nf(g.action[i]) if i in g.action else power
+                                            for i in range(1, top + 1)]
+            for _ in range(e):
+                out = [self.add_all(self.multiply(out[i - j], comps[j])
+                                    for j in range(min(i, top) + 1))
+                       for i in range(cap + 1)]
+        return out
+
+    def add_all(self, pieces):
+        out = {}
+        for piece in pieces:
+            self.add(out, 1, piece)
+        return out
+
+
+def _monomials(degrees, degree, odd, first=0, cap=None):
+    """Raw exponent tuples of the given degree over generators first, ...,
+    with odd exponents up to 2 (so raw odd squares occur) and the exponent
+    of generator `first` at most cap when one is given."""
+    ranges = []
+    for i, d in enumerate(degrees):
+        top = 0 if i < first else min(degree // d, 2 if i in odd else degree)
+        if i == first and cap is not None:
+            top = min(top, cap)
+        ranges.append(range(top + 1))
+    return [m for m in itertools.product(*ranges)
+            if sum(e * d for e, d in zip(m, degrees)) == degree]
+
+
+@st.composite
+def packed_cases(draw):
+    """A random presentation at l = 2, 3, 5: odd generators at odd primes,
+    rules whose right sides reuse their own generator (chained, like
+    s^2 = w5*s) and other rules' leads, every action component the Cartan
+    formula needs, and a homogeneous element of it."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    n = len(degrees)
+    odd = {i for i, d in enumerate(degrees) if ell > 2 and d % 2}
+    coeff = st.integers(0, ell)  # ell itself is a zero coefficient
+
+    def poly(degree, first=0, cap=None, nonzero=False):
+        monos = _monomials(degrees, degree, odd, first, cap)
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=int(nonzero), max_size=3,
+                               unique=True)) if monos else []
+        return {m: draw(st.integers(1, ell - 1) if nonzero else coeff) for m in chosen}
+
+    rules = []
+    for gi in range(n):
+        if gi not in odd and draw(st.booleans()):
+            k = draw(st.integers(2, 3))
+            # right sides over generators gi, gi+1, ... only: lex order
+            # with generator 0 largest drops at every rewrite, so it stops
+            rules.append(RewriteRule("g%d" % gi, k, poly(k * degrees[gi], gi, k - 1)))
+    gens = []
+    for gi, d in enumerate(degrees):
+        top = d if ell == 2 else d // 2
+        needed = range(1, top + 1 if gi in odd else top)
+        shift = 1 if ell == 2 else 2 * (ell - 1)
+        action = {i: poly(d + shift * i) for i in needed}
+        gens.append(GeneratorSpec("g%d" % gi, d, parity="odd" if gi in odd else "even",
+                                  action=action))
+    R = RingPresentation(ell, gens, rules=rules)
+    reachable = [d for d in range(1, 9) if _monomials(degrees, d, odd)]
+    raw = [poly(draw(st.sampled_from(reachable)), nonzero=True) for _ in range(2)]
+    bases = [b for b in map(R.basis_of_degree, range(1, 7)) if b]
+    basis = draw(st.sampled_from(bases)) if bases else []
+    x = {m: draw(st.integers(1, ell - 1))
+         for m in draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+         } if basis else {}
+    return R, raw, x
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_cases())
+def test_packed_kernel_matches_tuple_reference(case):
+    R, (raw_a, raw_b), x = case
+    ref = TupleReference(R)
+    a, b = R.element(raw_a), R.element(raw_b)
+    assert a.terms == ref.nf(raw_a) and b.terms == ref.nf(raw_b)
+    assert (a * b).terms == ref.multiply(a.terms, b.terms)
+    assert (b * a).terms == ref.multiply(b.terms, a.terms)
+    # every raw monomial of low degree, and every pair of low-degree normal
+    # monomials in both orders
+    degrees = [g.degree for g in R.generators]
+    odd = {i for i, g in enumerate(R.generators) if g.parity == "odd"}
+    for m in (m for d in range(1, 7) for m in _monomials(degrees, d, odd)):
+        assert R.element({m: 1}).terms == ref.nf({m: 1})
+    low = [m for d in range(1, 4) for m in R.basis_of_degree(d)]
+    for m1, m2 in itertools.product(low, repeat=2):
+        o1, o2 = R._pack(m1) & R._odd_bits, R._pack(m2) & R._odd_bits
+        if not o1 & o2:
+            assert (-1 if rings._swap_parity(o1, o2) else 1) == ref.sign(m1, m2)
+        product = R.element({m1: 1}) * R.element({m2: 1})
+        assert product.terms == ref.multiply({m1: 1}, {m2: 1})
+    x = R.element(x)
+    degree = x.degree() or 0
+    cap = degree if R.prime == 2 else degree // 2
+    want = {}
+    for m, c in x.terms.items():
+        for i, piece in enumerate(ref.total(m, cap)):
+            ref.add(want.setdefault(i, {}), c, piece)
+    got = R.total_sq(x)
+    assert {i: y.terms for i, y in got.items()} == {i: t for i, t in want.items() if t}
+
+
+@pytest.mark.parametrize("name", ["MO3", "MO5", "PROJ2_3", "REALFOURFOLD"])
+def test_packed_kernel_matches_tuple_reference_on_shipped_rings(name):
+    R = corpus.resolve_ring(name)
+    ref = TupleReference(R)
+    rng = random.Random(name)
+    basis = [m for d in range(1, 9) for m in R.basis_of_degree(d)]
+    for _ in range(60):
+        raw = {tuple(rng.randrange(4) for _ in range(R.n)): rng.randrange(1, R.prime)
+               for _ in range(3)}
+        a, b = R.element(raw), R.element({rng.choice(basis): 1})
+        assert a.terms == ref.nf(raw)
+        assert (a * b).terms == ref.multiply(a.terms, b.terms)
+
+
+def test_rule_rewrite_carries_the_koszul_sign():
+    # a^2 = a*x1*x3 rewrites a^2*x2 as x2 * (a*x1*x3): x2 moves past x1
+    R = RingPresentation(
+        3, [GeneratorSpec("a", 2)] + [GeneratorSpec("x%d" % i, 1, parity="odd") for i in (1, 2, 3)],
+        rules=[RewriteRule("a", 2, {(1, 1, 0, 1): 1})],
+    )
+    raw = {(2, 0, 1, 0): 1}
+    assert R.element(raw).terms == {(1, 1, 1, 1): 2} == TupleReference(R).nf(raw)
+
+
+def test_exponents_at_the_field_limit_raise():
+    limit = rings._FIELD_LIMIT
+    R = RingPresentation(2, [GeneratorSpec("x", 1), GeneratorSpec("y", 2)],
+                         rules=[RewriteRule("y", 3, {})])
+    with pytest.raises(InvalidArgument):
+        R.element({(limit, 0): 1})
+    with pytest.raises(InvalidArgument):
+        R.gen("x", limit)
+    top = R.gen("x", limit - 1)
+    assert top.terms == {(limit - 1, 0): 1}
+    with pytest.raises(InvalidArgument):
+        top * R.gen("x")
+    # a field at its limit leaves its neighbours and their rules alone
+    assert (top * R.gen("y", 2)).terms == {(limit - 1, 2): 1}
+    assert not top * R.gen("y", 2) * R.gen("y")
+    assert (R.gen("x") * R.gen("x", limit - 2)) == top
+
+
+def test_terms_view_is_tuple_keyed_and_round_trips(R3):
+    x = (R3.gen("x1") + R3.gen("y2")) * (R3.gen("x2") + R3.gen("y1").scale(2))
+    assert x.terms and all(type(m) is tuple and len(m) == R3.n for m in x.terms)
+    assert RingElement(R3, dict(x.terms)) == x
+    assert RingElement(R3, {}) == R3.zero()
+
+
+@pytest.mark.parametrize("ell, monomials, text", [
+    (2, [(0, 1, 2), (0, 2, 1), (1, 2, 0), (2, 1, 0)],
+     "x2*x3^2 + x2^2*x3 + x1*x2^2 + x1^2*x2"),
+    (3, [(0, 1, 1, 0, 0, 1), (1, 1, 0, 0, 0, 1), (1, 1, 1, 0, 0, 0)],
+     "2*x1*x2*x3 + x2*x3*y3 + x1*x2*y3"),
+    (5, [(0, 1, 1, 0, 0, 1), (1, 1, 0, 0, 0, 1), (1, 1, 1, 0, 0, 0)],
+     "4*x1*x2*x3 + x2*x3*y3 + x1*x2*y3"),
+])
+def test_monomial_and_render_order_on_model_rings(ell, monomials, text):
+    # packed-int order is exponent-tuple order, so both listings keep the
+    # order they had when monomials were tuples
+    R = model_ring(ell, 3)
+    g = [R.gen(spec.name) for spec in R.generators]
+    x = (g[0] + g[1] - g[2]) * (g[0] + g[-1]) * g[1]
+    assert x.monomials() == monomials
+    assert x.render() == text
