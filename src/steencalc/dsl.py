@@ -767,33 +767,19 @@ def render(ast: FileAst) -> str:
 
 
 def poly_to_element(pres: RingPresentation, poly: Poly, span=None):
-    """Evaluate a Poly in a presentation, left to right so Koszul signs land
-    where the source put them."""
-    acc = pres.zero()
-    for coeff, factors in poly.terms:
-        elt = pres.one().scale(coeff)
-        for name, exp in factors:
-            if name not in pres.index:
-                raise UnknownGenerator(
-                    "unknown generator %r%s"
-                    % (name, " at %d:%d" % span if span else "")
-                )
-            for _ in range(exp):
-                elt = elt * pres.gen(name)
-                if not elt:
-                    break
-            if not elt:
-                break
-        acc = acc + elt
-    return acc
+    """Evaluate a Poly in a presentation: each term becomes one raw monomial
+    (see _poly_to_raw), reduced to normal form once."""
+    gens = {g.name: (i, g.parity == "odd") for i, g in enumerate(pres.generators)}
+    return pres.element(_poly_to_raw(pres.prime, gens, poly, span))
 
 
 def _poly_to_raw(prime, gens, poly, span=None):
-    """What poly_to_element gives in the rule-free presentation on gens
-    (name -> (index, odd)), as an exponent-tuple dict: exponents add, an
-    odd factor taken past the odd ones of higher index already in the term
-    flips the sign, and odd squares vanish.  Names are checked in the same
-    order, up to the first factor that makes the term zero."""
+    """A Poly over generators gens (name -> (index, odd)) as a raw
+    exponent-tuple dict, before any rewrite rule: exponents add, an odd
+    factor taken past the odd ones of higher index already in the term flips
+    the sign, so signs land where the source put them, and odd squares
+    vanish.  Every factor's name is checked, in source order, even in a term
+    that is already zero."""
     out = {}
     for coeff, factors in poly.terms:
         c = coeff % prime
@@ -812,8 +798,6 @@ def _poly_to_raw(prime, gens, poly, span=None):
                     c = prime - c
                 odds[gi] = 1
             exps[gi] += exp
-            if not c:
-                break
         if c:
             m = tuple(exps)
             new = (out.get(m, 0) + c) % prime
@@ -836,7 +820,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
         GeneratorSpec(
             g.name, g.degree, twist=g.twist,
             parity="odd" if g.odd else "even",
-            action={}, frobenius_exponent=g.frob,
+            frobenius_exponent=g.frob,
         )
         for g in block.gens
     ]
@@ -852,7 +836,6 @@ def build_ring(block: RingBlock) -> RingPresentation:
     for r in block.rules:
         if r.gen not in gens:
             raise UnknownGenerator("rule on unknown generator %r" % r.gen)
-    actions = {g.name: dict(g.action or {}) for g in specs}
     for a in block.actions:
         if a.gen not in gens:
             raise UnknownGenerator("action on unknown generator %r" % a.gen)
@@ -860,19 +843,13 @@ def build_ring(block: RingBlock) -> RingPresentation:
             raise NonHomogeneous("Sq actions need prime 2 (ring %s)" % block.name)
         if a.kind == "P" and block.prime == 2:
             raise NonHomogeneous("P actions need an odd prime (ring %s)" % block.name)
+        action = specs[gens[a.gen][0]].action
         key = "b" if a.kind == "b" else a.index
-        if key in actions[a.gen]:
+        if key in action:
             raise DuplicateGenerator(
                 "action %s(%s) declared twice" % (a.op_text(), a.gen)
             )
-        actions[a.gen][key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
-    specs = [
-        GeneratorSpec(
-            s.name, s.degree, twist=s.twist, parity=s.parity,
-            action=actions[s.name], frobenius_exponent=s.frobenius_exponent,
-        )
-        for s in specs
-    ]
+        action[key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
     try:
         return RingPresentation(block.prime, specs, rules=rules, omega=block.omega)
     except (NonHomogeneousInput, ValueError) as exc:
@@ -882,7 +859,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
 @dataclass
 class Program:
     rings: dict
-    bundles: dict  # name -> (BundleDecl, ring name)
+    bundles: dict  # name -> BundleDecl
     queries: tuple
 
 

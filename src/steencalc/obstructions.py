@@ -127,10 +127,6 @@ class FrobeniusContext:
         return pow(base, total - twist, ell)
 
 
-def frobenius_eigenvalue(m, twist: int, ctx: FrobeniusContext) -> int:
-    return ctx.eigenvalue(tuple(m), twist)
-
-
 def in_image_F_minus_Id(x: TwistedClass, ctx: FrobeniusContext) -> ObstructionReport:
     """With F diagonal on monomials, x lies in im(F - Id) exactly when its
     coefficients vanish on every eigenvalue-1 monomial."""

@@ -248,8 +248,6 @@ class RingPresentation:
                 raise ValueError("rule power must be >= 2")
             self.rules[gi] = (r.power, dict(r.rhs))
         self._reduce_cache = {}
-        self._reducing = set()
-        self._steps = 0
         self._total_cache = {}
         self._beta_cache = {}
         self._gen_totals = [None] * self.n
@@ -369,41 +367,41 @@ class RingPresentation:
     # ----------------------------------------------------------- arithmetic
 
     def _reduce(self, m):
-        """Normal form of a single raw packed monomial, as a terms dict."""
+        """Normal form of a single raw packed monomial, as a terms dict.
+
+        Each round rewrites every pending monomial once, merging equal
+        results, until all are normal; at most _MAX_REDUCTIONS rewrites."""
         cached = self._reduce_cache.get(m)
         if cached is not None:
             return cached
-        if m & self._over:
-            raise InvalidArgument("monomial %s has an exponent of %d or more"
-                                  % (self.render_monomial(self._unpack(m)), _FIELD_LIMIT))
-        if m & self._odd_high:
-            out = self._reduce_cache[m] = {}
-            return out
-        for shift, k, lead, rhs in self._rules:
-            if m >> shift & _FIELD_MASK >= k:
-                break
-        else:
-            out = self._reduce_cache[m] = {m: 1}
-            return out
-        if m in self._reducing:
-            raise RuleNonTermination("rule cycle at monomial %r" % (self._unpack(m),))
-        if not self._reducing:
-            self._steps = 0  # the bound applies to one top-level reduction
-        self._steps += 1
-        if self._steps > _MAX_REDUCTIONS:
-            raise RuleNonTermination("rewriting exceeded %d steps" % _MAX_REDUCTIONS)
-        self._reducing.add(m)
-        try:
-            rest = m - lead
-            odd = rest & self._odd_bits
-            out = {}
-            for rm, rc in rhs.items():
-                if not odd & rm:
-                    sign = -1 if _swap_parity(odd, rm & self._odd_bits) else 1
-                    self._addmul(out, sign * rc, self._reduce(rest + rm))
-        finally:
-            self._reducing.discard(m)
-        self._reduce_cache[m] = out
+        ell, odd_bits = self.prime, self._odd_bits
+        out, pending, steps = {}, {m: 1}, 0
+        while pending:
+            rewritten = {}
+            for p, c in pending.items():
+                if p & self._over:
+                    raise InvalidArgument("monomial %s has an exponent of %d or more"
+                                          % (self.render_monomial(self._unpack(p)), _FIELD_LIMIT))
+                c %= ell
+                if not c or p & self._odd_high:
+                    continue
+                for shift, k, lead, rhs in self._rules:
+                    if p >> shift & _FIELD_MASK >= k:
+                        break
+                else:
+                    out[p] = out.get(p, 0) + c
+                    continue
+                steps += 1
+                if steps > _MAX_REDUCTIONS:
+                    raise RuleNonTermination("rewriting exceeded %d steps" % _MAX_REDUCTIONS)
+                rest = p - lead
+                odd = rest & odd_bits
+                for rm, rc in rhs.items():
+                    if not odd & rm:
+                        sign = -1 if _swap_parity(odd, rm & odd_bits) else 1
+                        rewritten[rest + rm] = rewritten.get(rest + rm, 0) + sign * c * rc
+            pending = rewritten
+        out = self._reduce_cache[m] = {p: c % ell for p, c in out.items() if c % ell}
         return out
 
     def _addmul(self, acc, c, a, b=None):
@@ -576,16 +574,6 @@ class RingPresentation:
         for mono, coeff in op.terms.items():
             self._addmul(out, coeff, self.apply_word(mono.word, x)._packed)
         return self._wrap(out)
-
-    def apply_op(self, op, x):
-        """Apply a degree-homogeneous operation to a TwistedClass."""
-        if isinstance(op, str):
-            op = parse_operation(op, self.prime)
-        if not op.is_homogeneous():
-            raise NonHomogeneousInput("apply_op needs a degree-homogeneous operation")
-        value = self.apply_op_value(op, x.value)
-        shift = op.degree() if op.terms else 0
-        return TwistedClass(value, x.degree + shift, x.twist)
 
     def total_sq(self, x):
         """All components of the total Sq (or total P at odd primes) of a

@@ -248,6 +248,24 @@ def test_non_prime_in_a_file_is_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+# ----------------------------------------- one reduction per polynomial term
+
+
+def test_large_exponents_normalise_at_once(capsys):
+    assert main(["normalize", "x1^200000000", "--ring", "CLASSIFYING2"]) == 0
+    assert capsys.readouterr().out.endswith("  = x1^200000000\n")
+    assert main(["normalize", "x1^1073741824", "--ring", "CLASSIFYING2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: exponent 1073741824 outside 0..1073741823\n"
+    assert captured.out == ""
+
+
+def test_long_rewrite_chain_normalises(capsys):
+    # s^2 = w3*s applied 4999 times, one rewrite round each
+    assert main(["normalize", "s^5000", "--ring", "MO3"]) == 0
+    assert capsys.readouterr().out.endswith("  = w3^4999*s\n")
+
+
 # ------------------------------------- per-process parser and program caches
 
 

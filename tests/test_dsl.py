@@ -10,6 +10,7 @@ from steencalc import (
     UnknownGenerator,
 )
 from steencalc import GeneratorSpec, OmegaUndeclared, RingPresentation, corpus, dsl, rings
+from steencalc.cli import main
 
 from oracles import reference_lex
 
@@ -277,14 +278,33 @@ def test_bundle_block_round_trip():
 # ----------------------------------------- rule and action polynomials
 
 
+def _multiply_route(pres, poly, span=None):
+    """A Poly evaluated factor by factor, one ring multiply per unit of
+    exponent, left to right so Koszul signs land where the source put them:
+    the reference poly_to_element and dsl._poly_to_raw must agree with.
+    Every factor's name is checked, as both of those do."""
+    acc = pres.zero()
+    for coeff, factors in poly.terms:
+        elt = pres.one().scale(coeff)
+        for name, exp in factors:
+            if name not in pres.index:
+                raise UnknownGenerator(
+                    "unknown generator %r%s" % (name, " at %d:%d" % span if span else "")
+                )
+            for _ in range(exp):
+                elt = elt * pres.gen(name)
+        acc = acc + elt
+    return acc
+
+
 def _rule_free_poly_to_raw(prime, decls, poly, span):
-    """A polynomial evaluated by poly_to_element in a rule-free presentation
-    on the same generators: the route dsl._poly_to_raw must agree with."""
+    """A polynomial evaluated by the multiply route in a rule-free
+    presentation on the same generators."""
     skeleton = RingPresentation(prime, [
         GeneratorSpec(name, 1 if odd else 2, parity="odd" if odd else "even")
         for name, odd in decls
     ])
-    return dsl.poly_to_element(skeleton, poly, span).terms
+    return _multiply_route(skeleton, poly, span).terms
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,6 +327,45 @@ def test_rule_polys_convert_as_in_a_rule_free_presentation(data):
         except UnknownGenerator as exc:
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+def _outcome(convert):
+    try:
+        return convert()
+    except UnknownGenerator as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", corpus.scenario_names())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_to_element_matches_the_multiply_route(name, data):
+    """One reduction per raw term gives what a multiply per factor gives, on
+    every shipped ring, rules included."""
+    R = corpus.get_scenario(name).presentation
+    names = st.sampled_from([g.name for g in R.generators] + ["zz"])
+    factor = st.tuples(names, st.sampled_from([0, 1, 1, 1, 2, 3]))
+    term = st.tuples(st.integers(-6, 6), st.lists(factor, max_size=4).map(tuple))
+    poly = dsl.Poly(tuple(data.draw(st.lists(term, max_size=5))))
+    assert (_outcome(lambda: dsl.poly_to_element(R, poly, (2, 5)))
+            == _outcome(lambda: _multiply_route(R, poly, (2, 5))))
+
+
+def test_unknown_names_are_checked_after_a_zero_factor(tmp_path, capsys):
+    """A factor that makes its term zero (l^3 = 0 by a rule, an odd square)
+    does not hide an undeclared name after it."""
+    R = corpus.get_scenario("PROJ2_2").presentation
+    with pytest.raises(UnknownGenerator, match="^unknown generator 'zz'$"):
+        dsl.poly_to_element(R, dsl.parse_poly("l^3*zz"))
+    ring = "ring A {\n  prime = 3;\n  gen x deg=1 odd;\n  gen y deg=2;\n}\n"
+    path = tmp_path / "queries.steen"
+    for query, where in (("normalize l^3*zz in PROJ2_2;", "6:1"),
+                         ("  normalize x*x*zz in A;", "6:3")):
+        path.write_text(ring + query + "\n", encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown generator 'zz' at %s\n" % where
+    with pytest.raises(UnknownGenerator, match="^unknown generator 'zz' at 5:3$"):
+        _build(ring[:-2] + "  rule y^2 = x*x*zz;\n}\n")
 
 
 def test_build_ring_makes_one_presentation(monkeypatch):

@@ -92,9 +92,28 @@ def test_reduction_bound_is_per_call(monkeypatch):
         2, [GeneratorSpec("x", 1), GeneratorSpec("y", 2)],
         rules=[RewriteRule("x", 2, {(0, 1): 1})],
     )
-    assert R.gen("x", 80) == R.gen("y", 40)  # 40 nested steps
+    assert R.gen("x", 80) == R.gen("y", 40)  # 40 rewrite steps
     with pytest.raises(RuleNonTermination):
         R.gen("x", 120)
+
+
+def test_long_rewrite_chains_do_not_recurse():
+    R = RingPresentation(
+        2, [GeneratorSpec("x", 1), GeneratorSpec("y", 2)],
+        rules=[RewriteRule("x", 2, {(0, 1): 1})],
+    )
+    assert R.gen("x", 20000) == R.gen("y", 10000)  # 10000 rewrite steps
+
+
+def test_rewrite_rounds_merge_equal_results():
+    # x^2 = x*y + y^2 over F_2: x^3 = y^3 and x^4 = x*y^3, where x*y^2 and
+    # x*y^3 are reached twice (once within a round) and cancel
+    R = RingPresentation(
+        2, [GeneratorSpec("x", 1), GeneratorSpec("y", 1)],
+        rules=[RewriteRule("x", 2, {(1, 1): 1, (0, 2): 1})],
+    )
+    assert R.gen("x", 3) == R.gen("y", 3)
+    assert R.gen("x", 4) == R.gen("x") * R.gen("y", 3)
 
 
 def test_rule_rhs_must_be_lead_reduced():
