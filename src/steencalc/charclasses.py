@@ -4,9 +4,11 @@ Two total classes are computed for (virtual) bundles presented by truncated
 Chern classes: the Chow-theoretic one obtained from the splitting principle
 as prod_i (1 + t_i^(l-1)) over Chern roots t_i, and the etale-cohomology one,
 which for l = 2 is prod_i (1 + omega + t_i) and for odd l coincides with the
-Chow formula.  Symmetric functions of the roots are rewritten into elementary
-symmetric polynomials degree by degree and the elementary ones are replaced
-with the given Chern classes, so no root ever leaks into a result.
+Chow formula.  The Chow class needs no symmetric functions: over F_l,
+prod_{a in F_l^x} (1 + a t) = 1 - t^(l-1), so the product of the l - 1
+classes c(a) = 1 + sum_j a^j c_j is prod_i (1 - t_i^(l-1)), and negating its
+degree-2(l-1)m part for odd m gives prod_i (1 + t_i^(l-1)).  At l = 2 this
+is the total Chern class itself.
 
 Inhomogeneous results are carried by TotalClass, a finite sum of homogeneous
 pieces below a truncation bound on the cohomological degree.
@@ -23,8 +25,6 @@ at odd l.  The binomials are taken mod l with steenrod.binom_mod_ell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add
 
 from .errors import (
     InvalidArgument,
@@ -184,98 +184,25 @@ class VirtualBundle:
                         raise NonHomogeneousInput("c_%d must have twist %d" % (j, j))
 
 
-# --------------------------------------------------------------------------
-# Symmetric-function reduction, carried out in the basis of elementary
-# symmetric functions.  An e-polynomial is a dict mapping an exponent tuple
-# (d_1, d_2, ...) for e_1^{d_1} e_2^{d_2} ... (no trailing zeros) to a
-# coefficient.  The weight of e_j is j, so everything stays finite once
-# truncated by weight.  A bundle of rank r has c_j = 0 for j > r, so the
-# tables work in Z[e_1..e_r]: setting e_j = 0 for j > r is a ring map into a
-# torsion-free ring, so dropping every longer dvec at every step keeps the
-# exact divisions exact.
-
-
-def _dvec_weight(dvec):
-    return sum(j * d for j, d in enumerate(dvec, start=1))
-
-
-def _emul(acc, c, a, b):
-    """acc += c*a*b on e-polynomials, in place; zero entries may remain."""
-    for da, ca in a.items():
-        ca *= c
-        for db, cb in b.items():
-            key = tuple(map(add, da, db)) + da[len(db):] + db[len(da):]
-            acc[key] = acc.get(key, 0) + ca * cb
-
-
-@lru_cache(maxsize=None)
-def _power_sum_in_elementary(n, r):
-    """p_n in the e-basis of Z[e_1..e_r], by Newton's identity
-    p_n = e_1 p_{n-1} - e_2 p_{n-2} + ... + (-1)^{n-1} n e_n."""
-    if n == 0:
-        return {(): 1}
-    out = {(0,) * (n - 1) + (1,): (-1) ** (n - 1) * n} if n <= r else {}
-    for i in range(1, min(n - 1, r) + 1):
-        _emul(out, (-1) ** (i - 1), {(0,) * (i - 1) + (1,): 1}, _power_sum_in_elementary(n - i, r))
-    return {dvec: coeff for dvec, coeff in out.items() if coeff}
-
-
-@lru_cache(maxsize=None)
-def _product_one_plus_power_expansion(c, max_weight, r):
-    """prod_i (1 + t_i^c) through weight max_weight, in the e-basis of
-    Z[e_1..e_r].
-
-    W = exp(sum_m (-1)^{m+1} p_{cm} / m) is evaluated by the weighted
-    Euler-derivative recurrence n W_n = sum_{cm <= n} (-1)^{m+1} c p_{cm}
-    W_{n-cm}; each step's sum is exactly divisible by n, so the arithmetic
-    never leaves the integers."""
-    by_weight = {0: {(): 1}}
-    for n in range(1, max_weight + 1):
-        acc = {}
-        for m in range(1, n // c + 1):
-            rest = by_weight.get(n - c * m)
-            if rest:
-                _emul(acc, c if m % 2 else -c, _power_sum_in_elementary(c * m, r), rest)
-        piece = {}
-        for dvec, coeff in acc.items():
-            if coeff:
-                q, rem = divmod(coeff, n)
-                if rem:
-                    raise ArithmeticError("non-integral symmetric expansion")
-                piece[dvec] = q
-        if piece:
-            by_weight[n] = piece
-    return {dvec: coeff for chunk in by_weight.values() for dvec, coeff in chunk.items()}
-
-
-def _substitute_chern(parent, dvec, chern):
-    """prod_j chern[j-1]^{d_j}; the rank-pruned tables give dvecs no longer
-    than chern."""
-    acc = parent.one()
-    for cj, d in zip(chern, dvec):
-        if d:
-            acc = acc * (cj ** d)
-            if not acc:
-                return acc
-    return acc
-
-
-def _splitting_total(parent, chern, c, truncation):
-    """prod_i (1 + t_i^c) with e_j = chern[j-1], as a TotalClass."""
+def _splitting_total(parent, chern, truncation):
+    """prod_i (1 + t_i^(l-1)) over the Chern roots of chern, as a TotalClass:
+    the product of the classes c(a), a = 1..l-1, with the sign of each
+    degree-2(l-1)m part flipped for odd m (see the module docstring)."""
+    ell = parent.prime
     bound = 2 * truncation
-    comps = {0: parent.one()}
-    pieces = {}
-    for dvec, coeff in _product_one_plus_power_expansion(c, truncation, len(chern)).items():
-        w = _dvec_weight(dvec)
-        if not w:
-            continue
-        term = _substitute_chern(parent, dvec, chern)
-        if term:
-            pieces[w] = pieces.get(w, parent.zero()) + term.scale(coeff)
-    for w, piece in pieces.items():
-        if piece:
-            comps[2 * w] = piece
-    return TotalClass(parent, bound, comps)
+    classes = [
+        TotalClass(parent, bound, {0: parent.one(), **{
+            2 * j: cj.scale(pow(a, j, ell)) for j, cj in enumerate(chern, start=1)
+        }})
+        for a in range(1, ell)
+    ]
+    total = classes[0]
+    for c_a in classes[1:]:
+        total = total * c_a
+    step = 2 * (ell - 1)
+    return TotalClass(parent, bound, {
+        d: piece.scale(-1) if d // step % 2 else piece for d, piece in total.components.items()
+    })
 
 
 def _omega_powers(parent, bound):
@@ -307,11 +234,10 @@ def w_bro(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
     """Chow-theoretic total class prod (1 + t^(l-1)), extended to virtual
     classes multiplicatively."""
     v.validate(parent)
-    c = parent.prime - 1
-    num = _splitting_total(parent, v.numerator_chern, c, v.truncation)
+    num = _splitting_total(parent, v.numerator_chern, v.truncation)
     if not v.denominator_chern:
         return num
-    den = _splitting_total(parent, v.denominator_chern, c, v.truncation)
+    den = _splitting_total(parent, v.denominator_chern, v.truncation)
     return num * den.inverse()
 
 

@@ -30,11 +30,12 @@ from typing import NamedTuple, Optional
 from .errors import (
     DslSyntaxError,
     DuplicateGenerator,
+    InvalidArgument,
     NonHomogeneous,
     NonHomogeneousInput,
     UnknownGenerator,
 )
-from .rings import GeneratorSpec, RewriteRule, RingPresentation, check_generators
+from .rings import _FIELD_LIMIT, GeneratorSpec, RewriteRule, RingPresentation, check_generators
 
 # ----------------------------------------------------------------- lexing
 
@@ -230,12 +231,6 @@ class CorpusQuery:
     action: str  # list | run
     name: Optional[str] = None
     span: Optional[Span] = field(default=None, compare=False)
-
-
-QUERY_TYPES = (
-    ApplyQuery, NormalizeQuery, AdemQuery, ObstructQuery,
-    WuQuery, CharclassQuery, CorpusQuery,
-)
 
 
 @dataclass(frozen=True)
@@ -779,17 +774,15 @@ def _poly_to_raw(prime, gens, poly, span=None):
     factor taken past the odd ones of higher index already in the term flips
     the sign, so signs land where the source put them, and odd squares
     vanish.  Every factor's name is checked, in source order, even in a term
-    that is already zero."""
+    that is already zero.  An exponent at or above the packed field limit
+    raises InvalidArgument, with the span, only in a term that is kept."""
     out = {}
     for coeff, factors in poly.terms:
         c = coeff % prime
         exps, odds = [0] * len(gens), [0] * len(gens)
         for name, exp in factors:
             if name not in gens:
-                raise UnknownGenerator(
-                    "unknown generator %r%s"
-                    % (name, " at %d:%d" % span if span else "")
-                )
+                raise UnknownGenerator("unknown generator %r%s" % (name, _at(span)))
             gi, odd = gens[name]
             if c and odd and exp:
                 if odds[gi] or exp > 1:
@@ -805,7 +798,14 @@ def _poly_to_raw(prime, gens, poly, span=None):
                 out[m] = new
             else:
                 del out[m]
+    if gens and out and max(map(max, out)) >= _FIELD_LIMIT:
+        e = next(e for m in out for e in m if e >= _FIELD_LIMIT)
+        raise InvalidArgument("exponent %d outside 0..%d%s" % (e, _FIELD_LIMIT - 1, _at(span)))
     return out
+
+
+def _at(span):
+    return " at %d:%d" % span if span else ""
 
 
 def build_ring(block: RingBlock) -> RingPresentation:

@@ -9,15 +9,13 @@ from collections.abc import MutableMapping, MutableSequence, MutableSet
 
 import steencalc
 
-# Keyed by Adem pairs, by symmetric-function weights, and by one corpus
-# scenario per (directory, name): their size follows the largest degree or
-# the number of files asked for, not the number of calls.
+# Keyed by Adem pairs and by one corpus scenario per (directory, name): their
+# size follows the largest degree or the number of files asked for, not the
+# number of calls.
 UNBOUNDED = {
     "steencalc.steenrod._adem_sq",
     "steencalc.steenrod._adem_pp",
     "steencalc.steenrod._adem_pbp",
-    "steencalc.charclasses._power_sum_in_elementary",
-    "steencalc.charclasses._product_one_plus_power_expansion",
     "steencalc.corpus._load",
 }
 

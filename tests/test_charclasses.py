@@ -1,5 +1,8 @@
 """Total classes, splitting-principle reduction, pushforward identities."""
 
+from functools import lru_cache
+from operator import add
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +25,7 @@ from steencalc import (
     w_et,
 )
 from steencalc import corpus, dsl, model_ring
-from steencalc.charclasses import _eta_power, _omega_powers, _product_one_plus_power_expansion
+from steencalc.charclasses import _eta_power, _omega_powers
 
 from oracles import (
     elementary_symmetric,
@@ -335,15 +338,114 @@ def test_twisted_total_matches_power_route(key, data):
     assert twisted_total_on_cycle(R, x, bound) == want
 
 
-@pytest.mark.parametrize("c", [1, 2, 4])
-def test_rank_pruned_expansion_is_the_restriction(c):
-    """Truncating to Z[e_1..e_r] keeps exactly the dvecs of length <= r; a
-    weight-w expansion at rank w is unpruned, since no dvec is longer."""
-    for w in range(21):
-        full = _product_one_plus_power_expansion(c, w, w)
-        for r in range(7):
-            want = {dvec: k for dvec, k in full.items() if len(dvec) <= r}
-            assert _product_one_plus_power_expansion(c, w, r) == want, (c, w, r)
+# --------------------------- the F_l product route against the e-basis route
+#
+# w_bro takes prod_i (1 + t_i^(l-1)) from the product of the classes
+# 1 + sum_j a^j c_j over a in F_l^x.  The reference below is the former
+# route: p_n in the elementary symmetric functions over Z by Newton's
+# identity, the product as an exponential by a recurrence with exact
+# division, and e_j replaced with c_j at the end.  An e-polynomial maps an
+# exponent tuple (d_1, d_2, ...) of e_1^d_1 e_2^d_2 ... to its coefficient,
+# in Z[e_1..e_r] for a bundle of rank r.
+
+
+def _dvec_weight(dvec):
+    return sum(j * d for j, d in enumerate(dvec, start=1))
+
+
+def _emul(acc, c, a, b):
+    """acc += c*a*b on e-polynomials, in place."""
+    for da, ca in a.items():
+        ca *= c
+        for db, cb in b.items():
+            key = tuple(map(add, da, db)) + da[len(db):] + db[len(da):]
+            acc[key] = acc.get(key, 0) + ca * cb
+
+
+@lru_cache(maxsize=None)
+def _power_sum_in_elementary(n, r):
+    """p_n = e_1 p_{n-1} - e_2 p_{n-2} + ... + (-1)^{n-1} n e_n."""
+    if n == 0:
+        return {(): 1}
+    out = {(0,) * (n - 1) + (1,): (-1) ** (n - 1) * n} if n <= r else {}
+    for i in range(1, min(n - 1, r) + 1):
+        _emul(out, (-1) ** (i - 1), {(0,) * (i - 1) + (1,): 1}, _power_sum_in_elementary(n - i, r))
+    return {dvec: coeff for dvec, coeff in out.items() if coeff}
+
+
+@lru_cache(maxsize=None)
+def _product_one_plus_power_expansion(c, max_weight, r):
+    """prod_i (1 + t_i^c) through weight max_weight: W = exp(sum_m
+    (-1)^{m+1} p_{cm} / m) by n W_n = sum_{cm <= n} (-1)^{m+1} c p_{cm}
+    W_{n-cm}, each sum exactly divisible by n."""
+    by_weight = {0: {(): 1}}
+    for n in range(1, max_weight + 1):
+        acc = {}
+        for m in range(1, n // c + 1):
+            rest = by_weight.get(n - c * m)
+            if rest:
+                _emul(acc, c if m % 2 else -c, _power_sum_in_elementary(c * m, r), rest)
+        piece = {}
+        for dvec, coeff in acc.items():
+            if coeff:
+                q, rem = divmod(coeff, n)
+                assert not rem, "non-integral symmetric expansion"
+                piece[dvec] = q
+        if piece:
+            by_weight[n] = piece
+    return {dvec: coeff for chunk in by_weight.values() for dvec, coeff in chunk.items()}
+
+
+def _reference_splitting_total(R, chern, truncation):
+    comps = {0: R.one()}
+    for dvec, coeff in _product_one_plus_power_expansion(R.prime - 1, truncation, len(chern)).items():
+        w = _dvec_weight(dvec)
+        if w:
+            term = R.one()
+            for cj, d in zip(chern, dvec):
+                term = term * cj ** d
+            comps[2 * w] = comps.get(2 * w, R.zero()) + term.scale(coeff)
+    return TotalClass(R, 2 * truncation, comps)
+
+
+def _chern_ring(ell, nil):
+    """F_ell[u, v], deg u = 2 and deg v = 4, free or with nilpotence rules
+    (u^4 = u^2 v, v^3 = 0, so u^8 = 0)."""
+    rules = ["rule u^4 = u^2*v", "rule v^3 = 0"] if nil else []
+    key = "CHERN%d%s" % (ell, "NIL" if nil else "")
+    if key not in _bundle_rings:
+        _bundle_rings[key] = _dsl_ring(
+            key, ["prime = %d" % ell, "gen u deg=2 twist=1", "gen v deg=4 twist=2"] + rules
+        )
+    return _bundle_rings[key]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+@pytest.mark.parametrize("nil", [False, True])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_w_bro_matches_elementary_symmetric_route(ell, nil, data):
+    R = _chern_ring(ell, nil)
+    rank = data.draw(st.integers(0, 6))
+    num = [_draw_homogeneous(data, R, 2 * j) for j in range(1, rank + 1)]
+    den = [_draw_homogeneous(data, R, 2 * j) for j in range(1, data.draw(st.integers(0, 6)) + 1)]
+    truncation = data.draw(st.integers(0, 12))
+    want = _reference_splitting_total(R, num, truncation)
+    if den:
+        want = want * _reference_splitting_total(R, den, truncation).inverse()
+    assert w_bro(R, VirtualBundle(rank - len(den), num, den, truncation)) == want
+
+
+def test_nilpotent_bundle_needs_no_long_expansion():
+    """Every class of the nilpotent base vanishes above degree 14, so a
+    truncation of 1000 gives the truncation-12 answer."""
+    R = _chern_ring(3, True)
+    u, v = R.gen("u"), R.gen("v")
+    chern = [u, u * u + v, u * v, u * u * v + v * v, u * v * v, u * u * v * v]
+    w = w_bro(R, VirtualBundle(6, chern, [], truncation=1000))
+    assert w.bound == 2000
+    assert w.components == w_bro(R, VirtualBundle(6, chern, [], truncation=12)).components
+    assert w.components
 
 
 # ------------------------------------------------------------- pushforward

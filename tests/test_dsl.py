@@ -368,6 +368,26 @@ def test_unknown_names_are_checked_after_a_zero_factor(tmp_path, capsys):
         _build(ring[:-2] + "  rule y^2 = x*x*zz;\n}\n")
 
 
+def test_exponent_errors_carry_their_span(tmp_path, capsys):
+    """An exponent at the packed field limit, in a query, an expectation or a
+    rule's right side, is reported at that source's line:col."""
+    big = "error: exponent 1073741824 outside 0..1073741823 at %s\n"
+    ring = "ring R {\n  prime = 2;\n  gen y deg=1;\n  gen z deg=536870912;\n"
+    path = tmp_path / "big.steen"
+    for source, where in (
+        ("normalize x1^1073741824 in CLASSIFYING2;", "1:1"),
+        ("normalize x1 in CLASSIFYING2 expect x1^1073741824;", "1:1"),
+        ("\n  normalize x1^536870912*x1^536870912 in CLASSIFYING2;", "2:3"),
+        (ring + "  rule z^2 = y^1073741824;\n}", "5:3"),
+    ):
+        path.write_text(source + "\n", encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == big % where
+    # a term that cancels is never packed, so its exponent is not read
+    R = corpus.get_scenario("CLASSIFYING2").presentation
+    assert not dsl.poly_to_element(R, dsl.parse_poly("x1^1073741824 + x1^1073741824"))
+
+
 def test_build_ring_makes_one_presentation(monkeypatch):
     made = []
     init = rings.RingPresentation.__init__
