@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import lru_cache
 
 from . import corpus, dsl
@@ -46,23 +47,29 @@ def _build_parser():
         p.add_argument("--rings", help="source file declaring extra rings")
 
     apply_p = sub.add_parser("apply", help="apply an operation word")
-    apply_p.add_argument("op", help='operation text, e.g. "Sq^3 Sq^1" or "b P^1 b"')
+    apply_p.set_defaults(query=dsl.ApplyQuery)
+    apply_p.add_argument(
+        "op_text", metavar="op", help='operation text, e.g. "Sq^3 Sq^1" or "b P^1 b"'
+    )
     apply_p.add_argument("poly")
     with_ring(apply_p)
     apply_p.add_argument("--twist", type=int)
     apply_p.add_argument("--expect", help="expected polynomial")
 
     norm = sub.add_parser("normalize", help="normal form of a polynomial")
+    norm.set_defaults(query=dsl.NormalizeQuery)
     norm.add_argument("poly")
     with_ring(norm)
     norm.add_argument("--expect", help="expected polynomial")
 
     adem = sub.add_parser("adem", help="admissible form of an operation word")
-    adem.add_argument("op")
+    adem.set_defaults(query=dsl.AdemQuery)
+    adem.add_argument("op_text", metavar="op")
     adem.add_argument("--prime", type=int, default=2)
     adem.add_argument("--expect", help="expected operation text")
 
     obstruct = sub.add_parser("obstruct", help="run one obstruction test")
+    obstruct.set_defaults(query=dsl.ObstructQuery)
     obstruct.add_argument("kind", choices=("odd", "weird", "frobenius", "hs"))
     obstruct.add_argument("poly")
     with_ring(obstruct)
@@ -78,6 +85,7 @@ def _build_parser():
     )
 
     wu = sub.add_parser("wu-check", help="verify the pushforward identity")
+    wu.set_defaults(query=dsl.WuQuery)
     wu.add_argument("--n", type=int, required=True, help="fiber dimension")
     wu.add_argument("--m", type=int, required=True, help="cycle dimension over the base")
     with_ring(wu)
@@ -86,12 +94,14 @@ def _build_parser():
     wu.add_argument("--expect", choices=("true", "false"))
 
     cc = sub.add_parser("charclass", help="total class of a declared bundle")
+    cc.set_defaults(query=dsl.CharclassQuery)
     cc.add_argument("kind", choices=("w", "wet"))
     cc.add_argument("bundle")
     cc.add_argument("--rings", required=True, help="source file declaring the bundle")
     cc.add_argument("--expect", help="expected rendered class")
 
     corp = sub.add_parser("corpus", help="list or run built-in scenarios")
+    corp.set_defaults(query=dsl.CorpusQuery)
     corp.add_argument("action", choices=("list", "run"))
     corp.add_argument("name", nargs="?", help="scenario name, or all")
 
@@ -165,59 +175,29 @@ def _corpus_hook(query):
 
 
 def _query_from_args(args):
-    if args.command == "apply":
-        return dsl.ApplyQuery(
-            args.op, dsl.parse_poly(args.poly), args.ring, args.twist,
-            dsl.parse_poly(args.expect) if args.expect else None,
-        )
-    if args.command == "normalize":
-        return dsl.NormalizeQuery(
-            dsl.parse_poly(args.poly), args.ring,
-            dsl.parse_poly(args.expect) if args.expect else None,
-        )
-    if args.command == "adem":
-        return dsl.AdemQuery(args.op, args.prime, args.expect)
-    if args.command == "obstruct":
-        expect = expect_poly = None
-        if args.expect is not None:
-            if args.kind == "weird":
-                expect_poly = dsl.parse_poly(args.expect)
-            else:
-                expect = args.expect
-        return dsl.ObstructQuery(
-            args.kind, dsl.parse_poly(args.poly), args.ring,
-            codim=args.codim, which=args.which, q=args.q,
-            max_degree=args.max_degree, twist=args.twist,
-            expect=expect, expect_poly=expect_poly,
-        )
-    if args.command == "wu-check":
-        return dsl.WuQuery(
-            args.n, args.m, args.ring,
-            dsl.parse_poly(args.y) if args.y else None,
-            args.hyperplane, args.expect,
-        )
-    if args.command == "charclass":
-        return dsl.CharclassQuery(args.kind, args.bundle, args.expect)
-    if args.command == "corpus":
-        return dsl.CorpusQuery(args.action, args.name)
-    raise SteencalcError("unknown command %r" % args.command)
+    """The query class the subcommand names, built from its fields read
+    from args by name.  poly and y are polynomials, and so is the
+    expectation of a query on a polynomial, except an obstruction verdict."""
+    values = {f.name: getattr(args, f.name) for f in fields(args.query) if f.name != "span"}
+    polys = ["poly", "y"]
+    if "poly" in values and values.get("kind") in (None, "weird"):
+        polys.append("expect")
+    for name in polys:
+        if values.get(name) is not None:
+            values[name] = dsl.parse_poly(values[name])
+    return args.query(**values)
 
 
 def _dispatch(args):
     if args.command == "run":
         program = _load_program(args.file)
-        resolve_ring, resolve_bundle = _resolvers(program)
-        return [
-            execute_query(q, resolve_ring, resolve_bundle, _corpus_hook)
-            for q in program.queries
-        ]
-    query = _query_from_args(args)
-    if args.command in ("adem", "corpus"):
-        return [execute_query(query, corpus.resolve_ring, corpus_hook=_corpus_hook)]
-    rings_path = getattr(args, "rings", None)
-    program = _load_program(rings_path) if rings_path else None
+        queries = program.queries
+    else:
+        queries = [_query_from_args(args)]
+        rings_path = getattr(args, "rings", None)
+        program = _load_program(rings_path) if rings_path else None
     resolve_ring, resolve_bundle = _resolvers(program)
-    return [execute_query(query, resolve_ring, resolve_bundle, _corpus_hook)]
+    return [execute_query(q, resolve_ring, resolve_bundle, _corpus_hook) for q in queries]
 
 
 def _emit(results, fmt, ok):
@@ -240,11 +220,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    bad = any(not r.ok for r in results) or any(
-        r.fired and r.expected is None for r in results
-    )
-    _emit(results, args.format, not bad)
-    return 1 if bad else 0
+    passed = all(r.passed for r in results)
+    _emit(results, args.format, passed)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -176,8 +176,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
                 s.presentation if name == s.name else resolve_ring(name)
             ),
         )
-        ok = result.ok and not (result.fired and result.expected is None)
-        steps.append(StepResult(result.label, ok, "\n".join(result.lines[1:])))
+        steps.append(StepResult(result.label, result.passed, "\n".join(result.lines[1:])))
     for label, check in s.extra_checks:
         ok, detail = check(s.presentation)
         steps.append(StepResult(label, ok, detail))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     DslSyntaxError,
@@ -202,8 +202,7 @@ class ObstructQuery:
     q: Optional[int] = None
     max_degree: int = 7
     twist: Optional[int] = None
-    expect: Optional[str] = None  # verdict word, or rendered class for weird
-    expect_poly: Optional[Poly] = None
+    expect: Optional[Union[Poly, str]] = None  # Poly for weird, else a verdict word
     span: Optional[Span] = field(default=None, compare=False)
 
 
@@ -566,12 +565,9 @@ class _Parser:
             self.expect_word("in")
             ring = self.expect_ident("a ring name")
             twist = self._parse_twist_clause()
-            expect = expect_poly = None
+            expect = None
             if self.eat_word("expect"):
-                if kind == "weird":
-                    expect_poly = self.parse_poly()
-                else:
-                    expect = self._parse_verdict()
+                expect = self.parse_poly() if kind == "weird" else self._parse_verdict()
             self.expect_sym(";")
             return ObstructQuery(
                 kind, poly, ring,
@@ -579,7 +575,7 @@ class _Parser:
                 which=flags.get("which", 2),
                 q=flags.get("q"),
                 max_degree=flags.get("max-degree", 7),
-                twist=twist, expect=expect, expect_poly=expect_poly, span=span,
+                twist=twist, expect=expect, span=span,
             )
         if verb == "wu-check":
             self.next()
@@ -724,10 +720,8 @@ def render_query(q):
         out += " on %s in %s" % (q.poly.render(), q.ring)
         if q.twist is not None:
             out += " twist = %d" % q.twist
-        if q.expect_poly is not None:
-            out += " expect %s" % q.expect_poly.render()
-        elif q.expect is not None:
-            out += " expect %s" % q.expect
+        if q.expect is not None:
+            out += " expect %s" % (q.expect.render() if q.kind == "weird" else q.expect)
         return out + ";"
     if isinstance(q, WuQuery):
         out = "wu-check --n %d --m %d in %s" % (q.n, q.m, q.ring)
@@ -763,9 +757,16 @@ def render(ast: FileAst) -> str:
 
 def poly_to_element(pres: RingPresentation, poly: Poly, span=None):
     """Evaluate a Poly in a presentation: each term becomes one raw monomial
-    (see _poly_to_raw), reduced to normal form once."""
+    (see _poly_to_raw), reduced to normal form once.  An exponent overflow,
+    in the source or reached through a rule, carries the span."""
     gens = {g.name: (i, g.parity == "odd") for i, g in enumerate(pres.generators)}
-    return pres.element(_poly_to_raw(pres.prime, gens, poly, span))
+    raw = _poly_to_raw(pres.prime, gens, poly, span)
+    try:
+        return pres.element(raw)
+    except InvalidArgument as exc:
+        if span is None:
+            raise
+        raise InvalidArgument("%s%s" % (exc, _at(span))) from exc
 
 
 def _poly_to_raw(prime, gens, poly, span=None):

@@ -3,8 +3,9 @@
 Shared by the command-line front end and the scenario regression runner.
 Each query produces a QueryResult holding the rendered text lines, a
 structured record for machine output, whether an expectation was attached
-and met, and whether an obstruction fired.  Output is deterministic: term
-order comes from the ring's renderers, never from dict iteration.
+and met, and whether an obstruction fired.  QueryResult.passed is the pass
+rule both front ends apply.  Output is deterministic: term order comes from
+the ring's renderers, never from dict iteration.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ class QueryResult:
     def ok(self):
         return self.expected is not False
 
+    @property
+    def passed(self):
+        """ok, and no obstruction fired without an expectation recording it."""
+        return self.ok and not (self.fired and self.expected is None)
+
 
 def element_record(x):
     """Structured form of a ring element: list of (exponent map, coeff)."""
@@ -82,27 +88,20 @@ def diff_elements(got, want):
     return "; ".join(bits) or "coefficient mismatch"
 
 
-def _class_of(pres, query, poly, twist, codim=None):
-    value = dsl.poly_to_element(pres, poly, query.span)
-    if not value.is_homogeneous():
-        raise NonHomogeneousInput("query input must be degree-homogeneous")
-    degree = value.degree() or 0
-    if twist is None:
-        twist = min(
-            (pres.monomial_twist(m) for m in value.terms), default=0
-        )
-    return TwistedClass(value, degree, twist, codim)
-
-
-def _expect_element(result, pres, query, expect_poly, lines, record):
-    want = dsl.poly_to_element(pres, expect_poly, query.span)
-    ok = result == want
-    record["expected"] = element_record(want)
+def _expect(lines, record, ok, wanted):
+    """Record whether an expectation held, as record["ok"] and one line."""
     record["ok"] = ok
-    if ok:
-        lines.append("  expected: ok")
-    else:
-        lines.append("  EXPECTATION FAILED: wanted %s" % want.render())
+    lines.append("  expected: ok" if ok else "  EXPECTATION FAILED: wanted %s" % wanted)
+    return ok
+
+
+def _expect_element(result, pres, query, lines, record):
+    """_expect for a ring element against the query's expected polynomial;
+    a failure adds the monomial diff."""
+    want = dsl.poly_to_element(pres, query.expect, query.span)
+    record["expected"] = element_record(want)
+    ok = _expect(lines, record, result == want, want.render())
+    if not ok:
         lines.append("  diff: %s" % diff_elements(result, want))
     return ok
 
@@ -115,22 +114,16 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
     label = dsl.render_query(query)
     lines = [label]
     record = {"query": label}
+    expected = None
 
     if isinstance(query, dsl.AdemQuery):
-        op = parse_operation(query.op_text, query.prime)
-        normal = op.adem_normalize()
+        normal = parse_operation(query.op_text, query.prime).adem_normalize()
         rendered = normal.render()
         lines.append("  = %s" % rendered)
         record.update({"verb": "adem", "result": rendered})
-        expected = None
         if query.expect is not None:
             want = parse_operation(query.expect, query.prime).adem_normalize()
-            expected = normal == want
-            record["ok"] = expected
-            lines.append(
-                "  expected: ok" if expected
-                else "  EXPECTATION FAILED: wanted %s" % want.render()
-            )
+            expected = _expect(lines, record, normal == want, want.render())
         return QueryResult(label, lines, record, expected)
 
     if isinstance(query, dsl.CorpusQuery):
@@ -157,36 +150,22 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
                 },
             }
         )
-        expected = None
         if query.expect is not None:
-            expected = rendered == query.expect
-            record["ok"] = expected
-            lines.append(
-                "  expected: ok" if expected
-                else "  EXPECTATION FAILED: wanted %s" % query.expect
-            )
+            expected = _expect(lines, record, rendered == query.expect, query.expect)
         return QueryResult(label, lines, record, expected)
 
     pres = resolve_ring(query.ring)
 
-    if isinstance(query, dsl.ApplyQuery):
-        x = dsl.poly_to_element(pres, query.poly, query.span)
-        op = parse_operation(query.op_text, pres.prime)
-        result = pres.apply_op_value(op, x)
-        lines.append("  = %s" % result.render())
-        record.update({"verb": "apply", "result": element_record(result)})
-        expected = None
-        if query.expect is not None:
-            expected = _expect_element(result, pres, query, query.expect, lines, record)
-        return QueryResult(label, lines, record, expected)
-
-    if isinstance(query, dsl.NormalizeQuery):
+    if isinstance(query, (dsl.ApplyQuery, dsl.NormalizeQuery)):
         result = dsl.poly_to_element(pres, query.poly, query.span)
+        verb = "normalize"
+        if isinstance(query, dsl.ApplyQuery):
+            verb = "apply"
+            result = pres.apply_op_value(parse_operation(query.op_text, pres.prime), result)
         lines.append("  = %s" % result.render())
-        record.update({"verb": "normalize", "result": element_record(result)})
-        expected = None
+        record.update({"verb": verb, "result": element_record(result)})
         if query.expect is not None:
-            expected = _expect_element(result, pres, query, query.expect, lines, record)
+            expected = _expect_element(result, pres, query, lines, record)
         return QueryResult(label, lines, record, expected)
 
     if isinstance(query, dsl.WuQuery):
@@ -201,14 +180,8 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
         verdict = "true" if holds else "false"
         lines.append("  = %s" % verdict)
         record.update({"verb": "wu-check", "result": verdict})
-        expected = None
         if query.expect is not None:
-            expected = verdict == query.expect
-            record["ok"] = expected
-            if not expected:
-                lines.append("  EXPECTATION FAILED: wanted %s" % query.expect)
-            else:
-                lines.append("  expected: ok")
+            expected = _expect(lines, record, verdict == query.expect, query.expect)
         return QueryResult(label, lines, record, expected, fired=not holds)
 
     if isinstance(query, dsl.ObstructQuery):
@@ -219,45 +192,40 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
 
 def _execute_obstruct(query, pres, label, lines, record):
     record["verb"] = "obstruct-" + query.kind
+    if query.kind == "weird" and query.codim is None:
+        raise MissingCodim("obstruct weird needs --codim")
+    if query.kind in ("frobenius", "hs") and query.q is None:
+        raise SteencalcError("obstruct %s needs --q" % query.kind)
+    value = dsl.poly_to_element(pres, query.poly, query.span)
+    if not value.is_homogeneous():
+        raise NonHomogeneousInput("query input must be degree-homogeneous")
+    twist = query.twist
+    if twist is None:
+        twist = min((pres.monomial_twist(m) for m in value.terms), default=0)
+    x = TwistedClass(value, value.degree() or 0, twist, query.codim)
     expected = None
 
     if query.kind == "weird":
-        if query.codim is None:
-            raise MissingCodim("obstruct weird needs --codim")
-        x = _class_of(pres, query, query.poly, query.twist, query.codim)
-        out = weird_operator(x, query.codim, query.which)
-        fired = bool(out.value)
+        out = weird_operator(x, query.codim, query.which).value
+        fired = bool(out)
         if fired:
-            lines.append("  = %s (NONZERO: obstruction fires)" % out.value.render())
+            lines.append("  = %s (NONZERO: obstruction fires)" % out.render())
         else:
             lines.append("  = 0 (vanishes)")
-        record.update({"result": element_record(out.value), "fired": fired})
-        if query.expect_poly is not None:
-            expected = _expect_element(out.value, pres, query, query.expect_poly, lines, record)
+        record.update({"result": element_record(out), "fired": fired})
+        if query.expect is not None:
+            expected = _expect_element(out, pres, query, lines, record)
         return QueryResult(label, lines, record, expected, fired)
 
     if query.kind == "odd":
-        x = _class_of(pres, query, query.poly, query.twist, query.codim)
         report = odd_vanishing_check(x, query.max_degree)
     elif query.kind == "frobenius":
-        if query.q is None:
-            raise SteencalcError("obstruct frobenius needs --q")
-        x = _class_of(pres, query, query.poly, query.twist, query.codim)
         report = in_image_F_minus_Id(x, FrobeniusContext(pres, query.q))
     else:  # hs
-        if query.q is None:
-            raise SteencalcError("obstruct hs needs --q")
-        x = _class_of(pres, query, query.poly, query.twist, query.codim)
         report = hs_scripted_check(HsInput(pres, x, query.q))
-
-    for line in report.render().splitlines():
-        lines.append("  " + line)
+    lines.extend("  " + line for line in report.render().splitlines())
     record.update({"verdict": report.verdict, "fired": report.fires})
     if query.expect is not None:
-        expected = report.verdict == query.expect
-        record["ok"] = expected
-        if not expected:
-            lines.append("  EXPECTATION FAILED: wanted verdict %s" % query.expect)
-        else:
-            lines.append("  expected: ok")
+        expected = _expect(lines, record, report.verdict == query.expect,
+                           "verdict " + query.expect)
     return QueryResult(label, lines, record, expected, report.fires)

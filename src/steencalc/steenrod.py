@@ -449,13 +449,8 @@ def parse_operation(text: str, prime: int) -> SteenrodElement:
     return SteenrodElement(prime, terms)
 
 
-def render_operation(e: SteenrodElement) -> str:
-    return e.render()
-
-
-def admissible_monomials(prime, max_degree, parity=None):
-    """All admissible words of degree <= max_degree, optionally filtered to
-    odd or even degree ('odd'/'even').  Sorted by (degree, word)."""
+def admissible_monomials(prime, max_degree):
+    """All admissible words of degree <= max_degree, sorted by (degree, word)."""
     _require_prime(prime)
     out = [()]
     if prime == 2:
@@ -492,13 +487,7 @@ def admissible_monomials(prime, max_degree, parity=None):
     monos = []
     for w in sorted(set(out)):
         m = _monomial(prime, w)
-        d = m.degree()
-        if d > max_degree:
-            continue
-        if parity == "odd" and d % 2 == 0:
-            continue
-        if parity == "even" and d % 2 == 1:
-            continue
-        monos.append(m)
+        if m.degree() <= max_degree:
+            monos.append(m)
     monos.sort(key=lambda m: (m.degree(), m.word))
     return monos

@@ -27,13 +27,8 @@ from steencalc import (
 from steencalc import corpus, dsl, model_ring
 from steencalc.charclasses import _eta_power, _omega_powers
 
-from oracles import (
-    elementary_symmetric,
-    poly_mul,
-    product_one_plus_power,
-    total_class_mul_reference,
-    weight_piece,
-)
+from oracles import elementary_symmetric, poly_mul, product_one_plus_power, weight_piece
+from references import total_class_mul_reference
 
 
 def _root_ring(ell, r):

@@ -12,7 +12,7 @@ from steencalc import (
 from steencalc import GeneratorSpec, OmegaUndeclared, RingPresentation, corpus, dsl, rings
 from steencalc.cli import main
 
-from oracles import reference_lex
+from references import reference_lex
 
 
 RING_P2 = (
@@ -386,6 +386,22 @@ def test_exponent_errors_carry_their_span(tmp_path, capsys):
     # a term that cancels is never packed, so its exponent is not read
     R = corpus.get_scenario("CLASSIFYING2").presentation
     assert not dsl.poly_to_element(R, dsl.parse_poly("x1^1073741824 + x1^1073741824"))
+
+
+def test_exponent_overflow_through_a_rule_carries_its_span(tmp_path, capsys):
+    """z^2*y is in range, but the rule rewrites it to y^1073741824*w."""
+    path = tmp_path / "rule.steen"
+    path.write_text(
+        "ring R {\n  prime = 2;\n  gen y deg=1;\n  gen w deg=1;\n  gen z deg=536870912;\n"
+        "  rule z^2 = y^1073741823*w;\n}\n\n  normalize z^2*y in R;\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: monomial y^1073741824*w has an exponent of 1073741824 or more at 9:3\n"
+    )
+    assert captured.out == ""
 
 
 def test_build_ring_makes_one_presentation(monkeypatch):

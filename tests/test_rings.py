@@ -23,7 +23,8 @@ from steencalc import (
 )
 from steencalc.errors import RuleNonTermination
 
-from oracles import CartanReference, Model2, ModelOdd
+from oracles import Model2, ModelOdd
+from references import CartanReference
 
 
 @pytest.fixture(scope="module")
@@ -597,26 +598,31 @@ def packed_cases(draw):
     """A random presentation at l = 2, 3, 5: odd generators at odd primes,
     rules whose right sides reuse their own generator (chained, like
     s^2 = w5*s) and other rules' leads, every action component the Cartan
-    formula needs, and a homogeneous element of it."""
+    formula needs, two raw polynomials, the first holding each rule's lead
+    squared, and a homogeneous element of it."""
     ell = draw(st.sampled_from([2, 3, 5]))
     degrees = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     n = len(degrees)
     odd = {i for i, d in enumerate(degrees) if ell > 2 and d % 2}
     coeff = st.integers(0, ell)  # ell itself is a zero coefficient
 
-    def poly(degree, first=0, cap=None, nonzero=False):
+    def poly(degree, first=0, cap=None, nonzero=0):
+        """Up to 3 terms; given nonzero > 0, at least that many (as far as
+        there are monomials), and none with a zero coefficient."""
         monos = _monomials(degrees, degree, odd, first, cap)
-        chosen = draw(st.lists(st.sampled_from(monos), min_size=int(nonzero), max_size=3,
-                               unique=True)) if monos else []
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=min(nonzero, len(monos)),
+                               max_size=3, unique=True)) if monos else []
         return {m: draw(st.integers(1, ell - 1) if nonzero else coeff) for m in chosen}
 
-    rules = []
+    rules, squares = [], []
     for gi in range(n):
         if gi not in odd and draw(st.booleans()):
             k = draw(st.integers(2, 3))
             # right sides over generators gi, gi+1, ... only: lex order
             # with generator 0 largest drops at every rewrite, so it stops
-            rules.append(RewriteRule("g%d" % gi, k, poly(k * degrees[gi], gi, k - 1)))
+            rhs = poly(k * degrees[gi], gi, k - 1, nonzero=draw(st.sampled_from([0, 2])))
+            rules.append(RewriteRule("g%d" % gi, k, rhs))
+            squares.append(tuple(2 * k if i == gi else 0 for i in range(n)))
     gens = []
     for gi, d in enumerate(degrees):
         top = d if ell == 2 else d // 2
@@ -627,7 +633,11 @@ def packed_cases(draw):
                                   action=action))
     R = RingPresentation(ell, gens, rules=rules)
     reachable = [d for d in range(1, 9) if _monomials(degrees, d, odd)]
-    raw = [poly(draw(st.sampled_from(reachable)), nonzero=True) for _ in range(2)]
+    raw = [poly(draw(st.sampled_from(reachable)), nonzero=1) for _ in range(2)]
+    for square in squares:
+        # a rule's lead squared: when its right side has two terms, the two
+        # monomials of the first rewrite rewrite again in one round and meet
+        raw[0][square] = draw(st.integers(1, ell - 1))
     bases = [b for b in map(R.basis_of_degree, range(1, 7)) if b]
     basis = draw(st.sampled_from(bases)) if bases else []
     x = {m: draw(st.integers(1, ell - 1))
