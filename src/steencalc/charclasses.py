@@ -123,19 +123,6 @@ class TotalClass:
                 out[d] = acc
         return self._from_terms(self.parent, self.bound, out)
 
-    def power(self, n):
-        if n < 0:
-            return self.inverse().power(-n)
-        result = TotalClass.unit(self.parent, self.bound)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, TotalClass)

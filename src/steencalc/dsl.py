@@ -24,8 +24,11 @@ a term is preserved, since at odd primes x2*x1 is not x1*x2.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from itertools import accumulate, count
+from operator import add, itemgetter
+from typing import Optional, Union
 
 from .errors import (
     DslSyntaxError,
@@ -34,53 +37,81 @@ from .errors import (
     NonHomogeneous,
     NonHomogeneousInput,
     UnknownGenerator,
+    _at,
 )
 from .rings import _FIELD_LIMIT, GeneratorSpec, RewriteRule, RingPresentation, check_generators
 
 # ----------------------------------------------------------------- lexing
 
+# One match per token: the whitespace and comments before it, then the token
+# itself as group 1.  The skip is greedy and stops only at a character some
+# token starts with, so each match is the first one tried and the matches
+# tile the source.  At the end of the source the token is empty: that is the
+# eof token, and it may come twice.  A character no token starts with ends a
+# match of its own, with no group 1.  The most frequent kinds come first.
 _TOKEN = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<flag>--[a-z][a-z-]*)
-  | (?P<kw>wu-check)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<sym>[{}();=^*+\-,])
-  | (?P<bad>.)
+    \s*(?:\#[^\n]*\s*)*
+    (?:( wu-check                  # the one hyphenated word, an ident
+       | [A-Za-z_][A-Za-z_0-9]*    # ident
+       | [{}();=^*+,]              # sym
+       | \d+                       # int, in any script's decimal digits
+       | --[a-z][a-z-]*            # flag
+       | -                         # sym
+       | "[^"\n]*"                 # string, quotes kept
+       | \Z                        # eof
+       )
+    | .                            # a bad character
+    )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-class Token(NamedTuple):
-    kind: str  # int | ident | string | sym | flag | eof
-    value: str
-    line: int
-    col: int
+def _scan(source):
+    """(texts, matches): the token texts, ending in the eof token "", and
+    their matches, from which a token's offset is read when it is needed.
+    Raises DslSyntaxError at the first character no token starts with."""
+    matches = list(_TOKEN.finditer(source))
+    texts = list(map(itemgetter(1), matches))
+    if None in texts:
+        bad = matches[texts.index(None)]
+        raise DslSyntaxError(
+            "unexpected character %r" % bad[0][-1], *_line_col(_newlines(source), bad.end() - 1)
+        )
+    return texts, matches
+
+
+def _newlines(source):
+    """Offsets of the newlines in source, then len(source)."""
+    return list(map(add, accumulate(map(len, source.split("\n"))), count()))
+
+
+def _line_col(newlines, offset):
+    """1-based (line, col) of offset; only a newline starts a line."""
+    k = bisect_left(newlines, offset)
+    return (k + 1, offset - newlines[k - 1] if k else offset + 1)
+
+
+def _kind(text):
+    """int | ident | string | sym | flag | eof, from a token's first characters."""
+    first = text[:1]
+    if first in _IDENT_START:
+        return "ident"
+    if first.isdecimal():
+        return "int"
+    return {"": "eof", '"': "string"}.get(first, "flag" if text[:2] == "--" else "sym")
 
 
 def _lex(source):
-    """One pass of the token pattern; every character matches some group,
-    so the matches tile the source.  Only whitespace crosses lines."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "ws":
-            text = m.group()
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + text.rfind("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "bad":
-            raise DslSyntaxError("unexpected character %r" % m.group(), line, col)
-        tokens.append(Token("ident" if kind == "kw" else kind, m.group(), line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
-    return tokens
+    """(kind, value, line, col) for each token, ending in the eof token."""
+    texts, matches = _scan(source)
+    newlines = _newlines(source)
+    return [
+        (_kind(text), text) + _line_col(newlines, m.start(1))
+        for text, m in zip(texts[:texts.index("") + 1], matches)
+    ]
 
 
 # -------------------------------------------------------------------- ast
@@ -243,130 +274,124 @@ class FileAst:
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the token texts.  A symbol or keyword test is
+    a string comparison, since a string token keeps its quotes; positions
+    are worked out only for spans and errors."""
+
+    def __init__(self, source):
+        self.toks, self.matches = _scan(source)
+        self.newlines = _newlines(source)
         self.pos = 0
 
-    def peek(self):
-        # next() never moves past the eof token, so pos is always in range
-        return self.tokens[self.pos]
+    def span(self):
+        """(line, col) of the current token."""
+        return _line_col(self.newlines, self.matches[self.pos].start(1))
 
     def next(self):
-        tok = self.peek()
-        if tok.kind != "eof":
+        # never moves past the eof token, so pos is always in range
+        tok = self.toks[self.pos]
+        if tok:
             self.pos += 1
         return tok
 
     def fail(self, message, expected=()):
-        tok = self.peek()
-        raise DslSyntaxError(message, tok.line, tok.col, expected)
+        raise DslSyntaxError(message, *self.span(), expected)
 
-    def expect_sym(self, sym):
-        tok = self.peek()
-        if tok.kind != "sym" or tok.value != sym:
-            self.fail("found %r" % (tok.value or "end of input"), (sym,))
-        return self.next()
+    def unexpected(self, *expected):
+        self.fail("found %r" % (self.toks[self.pos] or "end of input"), expected)
 
-    def expect_word(self, word):
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value != word:
-            self.fail("found %r" % (tok.value or "end of input"), (word,))
-        return self.next()
+    def expect(self, *texts):
+        """Consume the symbol or keyword texts, in order."""
+        for text in texts:
+            if self.toks[self.pos] != text:
+                self.unexpected(text)
+            self.pos += 1
 
     def expect_int(self, what="an integer"):
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail("found %r" % (tok.value or "end of input"), (what,))
-        return int(self.next().value)
+        tok = self.toks[self.pos]
+        if not tok.isdecimal():
+            self.unexpected(what)
+        self.pos += 1
+        return int(tok)
 
     def expect_ident(self, what="a name"):
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail("found %r" % (tok.value or "end of input"), (what,))
-        return self.next().value
+        tok = self.toks[self.pos]
+        if tok[:1] not in _IDENT_START:
+            self.unexpected(what)
+        self.pos += 1
+        return tok
 
     def expect_string(self):
-        tok = self.peek()
-        if tok.kind != "string":
-            self.fail("found %r" % (tok.value or "end of input"), ('"..."',))
-        return self.next().value[1:-1]
+        tok = self.toks[self.pos]
+        if tok[:1] != '"':
+            self.unexpected('"..."')
+        self.pos += 1
+        return tok[1:-1]
 
-    def at_word(self, *words):
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value in words
-
-    def at_sym(self, *syms):
-        tok = self.peek()
-        return tok.kind == "sym" and tok.value in syms
-
-    def eat_word(self, word):
-        if self.at_word(word):
-            self.next()
+    def eat(self, text):
+        if self.toks[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
     # -------- polynomials
 
     def parse_poly(self):
+        toks = self.toks
         terms = []
-        negate = False
-        if self.at_sym("-"):
-            self.next()
-            negate = True
-        terms.extend(self._parse_term(negate))
-        while self.at_sym("+", "-"):
-            neg = self.next().value == "-"
-            terms.extend(self._parse_term(neg))
-        return Poly(tuple(terms))
+        negate = self.eat("-")
+        while True:
+            terms.extend(self._parse_term(negate))
+            tok = toks[self.pos]
+            if tok != "+" and tok != "-":
+                return Poly(tuple(terms))
+            self.pos += 1
+            negate = tok == "-"
 
     def _starts_factor(self):
-        tok = self.peek()
-        return tok.kind == "ident" or (tok.kind == "sym" and tok.value == "(")
+        tok = self.toks[self.pos]
+        return tok == "(" or tok[:1] in _IDENT_START
 
     def _parse_term(self, negate):
+        """One term as a list of (coeff, factors); a parenthesized factor
+        multiplies out."""
+        toks = self.toks
         coeff = 1
-        if self.peek().kind == "int":
-            coeff = int(self.next().value)
-            if self.at_sym("*"):
-                self.next()
+        if toks[self.pos].isdecimal():
+            coeff = int(self.next())
+            if self.eat("*"):
                 if not self._starts_factor():
-                    self.fail("found %r" % self.peek().value, ("a generator", "("))
+                    self.fail("found %r" % toks[self.pos], ("a generator", "("))
             elif not self._starts_factor():
                 return [(-coeff if negate else coeff, ())]
         elif not self._starts_factor():
-            self.fail(
-                "found %r" % (self.peek().value or "end of input"),
-                ("a generator", "an integer", "("),
-            )
-        terms = [(coeff, ())]
+            self.unexpected("a generator", "an integer", "(")
+        terms = [(-coeff if negate else coeff, ())]
+        pos = self.pos
         while True:
-            terms = self._apply_factor(terms)
-            if self.at_sym("*"):
-                self.next()
-                continue
-            break
-        if negate:
-            terms = [(-c, f) for c, f in terms]
-        return terms
-
-    def _apply_factor(self, terms):
-        if self.at_sym("("):
-            self.next()
-            sub = self.parse_poly()
-            self.expect_sym(")")
-            return [
-                (c1 * c2, f1 + f2)
-                for c1, f1 in terms
-                for c2, f2 in sub.terms
-            ]
-        name = self.expect_ident("a generator")
-        exp = 1
-        if self.at_sym("^"):
-            self.next()
-            exp = self.expect_int("an exponent")
-        if exp == 0:
-            return terms
-        return [(c, f + ((name, exp),)) for c, f in terms]
+            tok = toks[pos]
+            if tok == "(":
+                self.pos = pos + 1
+                sub = self.parse_poly()
+                self.expect(")")
+                pos = self.pos
+                terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in sub.terms]
+            else:
+                if tok[:1] not in _IDENT_START:
+                    self.pos = pos
+                    self.unexpected("a generator")
+                exp = 1
+                if toks[pos + 1] == "^":
+                    self.pos = pos + 2
+                    exp = self.expect_int("an exponent")
+                    pos += 2
+                pos += 1
+                if exp:
+                    terms = [(c, f + ((tok, exp),)) for c, f in terms]
+            if toks[pos] != "*":
+                self.pos = pos
+                return terms
+            pos += 1
 
     # -------- operation names like Sq^2, P^1, b
 
@@ -376,110 +401,91 @@ class _Parser:
             return ("b", None)
         if name not in ("Sq", "P"):
             self.fail("found %r" % name, ("Sq", "P", "b"))
-        self.expect_sym("^")
+        self.expect("^")
         return (name, self.expect_int("an exponent"))
 
     # -------- declarations
 
     def parse_ring(self):
-        span = (self.peek().line, self.peek().col)
-        self.expect_word("ring")
+        span = self.span()
+        self.expect("ring")
         name = self.expect_ident("a ring name")
-        self.expect_sym("{")
-        self.expect_word("prime")
-        self.expect_sym("=")
+        self.expect("{", "prime", "=")
         prime = self.expect_int("a prime")
-        self.expect_sym(";")
+        self.expect(";")
         gens, rules, actions, omega = [], [], [], None
-        while not self.at_sym("}"):
-            ispan = (self.peek().line, self.peek().col)
-            if self.eat_word("gen"):
+        while not self.eat("}"):
+            ispan = self.span()
+            item = self.toks[self.pos]
+            if item not in ("gen", "rule", "action", "omega"):
+                self.unexpected("gen", "rule", "action", "omega", "}")
+            self.pos += 1
+            if item == "gen":
                 gname = self.expect_ident("a generator name")
-                self.expect_word("deg")
-                self.expect_sym("=")
+                self.expect("deg", "=")
                 deg = self.expect_int("a degree")
                 twist, odd, frob = 0, False, None
-                while not self.at_sym(";"):
-                    if self.eat_word("twist"):
-                        self.expect_sym("=")
+                while not self.eat(";"):
+                    if self.eat("twist"):
+                        self.expect("=")
                         twist = self.expect_int("a twist")
-                    elif self.eat_word("odd"):
+                    elif self.eat("odd"):
                         odd = True
-                    elif self.eat_word("frob"):
-                        self.expect_sym("=")
+                    elif self.eat("frob"):
+                        self.expect("=")
                         frob = self.expect_int("a Frobenius exponent")
                     else:
-                        self.fail(
-                            "found %r" % self.peek().value,
-                            ("twist", "odd", "frob", ";"),
-                        )
-                self.expect_sym(";")
-                gens.append(GenDecl(gname, deg, twist, odd, frob, span=ispan))
-            elif self.eat_word("rule"):
+                        self.fail("found %r" % self.toks[self.pos], ("twist", "odd", "frob", ";"))
+                gens.append(GenDecl(gname, deg, twist, odd, frob, ispan))
+            elif item == "rule":
                 gname = self.expect_ident("a generator name")
-                self.expect_sym("^")
+                self.expect("^")
                 power = self.expect_int("a power")
-                self.expect_sym("=")
+                self.expect("=")
                 rhs = self.parse_poly()
-                self.expect_sym(";")
-                rules.append(RuleDecl(gname, power, rhs, span=ispan))
-            elif self.eat_word("action"):
+                self.expect(";")
+                rules.append(RuleDecl(gname, power, rhs, ispan))
+            elif item == "action":
                 kind, index = self.parse_opname()
-                self.expect_sym("(")
+                self.expect("(")
                 gname = self.expect_ident("a generator name")
-                self.expect_sym(")")
-                self.expect_sym("=")
+                self.expect(")", "=")
                 rhs = self.parse_poly()
-                self.expect_sym(";")
-                actions.append(ActionDecl(kind, index, gname, rhs, span=ispan))
-            elif self.eat_word("omega"):
-                self.expect_sym("=")
-                omega = self.expect_ident("a generator name")
-                self.expect_sym(";")
+                self.expect(";")
+                actions.append(ActionDecl(kind, index, gname, rhs, ispan))
             else:
-                self.fail(
-                    "found %r" % (self.peek().value or "end of input"),
-                    ("gen", "rule", "action", "omega", "}"),
-                )
-        self.expect_sym("}")
-        return RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions), omega, span=span)
+                self.expect("=")
+                omega = self.expect_ident("a generator name")
+                self.expect(";")
+        return RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions), omega, span)
 
     def parse_bundle(self):
-        span = (self.peek().line, self.peek().col)
-        self.expect_word("bundle")
+        span = self.span()
+        self.expect("bundle")
         name = self.expect_ident("a bundle name")
-        self.expect_word("in")
+        self.expect("in")
         ring = self.expect_ident("a ring name")
-        self.expect_sym("{")
-        self.expect_word("rank")
-        self.expect_sym("=")
-        rank_sign = 1
-        if self.at_sym("-"):
-            self.next()
-            rank_sign = -1
+        self.expect("{", "rank", "=")
+        rank_sign = -1 if self.eat("-") else 1
         rank = rank_sign * self.expect_int("a rank")
-        self.expect_sym(";")
+        self.expect(";")
         trunc, chern, denom = 10, {}, {}
-        while not self.at_sym("}"):
-            if self.eat_word("trunc"):
-                self.expect_sym("=")
+        while not self.eat("}"):
+            if self.eat("trunc"):
+                self.expect("=")
                 trunc = self.expect_int("a truncation")
-                self.expect_sym(";")
-            elif self.at_word("chern", "denom"):
-                target = denom if self.next().value == "denom" else chern
+                self.expect(";")
+            elif self.toks[self.pos] in ("chern", "denom"):
+                target = denom if self.next() == "denom" else chern
                 idx = self.expect_int("a Chern index")
-                self.expect_sym("=")
+                self.expect("=")
                 rhs = self.parse_poly()
-                self.expect_sym(";")
+                self.expect(";")
                 if idx < 1 or idx in target:
                     self.fail("Chern indices must be distinct and start at 1")
                 target[idx] = rhs
             else:
-                self.fail(
-                    "found %r" % (self.peek().value or "end of input"),
-                    ("trunc", "chern", "denom", "}"),
-                )
-        self.expect_sym("}")
+                self.unexpected("trunc", "chern", "denom", "}")
         for label, table in (("chern", chern), ("denom", denom)):
             if table and sorted(table) != list(range(1, max(table) + 1)):
                 raise DslSyntaxError(
@@ -490,85 +496,81 @@ class _Parser:
             name, ring, rank, trunc,
             tuple(chern[i] for i in sorted(chern)),
             tuple(denom[i] for i in sorted(denom)),
-            span=span,
+            span,
         )
 
     # -------- queries
 
     def _parse_flags(self, allowed):
         out = {}
-        while self.peek().kind == "flag":
-            tok = self.next()
-            key = tok.value[2:]
+        while self.toks[self.pos][:2] == "--":
+            key = self.toks[self.pos][2:]
             if key not in allowed:
-                raise DslSyntaxError(
-                    "unknown flag --%s" % key, tok.line, tok.col,
-                    tuple("--" + a for a in allowed),
-                )
+                self.fail("unknown flag --%s" % key, tuple("--" + a for a in allowed))
+            self.pos += 1
             out[key] = self.expect_int("a value for --%s" % key)
         return out
 
     def _parse_twist_clause(self):
-        if self.eat_word("twist"):
-            self.expect_sym("=")
+        if self.eat("twist"):
+            self.expect("=")
             return self.expect_int("a twist")
         return None
 
     def _parse_verdict(self):
         # verdicts may be hyphenated (not-in-image), which the lexer splits
         word = self.expect_ident("a verdict")
-        while self.at_sym("-"):
-            self.next()
+        while self.eat("-"):
             word += "-" + self.expect_ident("a verdict word")
         return word
 
     def parse_query(self):
-        span = (self.peek().line, self.peek().col)
-        verb = self.peek().value
+        span = self.span()
+        verb = self.toks[self.pos]
         if verb == "apply":
             self.next()
             op_text = self.expect_string()
-            self.expect_word("to")
+            self.expect("to")
             poly = self.parse_poly()
-            self.expect_word("in")
+            self.expect("in")
             ring = self.expect_ident("a ring name")
             twist = self._parse_twist_clause()
-            expect = self.parse_poly() if self.eat_word("expect") else None
-            self.expect_sym(";")
-            return ApplyQuery(op_text, poly, ring, twist, expect, span=span)
+            expect = self.parse_poly() if self.eat("expect") else None
+            self.expect(";")
+            return ApplyQuery(op_text, poly, ring, twist, expect, span)
         if verb == "normalize":
             self.next()
             poly = self.parse_poly()
-            self.expect_word("in")
+            self.expect("in")
             ring = self.expect_ident("a ring name")
-            expect = self.parse_poly() if self.eat_word("expect") else None
-            self.expect_sym(";")
-            return NormalizeQuery(poly, ring, expect, span=span)
+            expect = self.parse_poly() if self.eat("expect") else None
+            self.expect(";")
+            return NormalizeQuery(poly, ring, expect, span)
         if verb == "adem":
             self.next()
             op_text = self.expect_string()
             prime = 2
-            if self.eat_word("prime"):
-                self.expect_sym("=")
+            if self.eat("prime"):
+                self.expect("=")
                 prime = self.expect_int("a prime")
-            expect = self.expect_string() if self.eat_word("expect") else None
-            self.expect_sym(";")
-            return AdemQuery(op_text, prime, expect, span=span)
+            expect = self.expect_string() if self.eat("expect") else None
+            self.expect(";")
+            return AdemQuery(op_text, prime, expect, span)
         if verb == "obstruct":
             self.next()
             kind = self.expect_ident("odd, weird, frobenius, or hs")
             if kind not in ("odd", "weird", "frobenius", "hs"):
                 self.fail("found %r" % kind, ("odd", "weird", "frobenius", "hs"))
             flags = self._parse_flags(("codim", "which", "q", "max-degree"))
-            self.expect_word("on")
+            self.expect("on")
             poly = self.parse_poly()
-            self.expect_word("in")
+            self.expect("in")
             ring = self.expect_ident("a ring name")
             twist = self._parse_twist_clause()
             expect = None
-            if self.eat_word("expect"):
+            if self.eat("expect"):
                 expect = self.parse_poly() if kind == "weird" else self._parse_verdict()
-            self.expect_sym(";")
+            self.expect(";")
             return ObstructQuery(
                 kind, poly, ring,
                 codim=flags.get("codim"),
@@ -582,29 +584,29 @@ class _Parser:
             flags = self._parse_flags(("n", "m"))
             if "n" not in flags or "m" not in flags:
                 self.fail("wu-check needs --n and --m", ("--n", "--m"))
-            self.expect_word("in")
+            self.expect("in")
             ring = self.expect_ident("a ring name")
             y = None
             hyperplane = "l"
-            if self.eat_word("y"):
-                self.expect_sym("=")
+            if self.eat("y"):
+                self.expect("=")
                 y = self.parse_poly()
-            if self.eat_word("hyperplane"):
-                self.expect_sym("=")
+            if self.eat("hyperplane"):
+                self.expect("=")
                 hyperplane = self.expect_ident("a generator name")
-            expect = self.expect_ident("true or false") if self.eat_word("expect") else None
-            self.expect_sym(";")
-            return WuQuery(flags["n"], flags["m"], ring, y, hyperplane, expect, span=span)
+            expect = self.expect_ident("true or false") if self.eat("expect") else None
+            self.expect(";")
+            return WuQuery(flags["n"], flags["m"], ring, y, hyperplane, expect, span)
         if verb == "charclass":
             self.next()
             kind = self.expect_ident("w or wet")
             if kind not in ("w", "wet"):
                 self.fail("found %r" % kind, ("w", "wet"))
-            self.expect_word("of")
+            self.expect("of")
             bundle = self.expect_ident("a bundle name")
-            expect = self.expect_string() if self.eat_word("expect") else None
-            self.expect_sym(";")
-            return CharclassQuery(kind, bundle, expect, span=span)
+            expect = self.expect_string() if self.eat("expect") else None
+            self.expect(";")
+            return CharclassQuery(kind, bundle, expect, span)
         if verb == "corpus":
             self.next()
             action = self.expect_ident("list or run")
@@ -613,20 +615,20 @@ class _Parser:
             name = None
             if action == "run":
                 name = self.expect_ident("a scenario name or all")
-            self.expect_sym(";")
-            return CorpusQuery(action, name, span=span)
-        self.fail(
-            "found %r" % (verb or "end of input"),
-            ("ring", "bundle", "apply", "normalize", "adem", "obstruct",
-             "wu-check", "charclass", "corpus"),
+            self.expect(";")
+            return CorpusQuery(action, name, span)
+        self.unexpected(
+            "ring", "bundle", "apply", "normalize", "adem", "obstruct",
+            "wu-check", "charclass", "corpus",
         )
 
     def parse_file(self):
         rings, bundles, queries = [], [], []
-        while self.peek().kind != "eof":
-            if self.at_word("ring"):
+        toks = self.toks
+        while toks[self.pos]:
+            if toks[self.pos] == "ring":
                 rings.append(self.parse_ring())
-            elif self.at_word("bundle"):
+            elif toks[self.pos] == "bundle":
                 bundles.append(self.parse_bundle())
             else:
                 queries.append(self.parse_query())
@@ -636,14 +638,14 @@ class _Parser:
 def parse(source: str) -> FileAst:
     """Parse a source file into its syntax tree.  Syntax only: name and
     homogeneity errors surface from build_program."""
-    return _Parser(_lex(source)).parse_file()
+    return _Parser(source).parse_file()
 
 
 def parse_poly(text: str) -> Poly:
     """Parse a standalone polynomial, e.g. from a CLI argument."""
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     poly = parser.parse_poly()
-    if parser.peek().kind != "eof":
+    if parser.toks[parser.pos]:
         parser.fail("trailing input after the polynomial")
     return poly
 
@@ -783,7 +785,7 @@ def _poly_to_raw(prime, gens, poly, span=None):
         exps, odds = [0] * len(gens), [0] * len(gens)
         for name, exp in factors:
             if name not in gens:
-                raise UnknownGenerator("unknown generator %r%s" % (name, _at(span)))
+                raise UnknownGenerator("unknown generator %r" % name, span)
             gi, odd = gens[name]
             if c and odd and exp:
                 if odds[gi] or exp > 1:
@@ -805,16 +807,12 @@ def _poly_to_raw(prime, gens, poly, span=None):
     return out
 
 
-def _at(span):
-    return " at %d:%d" % span if span else ""
-
-
 def build_ring(block: RingBlock) -> RingPresentation:
     seen = set()
     for g in block.gens:
         if g.name in seen:
             raise DuplicateGenerator(
-                "generator %r declared twice in ring %s" % (g.name, block.name)
+                "generator %r declared twice in ring %s" % (g.name, block.name), g.span
             )
         seen.add(g.name)
     specs = [
@@ -828,7 +826,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
     try:
         check_generators(block.prime, specs, block.omega)
     except (NonHomogeneousInput, ValueError) as exc:
-        raise NonHomogeneous(str(exc)) from exc
+        raise NonHomogeneous(str(exc), block.span) from exc
     gens = {g.name: (i, g.odd) for i, g in enumerate(block.gens)}
     rules = [
         RewriteRule(r.gen, r.power, _poly_to_raw(block.prime, gens, r.rhs, r.span))
@@ -836,25 +834,23 @@ def build_ring(block: RingBlock) -> RingPresentation:
     ]
     for r in block.rules:
         if r.gen not in gens:
-            raise UnknownGenerator("rule on unknown generator %r" % r.gen)
+            raise UnknownGenerator("rule on unknown generator %r" % r.gen, r.span)
     for a in block.actions:
         if a.gen not in gens:
-            raise UnknownGenerator("action on unknown generator %r" % a.gen)
+            raise UnknownGenerator("action on unknown generator %r" % a.gen, a.span)
         if a.kind == "Sq" and block.prime != 2:
-            raise NonHomogeneous("Sq actions need prime 2 (ring %s)" % block.name)
+            raise NonHomogeneous("Sq actions need prime 2 (ring %s)" % block.name, a.span)
         if a.kind == "P" and block.prime == 2:
-            raise NonHomogeneous("P actions need an odd prime (ring %s)" % block.name)
+            raise NonHomogeneous("P actions need an odd prime (ring %s)" % block.name, a.span)
         action = specs[gens[a.gen][0]].action
         key = "b" if a.kind == "b" else a.index
         if key in action:
-            raise DuplicateGenerator(
-                "action %s(%s) declared twice" % (a.op_text(), a.gen)
-            )
+            raise DuplicateGenerator("action %s(%s) declared twice" % (a.op_text(), a.gen), a.span)
         action[key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
     try:
         return RingPresentation(block.prime, specs, rules=rules, omega=block.omega)
     except (NonHomogeneousInput, ValueError) as exc:
-        raise NonHomogeneous(str(exc)) from exc
+        raise NonHomogeneous(str(exc), block.span) from exc
 
 
 @dataclass
@@ -868,14 +864,14 @@ def build_program(ast: FileAst) -> Program:
     rings = {}
     for block in ast.rings:
         if block.name in rings:
-            raise DuplicateGenerator("ring %r declared twice" % block.name)
+            raise DuplicateGenerator("ring %r declared twice" % block.name, block.span)
         rings[block.name] = build_ring(block)
     bundles = {}
     for b in ast.bundles:
         if b.name in bundles:
-            raise DuplicateGenerator("bundle %r declared twice" % b.name)
+            raise DuplicateGenerator("bundle %r declared twice" % b.name, b.span)
         if b.ring not in rings:
-            raise UnknownGenerator("bundle %s names unknown ring %r" % (b.name, b.ring))
+            raise UnknownGenerator("bundle %s names unknown ring %r" % (b.name, b.ring), b.span)
         # chern polys must evaluate; degrees are checked when the bundle is used
         for poly in b.chern + b.denom:
             poly_to_element(rings[b.ring], poly, b.span)

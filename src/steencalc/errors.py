@@ -86,13 +86,29 @@ class DslSyntaxError(SteencalcError):
         super().__init__("%d:%d: %s%s" % (line, col, message, suffix))
 
 
-class DuplicateGenerator(SteencalcError):
-    """The same generator name was declared twice in one ring."""
+def _at(span):
+    """' at line:col' for a (line, col) span, '' for none."""
+    return " at %d:%d" % span if span else ""
 
 
-class UnknownGenerator(SteencalcError):
-    """A polynomial referenced a name not declared in its ring."""
+class DslSemanticError(SteencalcError):
+    """A source file parses but means nothing valid.  `span` is the
+    (line, col) of the declaration at fault, and the message ends in it;
+    both are absent when the error does not come from a file."""
+
+    def __init__(self, message, span=None):
+        super().__init__(message + _at(span))
+        self.span = span
 
 
-class NonHomogeneous(SteencalcError):
-    """A rule or action in a source file mixes degrees or twists."""
+class DuplicateGenerator(DslSemanticError):
+    """A generator, action, ring or bundle was declared twice."""
+
+
+class UnknownGenerator(DslSemanticError):
+    """A polynomial, rule, action or bundle referenced an undeclared name."""
+
+
+class NonHomogeneous(DslSemanticError):
+    """A ring in a source file mixes degrees or twists, or uses the wrong
+    operation family for its prime."""

@@ -9,12 +9,32 @@ Unlike the closed-form models in oracles.py, these call into the package:
   RingElement operators;
 - `reference_lex` is the character-by-character lexer the DSL front end
   once used;
+- `reference_parse` and `reference_parse_poly` are the DSL front end the
+  token-text parser replaced: a lexer that builds one Token per match and
+  a parser over those tokens, building the package's own syntax-tree nodes;
 - `reference_normalize_words` is the Adem normaliser that rescanned every
   word from its first letter, over the engine's own Adem pair tables.
 """
 
 import re
+from typing import NamedTuple
 
+from steencalc.dsl import (
+    ActionDecl,
+    AdemQuery,
+    ApplyQuery,
+    BundleDecl,
+    CharclassQuery,
+    CorpusQuery,
+    FileAst,
+    GenDecl,
+    NormalizeQuery,
+    ObstructQuery,
+    Poly,
+    RingBlock,
+    RuleDecl,
+    WuQuery,
+)
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
 from steencalc.steenrod import _MAX_REWRITE_STEPS, _adem_pbp, _adem_pp, _adem_sq
 
@@ -176,6 +196,459 @@ def reference_lex(source):
         pos = m.end()
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+# ---------------------------------------- token-object DSL front end
+
+
+_TOKEN = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<flag>--[a-z][a-z-]*)
+  | (?P<kw>wu-check)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<sym>[{}();=^*+\-,])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class Token(NamedTuple):
+    kind: str  # int | ident | string | sym | flag | eof
+    value: str
+    line: int
+    col: int
+
+
+def _lex(source):
+    """One pass of the token pattern; every character matches some group,
+    so the matches tile the source.  Only whitespace crosses lines."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "ws":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise DslSyntaxError("unexpected character %r" % m.group(), line, col)
+        tokens.append(Token("ident" if kind == "kw" else kind, m.group(), line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        # next() never moves past the eof token, so pos is always in range
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def fail(self, message, expected=()):
+        tok = self.peek()
+        raise DslSyntaxError(message, tok.line, tok.col, expected)
+
+    def expect_sym(self, sym):
+        tok = self.peek()
+        if tok.kind != "sym" or tok.value != sym:
+            self.fail("found %r" % (tok.value or "end of input"), (sym,))
+        return self.next()
+
+    def expect_word(self, word):
+        tok = self.peek()
+        if tok.kind != "ident" or tok.value != word:
+            self.fail("found %r" % (tok.value or "end of input"), (word,))
+        return self.next()
+
+    def expect_int(self, what="an integer"):
+        tok = self.peek()
+        if tok.kind != "int":
+            self.fail("found %r" % (tok.value or "end of input"), (what,))
+        return int(self.next().value)
+
+    def expect_ident(self, what="a name"):
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.fail("found %r" % (tok.value or "end of input"), (what,))
+        return self.next().value
+
+    def expect_string(self):
+        tok = self.peek()
+        if tok.kind != "string":
+            self.fail("found %r" % (tok.value or "end of input"), ('"..."',))
+        return self.next().value[1:-1]
+
+    def at_word(self, *words):
+        tok = self.peek()
+        return tok.kind == "ident" and tok.value in words
+
+    def at_sym(self, *syms):
+        tok = self.peek()
+        return tok.kind == "sym" and tok.value in syms
+
+    def eat_word(self, word):
+        if self.at_word(word):
+            self.next()
+            return True
+        return False
+
+    # -------- polynomials
+
+    def parse_poly(self):
+        terms = []
+        negate = False
+        if self.at_sym("-"):
+            self.next()
+            negate = True
+        terms.extend(self._parse_term(negate))
+        while self.at_sym("+", "-"):
+            neg = self.next().value == "-"
+            terms.extend(self._parse_term(neg))
+        return Poly(tuple(terms))
+
+    def _starts_factor(self):
+        tok = self.peek()
+        return tok.kind == "ident" or (tok.kind == "sym" and tok.value == "(")
+
+    def _parse_term(self, negate):
+        coeff = 1
+        if self.peek().kind == "int":
+            coeff = int(self.next().value)
+            if self.at_sym("*"):
+                self.next()
+                if not self._starts_factor():
+                    self.fail("found %r" % self.peek().value, ("a generator", "("))
+            elif not self._starts_factor():
+                return [(-coeff if negate else coeff, ())]
+        elif not self._starts_factor():
+            self.fail(
+                "found %r" % (self.peek().value or "end of input"),
+                ("a generator", "an integer", "("),
+            )
+        terms = [(coeff, ())]
+        while True:
+            terms = self._apply_factor(terms)
+            if self.at_sym("*"):
+                self.next()
+                continue
+            break
+        if negate:
+            terms = [(-c, f) for c, f in terms]
+        return terms
+
+    def _apply_factor(self, terms):
+        if self.at_sym("("):
+            self.next()
+            sub = self.parse_poly()
+            self.expect_sym(")")
+            return [
+                (c1 * c2, f1 + f2)
+                for c1, f1 in terms
+                for c2, f2 in sub.terms
+            ]
+        name = self.expect_ident("a generator")
+        exp = 1
+        if self.at_sym("^"):
+            self.next()
+            exp = self.expect_int("an exponent")
+        if exp == 0:
+            return terms
+        return [(c, f + ((name, exp),)) for c, f in terms]
+
+    # -------- operation names like Sq^2, P^1, b
+
+    def parse_opname(self):
+        name = self.expect_ident("Sq, P, or b")
+        if name == "b":
+            return ("b", None)
+        if name not in ("Sq", "P"):
+            self.fail("found %r" % name, ("Sq", "P", "b"))
+        self.expect_sym("^")
+        return (name, self.expect_int("an exponent"))
+
+    # -------- declarations
+
+    def parse_ring(self):
+        span = (self.peek().line, self.peek().col)
+        self.expect_word("ring")
+        name = self.expect_ident("a ring name")
+        self.expect_sym("{")
+        self.expect_word("prime")
+        self.expect_sym("=")
+        prime = self.expect_int("a prime")
+        self.expect_sym(";")
+        gens, rules, actions, omega = [], [], [], None
+        while not self.at_sym("}"):
+            ispan = (self.peek().line, self.peek().col)
+            if self.eat_word("gen"):
+                gname = self.expect_ident("a generator name")
+                self.expect_word("deg")
+                self.expect_sym("=")
+                deg = self.expect_int("a degree")
+                twist, odd, frob = 0, False, None
+                while not self.at_sym(";"):
+                    if self.eat_word("twist"):
+                        self.expect_sym("=")
+                        twist = self.expect_int("a twist")
+                    elif self.eat_word("odd"):
+                        odd = True
+                    elif self.eat_word("frob"):
+                        self.expect_sym("=")
+                        frob = self.expect_int("a Frobenius exponent")
+                    else:
+                        self.fail(
+                            "found %r" % self.peek().value,
+                            ("twist", "odd", "frob", ";"),
+                        )
+                self.expect_sym(";")
+                gens.append(GenDecl(gname, deg, twist, odd, frob, span=ispan))
+            elif self.eat_word("rule"):
+                gname = self.expect_ident("a generator name")
+                self.expect_sym("^")
+                power = self.expect_int("a power")
+                self.expect_sym("=")
+                rhs = self.parse_poly()
+                self.expect_sym(";")
+                rules.append(RuleDecl(gname, power, rhs, span=ispan))
+            elif self.eat_word("action"):
+                kind, index = self.parse_opname()
+                self.expect_sym("(")
+                gname = self.expect_ident("a generator name")
+                self.expect_sym(")")
+                self.expect_sym("=")
+                rhs = self.parse_poly()
+                self.expect_sym(";")
+                actions.append(ActionDecl(kind, index, gname, rhs, span=ispan))
+            elif self.eat_word("omega"):
+                self.expect_sym("=")
+                omega = self.expect_ident("a generator name")
+                self.expect_sym(";")
+            else:
+                self.fail(
+                    "found %r" % (self.peek().value or "end of input"),
+                    ("gen", "rule", "action", "omega", "}"),
+                )
+        self.expect_sym("}")
+        return RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions), omega, span=span)
+
+    def parse_bundle(self):
+        span = (self.peek().line, self.peek().col)
+        self.expect_word("bundle")
+        name = self.expect_ident("a bundle name")
+        self.expect_word("in")
+        ring = self.expect_ident("a ring name")
+        self.expect_sym("{")
+        self.expect_word("rank")
+        self.expect_sym("=")
+        rank_sign = 1
+        if self.at_sym("-"):
+            self.next()
+            rank_sign = -1
+        rank = rank_sign * self.expect_int("a rank")
+        self.expect_sym(";")
+        trunc, chern, denom = 10, {}, {}
+        while not self.at_sym("}"):
+            if self.eat_word("trunc"):
+                self.expect_sym("=")
+                trunc = self.expect_int("a truncation")
+                self.expect_sym(";")
+            elif self.at_word("chern", "denom"):
+                target = denom if self.next().value == "denom" else chern
+                idx = self.expect_int("a Chern index")
+                self.expect_sym("=")
+                rhs = self.parse_poly()
+                self.expect_sym(";")
+                if idx < 1 or idx in target:
+                    self.fail("Chern indices must be distinct and start at 1")
+                target[idx] = rhs
+            else:
+                self.fail(
+                    "found %r" % (self.peek().value or "end of input"),
+                    ("trunc", "chern", "denom", "}"),
+                )
+        self.expect_sym("}")
+        for label, table in (("chern", chern), ("denom", denom)):
+            if table and sorted(table) != list(range(1, max(table) + 1)):
+                raise DslSyntaxError(
+                    "%s classes of %s must be consecutive from 1" % (label, name),
+                    span[0], span[1],
+                )
+        return BundleDecl(
+            name, ring, rank, trunc,
+            tuple(chern[i] for i in sorted(chern)),
+            tuple(denom[i] for i in sorted(denom)),
+            span=span,
+        )
+
+    # -------- queries
+
+    def _parse_flags(self, allowed):
+        out = {}
+        while self.peek().kind == "flag":
+            tok = self.next()
+            key = tok.value[2:]
+            if key not in allowed:
+                raise DslSyntaxError(
+                    "unknown flag --%s" % key, tok.line, tok.col,
+                    tuple("--" + a for a in allowed),
+                )
+            out[key] = self.expect_int("a value for --%s" % key)
+        return out
+
+    def _parse_twist_clause(self):
+        if self.eat_word("twist"):
+            self.expect_sym("=")
+            return self.expect_int("a twist")
+        return None
+
+    def _parse_verdict(self):
+        # verdicts may be hyphenated (not-in-image), which the lexer splits
+        word = self.expect_ident("a verdict")
+        while self.at_sym("-"):
+            self.next()
+            word += "-" + self.expect_ident("a verdict word")
+        return word
+
+    def parse_query(self):
+        span = (self.peek().line, self.peek().col)
+        verb = self.peek().value
+        if verb == "apply":
+            self.next()
+            op_text = self.expect_string()
+            self.expect_word("to")
+            poly = self.parse_poly()
+            self.expect_word("in")
+            ring = self.expect_ident("a ring name")
+            twist = self._parse_twist_clause()
+            expect = self.parse_poly() if self.eat_word("expect") else None
+            self.expect_sym(";")
+            return ApplyQuery(op_text, poly, ring, twist, expect, span=span)
+        if verb == "normalize":
+            self.next()
+            poly = self.parse_poly()
+            self.expect_word("in")
+            ring = self.expect_ident("a ring name")
+            expect = self.parse_poly() if self.eat_word("expect") else None
+            self.expect_sym(";")
+            return NormalizeQuery(poly, ring, expect, span=span)
+        if verb == "adem":
+            self.next()
+            op_text = self.expect_string()
+            prime = 2
+            if self.eat_word("prime"):
+                self.expect_sym("=")
+                prime = self.expect_int("a prime")
+            expect = self.expect_string() if self.eat_word("expect") else None
+            self.expect_sym(";")
+            return AdemQuery(op_text, prime, expect, span=span)
+        if verb == "obstruct":
+            self.next()
+            kind = self.expect_ident("odd, weird, frobenius, or hs")
+            if kind not in ("odd", "weird", "frobenius", "hs"):
+                self.fail("found %r" % kind, ("odd", "weird", "frobenius", "hs"))
+            flags = self._parse_flags(("codim", "which", "q", "max-degree"))
+            self.expect_word("on")
+            poly = self.parse_poly()
+            self.expect_word("in")
+            ring = self.expect_ident("a ring name")
+            twist = self._parse_twist_clause()
+            expect = None
+            if self.eat_word("expect"):
+                expect = self.parse_poly() if kind == "weird" else self._parse_verdict()
+            self.expect_sym(";")
+            return ObstructQuery(
+                kind, poly, ring,
+                codim=flags.get("codim"),
+                which=flags.get("which", 2),
+                q=flags.get("q"),
+                max_degree=flags.get("max-degree", 7),
+                twist=twist, expect=expect, span=span,
+            )
+        if verb == "wu-check":
+            self.next()
+            flags = self._parse_flags(("n", "m"))
+            if "n" not in flags or "m" not in flags:
+                self.fail("wu-check needs --n and --m", ("--n", "--m"))
+            self.expect_word("in")
+            ring = self.expect_ident("a ring name")
+            y = None
+            hyperplane = "l"
+            if self.eat_word("y"):
+                self.expect_sym("=")
+                y = self.parse_poly()
+            if self.eat_word("hyperplane"):
+                self.expect_sym("=")
+                hyperplane = self.expect_ident("a generator name")
+            expect = self.expect_ident("true or false") if self.eat_word("expect") else None
+            self.expect_sym(";")
+            return WuQuery(flags["n"], flags["m"], ring, y, hyperplane, expect, span=span)
+        if verb == "charclass":
+            self.next()
+            kind = self.expect_ident("w or wet")
+            if kind not in ("w", "wet"):
+                self.fail("found %r" % kind, ("w", "wet"))
+            self.expect_word("of")
+            bundle = self.expect_ident("a bundle name")
+            expect = self.expect_string() if self.eat_word("expect") else None
+            self.expect_sym(";")
+            return CharclassQuery(kind, bundle, expect, span=span)
+        if verb == "corpus":
+            self.next()
+            action = self.expect_ident("list or run")
+            if action not in ("list", "run"):
+                self.fail("found %r" % action, ("list", "run"))
+            name = None
+            if action == "run":
+                name = self.expect_ident("a scenario name or all")
+            self.expect_sym(";")
+            return CorpusQuery(action, name, span=span)
+        self.fail(
+            "found %r" % (verb or "end of input"),
+            ("ring", "bundle", "apply", "normalize", "adem", "obstruct",
+             "wu-check", "charclass", "corpus"),
+        )
+
+    def parse_file(self):
+        rings, bundles, queries = [], [], []
+        while self.peek().kind != "eof":
+            if self.at_word("ring"):
+                rings.append(self.parse_ring())
+            elif self.at_word("bundle"):
+                bundles.append(self.parse_bundle())
+            else:
+                queries.append(self.parse_query())
+        return FileAst(tuple(rings), tuple(bundles), tuple(queries))
+
+
+def reference_parse(source):
+    """Parse a source file into its syntax tree.  Syntax only: name and
+    homogeneity errors surface from build_program."""
+    return _Parser(_lex(source)).parse_file()
+
+
+def reference_parse_poly(text):
+    """Parse a standalone polynomial, e.g. from a CLI argument."""
+    parser = _Parser(_lex(text))
+    poly = parser.parse_poly()
+    if parser.peek().kind != "eof":
+        parser.fail("trailing input after the polynomial")
+    return poly
 
 
 # ------------------------------------------------- Adem rewriting, restarted

@@ -1,5 +1,8 @@
 """Surface syntax: lexing, parsing, rendering, and elaboration into rings."""
 
+import os
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,7 @@ from steencalc import (
 from steencalc import GeneratorSpec, OmegaUndeclared, RingPresentation, corpus, dsl, rings
 from steencalc.cli import main
 
-from references import reference_lex
+from references import reference_lex, reference_parse, reference_parse_poly
 
 
 RING_P2 = (
@@ -132,6 +135,106 @@ def test_lexer_matches_reference_on_shipped_files(name):
     assert tokens == _lex_outcome(reference_lex, source)
 
 
+# --------------------------------- parser against the token-object reference
+
+
+def _spans(tree):
+    """(node type, span) for every node, in field order: spans take no part
+    in equality, so the trees alone would not compare them."""
+    out = []
+    if is_dataclass(tree):
+        for f in fields(tree):
+            value = getattr(tree, f.name)
+            if f.name == "span":
+                out.append((type(tree).__name__, value))
+            else:
+                out.extend(_spans(value))
+    elif isinstance(tree, tuple):
+        for item in tree:
+            out.extend(_spans(item))
+    return out
+
+
+def _parse_outcome(parse, source):
+    """The tree and its spans, or the error's message, position and
+    expected set."""
+    try:
+        tree = parse(source)
+    except DslSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.col, exc.expected)
+    return tree, _spans(tree)
+
+
+SESSION_RINGS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench", "rings", "session.steen",
+)
+
+
+def _sources():
+    paths = [corpus.data_file_path(name) for name in corpus.scenario_names()]
+    out = []
+    for path in paths + [SESSION_RINGS]:
+        with open(path, encoding="utf-8") as fh:
+            out.append(fh.read())
+    return out
+
+
+SOURCES = _sources()
+
+
+@pytest.mark.parametrize("index", range(len(SOURCES)))
+def test_parser_matches_reference_on_shipped_files(index):
+    source = SOURCES[index]
+    got = _parse_outcome(dsl.parse, source)
+    assert got[0] != "error"
+    assert got == _parse_outcome(reference_parse, source)
+
+
+def _token_extents(source):
+    """(start, end) offsets of each token but eof, from the reference lexer."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    return [
+        (line_starts[line - 1] + col - 1, line_starts[line - 1] + col - 1 + len(value))
+        for kind, value, line, col in reference_lex(source)[:-1]
+    ]
+
+
+@st.composite
+def mutated_source(draw):
+    """A shipped source with one token deleted, duplicated, or swapped with
+    the next one, the layout around it kept."""
+    source = draw(st.sampled_from(SOURCES))
+    extents = _token_extents(source)
+    i = draw(st.integers(0, len(extents) - 2))
+    (s, e), (s2, e2) = extents[i], extents[i + 1]
+    edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    if edit == "delete":
+        return source[:s] + source[e:]
+    if edit == "duplicate":
+        return source[:e] + draw(st.sampled_from(["", " "])) + source[s:]
+    return source[:s] + source[s2:e2] + source[e:s2] + source[s:e] + source[e2:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_source())
+def test_parser_matches_reference_on_mutated_files(source):
+    assert _parse_outcome(dsl.parse, source) == _parse_outcome(reference_parse, source)
+
+
+POLY_PIECES = [
+    "w", "x1", "Sq", "_a", "0", "1", "12", "\u0663", "^", "*", "+", "-", "(", ")",
+    " ", "\n", ";", "in", '"w"', "--q", "#c\n", "@",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(POLY_PIECES), max_size=16).map("".join))
+def test_parse_poly_matches_reference(text):
+    assert (_parse_outcome(dsl.parse_poly, text)
+            == _parse_outcome(reference_parse_poly, text))
+
+
 # ------------------------------------------------------------- polynomials
 
 
@@ -233,6 +336,51 @@ def test_non_homogeneous_rule_and_action():
             "ring R {\n  prime = 2;\n  gen w deg=1;\n  gen l deg=2 twist=1;\n"
             "  action Sq^1(l) = l;\n}"
         )
+
+
+R2 = "ring R {\n  prime = 2;\n  gen w deg=1;\n"
+R3 = "ring R {\n  prime = 3;\n  gen y deg=2 twist=1;\n"
+BUNDLE = "bundle E in R {\n  rank = 1;\n}\n"
+
+
+@pytest.mark.parametrize("source, error, message, span", [
+    (R2 + "  gen w deg=1;\n}", DuplicateGenerator,
+     "generator 'w' declared twice in ring R", (4, 3)),
+    (R2 + "  action Sq^1(w) = w^2;\n  action Sq^1(w) = w^2;\n}", DuplicateGenerator,
+     "action Sq^1(w) declared twice", (5, 3)),
+    (R2 + "}\n  " + R2 + "}", DuplicateGenerator, "ring 'R' declared twice", (5, 3)),
+    (R2 + "}\n" + BUNDLE + BUNDLE, DuplicateGenerator, "bundle 'E' declared twice", (8, 1)),
+    (R2 + "  rule v^2 = 0;\n}", UnknownGenerator, "rule on unknown generator 'v'", (4, 3)),
+    (R2 + "  action Sq^1(v) = 0;\n}", UnknownGenerator,
+     "action on unknown generator 'v'", (4, 3)),
+    (R2 + "}\n" + BUNDLE.replace("in R", "in S"), UnknownGenerator,
+     "bundle E names unknown ring 'S'", (5, 1)),
+    (R3 + "  action Sq^1(y) = 0;\n}", NonHomogeneous, "Sq actions need prime 2 (ring R)", (4, 3)),
+    (R2 + "\n  action P^1(w) = 0;\n}", NonHomogeneous,
+     "P actions need an odd prime (ring R)", (5, 3)),
+    ("\n" + R2 + "  gen v deg=0;\n}", NonHomogeneous,
+     "generator v must have positive degree", (2, 1)),
+    (R2 + "  rule w^2 = 1;\n}", NonHomogeneous, "rule on w is not degree-homogeneous", (1, 1)),
+])
+def test_semantic_errors_carry_their_span(source, error, message, span, tmp_path, capsys):
+    with pytest.raises(error) as caught:
+        _build(source)
+    assert str(caught.value) == "%s at %d:%d" % ((message,) + span)
+    assert caught.value.span == span
+    path = tmp_path / "bad.steen"
+    path.write_text(source + "\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s at %d:%d\n" % ((message,) + span)
+
+
+def test_semantic_errors_outside_a_file_have_no_position():
+    block = dsl.RingBlock("R", 2, (dsl.GenDecl("w", 1), dsl.GenDecl("w", 1)))
+    with pytest.raises(DuplicateGenerator, match="^generator 'w' declared twice in ring R$") as e:
+        dsl.build_ring(block)
+    assert e.value.span is None
+    block = dsl.RingBlock("R", 2, (dsl.GenDecl("w", 1),), (dsl.RuleDecl("v", 2, dsl.Poly(())),))
+    with pytest.raises(UnknownGenerator, match="^rule on unknown generator 'v'$"):
+        dsl.build_ring(block)
 
 
 def test_parity_mismatch_is_wrapped():
