@@ -178,7 +178,8 @@ def _query_from_args(args):
     """The query class the subcommand names, built from its fields read
     from args by name.  poly and y are polynomials, and so is the
     expectation of a query on a polynomial, except an obstruction verdict."""
-    values = {f.name: getattr(args, f.name) for f in fields(args.query) if f.name != "span"}
+    values = {f.name: getattr(args, f.name) for f in fields(args.query)
+              if not f.name.endswith("span")}
     polys = ["poly", "y"]
     if "poly" in values and values.get("kind") in (None, "weird"):
         polys.append("expect")

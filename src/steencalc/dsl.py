@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, count
 from operator import add, itemgetter
@@ -36,6 +37,8 @@ from .errors import (
     InvalidArgument,
     NonHomogeneous,
     NonHomogeneousInput,
+    OmegaUndeclared,
+    RuleNonTermination,
     UnknownGenerator,
     _at,
 )
@@ -205,6 +208,7 @@ class ApplyQuery:
     twist: Optional[int] = None
     expect: Optional[Poly] = None
     span: Optional[Span] = field(default=None, compare=False)
+    op_span: Optional[Span] = field(default=None, compare=False)  # of the opening quote
 
 
 @dataclass(frozen=True)
@@ -221,6 +225,8 @@ class AdemQuery:
     prime: int = 2
     expect: Optional[str] = None
     span: Optional[Span] = field(default=None, compare=False)
+    op_span: Optional[Span] = field(default=None, compare=False)  # of the opening quote
+    expect_span: Optional[Span] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -279,12 +285,15 @@ class _Parser:
     are worked out only for spans and errors."""
 
     def __init__(self, source):
+        self.source = source
         self.toks, self.matches = _scan(source)
-        self.newlines = _newlines(source)
+        self.newlines = None  # found at the first span
         self.pos = 0
 
     def span(self):
         """(line, col) of the current token."""
+        if self.newlines is None:
+            self.newlines = _newlines(self.source)
         return _line_col(self.newlines, self.matches[self.pos].start(1))
 
     def next(self):
@@ -361,7 +370,7 @@ class _Parser:
             coeff = int(self.next())
             if self.eat("*"):
                 if not self._starts_factor():
-                    self.fail("found %r" % toks[self.pos], ("a generator", "("))
+                    self.unexpected("a generator", "(")
             elif not self._starts_factor():
                 return [(-coeff if negate else coeff, ())]
         elif not self._starts_factor():
@@ -393,16 +402,54 @@ class _Parser:
                 return terms
             pos += 1
 
-    # -------- operation names like Sq^2, P^1, b
+    # -------- operation letters like Sq^2, P^1, b, and words of them
 
     def parse_opname(self):
-        name = self.expect_ident("Sq, P, or b")
+        name = self.toks[self.pos]
+        if name != "Sq" and name != "P" and name != "b":
+            self.unexpected("Sq", "P", "b")
+        self.pos += 1
         if name == "b":
             return ("b", None)
-        if name not in ("Sq", "P"):
-            self.fail("found %r" % name, ("Sq", "P", "b"))
         self.expect("^")
         return (name, self.expect_int("an exponent"))
+
+    def parse_operation(self, prime):
+        """The terms (word -> coefficient) of an operation word at prime:
+        terms joined by + and -, each an optional integer coefficient (with
+        an optional *) and letters separated by whitespace or *."""
+        toks = self.toks
+        at = self.source.find("#")
+        if at >= 0:  # a quoted string holds no comment
+            raise DslSyntaxError("unexpected character '#'", *_line_col(_newlines(self.source), at))
+        if not toks[self.pos]:
+            self.fail("empty operation", ("Sq", "P", "b", "integer"))
+        terms, sign = {}, 1
+        while True:
+            coeff, letter, word = sign, True, []
+            if toks[self.pos].isdecimal():
+                coeff *= int(self.next())
+                letter = self.eat("*") or toks[self.pos][:1] in _IDENT_START
+            elif toks[self.pos][:1] not in _IDENT_START:
+                self.unexpected("Sq", "P", "b", "an integer")
+            while letter:
+                tok = toks[self.pos]
+                if tok == "Sq" and prime != 2:
+                    self.fail("Sq is a prime-2 letter", ("P", "b"))
+                if tok == "P" and prime == 2:
+                    self.fail("P is an odd-prime letter", ("Sq", "b"))
+                kind, index = self.parse_opname()
+                if kind == "b":
+                    word.append(1 if prime == 2 else 0)  # b at prime 2 is Sq^1
+                elif index:  # Sq^0 and P^0 are the identity
+                    word.append(index)
+                letter = self.eat("*") or toks[self.pos][:1] in _IDENT_START
+            word = tuple(word)
+            terms[word] = terms.get(word, 0) + coeff
+            if not toks[self.pos]:
+                return terms
+            sign = {"+": 1, "-": -1}.get(toks[self.pos]) or self.unexpected("+", "-")
+            self.pos += 1
 
     # -------- declarations
 
@@ -435,7 +482,7 @@ class _Parser:
                         self.expect("=")
                         frob = self.expect_int("a Frobenius exponent")
                     else:
-                        self.fail("found %r" % self.toks[self.pos], ("twist", "odd", "frob", ";"))
+                        self.unexpected("twist", "odd", "frob", ";")
                 gens.append(GenDecl(gname, deg, twist, odd, frob, ispan))
             elif item == "rule":
                 gname = self.expect_ident("a generator name")
@@ -529,6 +576,7 @@ class _Parser:
         verb = self.toks[self.pos]
         if verb == "apply":
             self.next()
+            op_span = self.span()
             op_text = self.expect_string()
             self.expect("to")
             poly = self.parse_poly()
@@ -537,7 +585,7 @@ class _Parser:
             twist = self._parse_twist_clause()
             expect = self.parse_poly() if self.eat("expect") else None
             self.expect(";")
-            return ApplyQuery(op_text, poly, ring, twist, expect, span)
+            return ApplyQuery(op_text, poly, ring, twist, expect, span, op_span)
         if verb == "normalize":
             self.next()
             poly = self.parse_poly()
@@ -548,14 +596,18 @@ class _Parser:
             return NormalizeQuery(poly, ring, expect, span)
         if verb == "adem":
             self.next()
+            op_span = self.span()
             op_text = self.expect_string()
             prime = 2
             if self.eat("prime"):
                 self.expect("=")
                 prime = self.expect_int("a prime")
-            expect = self.expect_string() if self.eat("expect") else None
+            expect = expect_span = None
+            if self.eat("expect"):
+                expect_span = self.span()
+                expect = self.expect_string()
             self.expect(";")
-            return AdemQuery(op_text, prime, expect, span)
+            return AdemQuery(op_text, prime, expect, span, op_span, expect_span)
         if verb == "obstruct":
             self.next()
             kind = self.expect_ident("odd, weird, frobenius, or hs")
@@ -807,6 +859,19 @@ def _poly_to_raw(prime, gens, poly, span=None):
     return out
 
 
+@contextmanager
+def _at_block(block):
+    """Errors from checking or building a ring block, raised again at its
+    span: omega and rule errors keep their class, the others become
+    NonHomogeneous."""
+    try:
+        yield
+    except (OmegaUndeclared, RuleNonTermination) as exc:
+        raise type(exc)(str(exc) + _at(block.span)) from exc
+    except (NonHomogeneousInput, ValueError) as exc:
+        raise NonHomogeneous(str(exc), block.span) from exc
+
+
 def build_ring(block: RingBlock) -> RingPresentation:
     seen = set()
     for g in block.gens:
@@ -823,10 +888,8 @@ def build_ring(block: RingBlock) -> RingPresentation:
         )
         for g in block.gens
     ]
-    try:
+    with _at_block(block):
         check_generators(block.prime, specs, block.omega)
-    except (NonHomogeneousInput, ValueError) as exc:
-        raise NonHomogeneous(str(exc), block.span) from exc
     gens = {g.name: (i, g.odd) for i, g in enumerate(block.gens)}
     rules = [
         RewriteRule(r.gen, r.power, _poly_to_raw(block.prime, gens, r.rhs, r.span))
@@ -847,10 +910,8 @@ def build_ring(block: RingBlock) -> RingPresentation:
         if key in action:
             raise DuplicateGenerator("action %s(%s) declared twice" % (a.op_text(), a.gen), a.span)
         action[key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
-    try:
+    with _at_block(block):
         return RingPresentation(block.prime, specs, rules=rules, omega=block.omega)
-    except (NonHomogeneousInput, ValueError) as exc:
-        raise NonHomogeneous(str(exc), block.span) from exc
 
 
 @dataclass

@@ -73,9 +73,11 @@ class ScenarioIncomplete(SteencalcError):
 
 
 class DslSyntaxError(SteencalcError):
-    """Parse failure; carries position and the expected-token set."""
+    """Parse failure; carries the message without its position, the
+    position, and the expected-token set."""
 
     def __init__(self, message, line, col, expected=()):
+        self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(expected)

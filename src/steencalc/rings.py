@@ -36,7 +36,7 @@ from .errors import (
     OmegaUndeclared,
     RuleNonTermination,
 )
-from .steenrod import _require_prime, parse_operation
+from .steenrod import _require_prime
 
 _MAX_REDUCTIONS = 1_000_000
 _FIELD_BITS = 32
@@ -565,9 +565,7 @@ class RingPresentation:
         return x
 
     def apply_op_value(self, op, x):
-        """Apply a SteenrodElement (or operation text) to a RingElement."""
-        if isinstance(op, str):
-            op = parse_operation(op, self.prime)
+        """Apply a SteenrodElement to a RingElement."""
         if op.prime != self.prime:
             raise MixedPrimes("operation at prime %d on ring at prime %d" % (op.prime, self.prime))
         out = {}
@@ -596,16 +594,6 @@ class RingPresentation:
 
     def bockstein(self, x):
         return self.apply_letter(1 if self.prime == 2 else 0, x)
-
-    def bockstein_twisted(self, x: TwistedClass) -> TwistedClass:
-        """Twisted Bockstein d_r = b + r*omega on a class of twist r."""
-        r = x.twist % self.prime
-        beta = self.bockstein(x.value)
-        if r and x.value:
-            if self.omega is None:
-                raise OmegaUndeclared("twisted Bockstein on twist %d needs omega" % x.twist)
-            beta = beta + self.gen(self.omega).scale(r) * x.value
-        return TwistedClass(beta, x.degree + 1, x.twist)
 
     # ------------------------------------------------------------ inspection
 

@@ -21,7 +21,7 @@ from .charclasses import (
     w_bro,
     w_et,
 )
-from .errors import MissingCodim, NonHomogeneousInput, SteencalcError
+from .errors import DslSyntaxError, MissingCodim, NonHomogeneousInput, SteencalcError
 from .obstructions import (
     FrobeniusContext,
     HsInput,
@@ -106,6 +106,18 @@ def _expect_element(result, pres, query, lines, record):
     return ok
 
 
+def _operation(text, prime, at):
+    """parse_operation, with a syntax error inside a quoted string of a
+    source file moved to its file line:col; at is the (line, col) of the
+    opening quote, None for a command-line argument."""
+    try:
+        return parse_operation(text, prime)
+    except DslSyntaxError as exc:
+        if at is None:
+            raise
+        raise DslSyntaxError(exc.message, at[0], at[1] + exc.col, exc.expected) from exc
+
+
 def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
                   corpus_hook=None) -> QueryResult:
     """Run one query.  resolve_ring(name) -> RingPresentation (raising
@@ -117,12 +129,12 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
     expected = None
 
     if isinstance(query, dsl.AdemQuery):
-        normal = parse_operation(query.op_text, query.prime).adem_normalize()
+        normal = _operation(query.op_text, query.prime, query.op_span).adem_normalize()
         rendered = normal.render()
         lines.append("  = %s" % rendered)
         record.update({"verb": "adem", "result": rendered})
         if query.expect is not None:
-            want = parse_operation(query.expect, query.prime).adem_normalize()
+            want = _operation(query.expect, query.prime, query.expect_span).adem_normalize()
             expected = _expect(lines, record, normal == want, want.render())
         return QueryResult(label, lines, record, expected)
 
@@ -161,7 +173,8 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
         verb = "normalize"
         if isinstance(query, dsl.ApplyQuery):
             verb = "apply"
-            result = pres.apply_op_value(parse_operation(query.op_text, pres.prime), result)
+            op = _operation(query.op_text, pres.prime, query.op_span)
+            result = pres.apply_op_value(op, result)
         lines.append("  = %s" % result.render())
         record.update({"verb": verb, "result": element_record(result)})
         if query.expect is not None:

@@ -14,12 +14,10 @@ an independent Cartan-formula oracle in the test suite, not trusted.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    DslSyntaxError,
     InternalNonTermination,
     InvalidArgument,
     MixedPrimes,
@@ -374,79 +372,13 @@ class SteenrodElement:
 # --------------------------------------------------------------------------
 # Text format.  Example inputs: "Sq^3 Sq^1", "b P^2 b", "2 P^2 + P^1 P^1".
 
-_OP_TOKEN = re.compile(r"\s*(Sq|P|b|\d+|\^|\+|-|\*)")
-
-
-def _tokenize_op(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _OP_TOKEN.match(text, pos)
-        if not m:
-            raise DslSyntaxError("bad character %r in operation" % text[pos], 1, pos + 1)
-        out.append((m.group(1), m.start(1) + 1))
-        pos = m.end()
-    return out
-
-
 def parse_operation(text: str, prime: int) -> SteenrodElement:
-    """Parse the operation word format; inverse of render on canonical output."""
+    """Parse an operation word; the inverse of render on canonical output.
+    The grammar is the DSL's: see dsl._Parser.parse_operation."""
+    from .dsl import _Parser  # dsl imports this module
+
     _require_prime(prime)
-    tokens = _tokenize_op(text)
-    if not tokens:
-        raise DslSyntaxError("empty operation", 1, 1, ("Sq", "P", "b", "integer"))
-    terms = {}
-    idx = 0
-    sign = 1
-    while True:
-        coeff = sign
-        word = []
-        saw_anything = False
-        # optional integer coefficient
-        if idx < len(tokens) and tokens[idx][0].isdigit():
-            coeff = sign * int(tokens[idx][0])
-            saw_anything = True
-            idx += 1
-            if idx < len(tokens) and tokens[idx][0] == "*":
-                idx += 1
-        while idx < len(tokens) and tokens[idx][0] in ("Sq", "P", "b", "*"):
-            tok, col = tokens[idx]
-            idx += 1
-            if tok == "*":
-                continue
-            saw_anything = True
-            if tok == "b":
-                word.append(1 if prime == 2 else 0)
-                continue
-            if tok == "Sq" and prime != 2:
-                raise DslSyntaxError("Sq is a prime-2 letter", 1, col, ("P", "b"))
-            if tok == "P" and prime == 2:
-                raise DslSyntaxError("P is an odd-prime letter", 1, col, ("Sq", "b"))
-            if idx >= len(tokens) or tokens[idx][0] != "^":
-                raise DslSyntaxError("missing exponent", 1, col, ("^",))
-            idx += 1
-            if idx >= len(tokens) or not tokens[idx][0].isdigit():
-                raise DslSyntaxError("missing exponent value", 1, col, ("integer",))
-            i = int(tokens[idx][0])
-            idx += 1
-            if i > 0:
-                word.append(i)
-        if not saw_anything:
-            col = tokens[idx][1] if idx < len(tokens) else len(text) + 1
-            raise DslSyntaxError("expected an operation term", 1, col, ("Sq", "P", "b", "integer"))
-        key = tuple(word)
-        terms[key] = terms.get(key, 0) + coeff
-        if idx >= len(tokens):
-            break
-        tok, col = tokens[idx]
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise DslSyntaxError("unexpected %r" % tok, 1, col, ("+", "-"))
-        idx += 1
-    return SteenrodElement(prime, terms)
+    return SteenrodElement(prime, _Parser(text).parse_operation(prime))
 
 
 def admissible_monomials(prime, max_degree):

@@ -12,6 +12,8 @@ Unlike the closed-form models in oracles.py, these call into the package:
 - `reference_parse` and `reference_parse_poly` are the DSL front end the
   token-text parser replaced: a lexer that builds one Token per match and
   a parser over those tokens, building the package's own syntax-tree nodes;
+- `reference_parse_operation` is the separate tokenizer and parser that
+  read quoted operation words before the DSL grammar did;
 - `reference_normalize_words` is the Adem normaliser that rescanned every
   word from its first letter, over the engine's own Adem pair tables.
 """
@@ -333,7 +335,9 @@ class _Parser:
             if self.at_sym("*"):
                 self.next()
                 if not self._starts_factor():
-                    self.fail("found %r" % self.peek().value, ("a generator", "("))
+                    self.fail(
+                        "found %r" % (self.peek().value or "end of input"), ("a generator", "(")
+                    )
             elif not self._starts_factor():
                 return [(-coeff if negate else coeff, ())]
         elif not self._starts_factor():
@@ -374,11 +378,12 @@ class _Parser:
     # -------- operation names like Sq^2, P^1, b
 
     def parse_opname(self):
-        name = self.expect_ident("Sq, P, or b")
+        tok = self.peek()
+        if tok.kind != "ident" or tok.value not in ("Sq", "P", "b"):
+            self.fail("found %r" % (tok.value or "end of input"), ("Sq", "P", "b"))
+        name = self.next().value
         if name == "b":
             return ("b", None)
-        if name not in ("Sq", "P"):
-            self.fail("found %r" % name, ("Sq", "P", "b"))
         self.expect_sym("^")
         return (name, self.expect_int("an exponent"))
 
@@ -413,7 +418,7 @@ class _Parser:
                         frob = self.expect_int("a Frobenius exponent")
                     else:
                         self.fail(
-                            "found %r" % self.peek().value,
+                            "found %r" % (self.peek().value or "end of input"),
                             ("twist", "odd", "frob", ";"),
                         )
                 self.expect_sym(";")
@@ -530,6 +535,7 @@ class _Parser:
         verb = self.peek().value
         if verb == "apply":
             self.next()
+            op_span = (self.peek().line, self.peek().col)
             op_text = self.expect_string()
             self.expect_word("to")
             poly = self.parse_poly()
@@ -538,7 +544,7 @@ class _Parser:
             twist = self._parse_twist_clause()
             expect = self.parse_poly() if self.eat_word("expect") else None
             self.expect_sym(";")
-            return ApplyQuery(op_text, poly, ring, twist, expect, span=span)
+            return ApplyQuery(op_text, poly, ring, twist, expect, span=span, op_span=op_span)
         if verb == "normalize":
             self.next()
             poly = self.parse_poly()
@@ -549,14 +555,19 @@ class _Parser:
             return NormalizeQuery(poly, ring, expect, span=span)
         if verb == "adem":
             self.next()
+            op_span = (self.peek().line, self.peek().col)
             op_text = self.expect_string()
             prime = 2
             if self.eat_word("prime"):
                 self.expect_sym("=")
                 prime = self.expect_int("a prime")
-            expect = self.expect_string() if self.eat_word("expect") else None
+            expect = expect_span = None
+            if self.eat_word("expect"):
+                expect_span = (self.peek().line, self.peek().col)
+                expect = self.expect_string()
             self.expect_sym(";")
-            return AdemQuery(op_text, prime, expect, span=span)
+            return AdemQuery(op_text, prime, expect, span=span, op_span=op_span,
+                             expect_span=expect_span)
         if verb == "obstruct":
             self.next()
             kind = self.expect_ident("odd, weird, frobenius, or hs")
@@ -649,6 +660,84 @@ def reference_parse_poly(text):
     if parser.peek().kind != "eof":
         parser.fail("trailing input after the polynomial")
     return poly
+
+
+# ------------------------------------------- operation-word reference parser
+
+
+_OP_TOKEN = re.compile(r"\s*(Sq|P|b|\d+|\^|\+|-|\*)")
+
+
+def _tokenize_op(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _OP_TOKEN.match(text, pos)
+        if not m:
+            raise DslSyntaxError("bad character %r in operation" % text[pos], 1, pos + 1)
+        out.append((m.group(1), m.start(1) + 1))
+        pos = m.end()
+    return out
+
+
+def reference_parse_operation(text, prime):
+    """Terms (word -> coefficient) of an operation word, by the regex
+    tokenizer and hand parser that read quoted operations before they
+    shared the DSL grammar.  It accepts more: letters written together
+    (bb), and a * anywhere in a term."""
+    tokens = _tokenize_op(text)
+    if not tokens:
+        raise DslSyntaxError("empty operation", 1, 1, ("Sq", "P", "b", "integer"))
+    terms = {}
+    idx = 0
+    sign = 1
+    while True:
+        coeff = sign
+        word = []
+        saw_anything = False
+        if idx < len(tokens) and tokens[idx][0].isdigit():
+            coeff = sign * int(tokens[idx][0])
+            saw_anything = True
+            idx += 1
+            if idx < len(tokens) and tokens[idx][0] == "*":
+                idx += 1
+        while idx < len(tokens) and tokens[idx][0] in ("Sq", "P", "b", "*"):
+            tok, col = tokens[idx]
+            idx += 1
+            if tok == "*":
+                continue
+            saw_anything = True
+            if tok == "b":
+                word.append(1 if prime == 2 else 0)
+                continue
+            if tok == "Sq" and prime != 2:
+                raise DslSyntaxError("Sq is a prime-2 letter", 1, col, ("P", "b"))
+            if tok == "P" and prime == 2:
+                raise DslSyntaxError("P is an odd-prime letter", 1, col, ("Sq", "b"))
+            if idx >= len(tokens) or tokens[idx][0] != "^":
+                raise DslSyntaxError("missing exponent", 1, col, ("^",))
+            idx += 1
+            if idx >= len(tokens) or not tokens[idx][0].isdigit():
+                raise DslSyntaxError("missing exponent value", 1, col, ("integer",))
+            i = int(tokens[idx][0])
+            idx += 1
+            if i > 0:
+                word.append(i)
+        if not saw_anything:
+            col = tokens[idx][1] if idx < len(tokens) else len(text) + 1
+            raise DslSyntaxError("expected an operation term", 1, col, ("Sq", "P", "b", "integer"))
+        key = tuple(word)
+        terms[key] = terms.get(key, 0) + coeff
+        if idx >= len(tokens):
+            return terms
+        tok, col = tokens[idx]
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
+        else:
+            raise DslSyntaxError("unexpected %r" % tok, 1, col, ("+", "-"))
+        idx += 1
 
 
 # ------------------------------------------------- Adem rewriting, restarted

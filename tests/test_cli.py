@@ -1,5 +1,6 @@
 """Exit codes, output formats, and the file evaluation path."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -309,3 +310,29 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert main(plain) == 0
     assert reused == capsys.readouterr().out
     assert "twist" not in reused
+
+
+# ------------------------------------------------------------ golden output
+
+# sha256 of whole outputs that no change should alter by accident; help text
+# is wrapped to the terminal width, so it is taken at 80 columns
+GOLDEN = {
+    ("corpus", "run", "all"):
+        "3795eea8a9a5fb5ddc0572e023c88750035f6198119e9b002239e54d5f614894",
+    ("--format", "json", "corpus", "run", "all"):
+        "4f18e8a75075f38789839dad49aaac2c843d33f06b44b46ecd4bce11e2acfa42",
+    ("-h",):
+        "ad38277ddc103d230d4710bfa29a8b5e10ce8cb0c5b8f27a3dd77a07adb39c6c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_output_matches_its_golden_hash(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h exits from argparse
+        code = exc.code
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]

@@ -12,10 +12,25 @@ from steencalc import (
     NonHomogeneous,
     UnknownGenerator,
 )
-from steencalc import GeneratorSpec, OmegaUndeclared, RingPresentation, corpus, dsl, rings
+from steencalc import (
+    GeneratorSpec,
+    OmegaUndeclared,
+    RingPresentation,
+    RuleNonTermination,
+    SteenrodElement,
+    corpus,
+    dsl,
+    parse_operation,
+    rings,
+)
 from steencalc.cli import main
 
-from references import reference_lex, reference_parse, reference_parse_poly
+from references import (
+    reference_lex,
+    reference_parse,
+    reference_parse_operation,
+    reference_parse_poly,
+)
 
 
 RING_P2 = (
@@ -86,6 +101,18 @@ def test_trailing_garbage_rejected_by_parse_poly():
         dsl.parse_poly("")
 
 
+def test_errors_at_the_end_of_input_name_it(capsys):
+    assert main(["normalize", "2*", "--ring", "MO3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 1:3: found 'end of input' (expected a generator or '(')\n"
+    )
+    with pytest.raises(DslSyntaxError) as e:
+        dsl.parse("ring R {\n  prime = 2;\n  gen w deg=1")
+    assert str(e.value) == (
+        "3:14: found 'end of input' (expected 'twist' or 'odd' or 'frob' or ';')"
+    )
+
+
 # ------------------------------------------ lexer against the reference
 
 
@@ -139,14 +166,15 @@ def test_lexer_matches_reference_on_shipped_files(name):
 
 
 def _spans(tree):
-    """(node type, span) for every node, in field order: spans take no part
-    in equality, so the trees alone would not compare them."""
+    """(node type, field, span) for every span field of every node, in field
+    order: spans take no part in equality, so the trees alone would not
+    compare them."""
     out = []
     if is_dataclass(tree):
         for f in fields(tree):
             value = getattr(tree, f.name)
-            if f.name == "span":
-                out.append((type(tree).__name__, value))
+            if f.name.endswith("span"):
+                out.append((type(tree).__name__, f.name, value))
             else:
                 out.extend(_spans(value))
     elif isinstance(tree, tuple):
@@ -571,3 +599,166 @@ def test_generator_checks_come_before_rule_polys():
         _build("ring R {\n  prime = 2;\n  gen y deg=2;\n  rule y^2 = zz;\n  omega = v;\n}")
     with pytest.raises(UnknownGenerator, match="^unknown generator 'zz' at 4:3$"):
         _build("ring R {\n  prime = 2;\n  gen y deg=2;\n  rule y^2 = zz;\n}")
+
+
+@pytest.mark.parametrize("ring, error, message", [
+    ("  omega = v;\n", OmegaUndeclared, "omega names undeclared generator 'v'"),
+    ("  gen v deg=2;\n  omega = v;\n", OmegaUndeclared, "omega must have degree 1"),
+    ("  rule w^2 = w^2;\n", RuleNonTermination, "rule w^2 has a right side not lead-reduced"),
+])
+def test_ring_build_errors_carry_the_block_span(ring, error, message, tmp_path, capsys):
+    source = "\n" + R2 + ring + "}\n"
+    with pytest.raises(error) as caught:
+        _build(source)
+    assert str(caught.value) == message + " at 2:1"
+    path = tmp_path / "ring.steen"
+    path.write_text(source, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s at 2:1\n" % message
+
+
+# ------------------------------------------------ quoted operation words
+
+# an operation with one error in it: (text, column of the error in the
+# text, the message after "line:col: "); the last ones are read at prime 3
+OPERATION_ERRORS = {
+    "missing-exponent": ("Sq Sq^1", 4, "found 'Sq' (expected '^')"),
+    "missing-exponent-value": ("Sq^ Sq^1", 5, "found 'Sq' (expected an exponent)"),
+    "missing-exponent-value-at-end": ("Sq^2 Sq^", 9,
+                                      "found 'end of input' (expected an exponent)"),
+    "bad-character": ("Sq^3 %", 6, "unexpected character '%'"),
+    "hash-is-no-comment": ("Sq^1 # Sq^2", 6, "unexpected character '#'"),
+    "wrong-family": ("Sq^1 P^1", 6, "P is an odd-prime letter (expected 'Sq' or 'b')"),
+    "trailing-star": ("Sq^1 *", 7, "found 'end of input' (expected 'Sq' or 'P' or 'b')"),
+    "trailing-plus": ("Sq^1 +", 7,
+                      "found 'end of input' (expected 'Sq' or 'P' or 'b' or an integer)"),
+    "trailing-minus": ("Sq^2 - ", 8,
+                       "found 'end of input' (expected 'Sq' or 'P' or 'b' or an integer)"),
+    "stray-token": ("Sq^1 2 Sq^2", 6, "found '2' (expected '+' or '-')"),
+    "letters-together": ("b bb", 3, "found 'bb' (expected 'Sq' or 'P' or 'b')"),
+    "letters-together-2": ("Sq^1 Sq2", 6, "found 'Sq2' (expected 'Sq' or 'P' or 'b')"),
+    "wrong-family-3": ("P^1 Sq^1", 5, "Sq is a prime-2 letter (expected 'P' or 'b')"),
+    "letters-together-3": ("bP^1", 1, "found 'bP' (expected 'Sq' or 'P' or 'b')"),
+}
+
+
+def _prime(case):
+    return 3 if case.endswith("-3") else 2
+
+
+def _operation_places(op, prime):
+    """(file line, CLI argv) pairs that put op in an apply, in an adem and
+    in an adem expectation."""
+    ring = "CLASSIFYING%d" % prime
+    return [
+        ('apply "%s" to x1 in %s;' % (op, ring), ["apply", op, "x1", "--ring", ring]),
+        ('adem "%s" prime = %d;' % (op, prime), ["adem", op, "--prime", str(prime)]),
+        ('adem "b" prime = %d expect "%s";' % (prime, op),
+         ["adem", "b", "--prime", str(prime), "--expect", op]),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(OPERATION_ERRORS))
+def test_operation_errors_carry_their_file_position(case, tmp_path, capsys):
+    op, col, message = OPERATION_ERRORS[case]
+    for line, argv in _operation_places(op, _prime(case)):
+        quote = line.index('"%s"' % op) + 1
+        path = tmp_path / "op.steen"
+        path.write_text("# three lines\n\nnormalize x1 in CLASSIFYING2;\n%s\n" % line,
+                        encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 4:%d: %s\n" % (quote + col, message), line
+        assert captured.out == ""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 1:%d: %s\n" % (col, message), argv
+        assert captured.out == ""
+
+
+def test_operation_error_examples(tmp_path, capsys):
+    path = tmp_path / "apply.steen"
+    path.write_text(R2 + '}\n\napply "Sq^2 Sq^" to w in R;\n', encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 6:16: found 'end of input' (expected an exponent)\n"
+    )
+    path = tmp_path / "adem.steen"
+    path.write_text('# adem\n\nadem "Sq^2 Sq^2" expect "Sq^3 %";\n', encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: 3:31: unexpected character '%'\n"
+
+
+def test_empty_operation_and_prime_checks_keep_their_messages():
+    for text, prime, message in [
+        ("", 2, "1:1: empty operation (expected 'Sq' or 'P' or 'b' or 'integer')"),
+        ("P^1", 2, "1:1: P is an odd-prime letter (expected 'Sq' or 'b')"),
+        ("b Sq^2", 5, "1:3: Sq is a prime-2 letter (expected 'P' or 'b')"),
+    ]:
+        with pytest.raises(DslSyntaxError) as e:
+            parse_operation(text, prime)
+        assert str(e.value) == message
+
+
+def test_action_letters_and_operation_letters_share_one_grammar():
+    # the same letter errors, at the letter, in both places
+    for letter in ("bb", "Sq2", "Q^1"):
+        with pytest.raises(DslSyntaxError) as in_action:
+            dsl.parse("ring R {\n  prime = 2;\n  action %s(w) = 0;\n}" % letter)
+        assert str(in_action.value).startswith("3:10: found %r" % letter.split("^")[0])
+        with pytest.raises(DslSyntaxError) as in_word:
+            parse_operation(letter, 2)
+        assert str(in_word.value).startswith("1:1: found %r" % letter.split("^")[0])
+
+
+OP_PIECES = ["Sq", "P", "b", "^", "0", "1", "2", "12", "\u0663", "*", "+", "-", " ", "x",
+             "#", "%"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(OP_PIECES), max_size=12).map("".join), st.sampled_from([2, 3]))
+def test_operation_words_the_grammar_reads_read_as_before(text, prime):
+    try:
+        terms = dsl._Parser(text).parse_operation(prime)
+    except DslSyntaxError:
+        return
+    # the old parser took no whitespace after the last token
+    assert SteenrodElement(prime, terms) == SteenrodElement(
+        prime, reference_parse_operation(text.rstrip(), prime)
+    )
+
+
+@st.composite
+def operation_word(draw):
+    """A well-formed operation word: terms with an optional coefficient and
+    letters, each separator one the grammar allows."""
+    prime = draw(st.sampled_from([2, 3, 5]))
+    family = "Sq" if prime == 2 else "P"
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = ["b" if draw(st.booleans()) else "%s^%d" % (family, draw(st.integers(0, 12)))
+                   for _ in range(draw(st.integers(0, 4)))]
+        text = draw(st.sampled_from([" * ", "*", " "])).join(letters)
+        if not letters or draw(st.booleans()):
+            coeff = str(draw(st.integers(0, 20)))
+            text = coeff + (draw(st.sampled_from([" ", "*", " * "])) + text if letters else "")
+        terms.append(text)
+    joins = [draw(st.sampled_from([" + ", " - ", "+", "-"])) for _ in terms[1:]]
+    return "".join(t + j for t, j in zip(terms, joins + [""])), prime
+
+
+@settings(max_examples=500, deadline=None)
+@given(operation_word())
+def test_well_formed_operation_words_read_as_before(case):
+    text, prime = case
+    assert parse_operation(text, prime) == SteenrodElement(
+        prime, reference_parse_operation(text, prime)
+    )
+
+
+def test_old_forms_the_grammar_now_rejects():
+    # read by the old operation parser, an error now
+    for text in ("bb", "b bSq^1", "Sq^1 *", "* Sq^1", "Sq^1 * * Sq^2", "2*", "Sq^1 *+ Sq^2"):
+        reference_parse_operation(text, 2)
+        with pytest.raises(DslSyntaxError):
+            parse_operation(text, 2)

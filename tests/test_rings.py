@@ -11,7 +11,6 @@ from steencalc import (
     InvalidArgument,
     MissingActionComponent,
     NonHomogeneousInput,
-    OmegaUndeclared,
     RewriteRule,
     RingElement,
     RingPresentation,
@@ -378,27 +377,6 @@ def test_twisted_class_validates_twist_residue(R3):
     TwistedClass(x1x2, 2, 0)
     with pytest.raises(NonHomogeneousInput):
         TwistedClass(x1x2, 2, 1)
-
-
-def test_twisted_bockstein_needs_omega(R3):
-    # twist 2 is a valid residue here and is nonzero mod 3
-    cls = TwistedClass(R3.gen("y1"), 2, 2)
-    with pytest.raises(OmegaUndeclared):
-        R3.bockstein_twisted(cls)
-
-
-def test_twisted_bockstein_omega_correction():
-    R = RingPresentation(
-        2,
-        [GeneratorSpec("w", 1), GeneratorSpec("l", 2, twist=1, action={1: {(1, 1): 1}})],
-        omega="w",
-    )
-    # d_1(l) = Sq^1 l + w l = 2 w l = 0
-    out = R.bockstein_twisted(TwistedClass(R.gen("l"), 2, 1))
-    assert not out.value
-    # d_0 is the plain Bockstein
-    out0 = R.bockstein_twisted(TwistedClass(R.gen("l"), 2, 0))
-    assert out0.value == R.gen("w") * R.gen("l")
 
 
 # ------------------------------------------------------------- inspection
