@@ -286,9 +286,14 @@ class _Parser:
 
     def __init__(self, source):
         self.source = source
-        self.toks, self.matches = _scan(source)
         self.newlines = None  # found at the first span
         self.pos = 0
+
+    def scan(self):
+        """Read the token texts and matches; each entry point (parse_file,
+        parse_operation, the parse_poly function) calls it first, so an
+        operation word can look for '#' before its text is scanned."""
+        self.toks, self.matches = _scan(self.source)
 
     def span(self):
         """(line, col) of the current token."""
@@ -327,6 +332,17 @@ class _Parser:
         tok = self.toks[self.pos]
         if tok[:1] not in _IDENT_START:
             self.unexpected(what)
+        self.pos += 1
+        return tok
+
+    def expect_keyword(self, what, words):
+        """One of the identifiers words; a wrong one is reported where it
+        stands."""
+        tok = self.toks[self.pos]
+        if tok not in words:
+            if tok[:1] not in _IDENT_START:
+                self.unexpected(what)
+            self.fail("found %r" % tok, words)
         self.pos += 1
         return tok
 
@@ -418,10 +434,11 @@ class _Parser:
         """The terms (word -> coefficient) of an operation word at prime:
         terms joined by + and -, each an optional integer coefficient (with
         an optional *) and letters separated by whitespace or *."""
-        toks = self.toks
         at = self.source.find("#")
         if at >= 0:  # a quoted string holds no comment
             raise DslSyntaxError("unexpected character '#'", *_line_col(_newlines(self.source), at))
+        self.scan()
+        toks = self.toks
         if not toks[self.pos]:
             self.fail("empty operation", ("Sq", "P", "b", "integer"))
         terms, sign = {}, 1
@@ -610,9 +627,8 @@ class _Parser:
             return AdemQuery(op_text, prime, expect, span, op_span, expect_span)
         if verb == "obstruct":
             self.next()
-            kind = self.expect_ident("odd, weird, frobenius, or hs")
-            if kind not in ("odd", "weird", "frobenius", "hs"):
-                self.fail("found %r" % kind, ("odd", "weird", "frobenius", "hs"))
+            kind = self.expect_keyword("odd, weird, frobenius, or hs",
+                                       ("odd", "weird", "frobenius", "hs"))
             flags = self._parse_flags(("codim", "which", "q", "max-degree"))
             self.expect("on")
             poly = self.parse_poly()
@@ -651,9 +667,7 @@ class _Parser:
             return WuQuery(flags["n"], flags["m"], ring, y, hyperplane, expect, span)
         if verb == "charclass":
             self.next()
-            kind = self.expect_ident("w or wet")
-            if kind not in ("w", "wet"):
-                self.fail("found %r" % kind, ("w", "wet"))
+            kind = self.expect_keyword("w or wet", ("w", "wet"))
             self.expect("of")
             bundle = self.expect_ident("a bundle name")
             expect = self.expect_string() if self.eat("expect") else None
@@ -661,9 +675,7 @@ class _Parser:
             return CharclassQuery(kind, bundle, expect, span)
         if verb == "corpus":
             self.next()
-            action = self.expect_ident("list or run")
-            if action not in ("list", "run"):
-                self.fail("found %r" % action, ("list", "run"))
+            action = self.expect_keyword("list or run", ("list", "run"))
             name = None
             if action == "run":
                 name = self.expect_ident("a scenario name or all")
@@ -675,6 +687,7 @@ class _Parser:
         )
 
     def parse_file(self):
+        self.scan()
         rings, bundles, queries = [], [], []
         toks = self.toks
         while toks[self.pos]:
@@ -696,6 +709,7 @@ def parse(source: str) -> FileAst:
 def parse_poly(text: str) -> Poly:
     """Parse a standalone polynomial, e.g. from a CLI argument."""
     parser = _Parser(text)
+    parser.scan()
     poly = parser.parse_poly()
     if parser.toks[parser.pos]:
         parser.fail("trailing input after the polynomial")
@@ -859,17 +873,37 @@ def _poly_to_raw(prime, gens, poly, span=None):
     return out
 
 
+def _declared_at(block, specs, rules, item):
+    """The span of the declaration that a presentation error names by its
+    `item` (a generator spec, a rewrite rule, or a (spec, action key) pair),
+    else the block's."""
+    for decl, spec in zip(block.gens, specs):
+        if spec is item:
+            return decl.span
+    for decl, rule in zip(block.rules, rules):
+        if rule is item:
+            return decl.span
+    if isinstance(item, tuple):
+        spec, key = item
+        for a in block.actions:
+            if a.gen == spec.name and ("b" if a.kind == "b" else a.index) == key:
+                return a.span
+    return block.span
+
+
 @contextmanager
-def _at_block(block):
-    """Errors from checking or building a ring block, raised again at its
-    span: omega and rule errors keep their class, the others become
+def _at_block(block, specs, rules=()):
+    """Errors from checking or building a ring block, raised again at the
+    span of the generator, rule or action they name, else at the block's:
+    omega and rule errors keep their class, the others become
     NonHomogeneous."""
     try:
         yield
-    except (OmegaUndeclared, RuleNonTermination) as exc:
-        raise type(exc)(str(exc) + _at(block.span)) from exc
-    except (NonHomogeneousInput, ValueError) as exc:
-        raise NonHomogeneous(str(exc), block.span) from exc
+    except (OmegaUndeclared, RuleNonTermination, NonHomogeneousInput, ValueError) as exc:
+        span = _declared_at(block, specs, rules, getattr(exc, "item", None))
+        if isinstance(exc, (OmegaUndeclared, RuleNonTermination)):
+            raise type(exc)(str(exc) + _at(span)) from exc
+        raise NonHomogeneous(str(exc), span) from exc
 
 
 def build_ring(block: RingBlock) -> RingPresentation:
@@ -888,7 +922,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
         )
         for g in block.gens
     ]
-    with _at_block(block):
+    with _at_block(block, specs):
         check_generators(block.prime, specs, block.omega)
     gens = {g.name: (i, g.odd) for i, g in enumerate(block.gens)}
     rules = [
@@ -910,7 +944,7 @@ def build_ring(block: RingBlock) -> RingPresentation:
         if key in action:
             raise DuplicateGenerator("action %s(%s) declared twice" % (a.op_text(), a.gen), a.span)
         action[key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
-    with _at_block(block):
+    with _at_block(block, specs, rules):
         return RingPresentation(block.prime, specs, rules=rules, omega=block.omega)
 
 

@@ -15,16 +15,28 @@ else the limit, which raises InvalidArgument).  Tuples remain the surface of
 terms, element(), monomial_degree, render_monomial and basis_of_degree.
 
 Operations act through the Cartan formula from the declared generator
-actions.  Total operations are finite degreewise, so no truncation is needed
-beyond the requested component; missing low components of a generator's
-action raise MissingActionComponent only when a computation actually needs
-them, while the top component defaults to the l-th power (instability) and
+actions.  The total operation on a monomial is the product, in generator
+order, of the totals of its generator powers g^e.  When l = 2 or g has even
+degree, total(g^(lq+r)) = F(total(g^q)) * total(g^r), where the Frobenius F
+multiplies every packed exponent by l and keeps the coefficient (c^l = c):
+it is exact on the commutative even part, and sends a monomial with an odd
+factor to zero.  An odd-parity g (exponent at most 1, or a raw rule lead)
+takes one product per unit.  Inside a total, the component index (i of Sq^i
+or P^i) is one more packed field above the generators, so a product adds
+indices and one _addmul with a cap multiplies all components at once,
+dropping through the guard test every product above the requested one.
+
+Total operations are finite degreewise, so no truncation is needed beyond
+the requested component; missing low components of a generator's action
+raise MissingActionComponent only when a computation actually needs them,
+while the top component defaults to the l-th power (instability) and
 everything above it is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from struct import Struct
 from typing import Optional
 
@@ -35,6 +47,7 @@ from .errors import (
     NonHomogeneousInput,
     OmegaUndeclared,
     RuleNonTermination,
+    SteencalcError,
 )
 from .steenrod import _require_prime
 
@@ -196,22 +209,27 @@ class TwistedClass:
 
 
 def check_generators(prime, generators, omega=None):
-    """A presentation's checks on prime, generators and omega, made first."""
+    """A presentation's checks on prime, generators and omega, made first.
+    An error about one generator carries its spec as the error's `item`."""
     _require_prime(prime)
     names = [g.name for g in generators]
     if len(set(names)) != len(names):
         raise ValueError("duplicate generator names")
     for g in generators:
-        if g.degree < 1:
-            raise ValueError("generator %s must have positive degree" % g.name)
-        if g.parity not in ("even", "odd"):
-            raise ValueError("parity must be even or odd")
-        if g.parity == "odd" and prime == 2:
-            raise ValueError("odd-parity generators need an odd prime")
-        if prime > 2 and g.parity != ("odd" if g.degree % 2 else "even"):
-            raise ValueError(
-                "generator %s: parity must match degree mod 2 at odd primes" % g.name
-            )
+        try:
+            if g.degree < 1:
+                raise ValueError("generator %s must have positive degree" % g.name)
+            if g.parity not in ("even", "odd"):
+                raise ValueError("parity must be even or odd")
+            if g.parity == "odd" and prime == 2:
+                raise ValueError("odd-parity generators need an odd prime")
+            if prime > 2 and g.parity != ("odd" if g.degree % 2 else "even"):
+                raise ValueError(
+                    "generator %s: parity must match degree mod 2 at odd primes" % g.name
+                )
+        except ValueError as exc:
+            exc.item = g
+            raise
     if omega is not None:
         if omega not in names:
             raise OmegaUndeclared("omega names undeclared generator %r" % omega)
@@ -220,7 +238,9 @@ def check_generators(prime, generators, omega=None):
 
 
 class RingPresentation:
-    """Immutable presented algebra; all heavy state is caching."""
+    """Immutable presented algebra; all heavy state is caching.  An error
+    about one generator, rule or action carries, as the error's `item`, its
+    GeneratorSpec, its RewriteRule, or (spec, action key)."""
 
     def __init__(self, prime, generators, rules=(), omega=None):
         self.generators = tuple(generators)
@@ -229,6 +249,8 @@ class RingPresentation:
         self.omega = omega
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         self.n = len(self.generators)
+        self._degrees = tuple(g.degree for g in self.generators)
+        self._twists = tuple(g.twist for g in self.generators)
         self._shifts = tuple(range((self.n - 1) * _FIELD_BITS, -1, -_FIELD_BITS))
         self._units = tuple(1 << s for s in self._shifts)
         self._fields = Struct(">%dI" % self.n)  # "I": one unsigned _FIELD_BITS = 32 field
@@ -236,40 +258,46 @@ class RingPresentation:
         self._odd_high = self._odd_bits * (_FIELD_MASK - 1)  # odd exponents above 1
         self._guard = _GUARD * sum(self._units)
         self._over = _FIELD_LIMIT * sum(self._units)
+        # sets a field's guard bit where l times its exponent reaches the limit
+        self._frobenius_over = (_GUARD + _FIELD_LIMIT // -prime) * sum(self._units)
+        self._tag_shift = self.n * _FIELD_BITS  # the component index field
 
         self.rules = {}
-        for r in rules:
-            if r.gen not in self.index:
-                raise ValueError("rule on undeclared generator %r" % r.gen)
-            gi = self.index[r.gen]
-            if gi in self.rules:
-                raise ValueError("two rules on generator %r" % r.gen)
-            if r.power < 2:
-                raise ValueError("rule power must be >= 2")
-            self.rules[gi] = (r.power, dict(r.rhs))
         self._reduce_cache = {}
         self._total_cache = {}
         self._beta_cache = {}
         self._gen_totals = [None] * self.n
-        # validate rules now that reduction is available
         g_by_i = self.generators
-        for gi, (k, rhs) in self.rules.items():
-            lead_deg = k * g_by_i[gi].degree
-            lead_twist = k * g_by_i[gi].twist
-            for m, c in rhs.items():
-                if len(m) != self.n:
-                    raise ValueError("rule rhs monomial of wrong width")
-                if m[gi] >= k:
-                    raise RuleNonTermination(
-                        "rule %s^%d has a right side not lead-reduced"
-                        % (g_by_i[gi].name, k)
-                    )
-                if self.monomial_degree(m) != lead_deg:
-                    raise NonHomogeneousInput("rule on %s is not degree-homogeneous" % g_by_i[gi].name)
-                if prime > 2 and (self.monomial_twist(m) - lead_twist) % (prime - 1):
-                    raise NonHomogeneousInput("rule on %s is not twist-homogeneous" % g_by_i[gi].name)
-            if g_by_i[gi].parity == "odd" and any(c % prime for c in rhs.values()):
-                raise ValueError("odd-parity generator %s already squares to zero" % g_by_i[gi].name)
+        for r in rules:
+            try:
+                if r.gen not in self.index:
+                    raise ValueError("rule on undeclared generator %r" % r.gen)
+                gi = self.index[r.gen]
+                if gi in self.rules:
+                    raise ValueError("two rules on generator %r" % r.gen)
+                k, rhs = r.power, dict(r.rhs)
+                if k < 2:
+                    raise ValueError("rule power must be >= 2")
+                lead_deg = k * g_by_i[gi].degree
+                lead_twist = k * g_by_i[gi].twist
+                for m, c in rhs.items():
+                    if len(m) != self.n:
+                        raise ValueError("rule rhs monomial of wrong width")
+                    if m[gi] >= k:
+                        raise RuleNonTermination(
+                            "rule %s^%d has a right side not lead-reduced"
+                            % (g_by_i[gi].name, k)
+                        )
+                    if self.monomial_degree(m) != lead_deg:
+                        raise NonHomogeneousInput("rule on %s is not degree-homogeneous" % g_by_i[gi].name)
+                    if prime > 2 and (self.monomial_twist(m) - lead_twist) % (prime - 1):
+                        raise NonHomogeneousInput("rule on %s is not twist-homogeneous" % g_by_i[gi].name)
+                if g_by_i[gi].parity == "odd" and any(c % prime for c in rhs.values()):
+                    raise ValueError("odd-parity generator %s already squares to zero" % g_by_i[gi].name)
+            except (ValueError, SteencalcError) as exc:
+                exc.item = r
+                raise
+            self.rules[gi] = (k, rhs)
         # packed rules, and per field the offset that sets its guard bit once
         # the exponent reaches the rule's power (2 for odd generators)
         self._rules = tuple((self._shifts[gi], k, k * self._units[gi],
@@ -284,28 +312,33 @@ class RingPresentation:
             comp = {}
             for key, raw in (g.action or {}).items():
                 k = 1 if (key == "b" and prime == 2) else key
-                if k == "b":
-                    shift = 1
-                elif not isinstance(k, int) or k < 1:
-                    raise ValueError("bad action key %r on %s" % (key, g.name))
-                elif k > (g.degree if prime == 2 else g.degree // 2):
-                    raise ValueError(
-                        "action component %d on %s lies above instability" % (k, g.name)
-                    )
-                else:
-                    shift = k if prime == 2 else 2 * k * (prime - 1)
-                comp[k] = self.element(raw)
-                self._validate_component(g, comp[k], g.degree + shift)
+                try:
+                    if k == "b":
+                        shift = 1
+                    elif not isinstance(k, int) or k < 1:
+                        raise ValueError("bad action key %r on %s" % (key, g.name))
+                    elif k > (g.degree if prime == 2 else g.degree // 2):
+                        raise ValueError(
+                            "action component %d on %s lies above instability" % (k, g.name)
+                        )
+                    else:
+                        shift = k if prime == 2 else 2 * k * (prime - 1)
+                    comp[k] = self.element(raw)
+                    self._validate_component(g, comp[k], g.degree + shift)
+                except (ValueError, SteencalcError) as exc:
+                    exc.item = (g, key)
+                    raise
             self._action.append(comp)
 
     # ------------------------------------------------------------- structure
 
     def _validate_component(self, g, elt, expected_degree):
-        for m in elt.terms:
-            if self.monomial_degree(m) != expected_degree:
+        for m in map(self._unpack, elt._packed):
+            degree = self.monomial_degree(m)
+            if degree != expected_degree:
                 raise NonHomogeneousInput(
                     "action on %s: component has degree %d, expected %d"
-                    % (g.name, self.monomial_degree(m), expected_degree)
+                    % (g.name, degree, expected_degree)
                 )
             if self.prime > 2 and (self.monomial_twist(m) - g.twist) % (self.prime - 1):
                 raise NonHomogeneousInput(
@@ -314,10 +347,10 @@ class RingPresentation:
                 )
 
     def monomial_degree(self, m):
-        return sum(e * g.degree for e, g in zip(m, self.generators))
+        return sum(map(mul, m, self._degrees))
 
     def monomial_twist(self, m):
-        return sum(e * g.twist for e, g in zip(m, self.generators))
+        return sum(map(mul, m, self._twists))
 
     def _pack(self, m):
         """The packed int of an exponent tuple."""
@@ -404,10 +437,12 @@ class RingPresentation:
         out = self._reduce_cache[m] = {p: c % ell for p, c in out.items() if c % ell}
         return out
 
-    def _addmul(self, acc, c, a, b=None):
+    def _addmul(self, acc, c, a, b=None, cap=None):
         """acc += c*a*b in place, on packed terms dicts (acc += c*a when b is
         None); returns acc.  Products are reduced to normal form: a product
-        whose guard test is clear is already normal and is added directly."""
+        whose guard test is clear is already normal and is added directly.
+        With a cap, a and b are tagged totals (component index field set) and
+        the guard test also drops every product whose index is above cap."""
         ell = self.prime
         if b is None:
             for m, v in a.items():
@@ -417,7 +452,12 @@ class RingPresentation:
                 else:
                     acc.pop(m, None)
             return acc
-        odd, offsets, guard = self._odd_bits, self._offsets, self._guard
+        odd, offsets, guard, shift = self._odd_bits, self._offsets, self._guard, self._tag_shift
+        above = 1  # the least tag above cap; untagged products carry tag 0
+        if cap is not None:
+            offsets += _GUARD - cap - 1 << shift
+            guard += _GUARD << shift
+            above = cap + 1 << shift
         for m1, c1 in a.items():
             c1 *= c
             o1 = m1 & odd
@@ -429,7 +469,17 @@ class RingPresentation:
                         c2 = -c2
                 m = m1 + m2
                 if (m + offsets) & guard:
-                    self._addmul(acc, c1 * c2, self._reduce_cache.get(m) or self._reduce(m))
+                    tag = m >> shift << shift
+                    if tag >= above:
+                        continue
+                    c2 *= c1
+                    for r, v in (self._reduce_cache.get(m - tag) or self._reduce(m - tag)).items():
+                        r += tag
+                        new = (acc.get(r, 0) + c2 * v) % ell
+                        if new:
+                            acc[r] = new
+                        else:
+                            acc.pop(r, None)
                     continue
                 new = (acc.get(m, 0) + c1 * c2) % ell
                 if new:
@@ -444,11 +494,11 @@ class RingPresentation:
     # -------------------------------------------------------------- actions
 
     def _gen_total(self, gi):
-        """(components, top) of the total operation on generator gi: the
-        components 0, 1, ... as terms dicts indexed by operation degree
-        (Sq^i or P^i), and the instability bound top above which all vanish.
-        The list stops before the first undeclared component, so it is
-        shorter than top + 1 exactly when one is missing; computed once."""
+        """(total, count, top) of the total operation on generator gi: the
+        declared components 0, 1, ... (Sq^i or P^i) as one tagged terms dict,
+        how many there are, and the instability bound top above which all
+        vanish.  The components stop before the first undeclared one, so
+        count is below top + 1 exactly when one is missing; computed once."""
         cached = self._gen_totals[gi]
         if cached is None:
             g = self.generators[gi]
@@ -465,55 +515,111 @@ class RingPresentation:
                     out.append((self.gen(g.name) ** self.prime)._packed)
                 else:
                     break
-            cached = self._gen_totals[gi] = (out, top)
+            total = {m + (i << self._tag_shift): c for i, t in enumerate(out) for m, c in t.items()}
+            cached = self._gen_totals[gi] = (total, len(out), top)
         return cached
+
+    def _component(self, total, i):
+        """Component i of a tagged total, as a terms dict."""
+        low = i << self._tag_shift
+        high = low + (1 << self._tag_shift)
+        return {m - low: c for m, c in total.items() if low <= m < high}
+
+    def _frobenius(self, total, cap):
+        """F of the components 0..cap of a tagged total of even degree: each
+        packed exponent, the component index included, times l, with its
+        coefficient kept (c^l = c), reduced; monomials with an odd factor
+        go to zero.  Raises InvalidArgument before a field would reach
+        _FIELD_LIMIT (at l >= 5 it would carry into the next field)."""
+        ell, odd, offsets, guard, shift = (self.prime, self._odd_bits, self._offsets,
+                                           self._guard, self._tag_shift)
+        above = cap + 1 << shift
+        out = {}
+        for m, c in total.items():
+            if m >= above or m & odd:
+                continue
+            if (m + self._frobenius_over) & guard:
+                raise InvalidArgument("monomial %s has an exponent of %d or more" % (
+                    self.render_monomial([e * ell for e in self._unpack(m & (1 << shift) - 1)]),
+                    _FIELD_LIMIT))
+            m *= ell
+            if (m + offsets) & guard:
+                tag = m >> shift << shift
+                terms = [(r + tag, c * v) for r, v in self._reduce(m - tag).items()]
+            else:
+                terms = ((m, c),)
+            for r, v in terms:
+                new = (out.get(r, 0) + v) % ell
+                if new:
+                    out[r] = new
+                else:
+                    out.pop(r, None)
+        return out
+
+    def _power_total(self, gi, e, cap):
+        """total(g^e) of generator gi, e >= 1, as a tagged terms dict exact in
+        the components 0..cap; cached in _total_cache under the packed g^e."""
+        total = self._gen_total(gi)[0]
+        if e == 1:
+            return total
+        g, ell = self.generators[gi], self.prime
+        m = e * self._units[gi]
+        cap = min(cap, e * g.degree if ell == 2 else e * g.degree // 2)
+        entry = self._total_cache.get(m)
+        if entry is not None and entry[0] >= cap:
+            return entry[1]
+        if g.parity == "odd" or e < ell:
+            # one product per unit
+            unit = total
+            for _ in range(e - 1):
+                total = self._addmul({}, 1, total, unit, cap)
+        else:
+            q, r = divmod(e, ell)
+            total = self._frobenius(self._power_total(gi, q, cap // ell), cap // ell)
+            if r:
+                total = self._addmul({}, 1, total, self._power_total(gi, r, cap), cap)
+        self._total_cache[m] = (cap, total)
+        return total
 
     def _total_on_monomial(self, m, k):
         """Components 0..min(k, instability bound) of the total Sq (l=2) or
-        total P (odd l) on a raw packed monomial, as a list of terms dicts.
+        total P (odd l) on a raw packed monomial, as a tagged terms dict: the
+        component index sits in the field above the generators.
 
-        The cache holds one entry per monomial, the longest prefix computed
-        so far, extended in place.  The Cartan formula is applied as
-        total(m) = total(m - e_g) * total(g), g the last generator of m, so
-        factors come in index order and need no Koszul sign.  A missing
-        action component raises MissingActionComponent only when component k
+        total(m) is the product, in generator-index order (so factors need no
+        Koszul sign), of the power totals total(g^e) of _power_total: a
+        Frobenius l-th power per l-adic digit of e, or one product per unit
+        for an odd-parity g, then one capped _addmul per factor.  The cache
+        holds one (cap, total) entry per monomial, power entries included,
+        recomputed when a request reaches further.  A missing action
+        component raises MissingActionComponent only when component k
         reaches it, naming the first such generator in index order."""
         cache = self._total_cache
         entry = cache.get(m)
-        if entry is not None and len(entry) > k:
-            return entry
-        # walk down m, m - e_g, ... to a monomial cached far enough (or the
-        # unit), then build the prefixes back up
-        chain = []
-        deg = self._degree(m)
-        while True:
-            cap = min(k, deg if self.prime == 2 else deg // 2)
-            entry = cache.get(m)
-            if entry is not None and len(entry) > cap:
-                break
-            if not deg:
-                entry = cache[m] = [{m: 1}]
-                break
-            gi = self.n - 1 - ((m & -m).bit_length() - 1) // _FIELD_BITS  # lowest field
-            chain.append((m, gi, cap))
-            m -= self._units[gi]
-            deg -= self.generators[gi].degree
-        for m, gi, cap in reversed(chain):
-            sub = entry
-            comps, top = self._gen_total(gi)
-            if len(comps) <= min(cap, top):
+        if entry is not None and entry[0] >= k:
+            return entry[1]
+        exps = self._unpack(m)
+        deg = self.monomial_degree(exps)
+        cap = min(k, deg if self.prime == 2 else deg // 2)
+        if entry is not None and entry[0] >= cap:
+            return entry[1]
+        total = None
+        for gi, e in enumerate(exps):
+            if not e:
+                continue
+            power, count, top = self._gen_total(gi)
+            if count <= min(cap, top):
                 raise MissingActionComponent(
                     "component %d of the action on %s is needed but not declared"
-                    % (len(comps), self.generators[gi].name)
+                    % (count, self.generators[gi].name)
                 )
-            entry = cache.setdefault(m, [])
-            for i in range(len(entry), cap + 1):
-                acc = {}
-                for j in range(max(0, i - len(sub) + 1), min(i, top) + 1):
-                    if sub[i - j]:
-                        self._addmul(acc, 1, sub[i - j], comps[j])
-                entry.append(acc)
-        return entry
+            if e > 1:
+                power = self._power_total(gi, e, cap)
+            total = power if total is None else self._addmul({}, 1, total, power, cap)
+        if total is None:
+            total = {0: 1}
+        cache[m] = (cap, total)
+        return total
 
     def _beta_monomial(self, m):
         """Bockstein of one monomial at an odd prime, as a terms dict
@@ -554,9 +660,7 @@ class RingPresentation:
                 self._addmul(out, c, self._beta_monomial(m))
             return self._wrap(out)
         for m, c in x._packed.items():
-            total = self._total_on_monomial(m, letter)
-            if letter < len(total):
-                self._addmul(out, c, total[letter])
+            self._addmul(out, c, self._component(self._total_on_monomial(m, letter), letter))
         return self._wrap(out)
 
     def apply_word(self, word, x):
@@ -577,15 +681,23 @@ class RingPresentation:
         """All components of the total Sq (or total P at odd primes) of a
         homogeneous element, as a dict operation-degree -> RingElement.
 
-        One pass: each monomial's cached Cartan prefix (_total_on_monomial)
-        is asked for once, up to its instability bound.  A missing action
-        component raises the error that letter-by-letter order meets first."""
+        One pass: each monomial's cached total (_total_on_monomial) is asked
+        for once, up to its instability bound, and split by component index.
+        A missing action component raises the error that letter-by-letter
+        order meets first."""
         cap = max((self._degree(m) for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
+        ell, shift = self.prime, self._tag_shift
         comps = [{} for _ in range(cap + 1)]
         try:
             for m, c in x._packed.items():
-                for acc, t in zip(comps, self._total_on_monomial(m, cap)):
-                    self._addmul(acc, c, t)
+                for t, v in self._total_on_monomial(m, cap).items():
+                    i = t >> shift
+                    acc, t = comps[i], t - (i << shift)
+                    new = (acc.get(t, 0) + c * v) % ell
+                    if new:
+                        acc[t] = new
+                    else:
+                        acc.pop(t, None)
         except MissingActionComponent:
             for i in range(1, cap + 1):
                 self.apply_letter(i, x)
@@ -634,7 +746,7 @@ class RingPresentation:
             # the Cartan formula on the raw lead follows the other side of the rule
             total = self._total_on_monomial(lead, cap)
             paths = [("%s^%d" % ("Sq" if self.prime == 2 else "P", i),
-                      self._wrap(total[i] if i < len(total) else {}), self.apply_letter(i, rhs_elt))
+                      self._wrap(self._component(total, i)), self.apply_letter(i, rhs_elt))
                      for i in range(1, cap + 1)]
             if self.prime > 2:
                 paths.append(("b", self._wrap(self._beta_monomial(lead)), self.bockstein(rhs_elt)))

@@ -290,6 +290,14 @@ class _Parser:
             self.fail("found %r" % (tok.value or "end of input"), (what,))
         return self.next().value
 
+    def expect_keyword(self, what, words):
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.fail("found %r" % (tok.value or "end of input"), (what,))
+        if tok.value not in words:
+            self.fail("found %r" % tok.value, words)
+        return self.next().value
+
     def expect_string(self):
         tok = self.peek()
         if tok.kind != "string":
@@ -570,9 +578,8 @@ class _Parser:
                              expect_span=expect_span)
         if verb == "obstruct":
             self.next()
-            kind = self.expect_ident("odd, weird, frobenius, or hs")
-            if kind not in ("odd", "weird", "frobenius", "hs"):
-                self.fail("found %r" % kind, ("odd", "weird", "frobenius", "hs"))
+            kind = self.expect_keyword("odd, weird, frobenius, or hs",
+                                       ("odd", "weird", "frobenius", "hs"))
             flags = self._parse_flags(("codim", "which", "q", "max-degree"))
             self.expect_word("on")
             poly = self.parse_poly()
@@ -611,9 +618,7 @@ class _Parser:
             return WuQuery(flags["n"], flags["m"], ring, y, hyperplane, expect, span=span)
         if verb == "charclass":
             self.next()
-            kind = self.expect_ident("w or wet")
-            if kind not in ("w", "wet"):
-                self.fail("found %r" % kind, ("w", "wet"))
+            kind = self.expect_keyword("w or wet", ("w", "wet"))
             self.expect_word("of")
             bundle = self.expect_ident("a bundle name")
             expect = self.expect_string() if self.eat_word("expect") else None
@@ -621,9 +626,7 @@ class _Parser:
             return CharclassQuery(kind, bundle, expect, span=span)
         if verb == "corpus":
             self.next()
-            action = self.expect_ident("list or run")
-            if action not in ("list", "run"):
-                self.fail("found %r" % action, ("list", "run"))
+            action = self.expect_keyword("list or run", ("list", "run"))
             name = None
             if action == "run":
                 name = self.expect_ident("a scenario name or all")

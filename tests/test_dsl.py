@@ -250,6 +250,27 @@ def test_parser_matches_reference_on_mutated_files(source):
     assert _parse_outcome(dsl.parse, source) == _parse_outcome(reference_parse, source)
 
 
+@pytest.mark.parametrize("line, col, message", [
+    ("obstruct bogus on x1 in CLASSIFYING2;", 10,
+     "found 'bogus' (expected 'odd' or 'weird' or 'frobenius' or 'hs')"),
+    ("obstruct 5 on x1 in CLASSIFYING2;", 10,
+     "found '5' (expected odd, weird, frobenius, or hs)"),
+    ("charclass wt of E;", 11, "found 'wt' (expected 'w' or 'wet')"),
+    ("corpus walk all;", 8, "found 'walk' (expected 'list' or 'run')"),
+])
+def test_bad_query_word_is_reported_where_it_stands(line, col, message, tmp_path, capsys):
+    source = "# a comment\n  " + line + "\n"
+    want = "2:%d: %s" % (col + 2, message)
+    for parse in (dsl.parse, reference_parse):
+        with pytest.raises(DslSyntaxError) as caught:
+            parse(source)
+        assert str(caught.value) == want
+    path = tmp_path / "word.steen"
+    path.write_text(source, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % want
+
+
 POLY_PIECES = [
     "w", "x1", "Sq", "_a", "0", "1", "12", "\u0663", "^", "*", "+", "-", "(", ")",
     " ", "\n", ";", "in", '"w"', "--q", "#c\n", "@",
@@ -387,8 +408,12 @@ BUNDLE = "bundle E in R {\n  rank = 1;\n}\n"
     (R2 + "\n  action P^1(w) = 0;\n}", NonHomogeneous,
      "P actions need an odd prime (ring R)", (5, 3)),
     ("\n" + R2 + "  gen v deg=0;\n}", NonHomogeneous,
-     "generator v must have positive degree", (2, 1)),
-    (R2 + "  rule w^2 = 1;\n}", NonHomogeneous, "rule on w is not degree-homogeneous", (1, 1)),
+     "generator v must have positive degree", (5, 3)),
+    (R2 + "  rule w^2 = 1;\n}", NonHomogeneous, "rule on w is not degree-homogeneous", (4, 3)),
+    (R2 + "  rule w^2 = 0;\n  rule w^3 = 0;\n}", NonHomogeneous,
+     "two rules on generator 'w'", (5, 3)),
+    (R2 + "  gen l deg=2 twist=1;\n  action Sq^1(l) = l;\n}", NonHomogeneous,
+     "action on l: component has degree 2, expected 3", (5, 3)),
 ])
 def test_semantic_errors_carry_their_span(source, error, message, span, tmp_path, capsys):
     with pytest.raises(error) as caught:
@@ -607,14 +632,17 @@ def test_generator_checks_come_before_rule_polys():
     ("  rule w^2 = w^2;\n", RuleNonTermination, "rule w^2 has a right side not lead-reduced"),
 ])
 def test_ring_build_errors_carry_the_block_span(ring, error, message, tmp_path, capsys):
+    # omega has no span of its own, so its errors point at the ring block;
+    # a rule error points at its rule, on line 5
     source = "\n" + R2 + ring + "}\n"
+    at = "5:3" if error is RuleNonTermination else "2:1"
     with pytest.raises(error) as caught:
         _build(source)
-    assert str(caught.value) == message + " at 2:1"
+    assert str(caught.value) == "%s at %s" % (message, at)
     path = tmp_path / "ring.steen"
     path.write_text(source, encoding="utf-8")
     assert main(["run", str(path)]) == 2
-    assert capsys.readouterr().err == "error: %s at 2:1\n" % message
+    assert capsys.readouterr().err == "error: %s at %s\n" % (message, at)
 
 
 # ------------------------------------------------ quoted operation words
@@ -674,6 +702,13 @@ def test_operation_errors_carry_their_file_position(case, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: 1:%d: %s\n" % (col, message), argv
         assert captured.out == ""
+
+
+def test_hash_in_a_command_line_operation_comes_before_later_lines(capsys):
+    # the scan would skip "# x" as a comment and stop at the '%' below it
+    for argv in (["adem", "Sq^1 # x\n%"], ["apply", "Sq^1 # x\n%", "x1", "--ring", "CLASSIFYING2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: 1:6: unexpected character '#'\n"
 
 
 def test_operation_error_examples(tmp_path, capsys):

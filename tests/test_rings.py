@@ -1,6 +1,7 @@
 """Presented rings: normal forms, Koszul signs, operation actions, twists."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from steencalc import (
     model_ring,
     rings,
 )
+from steencalc.cli import main
 from steencalc.errors import RuleNonTermination
 
 from oracles import Model2, ModelOdd
@@ -361,6 +363,94 @@ def test_cached_cartan_path_matches_reference(key, data):
         want = x if i == 0 else ref.apply_letter(i, x)
         assert total.get(i, R.zero()) == want, i
     assert R.bockstein(x) == ref.bockstein(x)
+
+
+# ------------------------------------- powers against closed forms
+
+# A generator g of degree 1 at l = 2 or degree 2 at odd l has total
+# operation g + g^l, so Sq^k or P^k of g^a h^b is
+# sum_s C(a, s) C(b, k - s) g^(a + s(l - 1)) h^(b + (k - s)(l - 1)).
+CLOSED_FORM_RINGS = [
+    ("model:2", ("x1", "x2")), ("model:3", ("y1", "y2")), ("model:5", ("y1", "y2")),
+    ("CLASSIFYING2", ("x1", "x2")), ("CLASSIFYING3", ("y1", "t")), ("CLASSIFYING5", ("y2", "t")),
+]
+_closed_form_cache = {}
+
+
+def _closed_form_ring(key):
+    if key not in _closed_form_cache:
+        _closed_form_cache[key] = (model_ring(int(key[6:]), 2) if key.startswith("model:")
+                                   else corpus.resolve_ring(key))
+    return _closed_form_cache[key]
+
+
+def _power_action_closed_form(R, names, a, b, k):
+    ell = R.prime
+    i, j = R.index[names[0]], R.index[names[1]]
+    want = {}
+    for s in range(k + 1):
+        c = math.comb(a, s) * math.comb(b, k - s) % ell
+        if c:
+            m = [0] * R.n
+            m[i], m[j] = a + s * (ell - 1), b + (k - s) * (ell - 1)
+            want[tuple(m)] = c
+    return want
+
+
+@pytest.mark.parametrize("key, names", CLOSED_FORM_RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_power_actions_match_closed_forms(key, names, data):
+    R = _closed_form_ring(key)
+    ell = R.prime
+    exponents = st.one_of(
+        st.integers(0, 64), st.integers(0, 2 ** 20),
+        st.sampled_from([2 ** 20 - 1, 2 ** 20, ell ** 8 - 1, ell ** 8, ell ** 8 + 1]),
+    )
+    # letter 0 is the Bockstein at odd primes
+    a, b, k = data.draw(exponents), data.draw(exponents), data.draw(st.integers(ell > 2, 40))
+    want = _power_action_closed_form(R, names, a, b, k)
+    x = R.element({m: 1 for m in _power_action_closed_form(R, names, a, b, 0)})
+    assert R.apply_letter(k, x).terms == want
+    if a + b <= 64:
+        assert R.total_sq(x).get(k, R.zero()).terms == want
+
+
+@pytest.mark.parametrize("key, names", CLOSED_FORM_RINGS)
+def test_sparse_power_actions_far_up(key, names):
+    # (g + g^l)^(l^j) = g^(l^j) + g^(l^(j+1)): the top component of a large
+    # l-th power, computed through its Frobenius steps alone
+    R = _closed_form_ring(key)
+    ell = R.prime
+    e = 2 ** 20 if ell == 2 else ell ** 8
+    x = R.gen(names[0], e)
+    assert R.apply_letter(e, x) == R.gen(names[0], ell * e)
+    assert not R.apply_letter(e - 1, x)
+    assert R.total_sq(R.gen(names[1], e)) == {0: R.gen(names[1], e), e: R.gen(names[1], ell * e)}
+
+
+def test_exponents_reaching_the_limit_through_an_operation_raise(capsys):
+    limit = rings._FIELD_LIMIT
+    R = model_ring(2, 2)
+    # Sq^1 x1^(2^30 - 1) = x1^(2^30), met in the product with total(x1)
+    with pytest.raises(InvalidArgument, match=r"^monomial x1\^1073741824 has an exponent of "):
+        R.apply_letter(1, R.gen("x1", limit - 1))
+    assert not R.apply_letter(1, R.gen("x1", limit - 2))
+    R = model_ring(5, 1)
+    # P^5 y1^(2^30 - 1) at l = 5 takes the 5th power of y1^(q + 4), q = (2^30 - 1) // 5,
+    # whose exponent would carry out of its field
+    with pytest.raises(InvalidArgument, match=r"^monomial y1\^1073741840 has an exponent of "):
+        R.apply_letter(5, R.gen("y1", limit - 1))
+    assert R.apply_letter(1, R.gen("y1", limit - 5)) == R.gen("y1", limit - 1).scale(4)
+    # P^5 z^5 = (P^1 z)^5 = y^(5(N + 4)): 5(N + 4) does not fit a 32-bit field
+    N = limit - 30
+    R = RingPresentation(5, [GeneratorSpec("z", 2 * N, action={i: {(0, N + 4 * i): 1} for i in range(1, 6)}),
+                             GeneratorSpec("y", 2)])
+    assert R.apply_letter(1, R.gen("z")) == R.gen("y", N + 4)
+    with pytest.raises(InvalidArgument, match=r"^monomial y\^%d has an exponent of " % (5 * (N + 4))):
+        R.apply_letter(5, R.gen("z", 5))
+    assert main(["apply", "P^5", "y1^%d" % (limit - 1), "--ring", "CLASSIFYING5"]) == 2
+    assert capsys.readouterr().err.startswith("error: monomial y1^1073741840 has an exponent of ")
 
 
 # ------------------------------------------------------------- twist data
