@@ -51,10 +51,13 @@ class ObstructionReport:
 
 def odd_vanishing_check(x: TwistedClass, max_degree: int) -> ObstructionReport:
     """Apply every admissible odd-degree monomial operation up to max_degree.
-    Any nonzero output rules out algebraicity."""
+    Any nonzero output rules out algebraicity.  Words of excess above the
+    degree of x are zero on x by instability, so they are never built."""
+    if max_degree < 0:
+        raise InvalidArgument("max degree must be >= 0, got %d" % max_degree)
     parent = x.value.parent
     hits = []
-    for mono in admissible_monomials(parent.prime, max_degree):
+    for mono in admissible_monomials(parent.prime, max_degree, x.degree):
         if mono.degree() % 2 == 0 or not mono.word:
             continue
         out = parent.apply_word(mono.word, x.value)
@@ -102,6 +105,53 @@ def weird_operator(x: TwistedClass, c: int, which: int,
     return TwistedClass(value, x.degree + 3, x.twist)
 
 
+# Miller-Rabin with these bases decides primality exactly below 3.3e24.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        for _ in range(s):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _is_prime_power(q):
+    """q = p^k for a prime p and k >= 1: q is the size of a finite field."""
+    for k in range(1, q.bit_length()):
+        root = _integer_root(q, k)
+        if root < 2:
+            break
+        if root ** k == q and _is_prime(root):
+            return True
+    return False
+
+
+def _integer_root(n, k):
+    """The largest r with r^k <= n, for n >= 1."""
+    low, high = 1, 1 << (n.bit_length() + k - 1) // k
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid ** k <= n:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 @dataclass
 class FrobeniusContext:
     """Diagonal Frobenius action: the generator g scales by q^f_g and a Tate
@@ -113,6 +163,8 @@ class FrobeniusContext:
     def __post_init__(self):
         if self.q % self.parent.prime == 0:
             raise InvalidArgument("q must be prime to %d" % self.parent.prime)
+        if not _is_prime_power(self.q):
+            raise InvalidArgument("q must be a prime power, got %d" % self.q)
 
     def eigenvalue(self, m, twist: int) -> int:
         ell = self.parent.prime

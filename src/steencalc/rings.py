@@ -503,8 +503,8 @@ class RingPresentation:
         if cached is None:
             g = self.generators[gi]
             top = g.degree if self.prime == 2 else g.degree // 2
-            comp = self._action[gi]
-            out = [self.gen(g.name)._packed]
+            comp, unit = self._action[gi], self._units[gi]
+            out = [self._reduce(unit)]
             for i in range(1, top + 1):
                 if i in comp:
                     out.append(comp[i]._packed)
@@ -512,7 +512,7 @@ class RingPresentation:
                     # instability: the operation dual to the degree squares / l-th
                     # powers the class; for odd-degree generators at odd primes
                     # no component is forced, so it must be declared
-                    out.append((self.gen(g.name) ** self.prime)._packed)
+                    out.append(self._reduce(self.prime * unit))
                 else:
                     break
             total = {m + (i << self._tag_shift): c for i, t in enumerate(out) for m, c in t.items()}
@@ -712,25 +712,33 @@ class RingPresentation:
     def basis_of_degree(self, degree, twist=None):
         """Normal-form monomials of the given degree (and twist residue,
         when one is supplied), sorted lexicographically."""
-        out = []
         caps = [1 if g.parity == "odd" else self.rules.get(gi, (degree + 2,))[0] - 1
                 for gi, g in enumerate(self.generators)]
+        # reach[gi]: the degrees up to `degree` that generators gi.. can make,
+        # so the walk below never enters a branch that ends in no monomial
+        reach = [{0}]
+        for d, cap in zip(reversed(self._degrees), reversed(caps)):
+            reach.append({s + e * d for s in reach[-1]
+                          for e in range(min(cap, (degree - s) // d) + 1)})
+        reach.reverse()
+        out = []
 
         def rec(gi, left, exps):
             if gi == self.n:
-                if left == 0:
-                    out.append(tuple(exps))
+                out.append(tuple(exps))
                 return
-            g = self.generators[gi]
-            for e in range(min(caps[gi], left // g.degree) + 1):
-                exps.append(e)
-                rec(gi + 1, left - e * g.degree, exps)
-                exps.pop()
+            d, below = self._degrees[gi], reach[gi + 1]
+            for e in range(min(caps[gi], left // d) + 1):
+                if left - e * d in below:
+                    exps.append(e)
+                    rec(gi + 1, left - e * d, exps)
+                    exps.pop()
 
-        rec(0, degree, [])
+        if degree in reach[0]:
+            rec(0, degree, [])
         if twist is not None and self.prime > 2:
             out = [m for m in out if (self.monomial_twist(m) - twist) % (self.prime - 1) == 0]
-        return sorted(out)
+        return out
 
     def check_action_consistency(self, max_degree):
         """Re-derive every rewrite rule under all operations of degree up to

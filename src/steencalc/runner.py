@@ -6,11 +6,25 @@ structured record for machine output, whether an expectation was attached
 and met, and whether an obstruction fired.  QueryResult.passed is the pass
 rule both front ends apply.  Output is deterministic: term order comes from
 the ring's renderers, never from dict iteration.
+
+Answers are cached.  execute_query resolves the ring (or the bundle) by name
+on every call, then looks the answer up in one functools.lru_cache of at
+most _ANSWERS_MAX entries, keyed by the query and the objects the answer
+reads: the resolved presentation, and for charclass the bundle declaration.
+The key is sound because AST nodes are frozen dataclasses whose source spans
+are left out of equality and hashing, presentations are immutable and hash
+by identity, and neither labels nor results carry spans.  A caller gets a
+fresh QueryResult, with its own lines and record, so mutating it changes no
+later answer.  Left out: errors (a failing query raises again, with its own
+line:col) and corpus verbs, whose output depends on files and on the hook
+(the scenario queries they run do go through the cache).  A cached entry
+keeps its presentation alive until it is evicted or the table is cleared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import dsl
@@ -118,11 +132,47 @@ def _operation(text, prime, at):
         raise DslSyntaxError(exc.message, at[0], at[1] + exc.col, exc.expected) from exc
 
 
+_ANSWERS_MAX = 1024
+_ON_A_RING = (dsl.ApplyQuery, dsl.NormalizeQuery, dsl.WuQuery, dsl.ObstructQuery)
+
+
 def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
                   corpus_hook=None) -> QueryResult:
     """Run one query.  resolve_ring(name) -> RingPresentation (raising
     UnknownGenerator for unknown names); resolve_bundle(name) ->
     (BundleDecl, RingPresentation); corpus_hook(query) handles corpus verbs."""
+    if isinstance(query, dsl.CorpusQuery):
+        if corpus_hook is None:
+            raise SteencalcError("corpus queries are not available here")
+        return corpus_hook(query)
+    if isinstance(query, dsl.AdemQuery):
+        answer = _answer(query, None)
+    elif isinstance(query, dsl.CharclassQuery):
+        if resolve_bundle is None:
+            raise SteencalcError("no bundles in scope")
+        decl, pres = resolve_bundle(query.bundle)
+        answer = _answer(query, pres, decl)
+    elif isinstance(query, _ON_A_RING):
+        answer = _answer(query, resolve_ring(query.ring))
+    else:
+        raise TypeError("unhandled query %r" % (query,))
+    return QueryResult(answer.label, list(answer.lines), _fresh(answer.record),
+                       answer.expected, answer.fired)
+
+
+def _fresh(value):
+    """A copy of a record: its dicts and lists copied, all the way down."""
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    return value
+
+
+@lru_cache(maxsize=_ANSWERS_MAX)
+def _answer(query, pres, decl=None) -> QueryResult:
+    """The answer to a query on its resolved presentation (None for adem)
+    and, for charclass, its bundle declaration; callers get copies."""
     label = dsl.render_query(query)
     lines = [label]
     record = {"query": label}
@@ -138,15 +188,7 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
             expected = _expect(lines, record, normal == want, want.render())
         return QueryResult(label, lines, record, expected)
 
-    if isinstance(query, dsl.CorpusQuery):
-        if corpus_hook is None:
-            raise SteencalcError("corpus queries are not available here")
-        return corpus_hook(query)
-
     if isinstance(query, dsl.CharclassQuery):
-        if resolve_bundle is None:
-            raise SteencalcError("no bundles in scope")
-        decl, pres = resolve_bundle(query.bundle)
         chern = [dsl.poly_to_element(pres, p, decl.span) for p in decl.chern]
         denom = [dsl.poly_to_element(pres, p, decl.span) for p in decl.denom]
         v = VirtualBundle(decl.rank, chern, denom, decl.trunc)
@@ -165,8 +207,6 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
         if query.expect is not None:
             expected = _expect(lines, record, rendered == query.expect, query.expect)
         return QueryResult(label, lines, record, expected)
-
-    pres = resolve_ring(query.ring)
 
     if isinstance(query, (dsl.ApplyQuery, dsl.NormalizeQuery)):
         result = dsl.poly_to_element(pres, query.poly, query.span)
@@ -197,10 +237,7 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
             expected = _expect(lines, record, verdict == query.expect, query.expect)
         return QueryResult(label, lines, record, expected, fired=not holds)
 
-    if isinstance(query, dsl.ObstructQuery):
-        return _execute_obstruct(query, pres, label, lines, record)
-
-    raise TypeError("unhandled query %r" % (query,))
+    return _execute_obstruct(query, pres, label, lines, record)
 
 
 def _execute_obstruct(query, pres, label, lines, record):

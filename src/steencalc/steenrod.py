@@ -381,45 +381,40 @@ def parse_operation(text: str, prime: int) -> SteenrodElement:
     return SteenrodElement(prime, _Parser(text).parse_operation(prime))
 
 
-def admissible_monomials(prime, max_degree):
-    """All admissible words of degree <= max_degree, sorted by (degree, word)."""
-    _require_prime(prime)
-    out = [()]
-    if prime == 2:
-        def grow(word, budget):
-            cap = min(budget, word[-1] // 2) if word else budget
-            for i in range(1, cap + 1):
-                w = word + (i,)
-                out.append(w)
-                grow(w, budget - i)
+def admissible_monomials(prime, max_degree, max_excess=None):
+    """All admissible words of degree <= max_degree, and of excess <=
+    max_excess when one is given, sorted by (degree, word).
 
-        grow((), max_degree)
+    Words grow outward: a letter (a power P^s, or a Bockstein at odd l) is
+    put in front of an admissible word.  The excess never falls as a word
+    grows so, past the bound, no word grows further.  A word of excess e is
+    zero on every class of degree below e, by instability of its first
+    power, so max_excess = |x| keeps every word that can act nonzero on x."""
+    _require_prime(prime)
+    top = max_degree if max_excess is None else max_excess
+    out = []
+    if prime == 2:
+        def grow(word, degree):
+            # Sq^a word has excess a - degree
+            out.append((degree, word))
+            low = 2 * word[0] if word else 1
+            for a in range(low, min(max_degree - degree, top + degree) + 1):
+                grow((a,) + word, degree + a)
     else:
         step = 2 * (prime - 1)
-        if max_degree >= 1:
-            out.append((0,))
 
-        def grow(word, last_s, budget):
-            # word ends with the power P^last_s; extend by [b] P^s
-            if budget >= 1:
-                out.append(word + (0,))
-            for eps in (0, 1):
-                middle = (0,) if eps else ()
-                cap = min((last_s - eps) // prime, (budget - eps) // step)
-                for s in range(1, cap + 1):
-                    w = word + middle + (s,)
-                    out.append(w)
-                    grow(w, s, budget - eps - step * s)
+        def grow(word, degree, first=0):
+            # first is the index of the word's first power (0 if none); P^s word
+            # has excess 2s - degree, and a front Bockstein leaves it as it is
+            out.append((degree, word))
+            bockstein = bool(word) and word[0] == 0
+            if not bockstein and degree < max_degree:
+                grow((0,) + word, degree + 1, first)
+            high = min((max_degree - degree) // step, (top + degree) // 2)
+            for s in range(max(1, prime * first + bockstein), high + 1):
+                grow((s,) + word, degree + step * s, s)
 
-        for eps0 in (0, 1):
-            for s1 in range(1, (max_degree - eps0) // step + 1):
-                w = ((0,) if eps0 else ()) + (s1,)
-                out.append(w)
-                grow(w, s1, max_degree - eps0 - step * s1)
-    monos = []
-    for w in sorted(set(out)):
-        m = _monomial(prime, w)
-        if m.degree() <= max_degree:
-            monos.append(m)
-    monos.sort(key=lambda m: (m.degree(), m.word))
-    return monos
+    if min(max_degree, top) >= 0:
+        grow((), 0)
+    out.sort()
+    return [_monomial(prime, word) for _, word in out]

@@ -15,7 +15,11 @@ Unlike the closed-form models in oracles.py, these call into the package:
 - `reference_parse_operation` is the separate tokenizer and parser that
   read quoted operation words before the DSL grammar did;
 - `reference_normalize_words` is the Adem normaliser that rescanned every
-  word from its first letter, over the engine's own Adem pair tables.
+  word from its first letter, over the engine's own Adem pair tables;
+- `reference_admissible_words` is the enumerator that grew words inward,
+  with no excess bound;
+- `reference_basis_of_degree` is the monomial enumerator that tried every
+  exponent of every generator, the last one included.
 """
 
 import re
@@ -797,3 +801,76 @@ def reference_normalize_words(prime, terms):
         for repl, c in expansion:
             pending.append((head + repl + tail, coeff * c))
     return result
+
+
+# ------------------------------------------- admissible words, grown inward
+
+
+def reference_admissible_words(prime, max_degree):
+    """The words of all admissible monomials of degree <= max_degree, sorted
+    by (degree, word): words grow by appending letters, with no excess bound."""
+    out = [()]
+    if prime == 2:
+        def grow(word, budget):
+            cap = min(budget, word[-1] // 2) if word else budget
+            for i in range(1, cap + 1):
+                w = word + (i,)
+                out.append(w)
+                grow(w, budget - i)
+
+        grow((), max_degree)
+    else:
+        step = 2 * (prime - 1)
+        if max_degree >= 1:
+            out.append((0,))
+
+        def grow(word, last_s, budget):
+            # word ends with the power P^last_s; extend by [b] P^s
+            if budget >= 1:
+                out.append(word + (0,))
+            for eps in (0, 1):
+                middle = (0,) if eps else ()
+                cap = min((last_s - eps) // prime, (budget - eps) // step)
+                for s in range(1, cap + 1):
+                    w = word + middle + (s,)
+                    out.append(w)
+                    grow(w, s, budget - eps - step * s)
+
+        for eps0 in (0, 1):
+            for s1 in range(1, (max_degree - eps0) // step + 1):
+                w = ((0,) if eps0 else ()) + (s1,)
+                out.append(w)
+                grow(w, s1, max_degree - eps0 - step * s1)
+
+    def degree(w):
+        return sum(w) if prime == 2 else sum(1 if s == 0 else step * s for s in w)
+
+    return sorted((w for w in set(out) if degree(w) <= max_degree),
+                  key=lambda w: (degree(w), w))
+
+
+# ------------------------------------------------ monomial basis, exhaustive
+
+
+def reference_basis_of_degree(pres, degree, twist=None):
+    """pres.basis_of_degree by trying every exponent of every generator up
+    to its cap and keeping the tuples that land on the degree."""
+    out = []
+    caps = [1 if g.parity == "odd" else pres.rules.get(gi, (degree + 2,))[0] - 1
+            for gi, g in enumerate(pres.generators)]
+
+    def rec(gi, left, exps):
+        if gi == pres.n:
+            if left == 0:
+                out.append(tuple(exps))
+            return
+        g = pres.generators[gi]
+        for e in range(min(caps[gi], left // g.degree) + 1):
+            exps.append(e)
+            rec(gi + 1, left - e * g.degree, exps)
+            exps.pop()
+
+    rec(0, degree, [])
+    if twist is not None and pres.prime > 2:
+        out = [m for m in out if (pres.monomial_twist(m) - twist) % (pres.prime - 1) == 0]
+    return sorted(out)

@@ -215,6 +215,21 @@ BAD_ARGUMENTS = {
     "hs-q-not-prime-to-l": (
         ["obstruct", "hs", "x1", "--q", "2", "--ring", "CLASSIFYING2"],
         "q must be prime to 2"),
+    "frobenius-q-not-a-prime-power": (
+        ["obstruct", "frobenius", "x1", "--q", "15", "--ring", "CLASSIFYING2"],
+        "q must be a prime power, got 15"),
+    "frobenius-q-one": (
+        ["obstruct", "frobenius", "x1", "--q", "1", "--ring", "CLASSIFYING2"],
+        "q must be a prime power, got 1"),
+    "frobenius-q-negative": (
+        ["obstruct", "frobenius", "x1", "--q", "-3", "--ring", "CLASSIFYING2"],
+        "q must be a prime power, got -3"),
+    "hs-q-negative": (
+        ["obstruct", "hs", "x1", "--q", "-3", "--ring", "CLASSIFYING2"],
+        "q must be a prime power, got -3"),
+    "odd-max-degree-negative": (
+        ["obstruct", "odd", "x1", "--max-degree", "-5", "--ring", "CLASSIFYING2"],
+        "max degree must be >= 0, got -5"),
     "weird-at-odd-prime": (
         ["obstruct", "weird", "v", "--codim", "1", "--ring", "PROJ1_3"],
         "the omega-corrected operators live at the prime 2"),

@@ -10,6 +10,7 @@ from steencalc import (
     FrobeniusContext,
     GeneratorSpec,
     HsInput,
+    InvalidArgument,
     MissingFrobeniusData,
     OmegaUndeclared,
     RingPresentation,
@@ -22,8 +23,10 @@ from steencalc import (
     odd_vanishing_check,
     weird_operator,
 )
+from steencalc.steenrod import SteenrodMonomial
 
 from oracles import in_span
+from references import reference_admissible_words
 
 
 REAL4 = corpus.resolve_ring("REALFOURFOLD")
@@ -61,6 +64,61 @@ def test_odd_ops_at_odd_prime():
     x1, y1 = CLS3.gen("x1"), CLS3.gen("y1")
     assert odd_vanishing_check(TwistedClass(x1, 1, 1), 5).fires  # b(x1) = y1
     assert not odd_vanishing_check(TwistedClass(y1, 2, 1), 5).fires
+
+
+SHIPPED = {name: corpus.resolve_ring(name) for name in corpus.scenario_names()}
+
+
+def _low_basis(R, top):
+    return [m for d in range(top + 1) for m in R.basis_of_degree(d)]
+
+
+def test_words_above_excess_vanish_on_shipped_rings():
+    """An admissible word of excess above |m| is zero on a basis monomial m:
+    the check may skip it without applying it."""
+    checked = 0
+    for R in SHIPPED.values():
+        words = reference_admissible_words(R.prime, 12)
+        for m in _low_basis(R, 5):
+            x = R.element({m: 1})
+            degree = R.monomial_degree(m)
+            for w in words:
+                if SteenrodMonomial(R.prime, w).excess() > degree:
+                    assert not R.apply_word(w, x), (R.generators, m, w)
+                    checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_odd_check_matches_every_word(name):
+    """Verdicts, witnesses and their order are those of applying every
+    admissible odd-degree word up to the bound."""
+    R = SHIPPED[name]
+    for max_degree in (0, 3, 7, 10):
+        words = [SteenrodMonomial(R.prime, w)
+                 for w in reference_admissible_words(R.prime, max_degree)]
+        for m in _low_basis(R, 5):
+            x = R.element({m: 1})
+            twisted = TwistedClass(x, R.monomial_degree(m), R.monomial_twist(m))
+            hits = tuple((w.render(), R.apply_word(w.word, x).render())
+                         for w in words if w.degree() % 2 and R.apply_word(w.word, x))
+            report = odd_vanishing_check(twisted, max_degree)
+            assert report.witnesses == hits
+            assert report.verdict == ("nonvanishing" if hits else "vanishes")
+
+
+def test_odd_check_needs_a_nonnegative_bound():
+    with pytest.raises(InvalidArgument, match="max degree must be >= 0, got -5"):
+        odd_vanishing_check(TwistedClass(CLS2.gen("x1"), 1, 1), -5)
+
+
+def test_odd_check_far_bound_builds_only_low_excess_words():
+    # x1 has degree 1, so only the words Sq^(2^k) ... Sq^2 Sq^1 can act
+    report = odd_vanishing_check(TwistedClass(CLS2.gen("x1"), 1, 1), 100000)
+    assert report.verdict == "nonvanishing"
+    assert len(report.witnesses) == 16
+    assert report.witnesses[-1] == (
+        " ".join("Sq^%d" % 2 ** k for k in range(15, -1, -1)), "x1^65536")
 
 
 # ------------------------------------------------------ corrected operators
@@ -136,6 +194,21 @@ def test_frobenius_context_rejects_divisible_q():
         FrobeniusContext(CLS3, 6)
     with pytest.raises(ValueError):
         FrobeniusContext(CLS2, 4)
+
+
+@pytest.mark.parametrize("ring, q", [("CLASSIFYING2", 15), ("CLASSIFYING2", 1),
+                                     ("CLASSIFYING2", -3), ("CLASSIFYING3", 10),
+                                     ("CLASSIFYING5", 6)])
+def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
+    with pytest.raises(InvalidArgument, match="q must be a prime power, got %d" % q):
+        FrobeniusContext(SHIPPED[ring], q)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 2 ** 61 - 1, 3 ** 40])
+def test_frobenius_context_accepts_prime_powers(q):
+    for R in (CLS2, CLS3, CLS5):
+        if q % R.prime:
+            assert FrobeniusContext(R, q).q == q
 
 
 def test_frobenius_needs_exponents():

@@ -25,7 +25,7 @@ from steencalc.cli import main
 from steencalc.errors import RuleNonTermination
 
 from oracles import Model2, ModelOdd
-from references import CartanReference
+from references import CartanReference, reference_basis_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +500,19 @@ def test_basis_twist_filter():
     # a^2 has twist 2, ac twist 3, c^2 twist 4; listing is sorted
     assert R.basis_of_degree(4, twist=0) == [(0, 2), (2, 0)]
     assert R.basis_of_degree(4, twist=1) == [(1, 1)]
+
+
+def test_basis_matches_exhaustive_enumerator():
+    """The suffix-reach walk lists what trying every exponent lists, on the
+    model rings and every shipped ring, with and without a twist."""
+    rings_ = [model_ring(ell, n) for ell in (2, 3, 5) for n in (3, 4, 5)]
+    rings_ += [corpus.resolve_ring(name) for name in corpus.scenario_names()]
+    for R in rings_:
+        for degree in range(-1, 15):
+            assert R.basis_of_degree(degree) == reference_basis_of_degree(R, degree)
+        for degree, twist in itertools.product(range(8), range(max(1, R.prime - 1))):
+            assert (R.basis_of_degree(degree, twist)
+                    == reference_basis_of_degree(R, degree, twist))
 
 
 def test_normal_form_idempotent_and_multiplicative():

@@ -18,7 +18,7 @@ from steencalc.errors import InternalNonTermination, InvalidArgument
 from steencalc.steenrod import SteenrodMonomial, _normalize_words
 
 from oracles import Model2, ModelOdd, binom_mod
-from references import reference_normalize_words
+from references import reference_admissible_words, reference_normalize_words
 
 
 def _word_element(word, prime):
@@ -132,6 +132,18 @@ def test_admissible_monomials_count_low_degrees():
     for d, want in [(0, 1), (1, 1), (2, 1), (3, 2), (4, 2), (5, 2), (6, 3)]:
         got = [m for m in admissible_monomials(2, d) if m.degree() == d]
         assert len(got) == want, (d, got)
+
+
+@pytest.mark.parametrize("prime, max_degree", [(2, 24), (3, 45), (5, 90)])
+def test_admissible_monomials_match_inward_enumerator(prime, max_degree):
+    """Growing words outward finds the same words as appending letters; an
+    excess bound keeps exactly the words of excess up to it."""
+    want = reference_admissible_words(prime, max_degree)
+    assert [m.word for m in admissible_monomials(prime, max_degree)] == want
+    for bound in range(-1, 8):
+        got = [m.word for m in admissible_monomials(prime, max_degree, bound)]
+        assert got == [w for w in want if SteenrodMonomial(prime, w).excess() <= bound]
+    assert admissible_monomials(prime, -1) == []
 
 
 def test_admissible_monomials_odd_include_bocksteins():
