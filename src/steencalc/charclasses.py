@@ -10,8 +10,16 @@ classes c(a) = 1 + sum_j a^j c_j is prod_i (1 - t_i^(l-1)), and negating its
 degree-2(l-1)m part for odd m gives prod_i (1 + t_i^(l-1)).  At l = 2 this
 is the total Chern class itself.
 
-Inhomogeneous results are carried by TotalClass, a finite sum of homogeneous
-pieces below a truncation bound on the cohomological degree.
+Inhomogeneous results are carried by TotalClass: a presentation, a bound on
+the cohomological degree, and one packed terms dict in which each monomial
+carries its degree in the tag field above the generators
+(RingPresentation._tag_shift, where Cartan totals carry the component
+index).  Rules are degree-homogeneous, so the tag stays exact through
+reduction: a truncated product is one _addmul capped at the bound, a sum is
+a dict merge, and degree components are split off only for output.  The
+cap's guard test needs each tag, and the sum of two, below the field's guard
+bit, so a bound must be below 2^30 (_FIELD_LIMIT) and a bundle's truncation
+below 2^29; larger ones raise InvalidArgument.
 
 Powers of eta = 1 + omega and the normal class of P^n over the base have
 closed forms, so no truncated series is raised to a power on their paths:
@@ -28,118 +36,106 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InvalidArgument,
+    MissingActionComponent,
     MissingCodim,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
     OmegaUndeclared,
 )
-from .rings import RingElement, RingPresentation, TwistedClass
+from .rings import _FIELD_LIMIT, _FIELD_MASK, RingElement, RingPresentation, TwistedClass
 from .steenrod import binom_mod_ell
 
 
 class TotalClass:
-    """Finite inhomogeneous class: cohomological degree -> RingElement,
-    truncated above `bound` (components beyond it are dropped, not zero)."""
+    """Finite inhomogeneous class truncated above degree `bound` (components
+    beyond it are dropped, not zero), as one packed terms dict whose tag
+    field holds each monomial's degree; see the module docstring."""
 
-    __slots__ = ("parent", "bound", "components")
+    __slots__ = ("parent", "bound", "_packed")
 
-    def __init__(self, parent, bound, components=None):
+    def __init__(self, parent, bound, packed=None):
+        if bound >= _FIELD_LIMIT:
+            raise InvalidArgument("degree bound %d is not below %d" % (bound, _FIELD_LIMIT))
         self.parent = parent
         self.bound = bound
-        comps = {}
-        for d, elt in (components or {}).items():
-            if d < 0 or d > bound or not elt:
-                continue
-            if not isinstance(elt, RingElement):
-                elt = parent.element(elt)
-            comps[d] = elt
-        self.components = comps
+        self._packed = packed or {}
 
     @classmethod
     def unit(cls, parent, bound):
-        return cls(parent, bound, {0: parent.one()})
+        return cls(parent, bound, {0: 1})
 
     @classmethod
     def of_element(cls, parent, elt, bound):
-        """Split a (possibly inhomogeneous) element into degree components."""
-        return cls(parent, bound, {d: e for d, e in elt.homogeneous_components().items()})
+        """A (possibly inhomogeneous) element, each term tagged by its degree."""
+        shift, degree = parent._tag_shift, parent._degree
+        packed = {}
+        for m, c in elt._packed.items():
+            d = degree(m)
+            if d <= bound:
+                packed[m + (d << shift)] = c
+        return cls(parent, bound, packed)
+
+    @property
+    def components(self):
+        """degree -> RingElement, in increasing degree."""
+        shift = self.parent._tag_shift
+        low = (1 << shift) - 1
+        comps = {}
+        for m, c in self._packed.items():
+            comps.setdefault(m >> shift, {})[m & low] = c
+        return {d: self.parent._wrap(comps[d]) for d in sorted(comps)}
 
     def component(self, d):
-        return self.components.get(d, self.parent.zero())
+        return self.parent._wrap(self.parent._component(self._packed, d))
+
+    def _upto(self, bound):
+        """The terms of degree at most bound."""
+        if bound >= self.bound:
+            return self._packed
+        above = bound + 1 << self.parent._tag_shift
+        return {m: c for m, c in self._packed.items() if m < above}
 
     def __add__(self, other):
         bound = min(self.bound, other.bound)
-        comps = {}
-        for d in set(self.components) | set(other.components):
-            if d > bound:
-                continue
-            s = self.component(d) + other.component(d)
-            if s:
-                comps[d] = s
-        return TotalClass(self.parent, bound, comps)
+        packed = self.parent._addmul(dict(self._upto(bound)), 1, other._upto(bound))
+        return TotalClass(self.parent, bound, packed)
 
     def scale(self, c):
-        return TotalClass(
-            self.parent, self.bound, {d: e.scale(c) for d, e in self.components.items()}
-        )
+        return TotalClass(self.parent, self.bound, self.parent._addmul({}, c, self._packed))
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
             other = TotalClass.of_element(self.parent, other, self.bound)
         bound = min(self.bound, other.bound)
-        addmul = self.parent._addmul
-        comps = {}
-        for d1, e1 in self.components.items():
-            for d2, e2 in other.components.items():
-                if d1 + d2 <= bound:
-                    addmul(comps.setdefault(d1 + d2, {}), 1, e1._packed, e2._packed)
-        return self._from_terms(self.parent, bound, comps)
-
-    @classmethod
-    def _from_terms(cls, parent, bound, comps):
-        return cls(parent, bound, {d: parent._wrap(t) for d, t in comps.items()})
+        packed = self.parent._addmul({}, 1, self._packed, other._packed, bound)
+        return TotalClass(self.parent, bound, packed)
 
     def inverse(self):
-        """Multiplicative inverse of a class with scalar unit part."""
-        c0 = self.component(0)
-        one = self.parent.one()
-        scalar = None
-        for s in range(1, self.parent.prime):
-            if c0 == one.scale(s):
-                scalar = s
-        if scalar is None:
+        """Multiplicative inverse of a class with scalar unit part, by Newton's
+        iteration g <- g + g(1 - fg): g exact below degree p makes 1 - fg start
+        in degree p and the new g exact below 2p, so both products are capped
+        at 2p - 1, and a step whose 1 - fg is 0 there makes no update."""
+        f, bound, parent = self._packed, self.bound, self.parent
+        if not f.get(0):
             raise NonHomogeneousInput("inverse needs an invertible scalar in degree 0")
-        inv0 = pow(scalar, -1, self.parent.prime)
-        addmul = self.parent._addmul
-        out = {0: one.scale(inv0)._packed}
-        for d in range(1, self.bound + 1):
-            acc = {}
-            for i in range(1, d + 1):
-                fi = self.components.get(i)
-                gj = out.get(d - i)
-                if fi and gj:
-                    addmul(acc, -inv0, fi._packed, gj)
-            if acc:
-                out[d] = acc
-        return self._from_terms(self.parent, self.bound, out)
+        addmul = parent._addmul
+        g, p = {0: pow(f[0], -1, parent.prime)}, 1
+        while p <= bound:
+            cap = min(2 * p - 1, bound)
+            e = addmul({0: 1}, -1, self._upto(cap), g, cap)
+            if e:
+                g = addmul(dict(g), 1, g, e, cap)
+            p = cap + 1
+        return TotalClass(parent, bound, g)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TotalClass)
-            and self.parent is other.parent
-            and self.components == other.components
-        )
+        return isinstance(other, TotalClass) and (self.parent, self._packed) == (other.parent, other._packed)
 
     def __bool__(self):
-        return bool(self.components)
+        return bool(self._packed)
 
     def render(self):
-        if not self.components:
-            return "0"
-        parts = []
-        for d in sorted(self.components):
-            parts.append("[%d] %s" % (d, self.components[d].render()))
-        return "; ".join(parts)
+        return "; ".join("[%d] %s" % (d, e.render()) for d, e in self.components.items()) or "0"
 
     def __repr__(self):
         return "<TotalClass %s>" % self.render()
@@ -160,6 +156,8 @@ class VirtualBundle:
     truncation: int = 10
 
     def validate(self, parent):
+        if 2 * self.truncation >= _FIELD_LIMIT:
+            raise InvalidArgument("truncation %d is not below %d" % (self.truncation, _FIELD_LIMIT // 2))
         for chern in (self.numerator_chern, self.denominator_chern):
             for j, c in enumerate(chern, start=1):
                 if not isinstance(c, RingElement) or c.parent is not parent:
@@ -175,32 +173,29 @@ def _splitting_total(parent, chern, truncation):
     """prod_i (1 + t_i^(l-1)) over the Chern roots of chern, as a TotalClass:
     the product of the classes c(a), a = 1..l-1, with the sign of each
     degree-2(l-1)m part flipped for odd m (see the module docstring)."""
-    ell = parent.prime
-    bound = 2 * truncation
-    classes = [
-        TotalClass(parent, bound, {0: parent.one(), **{
-            2 * j: cj.scale(pow(a, j, ell)) for j, cj in enumerate(chern, start=1)
-        }})
-        for a in range(1, ell)
-    ]
-    total = classes[0]
-    for c_a in classes[1:]:
-        total = total * c_a
+    ell, shift, bound = parent.prime, parent._tag_shift, 2 * truncation
+    chern = [TotalClass.of_element(parent, cj, bound)._packed for cj in chern]
+    total = None
+    for a in range(1, ell):
+        c_a = {0: 1}
+        for j, cj in enumerate(chern, start=1):
+            parent._addmul(c_a, pow(a, j, ell), cj)
+        total = c_a if total is None else parent._addmul({}, 1, total, c_a, bound)
     step = 2 * (ell - 1)
     return TotalClass(parent, bound, {
-        d: piece.scale(-1) if d // step % 2 else piece for d, piece in total.components.items()
+        m: ell - c if (m >> shift) // step % 2 else c for m, c in total.items()
     })
 
 
 def _omega_powers(parent, bound):
-    """[1, omega, omega^2, ...] through degree bound, stopping before the
-    first zero power, as one running product."""
+    """[1, omega, omega^2, ...] through degree bound, as tagged terms dicts,
+    stopping before the first zero power, as one running product."""
     if parent.omega is None:
         raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
-    omega = parent.gen(parent.omega)
-    powers = [parent.one()]
+    omega = TotalClass.of_element(parent, parent.gen(parent.omega), bound)._packed
+    powers = [{0: 1}]
     while len(powers) <= bound:
-        power = powers[-1] * omega
+        power = parent._addmul({}, 1, powers[-1], omega, bound)
         if not power:
             break
         powers.append(power)
@@ -210,11 +205,11 @@ def _omega_powers(parent, bound):
 def _eta_power(parent, omegas, e, bound):
     """eta^e = (1 + omega)^e = sum_i C(e, i) omega^i for any integer e, at
     l = 2, through degree bound, from the powers omegas of _omega_powers."""
-    comps = {}
+    packed = {}
     for i in range(min(bound if e < 0 else e, bound, len(omegas) - 1) + 1):
         if binom_mod_ell(e, i, 2):
-            comps[i] = omegas[i]
-    return TotalClass(parent, bound, comps)
+            packed.update(omegas[i])
+    return TotalClass(parent, bound, packed)
 
 
 def w_bro(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
@@ -232,15 +227,17 @@ def w_et(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
     """Etale total class: prod (1 + omega + t) for l = 2, the Chow formula
     for odd l.  At l = 2 a bundle of rank r with Chern classes c_j has
     prod_i (eta + t_i) = sum_j eta^(r-j) c_j (c_0 = 1, eta = 1 + omega), each
-    eta power in closed form; a virtual bundle divides the numerator's sum at
-    the virtual rank by the denominator's sum at rank 0."""
+    eta power in closed form.  A virtual bundle with d denominator classes
+    divides the numerator's sum at the virtual rank plus d by the
+    denominator's sum at rank d (both sides times eta^d): a polynomial, so
+    each Newton step of its inverse leaves 1 - fg in a few degrees."""
     v.validate(parent)
     if parent.prime != 2:
         return w_bro(parent, v)
     bound = 2 * v.truncation
     omegas = _omega_powers(parent, bound)
-    sides = []
-    for rank, chern in ((v.rank, v.numerator_chern), (0, v.denominator_chern)):
+    sides, d = [], len(v.denominator_chern)
+    for rank, chern in ((v.rank + d, v.numerator_chern), (d, v.denominator_chern)):
         side = _eta_power(parent, omegas, rank, bound)
         for j, cj in enumerate(chern, start=1):
             side = side + _eta_power(parent, omegas, rank - j, bound) * cj
@@ -251,15 +248,17 @@ def w_et(parent: RingPresentation, v: VirtualBundle) -> TotalClass:
 
 def verify_wet_chow(parent: RingPresentation, v: VirtualBundle) -> bool:
     """Check w_et(v) = sum_j (1 + omega)^(rank - j) * (degree-2j part of
-    w_bro(v)) at l = 2; for odd l both sides are the same formula."""
+    w_bro(v)) at l = 2, one term of w_bro(v) at a time; for odd l both sides
+    are the same formula."""
     if parent.prime != 2:
         return w_et(parent, v) == w_bro(parent, v)
-    bound = 2 * v.truncation
-    rhs = TotalClass(parent, bound)
+    bound, shift = 2 * v.truncation, parent._tag_shift
     omegas = _omega_powers(parent, bound)
-    for d, piece in w_bro(parent, v).components.items():
-        rhs = rhs + _eta_power(parent, omegas, v.rank - d // 2, bound) * piece
-    return w_et(parent, v) == rhs
+    rhs = {}
+    for m, c in w_bro(parent, v)._packed.items():
+        eta = _eta_power(parent, omegas, v.rank - (m >> shift) // 2, bound)
+        parent._addmul(rhs, c, eta._packed, {m: 1}, bound)
+    return w_et(parent, v) == TotalClass(parent, bound, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -288,25 +287,17 @@ def fiber_dimension(parent: RingPresentation, hyperplane: str = "l") -> int:
 def projective_pushforward(parent: RingPresentation, x, n: int, hyperplane: str = "l"):
     """Coefficient of hyperplane^n: integration over a P^n fiber.  Accepts a
     RingElement or TotalClass; the result lives in the same presentation
-    (supported on hyperplane-free monomials)."""
+    (supported on hyperplane-free monomials).  A TotalClass's terms with
+    hyperplane exponent n lose hyperplane^n and 2n from their degree tag."""
     gi, fiber_n = _hyperplane_data(parent, hyperplane)
     if fiber_n != n:
         raise NotProjectiveBundleScenario(
             "presentation truncates at %d but pushforward was asked for n=%d" % (fiber_n, n)
         )
-    if isinstance(x, TotalClass):
-        comps = {}
-        for d, elt in x.components.items():
-            pushed = projective_pushforward(parent, elt, n, hyperplane)
-            if pushed:
-                comps[d - 2 * n] = pushed
-        return TotalClass(parent, x.bound - 2 * n, comps)
-    terms = {}
-    lam_n = n * parent._units[gi]
-    for m, c in x._packed.items():
-        if parent._unpack(m)[gi] == n:
-            terms[m - lam_n] = c
-    return parent._wrap(terms)
+    shift, total = parent._shifts[gi], isinstance(x, TotalClass)
+    drop = n * parent._units[gi] + (2 * n << parent._tag_shift if total else 0)
+    packed = {m - drop: c for m, c in x._packed.items() if m >> shift & _FIELD_MASK == n}
+    return TotalClass(parent, x.bound - 2 * n, packed) if total else parent._wrap(packed)
 
 
 def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
@@ -321,35 +312,42 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
     ell = parent.prime
     step = 1 if ell == 2 else ell - 1  # lambda-power per k
     omegas = None  # built on first use, so an empty range of k needs no omega
-    comps = {}
+    packed = {}
     for k in range(min(n, bound // (2 * step)) + 1):
         coeff = binom_mod_ell(-(n + 1), k, ell)
         if not coeff:
             continue
-        shift = 2 * k * step
-        eta = {0: parent.one()}
+        lam_k = TotalClass.of_element(parent, parent.gen(hyperplane, k * step), bound)
+        eta = {0: 1}
         if ell == 2:
             omegas = omegas or _omega_powers(parent, bound)
-            eta = _eta_power(parent, omegas, -(n + k), bound - shift).components
-        lam_k = parent.gen(hyperplane, k * step)._packed
-        for d, piece in eta.items():
-            parent._addmul(comps.setdefault(d + shift, {}), coeff, piece._packed, lam_k)
-    return TotalClass._from_terms(parent, bound, comps)
+            eta = _eta_power(parent, omegas, -(n + k), bound - 2 * k * step)._packed
+        parent._addmul(packed, coeff, eta, lam_k._packed, bound)
+    return TotalClass(parent, bound, packed)
 
 
 def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass:
-    """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass."""
-    comps = {}
+    """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass: the
+    cached Cartan total of each monomial of degree deg, with component
+    index i in its tag, retagged by degree deg + i (l = 2) or
+    deg + 2i(l - 1)."""
+    ell, shift = parent.prime, parent._tag_shift
+    step, low = 1 if ell == 2 else 2 * (ell - 1), (1 << shift) - 1
+    packed = {}
     for m, c in x._packed.items():
         deg = parent._degree(m)
-        for i, piece in parent.total_sq(parent._wrap({m: c})).items():
-            shift = i if parent.prime == 2 else 2 * i * (parent.prime - 1)
-            d = deg + shift
-            if d > bound:
-                continue
-            acc = comps.get(d)
-            comps[d] = piece if acc is None else acc + piece
-    return TotalClass(parent, bound, comps)
+        try:
+            total = parent._total_on_monomial(m, deg if ell == 2 else deg // 2)
+        except MissingActionComponent:
+            parent.total_sq(parent._wrap({m: c}))  # raises the error letter order meets first
+            raise
+        retagged = {}
+        for t, v in total.items():
+            d = deg + (t >> shift) * step
+            if d <= bound:
+                retagged[(t & low) + (d << shift)] = v
+        parent._addmul(packed, c, retagged)
+    return TotalClass(parent, bound, packed)
 
 
 def verify_relative_wu_projective(parent: RingPresentation, y, m: int,
@@ -384,9 +382,10 @@ def twisted_total_on_cycle(parent: RingPresentation, x: TwistedClass,
     if parent.prime != 2:
         return total_operation_class(parent, x.value, bound)
     omegas = _omega_powers(parent, bound)
-    out = _eta_power(parent, omegas, x.codim, bound) * x.value  # Sq^0 x = x
-    for i in range(1, x.degree // 2 + 1):
-        piece = parent.apply_letter(2 * i, x.value)
-        if piece:
-            out = out + _eta_power(parent, omegas, x.codim - i, bound) * piece
-    return out
+    packed = {}
+    for i in range(x.degree // 2 + 1):
+        piece = parent.apply_letter(2 * i, x.value) if i else x.value  # Sq^0 x = x
+        eta = _eta_power(parent, omegas, x.codim - i, bound)
+        parent._addmul(packed, 1, eta._packed,
+                       TotalClass.of_element(parent, piece, bound)._packed, bound)
+    return TotalClass(parent, bound, packed)

@@ -121,10 +121,6 @@ def _path(directory: str, name: str) -> str:
     return os.path.join(directory, name + ".steen")
 
 
-def data_file_path(name: str) -> str:
-    return _path(_corpus_dir(), name)
-
-
 @lru_cache(maxsize=None)
 def _load(directory: str, name: str) -> Scenario:
     path = _path(directory, name)

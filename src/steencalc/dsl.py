@@ -42,6 +42,7 @@ from .errors import (
     UnknownGenerator,
     _at,
 )
+from .charclasses import VirtualBundle
 from .rings import _FIELD_LIMIT, GeneratorSpec, RewriteRule, RingPresentation, check_generators
 
 # ----------------------------------------------------------------- lexing
@@ -95,26 +96,6 @@ def _line_col(newlines, offset):
     """1-based (line, col) of offset; only a newline starts a line."""
     k = bisect_left(newlines, offset)
     return (k + 1, offset - newlines[k - 1] if k else offset + 1)
-
-
-def _kind(text):
-    """int | ident | string | sym | flag | eof, from a token's first characters."""
-    first = text[:1]
-    if first in _IDENT_START:
-        return "ident"
-    if first.isdecimal():
-        return "int"
-    return {"": "eof", '"': "string"}.get(first, "flag" if text[:2] == "--" else "sym")
-
-
-def _lex(source):
-    """(kind, value, line, col) for each token, ending in the eof token."""
-    texts, matches = _scan(source)
-    newlines = _newlines(source)
-    return [
-        (_kind(text), text) + _line_col(newlines, m.start(1))
-        for text, m in zip(texts[:texts.index("") + 1], matches)
-    ]
 
 
 # -------------------------------------------------------------------- ast
@@ -967,6 +948,10 @@ def build_program(ast: FileAst) -> Program:
             raise DuplicateGenerator("bundle %r declared twice" % b.name, b.span)
         if b.ring not in rings:
             raise UnknownGenerator("bundle %s names unknown ring %r" % (b.name, b.ring), b.span)
+        try:
+            VirtualBundle(b.rank, truncation=b.trunc).validate(rings[b.ring])
+        except InvalidArgument as exc:
+            raise InvalidArgument("%s%s" % (exc, _at(b.span))) from exc
         # chern polys must evaluate; degrees are checked when the bundle is used
         for poly in b.chern + b.denom:
             poly_to_element(rings[b.ring], poly, b.span)

@@ -167,12 +167,6 @@ class RingElement:
         degs = {self.parent._degree(m) for m in self._packed}
         return degs.pop() if len(degs) == 1 else None
 
-    def homogeneous_components(self):
-        out = {}
-        for m, c in self._packed.items():
-            out.setdefault(self.parent._degree(m), {})[m] = c
-        return {d: self.parent._wrap(t) for d, t in sorted(out.items())}
-
     def monomials(self):
         return [self.parent._unpack(m) for m in sorted(self._packed)]
 
@@ -260,7 +254,7 @@ class RingPresentation:
         self._over = _FIELD_LIMIT * sum(self._units)
         # sets a field's guard bit where l times its exponent reaches the limit
         self._frobenius_over = (_GUARD + _FIELD_LIMIT // -prime) * sum(self._units)
-        self._tag_shift = self.n * _FIELD_BITS  # the component index field
+        self._tag_shift = self.n * _FIELD_BITS  # a total's component index, or a degree
 
         self.rules = {}
         self._reduce_cache = {}
@@ -441,8 +435,9 @@ class RingPresentation:
         """acc += c*a*b in place, on packed terms dicts (acc += c*a when b is
         None); returns acc.  Products are reduced to normal form: a product
         whose guard test is clear is already normal and is added directly.
-        With a cap, a and b are tagged totals (component index field set) and
-        the guard test also drops every product whose index is above cap."""
+        With a cap, a and b are tagged (a Cartan component index or a total
+        class's degree in the field above the generators) and the guard test
+        also drops every product whose tag is above cap."""
         ell = self.prime
         if b is None:
             for m, v in a.items():

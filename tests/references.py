@@ -7,6 +7,10 @@ Unlike the closed-form models in oracles.py, these call into the package:
   differential check of the cached one;
 - `total_class_mul_reference` multiplies total classes through the public
   RingElement operators;
+- `ReferenceTotalClass` is the total class that kept a map from degree to
+  RingElement: products one pair of degrees at a time, the inverse by a
+  recurrence over every degree up to the bound, and the pushforward one
+  degree at a time;
 - `reference_lex` is the character-by-character lexer the DSL front end
   once used;
 - `reference_parse` and `reference_parse_poly` are the DSL front end the
@@ -20,11 +24,15 @@ Unlike the closed-form models in oracles.py, these call into the package:
   with no excess bound;
 - `reference_basis_of_degree` is the monomial enumerator that tried every
   exponent of every generator, the last one included.
+
+`data_file_path` names the source file a scenario is read from.
 """
 
 import re
 from typing import NamedTuple
 
+from steencalc import corpus
+from steencalc.charclasses import projective_pushforward
 from steencalc.dsl import (
     ActionDecl,
     AdemQuery,
@@ -43,6 +51,11 @@ from steencalc.dsl import (
 )
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
 from steencalc.steenrod import _MAX_REWRITE_STEPS, _adem_pbp, _adem_pp, _adem_sq
+
+
+def data_file_path(name):
+    """The .steen file scenario name is read from."""
+    return corpus._path(corpus._corpus_dir(), name)
 
 
 # ------------------------------------ per-cap Cartan reference path
@@ -158,6 +171,103 @@ def total_class_mul_reference(a, b):
             acc = comps.get(d)
             comps[d] = prod if acc is None else acc + prod
     return {d: e for d, e in comps.items() if e}
+
+
+class ReferenceTotalClass:
+    """Finite inhomogeneous class: cohomological degree -> RingElement,
+    truncated above `bound` (components beyond it are dropped, not zero)."""
+
+    def __init__(self, parent, bound, components=None):
+        self.parent = parent
+        self.bound = bound
+        comps = {}
+        for d, elt in (components or {}).items():
+            if d < 0 or d > bound or not elt:
+                continue
+            comps[d] = elt
+        self.components = comps
+
+    @classmethod
+    def unit(cls, parent, bound):
+        return cls(parent, bound, {0: parent.one()})
+
+    @classmethod
+    def of_element(cls, parent, elt, bound):
+        """Split a (possibly inhomogeneous) element into degree components."""
+        comps = {}
+        for m, c in elt.terms.items():
+            d = parent.monomial_degree(m)
+            comps[d] = comps.get(d, parent.zero()) + parent.element({m: c})
+        return cls(parent, bound, comps)
+
+    def component(self, d):
+        return self.components.get(d, self.parent.zero())
+
+    def __add__(self, other):
+        bound = min(self.bound, other.bound)
+        comps = {}
+        for d in set(self.components) | set(other.components):
+            if d > bound:
+                continue
+            s = self.component(d) + other.component(d)
+            if s:
+                comps[d] = s
+        return ReferenceTotalClass(self.parent, bound, comps)
+
+    def scale(self, c):
+        return ReferenceTotalClass(
+            self.parent, self.bound, {d: e.scale(c) for d, e in self.components.items()}
+        )
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferenceTotalClass):
+            other = ReferenceTotalClass.of_element(self.parent, other, self.bound)
+        bound = min(self.bound, other.bound)
+        comps = {}
+        for d1, e1 in self.components.items():
+            for d2, e2 in other.components.items():
+                if d1 + d2 <= bound:
+                    comps[d1 + d2] = comps.get(d1 + d2, self.parent.zero()) + e1 * e2
+        return ReferenceTotalClass(self.parent, bound, comps)
+
+    def inverse(self):
+        """Multiplicative inverse of a class with scalar unit part, degree by
+        degree: g_d = -f_0^-1 sum_{i>=1} f_i g_(d-i)."""
+        one = self.parent.one()
+        scalar = next((s for s in range(1, self.parent.prime)
+                       if self.component(0) == one.scale(s)), None)
+        if scalar is None:
+            raise ValueError("inverse needs an invertible scalar in degree 0")
+        inv0 = pow(scalar, -1, self.parent.prime)
+        out = {0: one.scale(inv0)}
+        for d in range(1, self.bound + 1):
+            acc = self.parent.zero()
+            for i in range(1, d + 1):
+                if i in self.components and d - i in out:
+                    acc = acc + self.components[i] * out[d - i]
+            if acc:
+                out[d] = acc.scale(-inv0)
+        return ReferenceTotalClass(self.parent, self.bound, out)
+
+    def projective_pushforward(self, n, hyperplane="l"):
+        """The package's pushforward of elements, one degree at a time."""
+        comps = {}
+        for d, elt in self.components.items():
+            pushed = projective_pushforward(self.parent, elt, n, hyperplane)
+            if pushed:
+                comps[d - 2 * n] = pushed
+        return ReferenceTotalClass(self.parent, self.bound - 2 * n, comps)
+
+    def __eq__(self, other):
+        return self.parent is other.parent and self.components == other.components
+
+    def render(self):
+        if not self.components:
+            return "0"
+        parts = []
+        for d in sorted(self.components):
+            parts.append("[%d] %s" % (d, self.components[d].render()))
+        return "; ".join(parts)
 
 
 # -------------------------------------------------------- reference lexer

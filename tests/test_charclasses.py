@@ -1,6 +1,6 @@
 """Total classes, splitting-principle reduction, pushforward identities."""
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add
 
 import pytest
@@ -18,6 +18,7 @@ from steencalc import (
     VirtualBundle,
     normal_bundle_total,
     projective_pushforward,
+    total_operation_class,
     twisted_total_on_cycle,
     verify_relative_wu_projective,
     verify_wet_chow,
@@ -25,10 +26,10 @@ from steencalc import (
     w_et,
 )
 from steencalc import corpus, dsl, model_ring
-from steencalc.charclasses import _eta_power, _omega_powers
+from steencalc.charclasses import _eta_power, _omega_powers, fiber_dimension
 
 from oracles import elementary_symmetric, poly_mul, product_one_plus_power, weight_piece
-from references import total_class_mul_reference
+from references import ReferenceTotalClass, total_class_mul_reference
 
 
 def _root_ring(ell, r):
@@ -135,9 +136,15 @@ def _total_ring(key):
     return _total_rings[key]
 
 
-def _draw_total(data, key, unit=None):
-    """A random TotalClass truncated at a bound of 0..8, with up to three
-    monomials per degree and the given scalar (or a random one) in degree 0."""
+def _total(R, bound, comps):
+    """The TotalClass with the degree components comps."""
+    return TotalClass.of_element(R, reduce(add, comps.values(), R.zero()), bound)
+
+
+def _draw_components(data, key, unit=None):
+    """(ring, bound, components) of a random class truncated at a bound of
+    0..8, with up to three monomials per degree and the given scalar (or a
+    random one) in degree 0."""
     R, bases = _total_ring(key)
     bound = data.draw(st.integers(0, 8))
     if unit is None:
@@ -147,11 +154,15 @@ def _draw_total(data, key, unit=None):
         if bases[d] and data.draw(st.booleans()):
             monos = data.draw(st.lists(st.sampled_from(bases[d]), max_size=3, unique=True))
             comps[d] = R.element({m: data.draw(st.integers(1, R.prime - 1)) for m in monos})
-    return TotalClass(R, bound, comps)
+    return R, bound, comps
+
+
+def _draw_total(data, key, unit=None):
+    return _total(*_draw_components(data, key, unit))
 
 
 def _reference_product(a, b):
-    return TotalClass(a.parent, min(a.bound, b.bound), total_class_mul_reference(a, b))
+    return _total(a.parent, min(a.bound, b.bound), total_class_mul_reference(a, b))
 
 
 @pytest.mark.parametrize("key", TOTAL_RINGS)
@@ -179,6 +190,57 @@ def test_totalclass_power_and_inverse(key, data):
     for _ in range(abs(n)):
         want = _reference_product(want, base)
     assert _power(x, n) == want
+
+
+def _agrees(x, ref):
+    assert (x.bound, x.render(), x.components) == (ref.bound, ref.render(), ref.components)
+
+
+@pytest.mark.parametrize("key", TOTAL_RINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_totalclass_matches_reference_class(key, data):
+    """Sums, scalings, products (by a class and by an element), inverses and,
+    on the P^n-bundle rings, pushforwards agree with the degree-map class."""
+    R, _ = _total_ring(key)
+    drawn_a = _draw_components(data, key, unit=data.draw(st.integers(1, R.prime - 1)))
+    drawn_b = _draw_components(data, key)
+    (a, ref_a), (b, ref_b) = ((_total(*d), ReferenceTotalClass(*d)) for d in (drawn_a, drawn_b))
+    _agrees(a, ref_a)
+    _agrees(a + b, ref_a + ref_b)
+    c = data.draw(st.integers(0, R.prime - 1))
+    _agrees(a.scale(c), ref_a.scale(c))
+    _agrees(a * b, ref_a * ref_b)
+    elt = reduce(add, drawn_b[2].values(), R.zero())
+    _agrees(a * elt, ref_a * elt)
+    _agrees(a.inverse(), ref_a.inverse())
+    if key.startswith("PROJ"):
+        n = fiber_dimension(R)
+        for x, ref in ((a * b, ref_a * ref_b), (a.inverse(), ref_a.inverse())):
+            _agrees(projective_pushforward(R, x, n), ref.projective_pushforward(n))
+
+
+def test_far_truncation_on_a_nilpotent_ring():
+    """At the largest truncation, 2^29 - 1, the inverse takes one Newton
+    step per doubling of its exact degrees, each on a few terms."""
+    R = _dsl_ring("FAR", ["prime = 2", "gen w deg=1", "gen t deg=2", "rule w^3 = 0",
+                          "rule t^3 = 0", "omega = w"])
+    t, far = R.gen("t"), 2 ** 29 - 1
+    assert w_bro(R, VirtualBundle(1, [t], [t], far)) == TotalClass.unit(R, 2 * far)
+    assert w_et(R, VirtualBundle(1, [t], [t], far)).render() == "[0] 1; [1] w"
+
+
+def test_bounds_must_fit_the_degree_tag():
+    from steencalc import InvalidArgument
+
+    R = _proj(1)
+    with pytest.raises(InvalidArgument, match="truncation 536870912 is not below 536870912"):
+        w_bro(R, VirtualBundle(1, [R.gen("l")], [], 2 ** 29))
+    for call in (lambda: normal_bundle_total(R, 1, 2 ** 30),
+                 lambda: total_operation_class(R, R.gen("l"), 2 ** 30),
+                 lambda: TotalClass.unit(R, 2 ** 30)):
+        with pytest.raises(InvalidArgument, match="degree bound 1073741824 is not below"):
+            call()
 
 
 def test_totalclass_inverse_needs_unit():
@@ -273,7 +335,7 @@ OMEGA_KEYS = [k for k in PROJ_KEYS if k.endswith("_2")] + ["NIL"]
 
 
 def _eta(R, bound):
-    return TotalClass(R, bound, {0: R.one(), 1: R.gen(R.omega)})
+    return TotalClass.of_element(R, R.one() + R.gen(R.omega), bound)
 
 
 def _draw_homogeneous(data, R, degree):
@@ -290,9 +352,9 @@ def test_normal_bundle_total_matches_power_route(key, bound):
     lam = R.gen("l")
     if ell == 2:
         eta = _eta(R, bound)
-        want = eta * _power(eta + TotalClass(R, bound, {2: lam}), -(n + 1))
+        want = eta * _power(eta + TotalClass.of_element(R, lam, bound), -(n + 1))
     else:
-        step = TotalClass(R, bound, {2 * (ell - 1): lam ** (ell - 1)})
+        step = TotalClass.of_element(R, lam ** (ell - 1), bound)
         want = _power(TotalClass.unit(R, bound) + step, -(n + 1))
     assert normal_bundle_total(R, n, bound) == want
 
@@ -416,7 +478,7 @@ def _reference_splitting_total(R, chern, truncation):
             for cj, d in zip(chern, dvec):
                 term = term * cj ** d
             comps[2 * w] = comps.get(2 * w, R.zero()) + term.scale(coeff)
-    return TotalClass(R, 2 * truncation, comps)
+    return _total(R, 2 * truncation, comps)
 
 
 def _chern_ring(ell, nil):

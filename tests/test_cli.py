@@ -11,6 +11,8 @@ import pytest
 from steencalc import corpus
 from steencalc.cli import _build_parser, main
 
+from references import data_file_path
+
 
 def test_apply_against_builtin_ring(capsys):
     code = main(["apply", "Sq^1", "w1", "--ring", "MO3", "--expect", "w1^2"])
@@ -154,7 +156,7 @@ def test_run_file_with_bundle(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", corpus.scenario_names())
 def test_run_each_shipped_file(name, capsys):
-    assert main(["run", corpus.data_file_path(name)]) == 0
+    assert main(["run", data_file_path(name)]) == 0
     capsys.readouterr()
 
 
@@ -253,6 +255,18 @@ def test_bad_query_argument_in_a_file_is_exit_2(tmp_path, capsys):
     )
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == "error: which must be 1 or 2\n"
+    # the degree bound 2*trunc must fit the packed degree tag: trunc < 2^29
+    bundle = tmp_path / "trunc.steen"
+    bundle.write_text(
+        "ring N { prime = 2; gen t deg=2; rule t^3 = 0; }\n"
+        "bundle E in N { rank = 1; trunc = 536870912; chern 1 = t; }\n"
+        "charclass w of E;\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(bundle)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: truncation 536870912 is not below 536870912 at 2:1\n"
+    assert captured.out == ""
 
 
 def test_non_prime_in_a_file_is_exit_2(tmp_path, capsys):

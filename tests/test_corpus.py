@@ -5,6 +5,8 @@ import pytest
 
 from steencalc import ScenarioIncomplete, UnknownGenerator, corpus, dsl
 
+from references import data_file_path
+
 
 def test_listing_is_stable_and_nonempty():
     names = corpus.scenario_names()
@@ -20,7 +22,7 @@ def test_every_scenario_passes(name):
 
 @pytest.mark.parametrize("name", corpus.scenario_names())
 def test_shipped_data_parses(name):
-    with open(corpus.data_file_path(name), encoding="utf-8") as fh:
+    with open(data_file_path(name), encoding="utf-8") as fh:
         ast = dsl.parse(fh.read())
     assert any(r.name == name for r in ast.rings)
 

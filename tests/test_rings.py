@@ -25,7 +25,7 @@ from steencalc.cli import main
 from steencalc.errors import RuleNonTermination
 
 from oracles import Model2, ModelOdd
-from references import CartanReference, reference_basis_of_degree
+from references import CartanReference, data_file_path, reference_basis_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_reduction_bound_is_per_call(monkeypatch):
     """The rewrite step bound limits one reduction, not the presentation's
     lifetime: many cheap reductions in a row never trip it."""
     monkeypatch.setattr(rings, "_MAX_REDUCTIONS", 50)
-    with open(corpus.data_file_path("MO3"), encoding="utf-8") as fh:
+    with open(data_file_path("MO3"), encoding="utf-8") as fh:
         mo3 = dsl.build_program(dsl.parse(fh.read())).rings["MO3"]
     for a in range(120):  # each w1^a*s^2 needs one rewrite step
         assert mo3.element({(a, 0, 0, 2): 1}) == mo3.element({(a, 0, 1, 1): 1})
