@@ -78,15 +78,10 @@ class TotalClass:
     @property
     def components(self):
         """degree -> RingElement, in increasing degree."""
-        shift = self.parent._tag_shift
-        low = (1 << shift) - 1
-        comps = {}
-        for m, c in self._packed.items():
-            comps.setdefault(m >> shift, {})[m & low] = c
-        return {d: self.parent._wrap(comps[d]) for d in sorted(comps)}
+        return {d: self.parent._wrap(t) for d, t in self.parent._split(self._packed).items()}
 
     def component(self, d):
-        return self.parent._wrap(self.parent._component(self._packed, d))
+        return self.parent._wrap(self.parent._split(self._packed).get(d, {}))
 
     def _upto(self, bound):
         """The terms of degree at most bound."""

@@ -21,7 +21,7 @@ from dataclasses import fields
 from functools import lru_cache
 
 from . import corpus, dsl
-from .errors import SteencalcError, UnknownGenerator
+from .errors import SteencalcError
 from .runner import QueryResult, execute_query
 
 _FORMATS = ("text", "json", "json-like-structured")
@@ -108,7 +108,7 @@ def _build_parser():
     return parser
 
 
-# --------------------------------------------------------------- resolvers
+# ------------------------------------------------------------ source files
 
 
 def _load_program(path):
@@ -122,26 +122,6 @@ def _build_source(source):
     """The program of a source text, built once per distinct text, so a
     long-lived process reuses its presentations and their caches."""
     return dsl.build_program(dsl.parse(source))
-
-
-def _resolvers(program):
-    """Ring and bundle resolvers over a program's declarations (program may
-    be None), falling back to the built-in scenario rings."""
-    local = program.rings if program else {}
-    bundles = program.bundles if program else {}
-
-    def resolve_ring(name):
-        if name in local:
-            return local[name]
-        return corpus.resolve_ring(name)
-
-    def resolve_bundle(name):
-        if name not in bundles:
-            raise UnknownGenerator("no bundle %r in scope" % name)
-        decl = bundles[name]
-        return decl, resolve_ring(decl.ring)
-
-    return resolve_ring, resolve_bundle
 
 
 def _corpus_hook(query):
@@ -197,7 +177,7 @@ def _dispatch(args):
         queries = [_query_from_args(args)]
         rings_path = getattr(args, "rings", None)
         program = _load_program(rings_path) if rings_path else None
-    resolve_ring, resolve_bundle = _resolvers(program)
+    resolve_ring, resolve_bundle = corpus.resolvers(program)
     return [execute_query(q, resolve_ring, resolve_bundle, _corpus_hook) for q in queries]
 
 

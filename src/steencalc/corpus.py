@@ -2,8 +2,9 @@
 
 Each scenario is a source file in the input language, NAME.steen in the
 package's data directory (or in the directory named by STEENCALC_CORPUS_DIR),
-defining a ring called NAME and the queries run against it.  The files are
-the scenarios: to add one, drop in a file.  Where a check cannot be phrased
+defining a ring called NAME and the queries run against it; the queries also
+see any other ring or bundle the file declares.  The files are the
+scenarios: to add one, drop in a file.  Where a check cannot be phrased
 as a single query (products of several operation values), EXTRA_CHECKS adds
 a named identity evaluated against a frozen literal.
 
@@ -29,12 +30,22 @@ _PACKAGE_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 @dataclass
 class Scenario:
+    """A scenario file's text and its built program, whose ring NAME the
+    queries and extra checks are about."""
+
     name: str
     source: str
-    presentation: RingPresentation
-    queries: tuple
+    program: dsl.Program
     # label -> callable(presentation) returning (ok, detail)
     extra_checks: tuple = ()
+
+    @property
+    def presentation(self) -> RingPresentation:
+        return self.program.rings[self.name]
+
+    @property
+    def queries(self):
+        return self.program.queries
 
 
 @dataclass
@@ -131,8 +142,7 @@ def _load(directory: str, name: str) -> Scenario:
     program = dsl.build_program(dsl.parse(source))
     if name not in program.rings:
         raise ScenarioIncomplete("scenario %s must define ring %s" % (name, name))
-    return Scenario(name, source, program.rings[name], program.queries,
-                    EXTRA_CHECKS.get(name, ()))
+    return Scenario(name, source, program, EXTRA_CHECKS.get(name, ()))
 
 
 def get_scenario(name: str) -> Scenario:
@@ -158,20 +168,37 @@ def resolve_ring(name: str) -> RingPresentation:
         raise
 
 
+def resolvers(program):
+    """(resolve_ring, resolve_bundle) over a program's rings and bundles
+    (none when program is None); other ring names fall back to the
+    built-in scenario rings."""
+    rings = program.rings if program else {}
+    bundles = program.bundles if program else {}
+
+    def ring(name):
+        return rings[name] if name in rings else resolve_ring(name)
+
+    def bundle(name):
+        if name not in bundles:
+            raise UnknownGenerator("no bundle %r in scope" % name)
+        decl = bundles[name]
+        return decl, ring(decl.ring)
+
+    return ring, bundle
+
+
 # ---------------------------------------------------------------- running
 
 
 def run_scenario(s: Scenario) -> ScenarioReport:
+    """The scenario's queries, in the scope of its own rings and bundles,
+    then its extra checks."""
     from .runner import execute_query  # local import to keep layering one-way
 
+    ring, bundle = resolvers(s.program)
     steps = []
     for query in s.queries:
-        result = execute_query(
-            query,
-            resolve_ring=lambda name, s=s: (
-                s.presentation if name == s.name else resolve_ring(name)
-            ),
-        )
+        result = execute_query(query, ring, bundle)
         steps.append(StepResult(result.label, result.passed, "\n".join(result.lines[1:])))
     for label, check in s.extra_checks:
         ok, detail = check(s.presentation)

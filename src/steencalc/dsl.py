@@ -922,7 +922,8 @@ def build_ring(block: RingBlock) -> RingPresentation:
             raise NonHomogeneous("P actions need an odd prime (ring %s)" % block.name, a.span)
         action = specs[gens[a.gen][0]].action
         key = "b" if a.kind == "b" else a.index
-        if key in action:
+        twin = {"b": 1, 1: "b"}.get(key) if block.prime == 2 else None  # b is Sq^1 at l = 2
+        if key in action or twin in action:
             raise DuplicateGenerator("action %s(%s) declared twice" % (a.op_text(), a.gen), a.span)
         action[key] = _poly_to_raw(block.prime, gens, a.rhs, a.span)
     with _at_block(block, specs, rules):

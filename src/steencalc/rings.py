@@ -25,6 +25,8 @@ takes one product per unit.  Inside a total, the component index (i of Sq^i
 or P^i) is one more packed field above the generators, so a product adds
 indices and one _addmul with a cap multiplies all components at once,
 dropping through the guard test every product above the requested one.
+_addmul is the one mod-l accumulate (a Frobenius image is reduced as a
+capped product with the unit {0: 1}), and _split the one split by tag.
 
 Total operations are finite degreewise, so no truncation is needed beyond
 the requested component; missing low components of a generator's action
@@ -65,8 +67,9 @@ class GeneratorSpec:
     action maps operation components to polynomials (raw exponent-tuple
     dicts before the presentation is built): integer keys are Sq^i for l=2
     and P^i for odd l, and the key "b" is the Bockstein (for l=2 it is an
-    alias of 1).  Components above the degree (resp. half degree for P) are
-    rejected; the top one defaults to the l-th power when left out.
+    alias of 1, so only one of the two may be given).  Components above the
+    degree (resp. half degree for P) are rejected; the top one defaults to
+    the l-th power when left out.
     """
 
     name: str
@@ -109,23 +112,14 @@ class RingElement:
 
     def __add__(self, other):
         self._check(other)
-        ell = self.parent.prime
-        terms = dict(self._packed)
-        for m, c in other._packed.items():
-            new = (terms.get(m, 0) + c) % ell
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
-        return self.parent._wrap(terms)
+        return self.parent._wrap(self.parent._addmul(dict(self._packed), 1, other._packed))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        self._check(other)
+        return self.parent._wrap(self.parent._addmul(dict(self._packed), -1, other._packed))
 
     def scale(self, c):
-        ell = self.parent.prime
-        c %= ell
-        return self.parent._wrap({m: (c * v) % ell for m, v in self._packed.items()} if c else {})
+        return self.parent._wrap(self.parent._addmul({}, c, self._packed))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -307,6 +301,8 @@ class RingPresentation:
             for key, raw in (g.action or {}).items():
                 k = 1 if (key == "b" and prime == 2) else key
                 try:
+                    if k in comp:
+                        raise ValueError("action on %s declares both b and Sq^1" % g.name)
                     if k == "b":
                         shift = 1
                     elif not isinstance(k, int) or k < 1:
@@ -433,11 +429,12 @@ class RingPresentation:
 
     def _addmul(self, acc, c, a, b=None, cap=None):
         """acc += c*a*b in place, on packed terms dicts (acc += c*a when b is
-        None); returns acc.  Products are reduced to normal form: a product
-        whose guard test is clear is already normal and is added directly.
-        With a cap, a and b are tagged (a Cartan component index or a total
-        class's degree in the field above the generators) and the guard test
-        also drops every product whose tag is above cap."""
+        None), mod l and without zero terms; returns acc.  Products are
+        reduced to normal form: a product whose guard test is clear is
+        already normal and is added directly.  With a cap, a and b are tagged
+        (a Cartan component index or a total class's degree in the field
+        above the generators) and the guard test also drops every product
+        whose tag is above cap; b = {0: 1} reduces a's raw tagged monomials."""
         ell = self.prime
         if b is None:
             for m, v in a.items():
@@ -514,42 +511,34 @@ class RingPresentation:
             cached = self._gen_totals[gi] = (total, len(out), top)
         return cached
 
-    def _component(self, total, i):
-        """Component i of a tagged total, as a terms dict."""
-        low = i << self._tag_shift
-        high = low + (1 << self._tag_shift)
-        return {m - low: c for m, c in total.items() if low <= m < high}
+    def _split(self, tagged):
+        """A tagged terms dict as tag -> terms dict, in increasing tag."""
+        shift = self._tag_shift
+        low, parts = (1 << shift) - 1, {}
+        for m, c in tagged.items():
+            parts.setdefault(m >> shift, {})[m & low] = c
+        return dict(sorted(parts.items()))
 
     def _frobenius(self, total, cap):
         """F of the components 0..cap of a tagged total of even degree: each
         packed exponent, the component index included, times l, with its
-        coefficient kept (c^l = c), reduced; monomials with an odd factor
-        go to zero.  Raises InvalidArgument before a field would reach
-        _FIELD_LIMIT (at l >= 5 it would carry into the next field)."""
-        ell, odd, offsets, guard, shift = (self.prime, self._odd_bits, self._offsets,
-                                           self._guard, self._tag_shift)
-        above = cap + 1 << shift
-        out = {}
+        coefficient kept (c^l = c); monomials with an odd factor go to zero.
+        F is injective on monomials, so the raw l-th powers never collide:
+        they are reduced by one capped product with the unit.  Raises
+        InvalidArgument before a field would reach _FIELD_LIMIT (at l >= 5
+        it would carry into the next field)."""
+        ell, shift = self.prime, self._tag_shift
+        above, odd = cap + 1 << shift, self._odd_bits
+        raw = {}
         for m, c in total.items():
             if m >= above or m & odd:
                 continue
-            if (m + self._frobenius_over) & guard:
+            if (m + self._frobenius_over) & self._guard:
                 raise InvalidArgument("monomial %s has an exponent of %d or more" % (
                     self.render_monomial([e * ell for e in self._unpack(m & (1 << shift) - 1)]),
                     _FIELD_LIMIT))
-            m *= ell
-            if (m + offsets) & guard:
-                tag = m >> shift << shift
-                terms = [(r + tag, c * v) for r, v in self._reduce(m - tag).items()]
-            else:
-                terms = ((m, c),)
-            for r, v in terms:
-                new = (out.get(r, 0) + v) % ell
-                if new:
-                    out[r] = new
-                else:
-                    out.pop(r, None)
-        return out
+            raw[m * ell] = c
+        return self._addmul({}, 1, raw, {0: 1}, cap * ell)
 
     def _power_total(self, gi, e, cap):
         """total(g^e) of generator gi, e >= 1, as a tagged terms dict exact in
@@ -649,13 +638,10 @@ class RingPresentation:
     def apply_letter(self, letter, x):
         """Apply one word letter (int i for Sq^i / P^i, 0 for the odd-prime
         Bockstein) to a RingElement."""
-        out = {}
-        if self.prime > 2 and letter == 0:
-            for m, c in x._packed.items():
-                self._addmul(out, c, self._beta_monomial(m))
-            return self._wrap(out)
+        beta, out = self.prime > 2 and letter == 0, {}
         for m, c in x._packed.items():
-            self._addmul(out, c, self._component(self._total_on_monomial(m, letter), letter))
+            self._addmul(out, c, self._beta_monomial(m) if beta else
+                         self._split(self._total_on_monomial(m, letter)).get(letter, {}))
         return self._wrap(out)
 
     def apply_word(self, word, x):
@@ -677,27 +663,20 @@ class RingPresentation:
         homogeneous element, as a dict operation-degree -> RingElement.
 
         One pass: each monomial's cached total (_total_on_monomial) is asked
-        for once, up to its instability bound, and split by component index.
+        for once, up to its instability bound, and added into one tagged
+        dict, which _split splits by component index.
         A missing action component raises the error that letter-by-letter
         order meets first."""
         cap = max((self._degree(m) for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
-        ell, shift = self.prime, self._tag_shift
-        comps = [{} for _ in range(cap + 1)]
+        total = {}
         try:
             for m, c in x._packed.items():
-                for t, v in self._total_on_monomial(m, cap).items():
-                    i = t >> shift
-                    acc, t = comps[i], t - (i << shift)
-                    new = (acc.get(t, 0) + c * v) % ell
-                    if new:
-                        acc[t] = new
-                    else:
-                        acc.pop(t, None)
+                self._addmul(total, c, self._total_on_monomial(m, cap))
         except MissingActionComponent:
             for i in range(1, cap + 1):
                 self.apply_letter(i, x)
             raise
-        return {i: self._wrap(t) for i, t in enumerate(comps) if t}
+        return {i: self._wrap(t) for i, t in self._split(total).items()}
 
     def bockstein(self, x):
         return self.apply_letter(1 if self.prime == 2 else 0, x)
@@ -747,9 +726,9 @@ class RingPresentation:
             rhs_elt = self.element(rhs)
             cap = max_degree if self.prime == 2 else max_degree // (2 * (self.prime - 1))
             # the Cartan formula on the raw lead follows the other side of the rule
-            total = self._total_on_monomial(lead, cap)
+            total = self._split(self._total_on_monomial(lead, cap))
             paths = [("%s^%d" % ("Sq" if self.prime == 2 else "P", i),
-                      self._wrap(self._component(total, i)), self.apply_letter(i, rhs_elt))
+                      self._wrap(total.get(i, {})), self.apply_letter(i, rhs_elt))
                      for i in range(1, cap + 1)]
             if self.prime > 2:
                 paths.append(("b", self._wrap(self._beta_monomial(lead)), self.bockstein(rhs_elt)))

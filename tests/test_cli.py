@@ -46,6 +46,10 @@ def test_obstruction_firing_without_expect_is_exit_1(capsys):
     assert main(args) == 1
     capsys.readouterr()
     assert main(args + ["--expect", "not-in-image"]) == 0
+    capsys.readouterr()
+    # 1849 = 43^2: Miller-Rabin rejects it, its square root is a prime
+    assert main(["obstruct", "frobenius", "x1", "--q", "1849", "--ring", "CLASSIFYING2",
+                 "--expect", "not-in-image"]) == 0
 
 
 def test_odd_obstruction_flows(capsys):
@@ -146,12 +150,19 @@ def test_run_file_with_bundle(tmp_path, capsys):
         "  trunc = 6;\n"
         "  chern 1 = l;\n"
         "}\n"
-        "charclass wet of E;\n",
+        "charclass wet of E;\n"
+        'charclass w of E expect "[0] 1; [2] l";\n',
         encoding="utf-8",
     )
     assert main(["run", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "[1]" in out and "w" in out
+    assert "  = [0] 1; [1] w; [2] l\n" in out
+    assert 'charclass w of E expect "[0] 1; [2] l";\n  = [0] 1; [2] l\n  expected: ok\n' in out
+    path.write_text(path.read_text(encoding="utf-8").replace('"[0] 1; [2] l"', '"[0] 1"'),
+                    encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().out.endswith(
+        "  = [0] 1; [2] l\n  EXPECTATION FAILED: wanted [0] 1\n")
 
 
 @pytest.mark.parametrize("name", corpus.scenario_names())
@@ -220,6 +231,20 @@ BAD_ARGUMENTS = {
     "frobenius-q-not-a-prime-power": (
         ["obstruct", "frobenius", "x1", "--q", "15", "--ring", "CLASSIFYING2"],
         "q must be a prime power, got 15"),
+    "frobenius-q-without-small-factors": (
+        # 2021 = 43 * 47 reaches the composite branch of Miller-Rabin
+        ["obstruct", "frobenius", "x1", "--q", "2021", "--ring", "CLASSIFYING2"],
+        "q must be a prime power, got 2021"),
+    "frobenius-q-missing": (
+        ["obstruct", "frobenius", "x1", "--ring", "CLASSIFYING2"], "obstruct frobenius needs --q"),
+    "weird-codim-missing": (
+        ["obstruct", "weird", "x1", "--ring", "CLASSIFYING2"], "obstruct weird needs --codim"),
+    "odd-inhomogeneous": (
+        ["obstruct", "odd", "x1 + x1*x2", "--ring", "CLASSIFYING2"],
+        "query input must be degree-homogeneous"),
+    "wu-n-not-the-fiber": (
+        ["wu-check", "--n", "5", "--m", "0", "--ring", "PROJ2_2"],
+        "ring PROJ2_2 presents a fiber of dimension 2, not 5"),
     "frobenius-q-one": (
         ["obstruct", "frobenius", "x1", "--q", "1", "--ring", "CLASSIFYING2"],
         "q must be a prime power, got 1"),
@@ -266,6 +291,16 @@ def test_bad_query_argument_in_a_file_is_exit_2(tmp_path, capsys):
     assert main(["run", str(bundle)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: truncation 536870912 is not below 536870912 at 2:1\n"
+    assert captured.out == ""
+    # Chern class degrees are checked when the bundle is used
+    bundle.write_text(
+        "ring N { prime = 2; gen w deg=1; omega = w; }\n"
+        "bundle E in N { rank = 1; chern 1 = w; }\n",
+        encoding="utf-8",
+    )
+    assert main(["charclass", "w", "E", "--rings", str(bundle)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: c_1 must be homogeneous of degree 2\n"
     assert captured.out == ""
 
 

@@ -90,6 +90,34 @@ def test_switching_corpus_dir_in_one_process(tmp_path, monkeypatch, capsys):
     assert "MO3" in corpus.scenario_names()
 
 
+SCOPED = (
+    "ring SCOPED {\n  prime = 2;\n  gen w deg=1;\n  gen t deg=2;\n  rule t^3 = 0;\n"
+    "  omega = w;\n}\n"
+    "ring HELPER {\n  prime = 2;\n  gen a deg=1;\n}\n"
+    "bundle E in SCOPED { rank = 1; trunc = 4; chern 1 = t; }\n"
+    'apply "Sq^1" to a in HELPER expect a^2;\n'
+    'charclass w of E expect "[0] 1; [2] t";\n'
+    'charclass wet of E expect "[0] 1; [1] w; [2] t";\n'
+)
+
+
+def test_scenario_queries_see_the_files_rings_and_bundles(tmp_path, monkeypatch, capsys):
+    from steencalc.cli import main
+
+    (tmp_path / "SCOPED.steen").write_text(SCOPED, encoding="utf-8")
+    monkeypatch.setenv(corpus.ENV_DATA_DIR, str(tmp_path))
+    report = corpus.run_scenario(corpus.get_scenario("SCOPED"))
+    assert report.ok, report.render()
+    assert [s.label for s in report.steps] == [
+        line for line in SCOPED.splitlines() if line.startswith(("apply", "charclass"))
+    ]
+    assert main(["corpus", "run", "SCOPED"]) == 0
+    assert "scenario SCOPED: pass" in capsys.readouterr().out
+    # the same file through run: one resolver serves both
+    assert main(["run", str(tmp_path / "SCOPED.steen")]) == 0
+    capsys.readouterr()
+
+
 def test_resolve_ring_unknown():
     with pytest.raises(UnknownGenerator):
         corpus.resolve_ring("NOSUCHRING")

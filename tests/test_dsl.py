@@ -58,6 +58,7 @@ def test_full_file_round_trip():
         "obstruct odd --max-degree 5 on l in P twist = 1;\n"
         "obstruct frobenius --q 3 on l in P twist = 1 expect not-in-image;\n"
         "wu-check --n 2 --m 1 in P;\n"
+        "wu-check --n 2 --m 1 in P y = w hyperplane = h expect true;\n"
         "corpus list;\n"
     )
     ast = dsl.parse(source)
@@ -436,6 +437,11 @@ BUNDLE = "bundle E in R {\n  rank = 1;\n}\n"
      "two rules on generator 'w'", (5, 3)),
     (R2 + "  gen l deg=2 twist=1;\n  action Sq^1(l) = l;\n}", NonHomogeneous,
      "action on l: component has degree 2, expected 3", (5, 3)),
+    # at prime 2 the Bockstein is Sq^1, so declaring both is declaring one twice
+    (R2 + "  action Sq^1(w) = w^2;\n  action b(w) = 0;\n}", DuplicateGenerator,
+     "action b(w) declared twice", (5, 3)),
+    (R2 + "  action b(w) = 0;\n  action Sq^1(w) = w^2;\n}", DuplicateGenerator,
+     "action Sq^1(w) declared twice", (5, 3)),
 ])
 def test_semantic_errors_carry_their_span(source, error, message, span, tmp_path, capsys):
     with pytest.raises(error) as caught:
@@ -491,9 +497,11 @@ def test_bundle_block_round_trip():
         "  chern 2 = l^2;\n"
         "}\n"
         "charclass wet of E;\n"
+        'charclass w of E expect "[0] 1; [2] l";\n'
     )
     ast = dsl.parse(source)
     assert dsl.parse(dsl.render(ast)) == ast
+    assert ast.queries[1].expect == "[0] 1; [2] l"
     prog = _build(source)
     assert "E" in prog.bundles
 

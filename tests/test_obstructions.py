@@ -197,14 +197,14 @@ def test_frobenius_context_rejects_divisible_q():
 
 
 @pytest.mark.parametrize("ring, q", [("CLASSIFYING2", 15), ("CLASSIFYING2", 1),
-                                     ("CLASSIFYING2", -3), ("CLASSIFYING3", 10),
-                                     ("CLASSIFYING5", 6)])
+                                     ("CLASSIFYING2", -3), ("CLASSIFYING2", 2021),
+                                     ("CLASSIFYING3", 10), ("CLASSIFYING5", 6)])
 def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
     with pytest.raises(InvalidArgument, match="q must be a prime power, got %d" % q):
         FrobeniusContext(SHIPPED[ring], q)
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 2 ** 61 - 1, 3 ** 40])
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 1849, 2 ** 61 - 1, 3 ** 40])
 def test_frobenius_context_accepts_prime_powers(q):
     for R in (CLS2, CLS3, CLS5):
         if q % R.prime:

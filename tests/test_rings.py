@@ -252,6 +252,13 @@ def test_bockstein_collapses_to_sq1_at_2(R2):
     assert R2.bockstein(x) == R2.apply_letter(1, x)
 
 
+def test_b_and_sq1_on_one_generator_are_rejected_at_2():
+    # at l = 2 the key "b" is Sq^1: giving both would let one silently win
+    with pytest.raises(ValueError, match="^action on y declares both b and Sq\\^1$"):
+        RingPresentation(2, [GeneratorSpec("x", 1),
+                             GeneratorSpec("y", 2, action={1: {(1, 1): 1}, "b": {}})])
+
+
 def test_instability_top(R2):
     # Sq^deg squares the class
     u = R2.gen("x1") * R2.gen("x2")
@@ -265,6 +272,10 @@ def test_missing_component_raises():
     )
     with pytest.raises(MissingActionComponent):
         R.apply_letter(1, R.gen("v"))
+    S = RingPresentation(3, [GeneratorSpec("y", 2, twist=1)])  # no b on y
+    with pytest.raises(MissingActionComponent,
+                       match="^Bockstein of generator y is needed but not declared$"):
+        S.bockstein(S.gen("y"))
 
 
 def test_missing_component_raises_lazily_through_the_cache():
@@ -568,6 +579,10 @@ def test_consistency_reports_planted_failures():
     assert rep.failures == ("b(y^2): lead gives 2*x*v, rhs gives 0",)
     rep = _ring(odd % "2*x*v", "B").check_action_consistency(12)
     assert rep.ok and rep.failures == ()
+    # a declared top component must be the l-th power
+    top = _ring("ring C { prime = 2; gen w deg=1; action Sq^1(w) = 0; }", "C")
+    rep = top.check_action_consistency(4)
+    assert rep.failures == ("top action on unstable w differs from its 2-th power",)
 
 
 # --------------------------------------------- packed monomials vs tuples
