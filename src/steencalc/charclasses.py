@@ -334,7 +334,7 @@ def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass
         try:
             total = parent._total_on_monomial(m, deg if ell == 2 else deg // 2)
         except MissingActionComponent:
-            parent.total_sq(parent._wrap({m: c}))  # raises the error letter order meets first
+            parent.total_sq(x)  # raises the error letter order meets first, as total_sq does
             raise
         retagged = {}
         for t, v in total.items():

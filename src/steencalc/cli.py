@@ -53,7 +53,6 @@ def _build_parser():
     )
     apply_p.add_argument("poly")
     with_ring(apply_p)
-    apply_p.add_argument("--twist", type=int)
     apply_p.add_argument("--expect", help="expected polynomial")
 
     norm = sub.add_parser("normalize", help="normal form of a polynomial")

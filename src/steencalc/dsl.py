@@ -186,7 +186,6 @@ class ApplyQuery:
     op_text: str
     poly: Poly
     ring: str
-    twist: Optional[int] = None
     expect: Optional[Poly] = None
     span: Optional[Span] = field(default=None, compare=False)
     op_span: Optional[Span] = field(default=None, compare=False)  # of the opening quote
@@ -556,12 +555,6 @@ class _Parser:
             out[key] = self.expect_int("a value for --%s" % key)
         return out
 
-    def _parse_twist_clause(self):
-        if self.eat("twist"):
-            self.expect("=")
-            return self.expect_int("a twist")
-        return None
-
     def _parse_verdict(self):
         # verdicts may be hyphenated (not-in-image), which the lexer splits
         word = self.expect_ident("a verdict")
@@ -580,10 +573,9 @@ class _Parser:
             poly = self.parse_poly()
             self.expect("in")
             ring = self.expect_ident("a ring name")
-            twist = self._parse_twist_clause()
             expect = self.parse_poly() if self.eat("expect") else None
             self.expect(";")
-            return ApplyQuery(op_text, poly, ring, twist, expect, span, op_span)
+            return ApplyQuery(op_text, poly, ring, expect, span, op_span)
         if verb == "normalize":
             self.next()
             poly = self.parse_poly()
@@ -615,7 +607,10 @@ class _Parser:
             poly = self.parse_poly()
             self.expect("in")
             ring = self.expect_ident("a ring name")
-            twist = self._parse_twist_clause()
+            twist = None
+            if self.eat("twist"):
+                self.expect("=")
+                twist = self.expect_int("a twist")
             expect = None
             if self.eat("expect"):
                 expect = self.parse_poly() if kind == "weird" else self._parse_verdict()
@@ -739,8 +734,6 @@ def render_bundle(b: BundleDecl):
 def render_query(q):
     if isinstance(q, ApplyQuery):
         out = 'apply "%s" to %s in %s' % (q.op_text, q.poly.render(), q.ring)
-        if q.twist is not None:
-            out += " twist = %d" % q.twist
         if q.expect is not None:
             out += " expect %s" % q.expect.render()
         return out + ";"

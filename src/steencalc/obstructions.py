@@ -25,7 +25,7 @@ from .errors import (
     ScenarioIncomplete,
 )
 from .rings import RingElement, RingPresentation, TwistedClass
-from .steenrod import SteenrodMonomial, admissible_monomials
+from .steenrod import SteenrodMonomial, _is_prime, admissible_monomials
 
 
 @dataclass(frozen=True)
@@ -105,39 +105,17 @@ def weird_operator(x: TwistedClass, c: int, which: int,
     return TwistedClass(value, x.degree + 3, x.twist)
 
 
-# Miller-Rabin with these bases decides primality exactly below 3.3e24.
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in _BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _BASES:
-        x = pow(a, d, n)
-        for _ in range(s):
-            if x in (1, n - 1):
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 def _is_prime_power(q):
-    """q = p^k for a prime p and k >= 1: q is the size of a finite field."""
-    for k in range(1, q.bit_length()):
+    """q = p^k for a prime p and k >= 1: q is the size of a finite field.
+    Only the root of the highest exact power of q is tested for primality."""
+    base = q
+    for k in range(2, q.bit_length()):
         root = _integer_root(q, k)
         if root < 2:
             break
-        if root ** k == q and _is_prime(root):
-            return True
-    return False
+        if root ** k == q:
+            base = root
+    return _is_prime(base)
 
 
 def _integer_root(n, k):

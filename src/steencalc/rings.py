@@ -743,10 +743,8 @@ class RingPresentation:
                 continue
             declared = self._action[gi].get(g.degree if self.prime == 2 else g.degree // 2)
             if declared is not None and declared != self.gen(g.name) ** self.prime:
-                failures.append(
-                    "top action on unstable %s differs from its %d-th power"
-                    % (g.name, self.prime)
-                )
+                failures.append("top action on unstable %s differs from %s^%d"
+                                % (g.name, g.name, self.prime))
         return ConsistencyReport(not failures, tuple(failures))
 
     # -------------------------------------------------------------- printing

@@ -7,6 +7,12 @@ and met, and whether an obstruction fired.  QueryResult.passed is the pass
 rule both front ends apply.  Output is deterministic: term order comes from
 the ring's renderers, never from dict iteration.
 
+An answer has one tail.  _evaluate computes what a verb shows, its record
+fields, the value its expectation is compared with and whether it fired;
+_wanted then parses the expectation into the value it names and the text a
+failure shows.  _answer alone builds the QueryResult: the label, record["ok"],
+the expectation line and, for a ring element, record["expected"] and a diff.
+
 Answers are cached.  execute_query resolves the ring (or the bundle) by name
 on every call, then looks the answer up in one functools.lru_cache of at
 most _ANSWERS_MAX entries, keyed by the query and the objects the answer
@@ -44,7 +50,7 @@ from .obstructions import (
     odd_vanishing_check,
     weird_operator,
 )
-from .rings import TwistedClass
+from .rings import RingElement, TwistedClass
 from .steenrod import parse_operation
 
 
@@ -102,24 +108,6 @@ def diff_elements(got, want):
     return "; ".join(bits) or "coefficient mismatch"
 
 
-def _expect(lines, record, ok, wanted):
-    """Record whether an expectation held, as record["ok"] and one line."""
-    record["ok"] = ok
-    lines.append("  expected: ok" if ok else "  EXPECTATION FAILED: wanted %s" % wanted)
-    return ok
-
-
-def _expect_element(result, pres, query, lines, record):
-    """_expect for a ring element against the query's expected polynomial;
-    a failure adds the monomial diff."""
-    want = dsl.poly_to_element(pres, query.expect, query.span)
-    record["expected"] = element_record(want)
-    ok = _expect(lines, record, result == want, want.render())
-    if not ok:
-        lines.append("  diff: %s" % diff_elements(result, want))
-    return ok
-
-
 def _operation(text, prime, at):
     """parse_operation, with a syntax error inside a quoted string of a
     source file moved to its file line:col; at is the (line, col) of the
@@ -133,7 +121,6 @@ def _operation(text, prime, at):
 
 
 _ANSWERS_MAX = 1024
-_ON_A_RING = (dsl.ApplyQuery, dsl.NormalizeQuery, dsl.WuQuery, dsl.ObstructQuery)
 
 
 def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
@@ -152,7 +139,7 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
             raise SteencalcError("no bundles in scope")
         decl, pres = resolve_bundle(query.bundle)
         answer = _answer(query, pres, decl)
-    elif isinstance(query, _ON_A_RING):
+    elif isinstance(query, (dsl.ApplyQuery, dsl.NormalizeQuery, dsl.WuQuery, dsl.ObstructQuery)):
         answer = _answer(query, resolve_ring(query.ring))
     else:
         raise TypeError("unhandled query %r" % (query,))
@@ -174,19 +161,42 @@ def _answer(query, pres, decl=None) -> QueryResult:
     """The answer to a query on its resolved presentation (None for adem)
     and, for charclass, its bundle declaration; callers get copies."""
     label = dsl.render_query(query)
-    lines = [label]
-    record = {"query": label}
+    text, fields, value, fired = _evaluate(query, pres, decl)
+    lines = [label] + ["  " + line for line in text.splitlines()]
+    record = {"query": label, **fields}
     expected = None
+    if query.expect is not None:
+        want, named = _wanted(query, pres)
+        if isinstance(want, RingElement):
+            record["expected"] = element_record(want)
+        expected = record["ok"] = value == want
+        lines.append("  expected: ok" if expected else "  EXPECTATION FAILED: wanted %s" % named)
+        if not expected and isinstance(want, RingElement):
+            lines.append("  diff: %s" % diff_elements(value, want))
+    return QueryResult(label, lines, record, expected, fired)
 
+
+def _wanted(query, pres):
+    """The value a query's expectation names, and the text a failure shows:
+    an Adem-normalised word, a ring element, a verdict, or literal text."""
+    if isinstance(query, dsl.AdemQuery):
+        want = _operation(query.expect, query.prime, query.expect_span).adem_normalize()
+        return want, want.render()
+    if isinstance(query, (dsl.CharclassQuery, dsl.WuQuery)):
+        return query.expect, query.expect
+    if isinstance(query, dsl.ObstructQuery) and query.kind != "weird":
+        return query.expect, "verdict " + query.expect
+    want = dsl.poly_to_element(pres, query.expect, query.span)
+    return want, want.render()
+
+
+def _evaluate(query, pres, decl):
+    """What a query computes: the text after its label, its record fields,
+    the value an expectation is compared with, and whether it fired."""
     if isinstance(query, dsl.AdemQuery):
         normal = _operation(query.op_text, query.prime, query.op_span).adem_normalize()
         rendered = normal.render()
-        lines.append("  = %s" % rendered)
-        record.update({"verb": "adem", "result": rendered})
-        if query.expect is not None:
-            want = _operation(query.expect, query.prime, query.expect_span).adem_normalize()
-            expected = _expect(lines, record, normal == want, want.render())
-        return QueryResult(label, lines, record, expected)
+        return "= " + rendered, {"verb": "adem", "result": rendered}, normal, False
 
     if isinstance(query, dsl.CharclassQuery):
         chern = [dsl.poly_to_element(pres, p, decl.span) for p in decl.chern]
@@ -194,19 +204,9 @@ def _answer(query, pres, decl=None) -> QueryResult:
         v = VirtualBundle(decl.rank, chern, denom, decl.trunc)
         total = w_bro(pres, v) if query.kind == "w" else w_et(pres, v)
         rendered = total.render()
-        lines.append("  = %s" % rendered)
-        record.update(
-            {
-                "verb": "charclass",
-                "kind": query.kind,
-                "result": {
-                    str(d): element_record(e) for d, e in sorted(total.components.items())
-                },
-            }
-        )
-        if query.expect is not None:
-            expected = _expect(lines, record, rendered == query.expect, query.expect)
-        return QueryResult(label, lines, record, expected)
+        result = {str(d): element_record(e) for d, e in sorted(total.components.items())}
+        fields = {"verb": "charclass", "kind": query.kind, "result": result}
+        return "= " + rendered, fields, rendered, False
 
     if isinstance(query, (dsl.ApplyQuery, dsl.NormalizeQuery)):
         result = dsl.poly_to_element(pres, query.poly, query.span)
@@ -215,33 +215,19 @@ def _answer(query, pres, decl=None) -> QueryResult:
             verb = "apply"
             op = _operation(query.op_text, pres.prime, query.op_span)
             result = pres.apply_op_value(op, result)
-        lines.append("  = %s" % result.render())
-        record.update({"verb": verb, "result": element_record(result)})
-        if query.expect is not None:
-            expected = _expect_element(result, pres, query, lines, record)
-        return QueryResult(label, lines, record, expected)
+        fields = {"verb": verb, "result": element_record(result)}
+        return "= " + result.render(), fields, result, False
 
     if isinstance(query, dsl.WuQuery):
         y = dsl.poly_to_element(pres, query.y, query.span) if query.y else pres.one()
         n = fiber_dimension(pres, query.hyperplane)
         if n != query.n:
-            raise SteencalcError(
-                "ring %s presents a fiber of dimension %d, not %d"
-                % (query.ring, n, query.n)
-            )
+            raise SteencalcError("ring %s presents a fiber of dimension %d, not %d"
+                                 % (query.ring, n, query.n))
         holds = verify_relative_wu_projective(pres, y, query.m, query.hyperplane)
         verdict = "true" if holds else "false"
-        lines.append("  = %s" % verdict)
-        record.update({"verb": "wu-check", "result": verdict})
-        if query.expect is not None:
-            expected = _expect(lines, record, verdict == query.expect, query.expect)
-        return QueryResult(label, lines, record, expected, fired=not holds)
+        return "= " + verdict, {"verb": "wu-check", "result": verdict}, verdict, not holds
 
-    return _execute_obstruct(query, pres, label, lines, record)
-
-
-def _execute_obstruct(query, pres, label, lines, record):
-    record["verb"] = "obstruct-" + query.kind
     if query.kind == "weird" and query.codim is None:
         raise MissingCodim("obstruct weird needs --codim")
     if query.kind in ("frobenius", "hs") and query.q is None:
@@ -249,23 +235,15 @@ def _execute_obstruct(query, pres, label, lines, record):
     value = dsl.poly_to_element(pres, query.poly, query.span)
     if not value.is_homogeneous():
         raise NonHomogeneousInput("query input must be degree-homogeneous")
-    twist = query.twist
-    if twist is None:
-        twist = min((pres.monomial_twist(m) for m in value.terms), default=0)
+    twist = query.twist if query.twist is not None else min(
+        (pres.monomial_twist(m) for m in value.terms), default=0)
     x = TwistedClass(value, value.degree() or 0, twist, query.codim)
-    expected = None
 
     if query.kind == "weird":
         out = weird_operator(x, query.codim, query.which).value
-        fired = bool(out)
-        if fired:
-            lines.append("  = %s (NONZERO: obstruction fires)" % out.render())
-        else:
-            lines.append("  = 0 (vanishes)")
-        record.update({"result": element_record(out), "fired": fired})
-        if query.expect is not None:
-            expected = _expect_element(out, pres, query, lines, record)
-        return QueryResult(label, lines, record, expected, fired)
+        text = "= %s (NONZERO: obstruction fires)" % out.render() if out else "= 0 (vanishes)"
+        fields = {"verb": "obstruct-weird", "result": element_record(out), "fired": bool(out)}
+        return text, fields, out, bool(out)
 
     if query.kind == "odd":
         report = odd_vanishing_check(x, query.max_degree)
@@ -273,9 +251,5 @@ def _execute_obstruct(query, pres, label, lines, record):
         report = in_image_F_minus_Id(x, FrobeniusContext(pres, query.q))
     else:  # hs
         report = hs_scripted_check(HsInput(pres, x, query.q))
-    lines.extend("  " + line for line in report.render().splitlines())
-    record.update({"verdict": report.verdict, "fired": report.fires})
-    if query.expect is not None:
-        expected = _expect(lines, record, report.verdict == query.expect,
-                           "verdict " + query.expect)
-    return QueryResult(label, lines, record, expected, report.fires)
+    fields = {"verb": "obstruct-" + query.kind, "verdict": report.verdict, "fired": report.fires}
+    return report.render(), fields, report.verdict, report.fires

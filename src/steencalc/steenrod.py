@@ -29,13 +29,42 @@ from .errors import (
 _MAX_REWRITE_STEPS = 1_000_000
 
 
+# Miller-Rabin with these bases decides primality exactly below _PRIME_BOUND.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether the integer n is prime.  An n at or above _PRIME_BOUND with no
+    factor among _BASES is not decided: it raises InvalidArgument."""
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    if n >= _PRIME_BOUND:
+        raise InvalidArgument("cannot decide whether %d is prime: the test is exact "
+                              "only below %d" % (n, _PRIME_BOUND))
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        for _ in range(s):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def _require_prime(ell):
-    if isinstance(ell, int) and ell >= 2:
-        d = 2
-        while d * d <= ell and ell % d:
-            d += 1
-        if d * d > ell:
-            return ell
+    # every element checks its prime; the small primes skip the call
+    if isinstance(ell, int) and (ell in _BASES or _is_prime(ell)):
+        return ell
     raise InvalidArgument("not a prime: %r" % (ell,))
 
 

@@ -638,12 +638,6 @@ class _Parser:
             out[key] = self.expect_int("a value for --%s" % key)
         return out
 
-    def _parse_twist_clause(self):
-        if self.eat_word("twist"):
-            self.expect_sym("=")
-            return self.expect_int("a twist")
-        return None
-
     def _parse_verdict(self):
         # verdicts may be hyphenated (not-in-image), which the lexer splits
         word = self.expect_ident("a verdict")
@@ -663,10 +657,9 @@ class _Parser:
             poly = self.parse_poly()
             self.expect_word("in")
             ring = self.expect_ident("a ring name")
-            twist = self._parse_twist_clause()
             expect = self.parse_poly() if self.eat_word("expect") else None
             self.expect_sym(";")
-            return ApplyQuery(op_text, poly, ring, twist, expect, span=span, op_span=op_span)
+            return ApplyQuery(op_text, poly, ring, expect, span=span, op_span=op_span)
         if verb == "normalize":
             self.next()
             poly = self.parse_poly()
@@ -699,7 +692,10 @@ class _Parser:
             poly = self.parse_poly()
             self.expect_word("in")
             ring = self.expect_ident("a ring name")
-            twist = self._parse_twist_clause()
+            twist = None
+            if self.eat_word("twist"):
+                self.expect_sym("=")
+                twist = self.expect_int("a twist")
             expect = None
             if self.eat_word("expect"):
                 expect = self.parse_poly() if kind == "weird" else self._parse_verdict()

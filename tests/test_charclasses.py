@@ -398,7 +398,7 @@ def test_w_et_matches_power_route(key, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(key=st.sampled_from(OMEGA_KEYS), data=st.data())
+@given(key=st.sampled_from(OMEGA_KEYS + ["PROJ2_3", "PROJ1_5"]), data=st.data())
 def test_twisted_total_matches_power_route(key, data):
     R = _bundle_ring(key)
     degree = data.draw(st.integers(0, 8))
@@ -407,7 +407,11 @@ def test_twisted_total_matches_power_route(key, data):
     x = TwistedClass(_draw_homogeneous(data, R, degree), degree, degree // 2, codim=codim)
     want = TotalClass(R, bound)
     for i in range(degree // 2 + 1):
-        want = want + _power(_eta(R, bound), codim - i) * R.apply_letter(2 * i, x.value)
+        if R.prime == 2:
+            want = want + _power(_eta(R, bound), codim - i) * R.apply_letter(2 * i, x.value)
+        else:  # the total P, with no eta factor; letter 0 is b, so P^0 is x itself
+            piece = R.apply_letter(i, x.value) if i else x.value
+            want = want + TotalClass.of_element(R, piece, bound)
     assert twisted_total_on_cycle(R, x, bound) == want
 
 

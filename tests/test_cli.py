@@ -75,6 +75,8 @@ def test_adem_subcommand(capsys):
     capsys.readouterr()
     assert main(["adem", "Sq^1 Sq^1"]) == 0
     assert "0" in capsys.readouterr().out
+    assert main(["adem", "P^1", "--prime", "1000000000000000003"]) == 0
+    assert capsys.readouterr().out.endswith("  = P^1\n")
 
 
 def test_wu_check_subcommand(capsys):
@@ -261,6 +263,17 @@ BAD_ARGUMENTS = {
         ["obstruct", "weird", "v", "--codim", "1", "--ring", "PROJ1_3"],
         "the omega-corrected operators live at the prime 2"),
     "adem-prime-not-prime": (["adem", "Sq^1", "--prime", "4"], "not a prime: 4"),
+    "adem-prime-large-composite": (
+        ["adem", "P^1", "--prime", "1000000000000000001"], "not a prime: 1000000000000000001"),
+    "adem-prime-above-the-bound": (
+        ["adem", "P^1", "--prime", "3317044064679887385961981"],
+        "cannot decide whether 3317044064679887385961981 is prime: the test is exact only "
+        "below 3317044064679887385961981"),
+    "frobenius-q-above-the-bound": (
+        ["obstruct", "frobenius", "x1", "--q", "3317044064679887385961981",
+         "--ring", "CLASSIFYING2"],
+        "cannot decide whether 3317044064679887385961981 is prime: the test is exact only "
+        "below 3317044064679887385961981"),
 }
 
 
@@ -301,6 +314,10 @@ def test_bad_query_argument_in_a_file_is_exit_2(tmp_path, capsys):
     assert main(["charclass", "w", "E", "--rings", str(bundle)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: c_1 must be homogeneous of degree 2\n"
+    assert captured.out == ""
+    assert main(["charclass", "w", "X", "--rings", str(bundle)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no bundle 'X' in scope\n"
     assert captured.out == ""
 
 
@@ -366,8 +383,8 @@ def test_syntax_errors_in_a_rings_file_are_not_cached(tmp_path, capsys):
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
     plain = ["--format", "json", "apply", "Sq^1", "l", "--ring", "P2REAL"]
-    assert main(plain + ["--twist", "1"]) == 0
-    assert "twist = 1" in capsys.readouterr().out
+    assert main(plain + ["--expect", "w*l"]) == 0
+    assert "expect w*l" in capsys.readouterr().out
     assert main(plain) == 0
     reused = capsys.readouterr().out
     _build_parser.cache_clear()

@@ -1,6 +1,8 @@
 """The shipped scenario library must run clean, and the corpus directory
 can be switched at run time."""
 
+import dataclasses
+
 import pytest
 
 from steencalc import ScenarioIncomplete, UnknownGenerator, corpus, dsl
@@ -135,3 +137,13 @@ def test_scenario_reports_render_one_line_per_step():
     text = report.render()
     assert text.count("[ok  ]") + text.count("[FAIL]") == len(report.steps)
     assert "MO3" in text
+    # a failing step's detail follows it, one indented line per detail line
+    planted = corpus._composite_check("planted composite on w2*s", "w2*s", "0")
+    scenario = dataclasses.replace(corpus.get_scenario("MO3"), extra_checks=(planted,))
+    report = corpus.run_scenario(scenario)
+    assert not report.ok
+    assert report.render().splitlines()[0] == "scenario MO3: FAIL"
+    assert report.render().endswith(
+        "\n  [FAIL] planted composite on w2*s"
+        "\n         got w3^5*s + w1*w2*w3^4*s, wanted 0"
+    )

@@ -60,6 +60,7 @@ def test_full_file_round_trip():
         "wu-check --n 2 --m 1 in P;\n"
         "wu-check --n 2 --m 1 in P y = w hyperplane = h expect true;\n"
         "corpus list;\n"
+        "corpus run MO3;\n"
     )
     ast = dsl.parse(source)
     assert dsl.parse(dsl.render(ast)) == ast
@@ -280,6 +281,12 @@ def test_parser_matches_reference_on_mutated_files(source):
      "found '5' (expected odd, weird, frobenius, or hs)"),
     ("charclass wt of E;", 11, "found 'wt' (expected 'w' or 'wet')"),
     ("corpus walk all;", 8, "found 'walk' (expected 'list' or 'run')"),
+    ("bundle E in R { rank = 1; chern 0 = t; }", 40,
+     "Chern indices must be distinct and start at 1"),
+    ("bundle E in R { rank = 1; chern 1 = t; chern 1 = t; }", 53,
+     "Chern indices must be distinct and start at 1"),
+    ("bundle E in R { rank = 1; denom 1 = t; denom 3 = t; }", 1,
+     "denom classes of E must be consecutive from 1"),
 ])
 def test_bad_query_word_is_reported_where_it_stands(line, col, message, tmp_path, capsys):
     source = "# a comment\n  " + line + "\n"
@@ -495,12 +502,14 @@ def test_bundle_block_round_trip():
         "  trunc = 8;\n"
         "  chern 1 = l;\n"
         "  chern 2 = l^2;\n"
+        "  denom 1 = w^2;\n"
         "}\n"
         "charclass wet of E;\n"
         'charclass w of E expect "[0] 1; [2] l";\n'
     )
     ast = dsl.parse(source)
     assert dsl.parse(dsl.render(ast)) == ast
+    assert "  denom 1 = w^2;" in dsl.render(ast)
     assert ast.queries[1].expect == "[0] 1; [2] l"
     prog = _build(source)
     assert "E" in prog.bundles

@@ -204,7 +204,8 @@ def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
         FrobeniusContext(SHIPPED[ring], q)
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 1849, 2 ** 61 - 1, 3 ** 40])
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 1849, 2 ** 61 - 1, 3 ** 40,
+                               10000000000037 ** 2])
 def test_frobenius_context_accepts_prime_powers(q):
     for R in (CLS2, CLS3, CLS5):
         if q % R.prime:

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from steencalc import DslSyntaxError, UnknownGenerator, corpus, dsl, runner
+from steencalc import DslSyntaxError, SteencalcError, UnknownGenerator, corpus, dsl, runner
 from steencalc.cli import main
 
 
@@ -124,3 +124,13 @@ def test_one_ring_name_in_two_sources_gets_two_answers(tmp_path, capsys):
         program = dsl.build_program(dsl.parse(source))
         result = runner.execute_query(query, program.rings.__getitem__)
         assert result.lines[1] == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("corpus list;", "corpus queries are not available here"),
+    ("charclass w of E;", "no bundles in scope"),
+])
+def test_verbs_without_their_resolver_are_refused(text, message):
+    (query,) = dsl.parse(text).queries
+    with pytest.raises(SteencalcError, match="^%s$" % message):
+        runner.execute_query(query, corpus.resolve_ring)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from steencalc import (
     GeneratorSpec,
     InvalidArgument,
     MissingActionComponent,
+    MixedPrimes,
     NonHomogeneousInput,
     RewriteRule,
     RingElement,
@@ -19,7 +21,9 @@ from steencalc import (
     corpus,
     dsl,
     model_ring,
+    parse_operation,
     rings,
+    total_operation_class,
 )
 from steencalc.cli import main
 from steencalc.errors import RuleNonTermination
@@ -259,6 +263,28 @@ def test_b_and_sq1_on_one_generator_are_rejected_at_2():
                              GeneratorSpec("y", 2, action={1: {(1, 1): 1}, "b": {}})])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RingPresentation(2, [GeneratorSpec("g", 1)], rules=[RewriteRule("g", 1, {})]),
+     ValueError, "rule power must be >= 2"),
+    (lambda: RingPresentation(
+        3, [GeneratorSpec("x", 1, parity="odd"), GeneratorSpec("y", 2)],
+        rules=[RewriteRule("x", 2, {(0, 1): 1})]),
+     ValueError, "odd-parity generator x already squares to zero"),
+    (lambda: RingPresentation(2, [GeneratorSpec("w", 1, action={0: {}})]),
+     ValueError, "bad action key 0 on w"),
+    (lambda: RingPresentation(2, [GeneratorSpec("w", 1, action={2: {(2,): 1}})]),
+     ValueError, "action component 2 on w lies above instability"),
+    (lambda: RingPresentation(
+        3, [GeneratorSpec("y", 2, twist=1, action={1: {(2, 1): 1}}), GeneratorSpec("z", 2)]),
+     NonHomogeneousInput, "action on y: component twist 2 != 1 mod 2"),
+    (lambda: model_ring(2, 1).apply_op_value(parse_operation("P^1", 3), model_ring(2, 1).one()),
+     MixedPrimes, "operation at prime 3 on ring at prime 2"),
+])
+def test_presentations_reject_bad_input(build, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        build()
+
+
 def test_instability_top(R2):
     # Sq^deg squares the class
     u = R2.gen("x1") * R2.gen("x2")
@@ -293,6 +319,7 @@ def test_missing_component_raises_lazily_through_the_cache():
         lambda: R.apply_letter(2, v),
         lambda: R.apply_letter(3, v),
         lambda: R.total_sq(v),
+        lambda: total_operation_class(R, v, 12),
     ):
         with pytest.raises(MissingActionComponent, match="^component 2 of the action on v "):
             request()
@@ -304,9 +331,10 @@ def test_missing_component_raises_lazily_through_the_cache():
     with pytest.raises(MissingActionComponent) as want:
         for i in range(5):
             ref.apply_letter(i, x)
-    with pytest.raises(MissingActionComponent, match="^component 1 of the action on u ") as got:
-        R.total_sq(x)
-    assert str(got.value) == str(want.value)
+    for request in (R.total_sq, lambda x: total_operation_class(R, x, 12)):
+        with pytest.raises(MissingActionComponent, match="^component 1 of the action on u ") as got:
+            request(x)
+        assert str(got.value) == str(want.value)
 
 
 def test_odd_degree_generator_needs_declared_p_at_odd_prime():
@@ -582,7 +610,7 @@ def test_consistency_reports_planted_failures():
     # a declared top component must be the l-th power
     top = _ring("ring C { prime = 2; gen w deg=1; action Sq^1(w) = 0; }", "C")
     rep = top.check_action_consistency(4)
-    assert rep.failures == ("top action on unstable w differs from its 2-th power",)
+    assert rep.failures == ("top action on unstable w differs from w^2",)
 
 
 # --------------------------------------------- packed monomials vs tuples

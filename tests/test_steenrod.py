@@ -320,6 +320,37 @@ def test_non_integer_prime_is_invalid_argument(prime):
         binom_mod_ell(4, 2, prime)
 
 
+def test_primality_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in range(-3, 10000):
+        assert steenrod._is_prime(n) is trial_division(n), n
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # to the bases 2 through 23
+    (318665857834031151167461, False),  # to the bases 2 through 37
+    (1000000000000000001, False),  # 101 * 9901 * 999999000001
+    (10000000000037, True),
+    (2 ** 61 - 1, True),
+    (1000000000000000003, True),
+])
+def test_primality_on_pseudoprimes_and_large_primes(n, prime):
+    assert steenrod._is_prime(n) is prime
+
+
+def test_primality_at_or_above_the_bound_is_not_guessed():
+    # the bound is the least strong pseudoprime to all the bases
+    bound = steenrod._PRIME_BOUND
+    with pytest.raises(InvalidArgument, match="^cannot decide whether %d is prime" % bound):
+        SteenrodElement(bound)
+    with pytest.raises(InvalidArgument, match="^not a prime: %d$" % (bound + 2)):
+        SteenrodElement(bound + 2)  # 3 divides it
+    assert SteenrodElement(1000000000000000003).prime == 1000000000000000003
+
+
 def test_rewrite_step_bound_is_per_call(monkeypatch):
     """The step bound limits one normalization call: a long rewrite trips
     it, and the next small calls, together past the bound, do not."""
