@@ -332,7 +332,7 @@ def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass
     for m, c in x._packed.items():
         deg = parent._degree(m)
         try:
-            total = parent._total_on_monomial(m, deg if ell == 2 else deg // 2)
+            total = parent._total(m, deg if ell == 2 else deg // 2)
         except MissingActionComponent:
             parent.total_sq(x)  # raises the error letter order meets first, as total_sq does
             raise

@@ -522,12 +522,12 @@ class _Parser:
             elif self.toks[self.pos] in ("chern", "denom"):
                 target = denom if self.next() == "denom" else chern
                 idx = self.expect_int("a Chern index")
-                self.expect("=")
-                rhs = self.parse_poly()
-                self.expect(";")
                 if idx < 1 or idx in target:
+                    self.pos -= 1  # report it at the index
                     self.fail("Chern indices must be distinct and start at 1")
-                target[idx] = rhs
+                self.expect("=")
+                target[idx] = self.parse_poly()
+                self.expect(";")
             else:
                 self.unexpected("trunc", "chern", "denom", "}")
         for label, table in (("chern", chern), ("denom", denom)):

@@ -15,18 +15,21 @@ else the limit, which raises InvalidArgument).  Tuples remain the surface of
 terms, element(), monomial_degree, render_monomial and basis_of_degree.
 
 Operations act through the Cartan formula from the declared generator
-actions.  The total operation on a monomial is the product, in generator
-order, of the totals of its generator powers g^e.  When l = 2 or g has even
-degree, total(g^(lq+r)) = F(total(g^q)) * total(g^r), where the Frobenius F
-multiplies every packed exponent by l and keeps the coefficient (c^l = c):
-it is exact on the commutative even part, and sends a monomial with an odd
-factor to zero.  An odd-parity g (exponent at most 1, or a raw rule lead)
-takes one product per unit.  Inside a total, the component index (i of Sq^i
-or P^i) is one more packed field above the generators, so a product adds
-indices and one _addmul with a cap multiplies all components at once,
-dropping through the guard test every product above the requested one.
-_addmul is the one mod-l accumulate (a Frobenius image is reduced as a
-capped product with the unit {0: 1}), and _split the one split by tag.
+actions, by one recursion on raw monomials with one cached total per
+monomial.  The total on a monomial is the product, in generator order (so
+with no Koszul sign), of the totals of its generator powers g^e.  When
+l = 2 or g has even degree, total(g^(lq+r)) = F(total(g^q)) * total(g^r),
+where the Frobenius F multiplies every packed exponent by l and keeps the
+coefficient (c^l = c): it is exact on the commutative even part, and sends
+a monomial with an odd factor to zero.  Below l, or for an odd-parity g
+(exponent at most 1, or a raw rule lead), g^e is split in halves, g^(e//2)
+times g^(e - e//2), so the products grow with log e, not e.  Inside a
+total, the component index (i of Sq^i or P^i) is one more packed field
+above the generators, so a product adds indices and one _addmul with a cap
+multiplies all components at once, dropping through the guard test every
+product above the requested one.  _addmul is the one mod-l accumulate (a
+Frobenius image is reduced as a capped product with the unit {0: 1}), and
+_split the one split by tag.
 
 Total operations are finite degreewise, so no truncation is needed beyond
 the requested component; missing low components of a generator's action
@@ -37,6 +40,7 @@ everything above it is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import mul
 from struct import Struct
@@ -254,7 +258,6 @@ class RingPresentation:
         self._reduce_cache = {}
         self._total_cache = {}
         self._beta_cache = {}
-        self._gen_totals = [None] * self.n
         g_by_i = self.generators
         for r in rules:
             try:
@@ -294,10 +297,13 @@ class RingPresentation:
         caps = [2 if g.parity == "odd" else self.rules.get(gi, (_FIELD_LIMIT,))[0]
                 for gi, g in enumerate(g_by_i)]
         self._offsets = sum((_GUARD - min(c, _FIELD_LIMIT)) * u for c, u in zip(caps, self._units))
-        # normalize declared actions into RingElements
-        self._action = []
+        # normalize declared actions into RingElements; per generator, keep
+        # the first component neither declared nor forced (inf if none):
+        # instability forces the top one to the l-th power, except for
+        # odd-degree generators at odd primes
+        self._action, self._missing = [], []
         for g in self.generators:
-            comp = {}
+            comp, top = {}, g.degree if prime == 2 else g.degree // 2
             for key, raw in (g.action or {}).items():
                 k = 1 if (key == "b" and prime == 2) else key
                 try:
@@ -307,7 +313,7 @@ class RingPresentation:
                         shift = 1
                     elif not isinstance(k, int) or k < 1:
                         raise ValueError("bad action key %r on %s" % (key, g.name))
-                    elif k > (g.degree if prime == 2 else g.degree // 2):
+                    elif k > top:
                         raise ValueError(
                             "action component %d on %s lies above instability" % (k, g.name)
                         )
@@ -319,6 +325,10 @@ class RingPresentation:
                     exc.item = (g, key)
                     raise
             self._action.append(comp)
+            missing = 1
+            while missing in comp or missing == top and (prime == 2 or g.degree % 2 == 0):
+                missing += 1
+            self._missing.append(missing if missing <= top else math.inf)
 
     # ------------------------------------------------------------- structure
 
@@ -352,6 +362,11 @@ class RingPresentation:
                 raise InvalidArgument("exponent %d outside 0..%d" % (e, _FIELD_LIMIT - 1))
             packed = packed << _FIELD_BITS | e
         return packed
+
+    def _too_large(self, exps):
+        """The error for a monomial, given as exponents, past _FIELD_LIMIT."""
+        return InvalidArgument("monomial %s has an exponent of %d or more"
+                               % (self.render_monomial(exps), _FIELD_LIMIT))
 
     def _unpack(self, m):
         return self._fields.unpack(m.to_bytes(self._fields.size, "big"))
@@ -403,8 +418,7 @@ class RingPresentation:
             rewritten = {}
             for p, c in pending.items():
                 if p & self._over:
-                    raise InvalidArgument("monomial %s has an exponent of %d or more"
-                                          % (self.render_monomial(self._unpack(p)), _FIELD_LIMIT))
+                    raise self._too_large(self._unpack(p))
                 c %= ell
                 if not c or p & self._odd_high:
                     continue
@@ -485,32 +499,6 @@ class RingPresentation:
 
     # -------------------------------------------------------------- actions
 
-    def _gen_total(self, gi):
-        """(total, count, top) of the total operation on generator gi: the
-        declared components 0, 1, ... (Sq^i or P^i) as one tagged terms dict,
-        how many there are, and the instability bound top above which all
-        vanish.  The components stop before the first undeclared one, so
-        count is below top + 1 exactly when one is missing; computed once."""
-        cached = self._gen_totals[gi]
-        if cached is None:
-            g = self.generators[gi]
-            top = g.degree if self.prime == 2 else g.degree // 2
-            comp, unit = self._action[gi], self._units[gi]
-            out = [self._reduce(unit)]
-            for i in range(1, top + 1):
-                if i in comp:
-                    out.append(comp[i]._packed)
-                elif i == top and (self.prime == 2 or g.degree % 2 == 0):
-                    # instability: the operation dual to the degree squares / l-th
-                    # powers the class; for odd-degree generators at odd primes
-                    # no component is forced, so it must be declared
-                    out.append(self._reduce(self.prime * unit))
-                else:
-                    break
-            total = {m + (i << self._tag_shift): c for i, t in enumerate(out) for m, c in t.items()}
-            cached = self._gen_totals[gi] = (total, len(out), top)
-        return cached
-
     def _split(self, tagged):
         """A tagged terms dict as tag -> terms dict, in increasing tag."""
         shift = self._tag_shift
@@ -534,75 +522,62 @@ class RingPresentation:
             if m >= above or m & odd:
                 continue
             if (m + self._frobenius_over) & self._guard:
-                raise InvalidArgument("monomial %s has an exponent of %d or more" % (
-                    self.render_monomial([e * ell for e in self._unpack(m & (1 << shift) - 1)]),
-                    _FIELD_LIMIT))
+                raise self._too_large([e * ell for e in self._unpack(m & (1 << shift) - 1)])
             raw[m * ell] = c
         return self._addmul({}, 1, raw, {0: 1}, cap * ell)
 
-    def _power_total(self, gi, e, cap):
-        """total(g^e) of generator gi, e >= 1, as a tagged terms dict exact in
-        the components 0..cap; cached in _total_cache under the packed g^e."""
-        total = self._gen_total(gi)[0]
-        if e == 1:
-            return total
-        g, ell = self.generators[gi], self.prime
-        m = e * self._units[gi]
-        cap = min(cap, e * g.degree if ell == 2 else e * g.degree // 2)
-        entry = self._total_cache.get(m)
-        if entry is not None and entry[0] >= cap:
-            return entry[1]
-        if g.parity == "odd" or e < ell:
-            # one product per unit
-            unit = total
-            for _ in range(e - 1):
-                total = self._addmul({}, 1, total, unit, cap)
-        else:
-            q, r = divmod(e, ell)
-            total = self._frobenius(self._power_total(gi, q, cap // ell), cap // ell)
-            if r:
-                total = self._addmul({}, 1, total, self._power_total(gi, r, cap), cap)
-        self._total_cache[m] = (cap, total)
-        return total
-
-    def _total_on_monomial(self, m, k):
+    def _total(self, m, k):
         """Components 0..min(k, instability bound) of the total Sq (l=2) or
-        total P (odd l) on a raw packed monomial, as a tagged terms dict: the
-        component index sits in the field above the generators.
-
-        total(m) is the product, in generator-index order (so factors need no
-        Koszul sign), of the power totals total(g^e) of _power_total: a
-        Frobenius l-th power per l-adic digit of e, or one product per unit
-        for an odd-parity g, then one capped _addmul per factor.  The cache
-        holds one (cap, total) entry per monomial, power entries included,
-        recomputed when a request reaches further.  A missing action
-        component raises MissingActionComponent only when component k
-        reaches it, naming the first such generator in index order."""
+        total P (odd l) on a raw packed monomial, as a tagged terms dict (the
+        component index in the field above the generators), by the recursion
+        of the module docstring.  Cached as (k, total), exact through k, or
+        as (inf, total) once k reaches the bound, above which nothing lies.
+        A missing action component raises MissingActionComponent only when
+        component k reaches it, naming the first such generator in index
+        order."""
         cache = self._total_cache
         entry = cache.get(m)
         if entry is not None and entry[0] >= k:
             return entry[1]
-        exps = self._unpack(m)
-        deg = self.monomial_degree(exps)
-        cap = min(k, deg if self.prime == 2 else deg // 2)
-        if entry is not None and entry[0] >= cap:
-            return entry[1]
-        total = None
-        for gi, e in enumerate(exps):
-            if not e:
-                continue
-            power, count, top = self._gen_total(gi)
-            if count <= min(cap, top):
-                raise MissingActionComponent(
-                    "component %d of the action on %s is needed but not declared"
-                    % (count, self.generators[gi].name)
-                )
-            if e > 1:
-                power = self._power_total(gi, e, cap)
-            total = power if total is None else self._addmul({}, 1, total, power, cap)
-        if total is None:
-            total = {0: 1}
-        cache[m] = (cap, total)
+        if not (k and m):  # component 0 alone, or the unit: m itself
+            return self._reduce_cache.get(m) or self._reduce(m)
+        ell = self.prime
+        gi = self.n - 1 - ((m & -m).bit_length() - 1) // _FIELD_BITS  # lowest field
+        shift = self._shifts[gi]
+        e = m >> shift & _FIELD_MASK
+        exps = self._unpack(m) if m - (e << shift) else None  # None for a power g^e
+        deg = e * self._degrees[gi] if exps is None else self.monomial_degree(exps)
+        top = deg if ell == 2 else deg // 2
+        cap = min(k, top)
+        if exps:
+            total = None
+            for u, d in zip(self._units, exps):
+                if d:
+                    power = self._total(d * u, cap)
+                    total = power if total is None else self._addmul({}, 1, total, power, cap)
+        elif e > 1 and (e < ell or m & self._odd_bits):
+            half = e >> 1 << shift
+            total = self._addmul({}, 1, self._total(half, cap), self._total(m - half, cap), cap)
+        elif self._missing[gi] <= cap:
+            raise MissingActionComponent(
+                "component %d of the action on %s is needed but not declared"
+                % (self._missing[gi], self.generators[gi].name))
+        elif e > 1:
+            q, r = divmod(e, ell)
+            total = self._frobenius(self._total(q << shift, cap // ell), cap // ell)
+            if r:
+                total = self._addmul({}, 1, total, self._total(r << shift, cap), cap)
+        else:
+            comp, total = self._action[gi], {m: 1}
+            for i in range(1, cap + 1):
+                if i in comp:
+                    part = comp[i]._packed
+                elif ell < _FIELD_LIMIT:
+                    part = self._reduce(ell * m)  # the forced top component
+                else:
+                    raise self._too_large([ell if j == gi else 0 for j in range(self.n)])
+                total.update((p + (i << self._tag_shift), c) for p, c in part.items())
+        cache[m] = (k if k < top else math.inf, total)
         return total
 
     def _beta_monomial(self, m):
@@ -641,7 +616,7 @@ class RingPresentation:
         beta, out = self.prime > 2 and letter == 0, {}
         for m, c in x._packed.items():
             self._addmul(out, c, self._beta_monomial(m) if beta else
-                         self._split(self._total_on_monomial(m, letter)).get(letter, {}))
+                         self._split(self._total(m, letter)).get(letter, {}))
         return self._wrap(out)
 
     def apply_word(self, word, x):
@@ -662,16 +637,15 @@ class RingPresentation:
         """All components of the total Sq (or total P at odd primes) of a
         homogeneous element, as a dict operation-degree -> RingElement.
 
-        One pass: each monomial's cached total (_total_on_monomial) is asked
-        for once, up to its instability bound, and added into one tagged
-        dict, which _split splits by component index.
-        A missing action component raises the error that letter-by-letter
-        order meets first."""
+        One pass: each monomial's cached total (_total) is asked for once, up
+        to its instability bound, and added into one tagged dict, which _split
+        splits by component index.  A missing action component raises the
+        error that letter-by-letter order meets first."""
         cap = max((self._degree(m) for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
         total = {}
         try:
             for m, c in x._packed.items():
-                self._addmul(total, c, self._total_on_monomial(m, cap))
+                self._addmul(total, c, self._total(m, cap))
         except MissingActionComponent:
             for i in range(1, cap + 1):
                 self.apply_letter(i, x)
@@ -726,7 +700,7 @@ class RingPresentation:
             rhs_elt = self.element(rhs)
             cap = max_degree if self.prime == 2 else max_degree // (2 * (self.prime - 1))
             # the Cartan formula on the raw lead follows the other side of the rule
-            total = self._split(self._total_on_monomial(lead, cap))
+            total = self._split(self._total(lead, cap))
             paths = [("%s^%d" % ("Sq" if self.prime == 2 else "P", i),
                       self._wrap(total.get(i, {})), self.apply_letter(i, rhs_elt))
                      for i in range(1, cap + 1)]

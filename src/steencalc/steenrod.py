@@ -14,6 +14,7 @@ an independent Cartan-formula oracle in the test suite, not trusted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,19 +30,25 @@ from .errors import (
 _MAX_REWRITE_STEPS = 1_000_000
 
 
-# Miller-Rabin with these bases decides primality exactly below _PRIME_BOUND.
+# Miller-Rabin with the first k of these bases decides primality exactly below
+# _BASE_BOUNDS[k - 1], the least strong pseudoprime to all k (Jaeschke;
+# Zhang and Tang), so with all of them below _PRIME_BOUND.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BOUND = 3317044064679887385961981
+_BASE_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 341550071728321, 3825123056546413051,
+                3825123056546413051, 3825123056546413051, 318665857834031151167461,
+                3317044064679887385961981)
+_PRIME_BOUND = _BASE_BOUNDS[-1]
 
 
 def _is_prime(n):
     """Whether the integer n is prime.  An n at or above _PRIME_BOUND with no
     factor among _BASES is not decided: it raises InvalidArgument."""
-    if n < 2:
-        return False
     for p in _BASES:
+        if p * p > n:
+            return n >= 2
         if n % p == 0:
-            return n == p
+            return False
     if n < 43 * 43:  # no prime factor up to 41
         return True
     if n >= _PRIME_BOUND:
@@ -50,10 +57,12 @@ def _is_prime(n):
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
-    for a in _BASES:
+    for a in _BASES[:bisect_right(_BASE_BOUNDS, n) + 1]:
         x = pow(a, d, n)
+        if x == 1:
+            continue
         for _ in range(s):
-            if x in (1, n - 1):
+            if x == n - 1:
                 break
             x = x * x % n
         else:
@@ -181,18 +190,8 @@ def _is_admissible_word(prime, word):
 
 
 @lru_cache(maxsize=None)
-def _adem_sq(a, b):
-    # Sq^a Sq^b with a < 2b
-    out = []
-    for c in range(a // 2 + 1):
-        if binom_mod_ell(b - c - 1, a - 2 * c, 2):
-            out.append(((a + b - c, c) if c else (a + b,), 1))
-    return out
-
-
-@lru_cache(maxsize=None)
 def _adem_pp(ell, a, b):
-    # P^a P^b with a < l*b
+    # P^a P^b with a < l*b; at l = 2 this is Sq^a Sq^b with a < 2b
     out = []
     for t in range(a // ell + 1):
         coeff = binom_mod_ell((ell - 1) * (b - t) - 1, a - ell * t, ell)
@@ -228,8 +227,7 @@ def _normalize_words(prime, terms):
     the P^a b P^b check looks two letters back, so the scan of each product
     resumes at j - 2.  Coefficients are kept in 1..l-1: table entries are
     nonzero mod l, so no product of them vanishes."""
-    adem_sq, adem_pp, adem_pbp = _adem_sq, _adem_pp, _adem_pbp
-    even = prime == 2
+    adem_pp, adem_pbp = _adem_pp, _adem_pbp
     result = {}
     pending = [(word, c % prime, 0) for word, c in terms.items() if c % prime]
     pop, push = pending.pop, pending.append
@@ -246,8 +244,7 @@ def _normalize_words(prime, terms):
                     break
             elif nxt:
                 if a < prime * nxt:
-                    width = 2
-                    expansion = adem_sq(a, nxt) if even else adem_pp(prime, a, nxt)
+                    width, expansion = 2, adem_pp(prime, a, nxt)
                     break
             elif j < last - 1:
                 b = word[j + 2]

@@ -50,7 +50,7 @@ from steencalc.dsl import (
     WuQuery,
 )
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
-from steencalc.steenrod import _MAX_REWRITE_STEPS, _adem_pbp, _adem_pp, _adem_sq
+from steencalc.steenrod import _MAX_REWRITE_STEPS, _adem_pbp, _adem_pp
 
 
 def data_file_path(name):
@@ -597,13 +597,14 @@ class _Parser:
                 self.expect_sym(";")
             elif self.at_word("chern", "denom"):
                 target = denom if self.next().value == "denom" else chern
+                at = self.peek()
                 idx = self.expect_int("a Chern index")
-                self.expect_sym("=")
-                rhs = self.parse_poly()
-                self.expect_sym(";")
                 if idx < 1 or idx in target:
-                    self.fail("Chern indices must be distinct and start at 1")
-                target[idx] = rhs
+                    raise DslSyntaxError("Chern indices must be distinct and start at 1",
+                                         at.line, at.col)
+                self.expect_sym("=")
+                target[idx] = self.parse_poly()
+                self.expect_sym(";")
             else:
                 self.fail(
                     "found %r" % (self.peek().value or "end of input"),
@@ -872,8 +873,7 @@ def _leftmost_rewrite(prime, word):
         nxt = word[j + 1]
         if nxt > 0:
             if a < prime * nxt:
-                exp = _adem_sq(a, nxt) if prime == 2 else _adem_pp(prime, a, nxt)
-                return j, 2, exp
+                return j, 2, _adem_pp(prime, a, nxt)
         elif j + 2 < n and word[j + 2] > 0:
             if a <= prime * word[j + 2]:
                 return j, 3, _adem_pbp(prime, a, word[j + 2])

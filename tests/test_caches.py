@@ -13,7 +13,6 @@ import steencalc
 # size follows the largest degree or the number of files asked for, not the
 # number of calls.
 UNBOUNDED = {
-    "steencalc.steenrod._adem_sq",
     "steencalc.steenrod._adem_pp",
     "steencalc.steenrod._adem_pbp",
     "steencalc.corpus._load",

@@ -281,9 +281,9 @@ def test_parser_matches_reference_on_mutated_files(source):
      "found '5' (expected odd, weird, frobenius, or hs)"),
     ("charclass wt of E;", 11, "found 'wt' (expected 'w' or 'wet')"),
     ("corpus walk all;", 8, "found 'walk' (expected 'list' or 'run')"),
-    ("bundle E in R { rank = 1; chern 0 = t; }", 40,
+    ("bundle E in R { rank = 1; chern 0 = t; }", 33,
      "Chern indices must be distinct and start at 1"),
-    ("bundle E in R { rank = 1; chern 1 = t; chern 1 = t; }", 53,
+    ("bundle E in R { rank = 1; chern 1 = t; chern 1 = t; }", 46,
      "Chern indices must be distinct and start at 1"),
     ("bundle E in R { rank = 1; denom 1 = t; denom 3 = t; }", 1,
      "denom classes of E must be consecutive from 1"),

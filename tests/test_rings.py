@@ -409,10 +409,13 @@ def test_cached_cartan_path_matches_reference(key, data):
 # A generator g of degree 1 at l = 2 or degree 2 at odd l has total
 # operation g + g^l, so Sq^k or P^k of g^a h^b is
 # sum_s C(a, s) C(b, k - s) g^(a + s(l - 1)) h^(b + (k - s)(l - 1)).
-CLOSED_FORM_RINGS = [
+SMALL_PRIME_RINGS = [
     ("model:2", ("x1", "x2")), ("model:3", ("y1", "y2")), ("model:5", ("y1", "y2")),
     ("CLASSIFYING2", ("x1", "x2")), ("CLASSIFYING3", ("y1", "t")), ("CLASSIFYING5", ("y2", "t")),
 ]
+# At l = 1000003 every exponent below l takes the halving path,
+# total(g^e) = total(g^(e // 2)) * total(g^(e - e // 2)).
+CLOSED_FORM_RINGS = SMALL_PRIME_RINGS + [("model:1000003", ("y1", "y2"))]
 _closed_form_cache = {}
 
 
@@ -442,9 +445,11 @@ def _power_action_closed_form(R, names, a, b, k):
 def test_power_actions_match_closed_forms(key, names, data):
     R = _closed_form_ring(key)
     ell = R.prime
+    # the results' exponents, up to 2^20 + 40(l - 1), stay below the field limit
+    far = ell ** 8 if ell < 7 else ell
     exponents = st.one_of(
         st.integers(0, 64), st.integers(0, 2 ** 20),
-        st.sampled_from([2 ** 20 - 1, 2 ** 20, ell ** 8 - 1, ell ** 8, ell ** 8 + 1]),
+        st.sampled_from([2 ** 20 - 1, 2 ** 20, far - 1, far, far + 1]),
     )
     # letter 0 is the Bockstein at odd primes
     a, b, k = data.draw(exponents), data.draw(exponents), data.draw(st.integers(ell > 2, 40))
@@ -455,7 +460,19 @@ def test_power_actions_match_closed_forms(key, names, data):
         assert R.total_sq(x).get(k, R.zero()).terms == want
 
 
-@pytest.mark.parametrize("key, names", CLOSED_FORM_RINGS)
+@pytest.mark.parametrize("shift", [-1, 0, 1, None])
+def test_halving_powers_match_closed_forms(shift):
+    # exponents l - 1, l, l + 1 and 2^20 at l = 1000003: halving below l,
+    # one Frobenius step with remainder 0 or 1, and halving again
+    R = _closed_form_ring("model:1000003")
+    ell = R.prime
+    a = 2 ** 20 if shift is None else ell + shift
+    for b, k in ((0, 1), (0, 40), (3, 2), (a, 5)):
+        x = R.element({m: 1 for m in _power_action_closed_form(R, ("y1", "y2"), a, b, 0)})
+        assert R.apply_letter(k, x).terms == _power_action_closed_form(R, ("y1", "y2"), a, b, k)
+
+
+@pytest.mark.parametrize("key, names", SMALL_PRIME_RINGS)
 def test_sparse_power_actions_far_up(key, names):
     # (g + g^l)^(l^j) = g^(l^j) + g^(l^(j+1)): the top component of a large
     # l-th power, computed through its Frobenius steps alone
@@ -490,6 +507,12 @@ def test_exponents_reaching_the_limit_through_an_operation_raise(capsys):
         R.apply_letter(5, R.gen("z", 5))
     assert main(["apply", "P^5", "y1^%d" % (limit - 1), "--ring", "CLASSIFYING5"]) == 2
     assert capsys.readouterr().err.startswith("error: monomial y1^1073741840 has an exponent of ")
+    # the default top component P^1 x = x^l, at primes past the field limit:
+    # at l >= 2^31 the l-th power would carry out of x's field
+    for ell in (1073741827, 1000000000000000003):
+        R = RingPresentation(ell, [GeneratorSpec("x", 2)])
+        with pytest.raises(InvalidArgument, match=r"^monomial x\^%d has an exponent of " % ell):
+            R.apply_letter(1, R.gen("x"))
 
 
 # ------------------------------------------------------------- twist data

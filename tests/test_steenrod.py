@@ -229,7 +229,7 @@ def _raw_terms(prime):
 
 
 def _table_lookups():
-    tables = (steenrod._adem_sq, steenrod._adem_pp, steenrod._adem_pbp)
+    tables = (steenrod._adem_pp, steenrod._adem_pbp)
     return sum(t.cache_info().hits + t.cache_info().misses for t in tables)
 
 
@@ -321,11 +321,33 @@ def test_non_integer_prime_is_invalid_argument(prime):
 
 
 def test_primality_matches_trial_division():
-    def trial_division(n):
-        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    small = []  # the primes up to sqrt(n), grown as n grows
 
-    for n in range(-3, 10000):
-        assert steenrod._is_prime(n) is trial_division(n), n
+    def trial_division(n):
+        return n >= 2 and all(n % p for p in small if p * p <= n)
+
+    for n in range(-3, 100000):
+        prime = trial_division(n)
+        assert steenrod._is_prime(n) is prime, n
+        if prime and n * n < 100000:
+            small.append(n)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+@pytest.mark.parametrize("k", range(1, len(steenrod._BASE_BOUNDS)))
+def test_each_base_bound_is_a_strong_pseudoprime_the_test_rejects(k):
+    """Below _BASE_BOUNDS[k - 1] the first k bases suffice; the bound itself
+    passes all k and is composite, so it must be tested with one more."""
+    n = steenrod._BASE_BOUNDS[k - 1]
+    assert all(_strong_probable_prime(n, a) for a in steenrod._BASES[:k])
+    assert steenrod._is_prime(n) is False
 
 
 @pytest.mark.parametrize("n, prime", [
