@@ -629,8 +629,8 @@ class RingPresentation:
         if op.prime != self.prime:
             raise MixedPrimes("operation at prime %d on ring at prime %d" % (op.prime, self.prime))
         out = {}
-        for mono, coeff in op.terms.items():
-            self._addmul(out, coeff, self.apply_word(mono.word, x)._packed)
+        for word, coeff in op._words.items():
+            self._addmul(out, coeff, self.apply_word(word, x)._packed)
         return self._wrap(out)
 
     def total_sq(self, x):

@@ -6,9 +6,13 @@ Sq^i1 ... Sq^ik.  For odd l the letter 0 stands for the Bockstein b and a
 letter s >= 1 stands for the reduced power P^s, so (0, 2, 0, 1) reads
 b P^2 b P^1.  The empty word is the identity operation.
 
-Elements are finite F_l-linear combinations of monomials.  adem_normalize
-rewrites them into the admissible basis; the rewriting is validated against
-an independent Cartan-formula oracle in the test suite, not trusted.
+Elements are finite F_l-linear combinations of words, kept as one dict
+word -> coefficient in 1..l-1.  SteenrodMonomial is the public view of one
+word: an element's `terms` builds the SteenrodMonomial -> coefficient view on
+each read, as RingElement.terms does for its packed monomials, and
+SteenrodElement(l, e.terms) == e.  adem_normalize rewrites elements into the
+admissible basis; the rewriting is validated against an independent
+Cartan-formula oracle in the test suite, not trusted.
 """
 
 from __future__ import annotations
@@ -118,14 +122,10 @@ class SteenrodMonomial:
 
     def __post_init__(self):
         _require_prime(self.prime)
-        low = 1 if self.prime == 2 else 0
-        if any((not isinstance(i, int)) or i < low for i in self.word):
-            raise ValueError("bad letter in word %r at prime %d" % (self.word, self.prime))
+        _check_word(self.prime, self.word)
 
     def degree(self) -> int:
-        if self.prime == 2:
-            return sum(self.word)
-        return sum(1 if s == 0 else 2 * s * (self.prime - 1) for s in self.word)
+        return _word_degree(self.prime, self.word)
 
     def is_admissible(self) -> bool:
         return _is_admissible_word(self.prime, self.word)
@@ -149,11 +149,7 @@ class SteenrodMonomial:
         return 2 * self.prime * s1 + eps0 - self.degree()
 
     def render(self) -> str:
-        if not self.word:
-            return "1"
-        if self.prime == 2:
-            return " ".join("Sq^%d" % i for i in self.word)
-        return " ".join("b" if s == 0 else "P^%d" % s for s in self.word)
+        return _render_word(self.prime, self.word) if self.word else "1"
 
     def __repr__(self):
         return "SteenrodMonomial(p=%d, %s)" % (self.prime, self.render())
@@ -167,6 +163,25 @@ def _monomial(prime, word):
     fields["prime"] = prime
     fields["word"] = word
     return mono
+
+
+def _check_word(prime, word):
+    low = 1 if prime == 2 else 0
+    if any((not isinstance(i, int)) or i < low for i in word):
+        raise ValueError("bad letter in word %r at prime %d" % (word, prime))
+
+
+def _word_degree(prime, word):
+    if prime == 2:
+        return sum(word)
+    return sum(1 if s == 0 else 2 * s * (prime - 1) for s in word)
+
+
+def _render_word(prime, word):
+    # a nonempty word; the empty one renders as "1" or as its coefficient
+    if prime == 2:
+        return " ".join("Sq^%d" % i for i in word)
+    return " ".join("b" if s == 0 else "P^%d" % s for s in word)
 
 
 def _is_admissible_word(prime, word):
@@ -272,123 +287,144 @@ def _normalize_words(prime, terms):
 class SteenrodElement:
     """F_l-linear combination of operation words.
 
-    terms maps SteenrodMonomial -> coefficient in 1..l-1.  Elements are
-    treated as immutable; all operations return fresh instances.
+    Kept as one dict _words, word tuple -> coefficient in 1..l-1.  `terms`
+    builds the SteenrodMonomial -> coefficient view on each read, so
+    mutating it leaves the element as it was, and SteenrodElement(l,
+    e.terms) == e.  The constructor takes word tuples or SteenrodMonomials
+    as keys.  Elements are treated as immutable; all operations return
+    fresh instances.
     """
 
-    __slots__ = ("prime", "terms")
+    __slots__ = ("prime", "_words")
 
     def __init__(self, prime, terms=None):
         _require_prime(prime)
         self.prime = prime
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            if not isinstance(mono, SteenrodMonomial):
-                mono = SteenrodMonomial(prime, tuple(mono))
-            if mono.prime != prime:
-                raise MixedPrimes("term at prime %d in element at prime %d" % (mono.prime, prime))
+        words = {}
+        for key, coeff in (terms or {}).items():
+            if isinstance(key, SteenrodMonomial):
+                if key.prime != prime:
+                    raise MixedPrimes("term at prime %d in element at prime %d" % (key.prime, prime))
+                word = key.word
+            else:
+                word = tuple(key)
+                _check_word(prime, word)
             coeff %= prime
             if coeff:
-                clean[mono] = coeff
-        self.terms = clean
+                words[word] = coeff
+        self._words = words
 
     @classmethod
-    def _trusted(cls, prime, terms):
-        """An element over a checked prime whose terms dict maps
-        SteenrodMonomial -> coefficient in 1..l-1, built by this module."""
+    def _trusted(cls, prime, words):
+        """An element over a checked prime whose dict maps words this module
+        built from validated words and Adem table entries to coefficients in
+        1..l-1."""
         element = object.__new__(cls)
         element.prime = prime
-        element.terms = terms
+        element._words = words
         return element
+
+    @property
+    def terms(self):
+        p = self.prime
+        return {_monomial(p, w): c for w, c in self._words.items()}
 
     # ------------------------------------------------------------ arithmetic
 
     def _check(self, other):
+        if not isinstance(other, SteenrodElement):
+            raise TypeError("cannot combine a SteenrodElement with %s" % type(other).__name__)
         if self.prime != other.prime:
             raise MixedPrimes("%d vs %d" % (self.prime, other.prime))
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            new = (terms.get(m, 0) + c) % self.prime
+        words = dict(self._words)
+        for w, c in other._words.items():
+            new = (words.get(w, 0) + c) % self.prime
             if new:
-                terms[m] = new
+                words[w] = new
             else:
-                del terms[m]
-        return SteenrodElement._trusted(self.prime, terms)
+                del words[w]
+        return SteenrodElement._trusted(self.prime, words)
 
     def __sub__(self, other):
+        self._check(other)
         return self + other.scale(-1)
 
     def scale(self, c):
         c %= self.prime
-        terms = {m: (c * v) % self.prime for m, v in self.terms.items()} if c else {}
-        return SteenrodElement._trusted(self.prime, terms)
+        words = {w: (c * v) % self.prime for w, v in self._words.items()} if c else {}
+        return SteenrodElement._trusted(self.prime, words)
 
     def multiply(self, other) -> "SteenrodElement":
-        """Concatenate words and renormalize with Adem relations."""
+        """Concatenate words and renormalize with Adem relations; an int
+        scales, as it does a RingElement."""
+        if isinstance(other, int):
+            return self.scale(other)
         self._check(other)
         raw = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                word = m1.word + m2.word
+        for w1, c1 in self._words.items():
+            for w2, c2 in other._words.items():
+                word = w1 + w2
                 raw[word] = raw.get(word, 0) + c1 * c2
-        return self._normalized(raw)
+        return SteenrodElement._trusted(self.prime, _normalize_words(self.prime, raw))
 
     __mul__ = multiply
 
-    def adem_normalize(self) -> "SteenrodElement":
-        return self._normalized({m.word: c for m, c in self.terms.items()})
+    def __rmul__(self, c):
+        if isinstance(c, int):
+            return self.scale(c)
+        return NotImplemented
 
-    def _normalized(self, raw):
-        # raw holds validated words of this prime and their concatenations
-        p = self.prime
-        words = _normalize_words(p, raw)
-        return SteenrodElement._trusted(p, {_monomial(p, w): c for w, c in words.items()})
+    def adem_normalize(self) -> "SteenrodElement":
+        return SteenrodElement._trusted(self.prime, _normalize_words(self.prime, self._words))
 
     def is_admissible(self) -> bool:
-        return all(m.is_admissible() for m in self.terms)
+        return all(_is_admissible_word(self.prime, w) for w in self._words)
 
     # ----------------------------------------------------------- inspection
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._words)
 
     def __eq__(self, other):
         return (
             isinstance(other, SteenrodElement)
             and self.prime == other.prime
-            and self.terms == other.terms
+            and self._words == other._words
         )
 
     def __hash__(self):
-        return hash((self.prime, frozenset(self.terms.items())))
+        return hash((self.prime, frozenset(self._words.items())))
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
+        return len({_word_degree(self.prime, w) for w in self._words}) <= 1
 
     def degree(self):
         """Common degree of all words, or None for 0 / mixed elements."""
-        degs = {m.degree() for m in self.terms}
+        degs = {_word_degree(self.prime, w) for w in self._words}
         return degs.pop() if len(degs) == 1 else None
 
+    def _sorted_words(self):
+        p = self.prime
+        return sorted(self._words, key=lambda w: (_word_degree(p, w), w))
+
     def monomials(self):
-        return sorted(self.terms, key=lambda m: (m.degree(), m.word))
+        return [_monomial(self.prime, w) for w in self._sorted_words()]
 
     def render(self) -> str:
-        if not self.terms:
+        if not self._words:
             return "0"
         parts = []
-        for m in self.monomials():
-            c = self.terms[m]
-            if not m.word:
+        for w in self._sorted_words():
+            c = self._words[w]
+            if not w:
                 parts.append("%d" % c)
             elif c == 1:
-                parts.append(m.render())
+                parts.append(_render_word(self.prime, w))
             else:
-                parts.append("%d %s" % (c, m.render()))
+                parts.append("%d %s" % (c, _render_word(self.prime, w)))
         return " + ".join(parts)
 
     def __repr__(self):

@@ -20,6 +20,9 @@ Unlike the closed-form models in oracles.py, these call into the package:
   read quoted operation words before the DSL grammar did;
 - `reference_normalize_words` is the Adem normaliser that rescanned every
   word from its first letter, over the engine's own Adem pair tables;
+- `ReferenceSteenrodElement` is the Steenrod element that kept a map from
+  SteenrodMonomial to coefficient, one monomial object per term, over the
+  engine's own `_normalize_words`;
 - `reference_admissible_words` is the enumerator that grew words inward,
   with no excess bound;
 - `reference_basis_of_degree` is the monomial enumerator that tried every
@@ -50,7 +53,15 @@ from steencalc.dsl import (
     WuQuery,
 )
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
-from steencalc.steenrod import _MAX_REWRITE_STEPS, _adem_pbp, _adem_pp
+from steencalc.errors import MixedPrimes
+from steencalc.steenrod import (
+    _MAX_REWRITE_STEPS,
+    SteenrodMonomial,
+    _adem_pbp,
+    _adem_pp,
+    _normalize_words,
+    _require_prime,
+)
 
 
 def data_file_path(name):
@@ -907,6 +918,108 @@ def reference_normalize_words(prime, terms):
         for repl, c in expansion:
             pending.append((head + repl + tail, coeff * c))
     return result
+
+
+# ------------------------------------------- monomial-keyed Steenrod element
+
+
+class ReferenceSteenrodElement:
+    """F_l-linear combination of operation words, as a dict SteenrodMonomial
+    -> coefficient in 1..l-1."""
+
+    __slots__ = ("prime", "terms")
+
+    def __init__(self, prime, terms=None):
+        _require_prime(prime)
+        self.prime = prime
+        clean = {}
+        for mono, coeff in (terms or {}).items():
+            if not isinstance(mono, SteenrodMonomial):
+                mono = SteenrodMonomial(prime, tuple(mono))
+            if mono.prime != prime:
+                raise MixedPrimes("term at prime %d in element at prime %d" % (mono.prime, prime))
+            coeff %= prime
+            if coeff:
+                clean[mono] = coeff
+        self.terms = clean
+
+    def _check(self, other):
+        if self.prime != other.prime:
+            raise MixedPrimes("%d vs %d" % (self.prime, other.prime))
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            new = (terms.get(m, 0) + c) % self.prime
+            if new:
+                terms[m] = new
+            else:
+                del terms[m]
+        return ReferenceSteenrodElement(self.prime, terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c %= self.prime
+        terms = {m: (c * v) % self.prime for m, v in self.terms.items()} if c else {}
+        return ReferenceSteenrodElement(self.prime, terms)
+
+    def multiply(self, other):
+        self._check(other)
+        raw = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                word = m1.word + m2.word
+                raw[word] = raw.get(word, 0) + c1 * c2
+        return self._normalized(raw)
+
+    def adem_normalize(self):
+        return self._normalized({m.word: c for m, c in self.terms.items()})
+
+    def _normalized(self, raw):
+        p = self.prime
+        words = _normalize_words(p, raw)
+        return ReferenceSteenrodElement(p, {SteenrodMonomial(p, w): c for w, c in words.items()})
+
+    def is_admissible(self):
+        return all(m.is_admissible() for m in self.terms)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ReferenceSteenrodElement)
+            and self.prime == other.prime
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.prime, frozenset(self.terms.items())))
+
+    def is_homogeneous(self):
+        degs = {m.degree() for m in self.terms}
+        return len(degs) <= 1
+
+    def degree(self):
+        degs = {m.degree() for m in self.terms}
+        return degs.pop() if len(degs) == 1 else None
+
+    def monomials(self):
+        return sorted(self.terms, key=lambda m: (m.degree(), m.word))
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in self.monomials():
+            c = self.terms[m]
+            if not m.word:
+                parts.append("%d" % c)
+            elif c == 1:
+                parts.append(m.render())
+            else:
+                parts.append("%d %s" % (c, m.render()))
+        return " + ".join(parts)
 
 
 # ------------------------------------------- admissible words, grown inward

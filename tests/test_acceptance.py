@@ -84,15 +84,42 @@ def _sq_expansions(i, e):
     return out
 
 
-def _apply_sq(i, monomials, memo):
-    out = set()
-    for m in monomials:
-        hit = memo.get((i, m))
-        if hit is None:
-            hit = _sq_expansions(i, m)
-            memo[(i, m)] = hit
-        out.symmetric_difference_update(hit)
-    return out
+class _MonomialBits:
+    """Classes of one degree on the four-variable model over F_2 as int
+    bitmasks: bit b of a mask in degree d is the b-th monomial of degree d
+    met so far, and a sum is an XOR.  Sq^i of each monomial is expanded
+    once, as a mask, and kept for every later class of the sweep."""
+
+    def __init__(self):
+        self.bits = {}  # degree -> {exponent tuple: bit}
+        self.monomials = {}  # degree -> [exponent tuple by bit]
+        self.rows = {}  # (i, degree) -> {bit: mask of Sq^i of that monomial}
+
+    def mask(self, e, degree):
+        """The one-bit mask of the monomial with exponents e."""
+        bits = self.bits.setdefault(degree, {})
+        b = bits.get(e)
+        if b is None:
+            b = bits[e] = len(bits)
+            self.monomials.setdefault(degree, []).append(e)
+        return 1 << b
+
+    def apply_sq(self, i, mask, degree):
+        """Sq^i of the class mask of the given degree."""
+        row = self.rows.setdefault((i, degree), {})
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            b = low.bit_length() - 1
+            hit = row.get(b)
+            if hit is None:
+                hit = 0
+                for e in _sq_expansions(i, self.monomials[degree][b]):
+                    hit ^= self.mask(e, degree + i)
+                row[b] = hit
+            out ^= hit
+        return out
 
 
 def _words_over(letters_with_degree, max_degree, max_length):
@@ -151,32 +178,32 @@ def _orbit_reps_odd(max_degree):
 
 
 def _sweep_prime_2(words, norms):
+    model = _MonomialBits()
     bad = []
     for rep in _orbit_reps_2(16):
-        memo = {}
-        cache = {(): frozenset([rep])}
+        base = sum(rep)
+        start = model.mask(rep, base)
+        cache = {(): start}
 
         def admissible_value(word):
             hit = cache.get(word)
             if hit is None:
-                hit = frozenset(_apply_sq(word[0], admissible_value(word[1:]), memo))
+                hit = model.apply_sq(word[0], admissible_value(word[1:]), base + sum(word[1:]))
                 cache[word] = hit
             return hit
 
-        stack = [((), frozenset([rep]), 0)]
+        stack = [((), start, 0)]
         while stack:
             word, value, deg = stack.pop()
             if word:
-                via_normal = set()
+                via_normal = 0
                 for w in norms[word]:
                     via_normal ^= admissible_value(w)
                 if value != via_normal:
                     bad.append((rep, word))
             if len(word) < 4:
                 for i in range(1, 21 - deg):
-                    stack.append(
-                        ((i,) + word, frozenset(_apply_sq(i, value, memo)), deg + i)
-                    )
+                    stack.append(((i,) + word, model.apply_sq(i, value, base + deg), deg + i))
     return bad
 
 
@@ -240,6 +267,8 @@ def test_gate_1_adem_normal_forms_match_direct_action():
             w: [m.word for m in SteenrodElement(2, {w: 1}).adem_normalize().monomials()]
             for w in words2
         }
+        # a class mask is read against its own degree's monomial index
+        assert all(sum(w) == sum(word) for word, ws in norms2.items() for w in ws)
         assert not _sweep_prime_2(words2, norms2)
 
         letters3 = [(0, 1)] + [(s, 4 * s) for s in range(1, 6)]

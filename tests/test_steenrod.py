@@ -11,14 +11,21 @@ from steencalc import (
     SteenrodElement,
     admissible_monomials,
     binom_mod_ell,
+    corpus,
+    dsl,
     parse_operation,
+    runner,
     steenrod,
 )
 from steencalc.errors import InternalNonTermination, InvalidArgument
 from steencalc.steenrod import SteenrodMonomial, _normalize_words
 
 from oracles import Model2, ModelOdd, binom_mod
-from references import reference_admissible_words, reference_normalize_words
+from references import (
+    ReferenceSteenrodElement,
+    reference_admissible_words,
+    reference_normalize_words,
+)
 
 
 def _word_element(word, prime):
@@ -291,6 +298,114 @@ def test_results_hold_validated_monomials(prime, a, b):
         _assert_like_validated(result)
     assert x.scale(prime) == SteenrodElement(prime)
     assert x + x.scale(-1) == SteenrodElement(prime)
+
+
+def _small_raw_terms(prime):
+    """Raw words short enough that products of two stay quick to normalise."""
+    words = st.lists(_letters(prime, 6 if prime == 2 else 3), max_size=4).map(tuple)
+    return st.dictionaries(words, st.integers(-prime, 2 * prime), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+    st.just(p), _small_raw_terms(p), _small_raw_terms(p), st.integers(-9, 9))))
+@example((3, {(0, 0): 1, (1, 0, 0, 2): 2, (): 4}, {(0, 1, 0, 1): 1, (1, 1): 2}, 2))
+@example((7, {(1, 1, 0, 1): 3, (0, 0): 7}, {(0, 3, 0, 1): 6, (2,): 1}, -1))
+@example((2, {(2, 2): 1, (3, 1): 1}, {(3, 1): 1, (1, 1): 1}, 3))
+def test_word_keyed_elements_match_the_monomial_keyed_reference(case):
+    """Every operation on word-keyed elements gives the terms, in the same
+    order, that the element keyed by SteenrodMonomial gives; equality agrees
+    with it, and equal elements hash equal."""
+    prime, raw_a, raw_b, c = case
+    a, b = SteenrodElement(prime, raw_a), SteenrodElement(prime, raw_b)
+    ra, rb = ReferenceSteenrodElement(prime, raw_a), ReferenceSteenrodElement(prime, raw_b)
+    pairs = [
+        (a, ra), (b, rb), (a + b, ra + rb), (b + a, rb + ra), (a - b, ra - rb),
+        ((a + b) - b, (ra + rb) - rb), (a.scale(c), ra.scale(c)),
+        (a.multiply(b), ra.multiply(rb)), (a * b, ra.multiply(rb)),
+        (a.adem_normalize(), ra.adem_normalize()), (b.adem_normalize(), rb.adem_normalize()),
+    ]
+    for got, want in pairs:
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.render() == want.render()
+        assert got.degree() == want.degree()
+        assert got.is_homogeneous() == want.is_homogeneous()
+        assert got.is_admissible() == want.is_admissible()
+        assert got.monomials() == want.monomials()
+        assert bool(got) == bool(want.terms)
+    for x, rx in pairs:
+        for y, ry in pairs:
+            assert (x == y) == (rx == ry)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_terms_is_a_view_built_on_each_read():
+    e = parse_operation("Sq^2 Sq^2 + Sq^3 + Sq^1", 2)
+    first, second = e.terms, e.terms
+    assert first == second and first is not second
+    first.clear()
+    second[SteenrodMonomial(2, (4,))] = 1
+    assert e.terms == {SteenrodMonomial(2, w): 1 for w in ((2, 2), (3,), (1,))}
+    assert e.render() == "Sq^1 + Sq^3 + Sq^2 Sq^2"
+    for x in (e, e.adem_normalize(), parse_operation("2 b P^1 b + P^3 + 1", 5)):
+        assert SteenrodElement(x.prime, x.terms) == x
+
+
+def test_tuple_and_monomial_keys_build_equal_elements():
+    words = {(0, 1): 2, (1,): 1, (): 1, (2, 0, 0): 4}
+    by_tuple = SteenrodElement(3, words)
+    by_monomial = SteenrodElement(3, {SteenrodMonomial(3, w): c for w, c in words.items()})
+    assert by_tuple == by_monomial and hash(by_tuple) == hash(by_monomial)
+    assert by_tuple.render() == by_monomial.render() == "1 + P^1 + 2 b P^1 + P^2 b b"
+    with pytest.raises(MixedPrimes, match="term at prime 5 in element at prime 3"):
+        SteenrodElement(3, {SteenrodMonomial(5, (1,)): 1})
+
+
+def test_arithmetic_with_an_int():
+    """An int scales from either side; adding or subtracting a non-element
+    is a TypeError, as multiplying by one is."""
+    x = parse_operation("P^1 + 2 b", 3)
+    assert x * 2 == 2 * x == x.scale(2) == x + x
+    assert x * 0 == 0 * x == SteenrodElement(3)
+    assert x * 1 == x and x.multiply(4) == x
+    for bad in (lambda: x + 0, lambda: x - 1, lambda: 0 + x, lambda: 1 - x,
+                lambda: x + "b", lambda: x * "b", lambda: "b" * x, lambda: x * 1.5,
+                lambda: x.multiply(None)):
+        with pytest.raises(TypeError):
+            bad()
+    assert SteenrodElement.__mul__ is SteenrodElement.multiply
+
+
+def test_adem_and_apply_queries_build_no_monomial(monkeypatch):
+    """The query pipeline renders and applies words as they are stored: with
+    every way of building a SteenrodMonomial refused, cold adem and apply
+    queries give the answers they give otherwise."""
+    ring = corpus.resolve_ring("CLASSIFYING2")
+    queries = [dsl.parse(text).queries[0] for text in (
+        'adem "Sq^2 Sq^2 + Sq^1 Sq^2" expect "Sq^3 + Sq^3 Sq^1";',
+        'adem "P^1 P^1 + b b + 2 b P^1 b" prime = 3;',
+        'apply "Sq^2 Sq^1 + Sq^3" to x1*x2 in CLASSIFYING2;',
+        'apply "Sq^2 Sq^2" to x1^2*x2 in CLASSIFYING2 expect 0;',
+    )]
+
+    def answers():
+        runner._answer.cache_clear()
+        try:
+            return [runner.execute_query(q, lambda name: ring).lines for q in queries]
+        finally:
+            runner._answer.cache_clear()
+
+    want = answers()
+    assert [lines[1] for lines in want] == [
+        "  = Sq^3 + Sq^3 Sq^1", "  = 2 b P^1 b + 2 P^2", "  = x1*x2^4 + x1^4*x2", "  = 0"]
+
+    def refuse(*args):
+        raise AssertionError("a SteenrodMonomial was built")
+
+    monkeypatch.setattr(steenrod, "_monomial", refuse)
+    monkeypatch.setattr(SteenrodMonomial, "__post_init__", refuse)
+    assert answers() == want
 
 
 def test_public_entry_points_still_validate():
