@@ -7,9 +7,11 @@ with --rings first, then against the built-in scenario rings, so
 
     steencalc apply "Sq^3 Sq^1" x1*x2 --ring CLASSIFYING2
 
-works out of the box.  Exit status: 0 when everything ran and every
-expectation held, 1 when an expectation failed or an obstruction fired
-with no expectation recording that it should, 2 on input errors.
+works out of the box.  argparse reads only a command's shape; its values
+are checked by execute_query, as for the same query in a file.  Exit
+status: 0 when everything ran and every expectation held, 1 when an
+expectation failed or an obstruction fired with no expectation recording
+that it should, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _build_parser():
     adem = sub.add_parser("adem", help="admissible form of an operation word")
     adem.set_defaults(query=dsl.AdemQuery)
     adem.add_argument("op_text", metavar="op")
-    adem.add_argument("--prime", type=int, default=2)
+    adem.add_argument("--prime", type=int)
     adem.add_argument("--expect", help="expected operation text")
 
     obstruct = sub.add_parser("obstruct", help="run one obstruction test")
@@ -73,9 +75,9 @@ def _build_parser():
     obstruct.add_argument("poly")
     with_ring(obstruct)
     obstruct.add_argument("--codim", type=int)
-    obstruct.add_argument("--which", type=int, default=2, choices=(1, 2))
+    obstruct.add_argument("--which", type=int, help="1 or 2, for the weird kind")
     obstruct.add_argument("--q", type=int, help="size of the ground field")
-    obstruct.add_argument("--max-degree", type=int, default=7)
+    obstruct.add_argument("--max-degree", type=int)
     obstruct.add_argument("--twist", type=int)
     obstruct.add_argument(
         "--expect",
@@ -89,8 +91,8 @@ def _build_parser():
     wu.add_argument("--m", type=int, required=True, help="cycle dimension over the base")
     with_ring(wu)
     wu.add_argument("--y", help="base class (default 1)")
-    wu.add_argument("--hyperplane", default="l")
-    wu.add_argument("--expect", choices=("true", "false"))
+    wu.add_argument("--hyperplane")
+    wu.add_argument("--expect", help="true or false")
 
     cc = sub.add_parser("charclass", help="total class of a declared bundle")
     cc.set_defaults(query=dsl.CharclassQuery)
@@ -154,16 +156,17 @@ def _corpus_hook(query):
 
 
 def _query_from_args(args):
-    """The query class the subcommand names, built from its fields read
-    from args by name.  poly and y are polynomials, and so is the
+    """The query class the subcommand names, built from the fields given in
+    args, so an option left out takes the class's default; execute_query
+    checks the values.  poly and y are polynomials, and so is the
     expectation of a query on a polynomial, except an obstruction verdict."""
-    values = {f.name: getattr(args, f.name) for f in fields(args.query)
-              if not f.name.endswith("span")}
+    values = {f.name: v for f in fields(args.query)
+              if (v := getattr(args, f.name, None)) is not None}
     polys = ["poly", "y"]
     if "poly" in values and values.get("kind") in (None, "weird"):
         polys.append("expect")
     for name in polys:
-        if values.get(name) is not None:
+        if name in values:
             values[name] = dsl.parse_poly(values[name])
     return args.query(**values)
 

@@ -40,7 +40,6 @@ from .errors import (
     OmegaUndeclared,
     RuleNonTermination,
     UnknownGenerator,
-    _at,
 )
 from .charclasses import VirtualBundle
 from .rings import _FIELD_LIMIT, GeneratorSpec, RewriteRule, RingPresentation, check_generators
@@ -513,11 +512,11 @@ class _Parser:
         rank_sign = -1 if self.eat("-") else 1
         rank = rank_sign * self.expect_int("a rank")
         self.expect(";")
-        trunc, chern, denom = 10, {}, {}
+        options, chern, denom = {}, {}, {}
         while not self.eat("}"):
             if self.eat("trunc"):
                 self.expect("=")
-                trunc = self.expect_int("a truncation")
+                options["trunc"] = self.expect_int("a truncation")
                 self.expect(";")
             elif self.toks[self.pos] in ("chern", "denom"):
                 target = denom if self.next() == "denom" else chern
@@ -537,22 +536,25 @@ class _Parser:
                     span[0], span[1],
                 )
         return BundleDecl(
-            name, ring, rank, trunc,
-            tuple(chern[i] for i in sorted(chern)),
-            tuple(denom[i] for i in sorted(denom)),
-            span,
+            name, ring, rank,
+            chern=tuple(chern[i] for i in sorted(chern)),
+            denom=tuple(denom[i] for i in sorted(denom)),
+            span=span, **options,
         )
 
     # -------- queries
+    # A query's options are keyword arguments given only when their clause
+    # is present, so each default is written once, on the query class.
 
     def _parse_flags(self, allowed):
+        """The --flag int pairs, keyed by the flag's field name."""
         out = {}
         while self.toks[self.pos][:2] == "--":
             key = self.toks[self.pos][2:]
             if key not in allowed:
                 self.fail("unknown flag --%s" % key, tuple("--" + a for a in allowed))
             self.pos += 1
-            out[key] = self.expect_int("a value for --%s" % key)
+            out[key.replace("-", "_")] = self.expect_int("a value for --%s" % key)
         return out
 
     def _parse_verdict(self):
@@ -588,16 +590,15 @@ class _Parser:
             self.next()
             op_span = self.span()
             op_text = self.expect_string()
-            prime = 2
+            options = {}
             if self.eat("prime"):
                 self.expect("=")
-                prime = self.expect_int("a prime")
-            expect = expect_span = None
+                options["prime"] = self.expect_int("a prime")
             if self.eat("expect"):
-                expect_span = self.span()
-                expect = self.expect_string()
+                options["expect_span"] = self.span()
+                options["expect"] = self.expect_string()
             self.expect(";")
-            return AdemQuery(op_text, prime, expect, span, op_span, expect_span)
+            return AdemQuery(op_text, span=span, op_span=op_span, **options)
         if verb == "obstruct":
             self.next()
             kind = self.expect_keyword("odd, weird, frobenius, or hs",
@@ -607,22 +608,13 @@ class _Parser:
             poly = self.parse_poly()
             self.expect("in")
             ring = self.expect_ident("a ring name")
-            twist = None
             if self.eat("twist"):
                 self.expect("=")
-                twist = self.expect_int("a twist")
-            expect = None
+                flags["twist"] = self.expect_int("a twist")
             if self.eat("expect"):
-                expect = self.parse_poly() if kind == "weird" else self._parse_verdict()
+                flags["expect"] = self.parse_poly() if kind == "weird" else self._parse_verdict()
             self.expect(";")
-            return ObstructQuery(
-                kind, poly, ring,
-                codim=flags.get("codim"),
-                which=flags.get("which", 2),
-                q=flags.get("q"),
-                max_degree=flags.get("max-degree", 7),
-                twist=twist, expect=expect, span=span,
-            )
+            return ObstructQuery(kind, poly, ring, span=span, **flags)
         if verb == "wu-check":
             self.next()
             flags = self._parse_flags(("n", "m"))
@@ -630,17 +622,16 @@ class _Parser:
                 self.fail("wu-check needs --n and --m", ("--n", "--m"))
             self.expect("in")
             ring = self.expect_ident("a ring name")
-            y = None
-            hyperplane = "l"
             if self.eat("y"):
                 self.expect("=")
-                y = self.parse_poly()
+                flags["y"] = self.parse_poly()
             if self.eat("hyperplane"):
                 self.expect("=")
-                hyperplane = self.expect_ident("a generator name")
-            expect = self.expect_ident("true or false") if self.eat("expect") else None
+                flags["hyperplane"] = self.expect_ident("a generator name")
+            if self.eat("expect"):
+                flags["expect"] = self.expect_ident("true or false")
             self.expect(";")
-            return WuQuery(flags["n"], flags["m"], ring, y, hyperplane, expect, span)
+            return WuQuery(ring=ring, span=span, **flags)
         if verb == "charclass":
             self.next()
             kind = self.expect_keyword("w or wet", ("w", "wet"))
@@ -732,24 +723,18 @@ def render_bundle(b: BundleDecl):
 
 
 def render_query(q):
+    """The source text of a query.  An option is left out at its class
+    default and where its kind does not read it, but weird always shows
+    --which; an expectation comes last, quoted for adem and charclass."""
     if isinstance(q, ApplyQuery):
         out = 'apply "%s" to %s in %s' % (q.op_text, q.poly.render(), q.ring)
-        if q.expect is not None:
-            out += " expect %s" % q.expect.render()
-        return out + ";"
-    if isinstance(q, NormalizeQuery):
+    elif isinstance(q, NormalizeQuery):
         out = "normalize %s in %s" % (q.poly.render(), q.ring)
-        if q.expect is not None:
-            out += " expect %s" % q.expect.render()
-        return out + ";"
-    if isinstance(q, AdemQuery):
+    elif isinstance(q, AdemQuery):
         out = 'adem "%s"' % q.op_text
-        if q.prime != 2:
+        if q.prime != AdemQuery.prime:
             out += " prime = %d" % q.prime
-        if q.expect is not None:
-            out += ' expect "%s"' % q.expect
-        return out + ";"
-    if isinstance(q, ObstructQuery):
+    elif isinstance(q, ObstructQuery):
         out = "obstruct %s" % q.kind
         if q.codim is not None:
             out += " --codim %d" % q.codim
@@ -757,34 +742,29 @@ def render_query(q):
             out += " --which %d" % q.which
         if q.q is not None:
             out += " --q %d" % q.q
-        if q.kind == "odd" and q.max_degree != 7:
+        if q.kind == "odd" and q.max_degree != ObstructQuery.max_degree:
             out += " --max-degree %d" % q.max_degree
         out += " on %s in %s" % (q.poly.render(), q.ring)
         if q.twist is not None:
             out += " twist = %d" % q.twist
-        if q.expect is not None:
-            out += " expect %s" % (q.expect.render() if q.kind == "weird" else q.expect)
-        return out + ";"
-    if isinstance(q, WuQuery):
+    elif isinstance(q, WuQuery):
         out = "wu-check --n %d --m %d in %s" % (q.n, q.m, q.ring)
         if q.y is not None:
             out += " y = %s" % q.y.render()
-        if q.hyperplane != "l":
+        if q.hyperplane != WuQuery.hyperplane:
             out += " hyperplane = %s" % q.hyperplane
-        if q.expect is not None:
-            out += " expect %s" % q.expect
-        return out + ";"
-    if isinstance(q, CharclassQuery):
+    elif isinstance(q, CharclassQuery):
         out = "charclass %s of %s" % (q.kind, q.bundle)
-        if q.expect is not None:
-            out += ' expect "%s"' % q.expect
-        return out + ";"
-    if isinstance(q, CorpusQuery):
-        out = "corpus %s" % q.action
-        if q.name is not None:
-            out += " %s" % q.name
-        return out + ";"
-    raise TypeError("not a query: %r" % (q,))
+    elif isinstance(q, CorpusQuery):
+        return "corpus %s%s;" % (q.action, "" if q.name is None else " " + q.name)
+    else:
+        raise TypeError("not a query: %r" % (q,))
+    if isinstance(q.expect, Poly):
+        out += " expect " + q.expect.render()
+    elif q.expect is not None:
+        form = ' expect "%s"' if isinstance(q, (AdemQuery, CharclassQuery)) else " expect %s"
+        out += form % q.expect
+    return out + ";"
 
 
 def render(ast: FileAst) -> str:
@@ -808,7 +788,7 @@ def poly_to_element(pres: RingPresentation, poly: Poly, span=None):
     except InvalidArgument as exc:
         if span is None:
             raise
-        raise InvalidArgument("%s%s" % (exc, _at(span))) from exc
+        raise type(exc)(exc.message, span) from exc
 
 
 def _poly_to_raw(prime, gens, poly, span=None):
@@ -843,7 +823,7 @@ def _poly_to_raw(prime, gens, poly, span=None):
                 del out[m]
     if gens and out and max(map(max, out)) >= _FIELD_LIMIT:
         e = next(e for m in out for e in m if e >= _FIELD_LIMIT)
-        raise InvalidArgument("exponent %d outside 0..%d%s" % (e, _FIELD_LIMIT - 1, _at(span)))
+        raise InvalidArgument("exponent %d outside 0..%d" % (e, _FIELD_LIMIT - 1), span)
     return out
 
 
@@ -876,7 +856,7 @@ def _at_block(block, specs, rules=()):
     except (OmegaUndeclared, RuleNonTermination, NonHomogeneousInput, ValueError) as exc:
         span = _declared_at(block, specs, rules, getattr(exc, "item", None))
         if isinstance(exc, (OmegaUndeclared, RuleNonTermination)):
-            raise type(exc)(str(exc) + _at(span)) from exc
+            raise type(exc)(exc.message, span) from exc
         raise NonHomogeneous(str(exc), span) from exc
 
 
@@ -945,7 +925,7 @@ def build_program(ast: FileAst) -> Program:
         try:
             VirtualBundle(b.rank, truncation=b.trunc).validate(rings[b.ring])
         except InvalidArgument as exc:
-            raise InvalidArgument("%s%s" % (exc, _at(b.span))) from exc
+            raise type(exc)(exc.message, b.span) from exc
         # chern polys must evaluate; degrees are checked when the bundle is used
         for poly in b.chern + b.denom:
             poly_to_element(rings[b.ring], poly, b.span)

@@ -6,7 +6,15 @@ catch one type at the boundary (the CLI maps them to exit code 2).
 
 
 class SteencalcError(Exception):
-    """Base class for all errors raised deliberately by this package."""
+    """Base class for all errors raised deliberately by this package.
+    `message` is the text without a position; `span` is the (line, col) in
+    a source file of what is at fault, None when the error does not come
+    from a file, and the error's text ends in it."""
+
+    def __init__(self, message="", span=None):
+        super().__init__(message + (" at %d:%d" % span if span else ""))
+        self.message = message
+        self.span = span
 
 
 class InvalidArgument(SteencalcError, ValueError):
@@ -74,10 +82,10 @@ class ScenarioIncomplete(SteencalcError):
 
 class DslSyntaxError(SteencalcError):
     """Parse failure; carries the message without its position, the
-    position, and the expected-token set."""
+    position (also as `span`), and the expected-token set.  Its text starts
+    with line:col instead of ending in it."""
 
     def __init__(self, message, line, col, expected=()):
-        self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(expected)
@@ -86,21 +94,12 @@ class DslSyntaxError(SteencalcError):
             shown = (e if " " in e else "'%s'" % e for e in self.expected)
             suffix = " (expected %s)" % " or ".join(shown)
         super().__init__("%d:%d: %s%s" % (line, col, message, suffix))
-
-
-def _at(span):
-    """' at line:col' for a (line, col) span, '' for none."""
-    return " at %d:%d" % span if span else ""
+        self.message, self.span = message, (line, col)
 
 
 class DslSemanticError(SteencalcError):
-    """A source file parses but means nothing valid.  `span` is the
-    (line, col) of the declaration at fault, and the message ends in it;
-    both are absent when the error does not come from a file."""
-
-    def __init__(self, message, span=None):
-        super().__init__(message + _at(span))
-        self.span = span
+    """A source file parses but means nothing valid; `span` is the
+    (line, col) of the declaration at fault."""
 
 
 class DuplicateGenerator(DslSemanticError):

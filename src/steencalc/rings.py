@@ -97,13 +97,14 @@ class RewriteRule:
 class RingElement:
     """Normal-form F_l-linear combination of monomials of one presentation,
     kept as a dict packed monomial -> coeff in 1..l-1.  `terms` builds its
-    exponent-tuple view on each read; RingElement(parent, terms) takes one."""
+    exponent-tuple view on each read; RingElement(parent, terms) takes one
+    and normalises it, as parent.element(terms) does."""
 
     __slots__ = ("parent", "_packed")
 
     def __init__(self, parent, terms):
         self.parent = parent
-        self._packed = {parent._pack(m): c for m, c in terms.items()}
+        self._packed = parent.element(terms)._packed
 
     @property
     def terms(self):

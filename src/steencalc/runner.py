@@ -41,7 +41,8 @@ from .charclasses import (
     w_bro,
     w_et,
 )
-from .errors import DslSyntaxError, MissingCodim, NonHomogeneousInput, SteencalcError
+from .errors import (DslSyntaxError, InvalidArgument, MissingCodim, NonHomogeneousInput,
+                     SteencalcError)
 from .obstructions import (
     FrobeniusContext,
     HsInput,
@@ -178,16 +179,27 @@ def _answer(query, pres, decl=None) -> QueryResult:
 
 def _wanted(query, pres):
     """The value a query's expectation names, and the text a failure shows:
-    an Adem-normalised word, a ring element, a verdict, or literal text."""
+    an Adem-normalised word, a ring element, a verdict, or literal text.
+    The one reader of an expectation: a verdict its verb cannot give is an
+    InvalidArgument, from a file and from the command line alike."""
     if isinstance(query, dsl.AdemQuery):
         want = _operation(query.expect, query.prime, query.expect_span).adem_normalize()
         return want, want.render()
-    if isinstance(query, (dsl.CharclassQuery, dsl.WuQuery)):
+    if isinstance(query, dsl.CharclassQuery):
         return query.expect, query.expect
-    if isinstance(query, dsl.ObstructQuery) and query.kind != "weird":
-        return query.expect, "verdict " + query.expect
-    want = dsl.poly_to_element(pres, query.expect, query.span)
-    return want, want.render()
+    if isinstance(query, dsl.WuQuery):
+        verb, words, named = "wu-check", ("true", "false"), query.expect
+    elif isinstance(query, dsl.ObstructQuery) and query.kind != "weird":
+        verb, named = "obstruct " + query.kind, "verdict " + query.expect
+        words = (("in-image", "not-in-image") if query.kind == "frobenius"
+                 else ("vanishes", "nonvanishing"))
+    else:
+        want = dsl.poly_to_element(pres, query.expect, query.span)
+        return want, want.render()
+    if query.expect not in words:
+        raise InvalidArgument("%s cannot give %r (expected %s)"
+                              % (verb, query.expect, " or ".join(words)))
+    return query.expect, named
 
 
 def _evaluate(query, pres, decl):

@@ -1,5 +1,6 @@
 """Total classes, splitting-principle reduction, pushforward identities."""
 
+import re
 from functools import lru_cache, reduce
 from operator import add
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from steencalc import (
     GeneratorSpec,
     MissingCodim,
+    NonHomogeneousInput,
     NotProjectiveBundleScenario,
     OmegaUndeclared,
     RewriteRule,
@@ -543,6 +545,23 @@ def test_not_projective_scenario():
     R = _p2r()  # rule l^3 = w-free, but hyperplane name differs
     with pytest.raises(NotProjectiveBundleScenario):
         projective_pushforward(R, R.one(), 2, hyperplane="w")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: VirtualBundle(1, [_proj(1, 3).gen("l")]).validate(_proj(1)),
+     ValueError, "Chern class c_1 is not an element of the base ring"),
+    (lambda R=model_ring(3, 2): VirtualBundle(1, [R.gen("y1")]).validate(R),
+     NonHomogeneousInput, "c_1 must have twist 1"),
+    (lambda: fiber_dimension(_proj(2), "h"), NotProjectiveBundleScenario, "no generator 'h'"),
+    (lambda: fiber_dimension(
+        RingPresentation(2, [GeneratorSpec("w", 1)], rules=[RewriteRule("w", 3, {})]), "w"),
+     NotProjectiveBundleScenario, "hyperplane class must be even of degree 2"),
+    (lambda: projective_pushforward(_proj(2), _proj(2).one(), 3), NotProjectiveBundleScenario,
+     "presentation truncates at 2 but pushforward was asked for n=3"),
+])
+def test_bundles_and_pushforwards_reject_bad_input(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_pushforward_picks_top_power():

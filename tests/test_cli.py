@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from steencalc import corpus
-from steencalc.cli import _build_parser, main
+from steencalc import InvalidArgument, corpus, dsl
+from steencalc.cli import _build_parser, _query_from_args, main
+from steencalc.runner import execute_query
 
 from references import data_file_path
 
@@ -319,6 +320,64 @@ def test_bad_query_argument_in_a_file_is_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: no bundle 'X' in scope\n"
     assert captured.out == ""
+
+
+# (a query in a file, the matching subcommand, the error): argparse reads only
+# a command's shape, so both front ends reach the one check behind
+# execute_query
+BAD_VALUES = {
+    "weird-which-3": (
+        "obstruct weird --codim 2 --which 3 on x1 in CLASSIFYING2;",
+        ["obstruct", "weird", "x1", "--codim", "2", "--which", "3", "--ring", "CLASSIFYING2"],
+        "which must be 1 or 2"),
+    "wu-expect-maybe": (
+        "wu-check --n 2 --m 1 in PROJ2_2 expect maybe;",
+        ["wu-check", "--n", "2", "--m", "1", "--ring", "PROJ2_2", "--expect", "maybe"],
+        "wu-check cannot give 'maybe' (expected true or false)"),
+    "odd-expect-in-image": (
+        "obstruct odd on x1 in CLASSIFYING2 expect in-image;",
+        ["obstruct", "odd", "x1", "--ring", "CLASSIFYING2", "--expect", "in-image"],
+        "obstruct odd cannot give 'in-image' (expected vanishes or nonvanishing)"),
+    "frobenius-expect-vanishes": (
+        "obstruct frobenius --q 3 on x1 in CLASSIFYING2 expect vanishes;",
+        ["obstruct", "frobenius", "x1", "--q", "3", "--ring", "CLASSIFYING2",
+         "--expect", "vanishes"],
+        "obstruct frobenius cannot give 'vanishes' (expected in-image or not-in-image)"),
+    "hs-expect-typo": (
+        "obstruct hs --q 3 on x1 in CLASSIFYING2 expect vanish;",
+        ["obstruct", "hs", "x1", "--q", "3", "--ring", "CLASSIFYING2", "--expect", "vanish"],
+        "obstruct hs cannot give 'vanish' (expected vanishes or nonvanishing)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_is_one_error_from_a_file_and_a_subcommand(case, tmp_path, capsys):
+    source, argv, message = BAD_VALUES[case]
+    path = tmp_path / "query.steen"
+    path.write_text(source + "\n", encoding="utf-8")
+    for args in (["run", str(path)], argv):
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_impossible_verdict_from_the_library_is_the_same_error():
+    query = dsl.WuQuery(2, 1, "PROJ2_2", expect="maybe")
+    with pytest.raises(InvalidArgument,
+                       match=r"^wu-check cannot give 'maybe' \(expected true or false\)$"):
+        execute_query(query, corpus.resolve_ring)
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["adem", "Sq^2"], 'adem "Sq^2";'),
+    (["obstruct", "weird", "x1", "--codim", "1", "--ring", "R"],
+     "obstruct weird --codim 1 --which 2 on x1 in R;"),
+    (["obstruct", "odd", "x1", "--ring", "R"], "obstruct odd on x1 in R;"),
+    (["wu-check", "--n", "1", "--m", "0", "--ring", "R"], "wu-check --n 1 --m 0 in R;"),
+])
+def test_left_out_options_take_the_query_class_defaults(argv, source):
+    query = _query_from_args(_build_parser().parse_args(argv))
+    assert query == dsl.parse(source).queries[0]
+    assert dsl.render_query(query) == source
 
 
 def test_non_prime_in_a_file_is_exit_2(tmp_path, capsys):

@@ -57,6 +57,10 @@ def test_override_requires_matching_ring_name(tmp_path, monkeypatch):
     try:
         with pytest.raises(ScenarioIncomplete):
             corpus.get_scenario("ODD")
+        # resolve_ring raises it again: the file is there, its ring is not
+        with pytest.raises(ScenarioIncomplete,
+                           match="^scenario ODD must define ring ODD$"):
+            corpus.resolve_ring("ODD")
     finally:
         monkeypatch.delenv(corpus.ENV_DATA_DIR)
 

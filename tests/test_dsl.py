@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from steencalc import (
     DslSyntaxError,
     DuplicateGenerator,
+    InvalidArgument,
     NonHomogeneous,
     UnknownGenerator,
 )
@@ -642,6 +643,33 @@ def test_exponent_overflow_through_a_rule_carries_its_span(tmp_path, capsys):
         "error: monomial y^1073741824*w has an exponent of 1073741824 or more at 9:3\n"
     )
     assert captured.out == ""
+
+
+_OVERFLOW = "ring R {\n  prime = 2;\n  gen y deg=1;\n  gen w deg=1;\n  gen z deg=536870912;\n"
+
+
+@pytest.mark.parametrize("build, error, span", [
+    # an exponent past the limit, in the source and reached through a rule
+    (lambda: dsl.poly_to_element(corpus.get_scenario("CLASSIFYING2").presentation,
+                                 dsl.parse_poly("x1^1073741824"), (2, 5)),
+     InvalidArgument, (2, 5)),
+    (lambda: dsl.poly_to_element(_build(_OVERFLOW + "  rule z^2 = y^1073741823*w;\n}").rings["R"],
+                                 dsl.parse_poly("z^2*y"), (9, 3)),
+     InvalidArgument, (9, 3)),
+    (lambda: _build(R2 + "  rule w^2 = w^2;\n}"), RuleNonTermination, (4, 3)),
+    (lambda: _build("\n" + R2 + "  omega = v;\n}"), OmegaUndeclared, (2, 1)),
+    (lambda: _build("\n" + R2 + "}\n" + BUNDLE.replace("= 1;", "= 1; trunc = 536870912;")),
+     InvalidArgument, (6, 1)),
+])
+def test_errors_keep_their_span_apart_from_their_message(build, error, span):
+    """Each error built again at a source position has the position as its
+    span, its text ends in it, and its message is the text without it."""
+    with pytest.raises(error) as caught:
+        build()
+    exc = caught.value
+    assert exc.span == span
+    assert str(exc) == "%s at %d:%d" % ((exc.message,) + span)
+    assert not exc.message.endswith(" at %d:%d" % span)
 
 
 def test_build_ring_makes_one_presentation(monkeypatch):

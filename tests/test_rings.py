@@ -279,6 +279,23 @@ def test_b_and_sq1_on_one_generator_are_rejected_at_2():
      NonHomogeneousInput, "action on y: component twist 2 != 1 mod 2"),
     (lambda: model_ring(2, 1).apply_op_value(parse_operation("P^1", 3), model_ring(2, 1).one()),
      MixedPrimes, "operation at prime 3 on ring at prime 2"),
+    (lambda: model_ring(2, 1).gen("x1") * model_ring(2, 2).gen("x1"),
+     MixedPrimes, "elements of different presentations"),
+    (lambda: model_ring(2, 1).gen("x1") ** -1, ValueError, "negative power of a ring element"),
+    (lambda: RingPresentation(2, [GeneratorSpec("x", 1), GeneratorSpec("x", 2)]),
+     ValueError, "duplicate generator names"),
+    (lambda: RingPresentation(3, [GeneratorSpec("x", 2, parity="neither")]),
+     ValueError, "parity must be even or odd"),
+    (lambda: RingPresentation(2, [GeneratorSpec("x", 1)], rules=[RewriteRule("z", 2, {})]),
+     ValueError, "rule on undeclared generator 'z'"),
+    (lambda: RingPresentation(2, [GeneratorSpec("x", 1), GeneratorSpec("y", 2)],
+                              rules=[RewriteRule("y", 2, {(4,): 1})]),
+     ValueError, "rule rhs monomial of wrong width"),
+    (lambda: RingPresentation(3, [GeneratorSpec("x", 2), GeneratorSpec("y", 4, twist=1)],
+                              rules=[RewriteRule("x", 2, {(0, 1): 1})]),
+     NonHomogeneousInput, "rule on x is not twist-homogeneous"),
+    (lambda: model_ring(2, 2).element({(1,): 1}),
+     ValueError, "monomial of width 1 in 2-generator ring"),
 ])
 def test_presentations_reject_bad_input(build, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
@@ -873,6 +890,25 @@ def test_terms_view_is_tuple_keyed_and_round_trips(R3):
     assert x.terms and all(type(m) is tuple and len(m) == R3.n for m in x.terms)
     assert RingElement(R3, dict(x.terms)) == x
     assert RingElement(R3, {}) == R3.zero()
+
+
+def test_constructor_normalises_its_terms(R3):
+    P, R2 = corpus.get_scenario("PROJ1_2").presentation, model_ring(2, 2)
+    y1 = R3.gen("y1")
+    cases = [
+        (RingElement(P, {(0, 0, 2): 1}), P.zero()),  # rule l^2 = 0
+        (RingElement(R3, {(2, 0, 0, 0): 1}), R3.zero()),  # odd square
+        (RingElement(R3, {(0, 0, 1, 0): -1}), y1.scale(-1)),
+        (RingElement(R2, {(1, 0): 2}), R2.zero()),
+        (RingElement(R2, {(1, 0): 3}), R2.gen("x1")),
+        (RingElement(R3, {(1, 1, 0, 0): 1}), RingElement(R3, {(1, 1, 0, 0): 4})),
+    ]
+    for got, want in cases:
+        assert got == want and got.render() == want.render()
+        assert hash(got) == hash(want)
+    assert not RingElement(P, {(0, 0, 2): 1})
+    assert RingElement(R3, {(0, 0, 1, 0): -1}).render() == "2*y1"
+    assert len({RingElement(R3, {(0, 0, 1, 0): c}) for c in (2, 5, -1)}) == 1
 
 
 @pytest.mark.parametrize("ell, monomials, text", [

@@ -17,7 +17,7 @@ from steencalc import (
     runner,
     steenrod,
 )
-from steencalc.errors import InternalNonTermination, InvalidArgument
+from steencalc.errors import InternalNonTermination, InvalidArgument, NotAdmissible
 from steencalc.steenrod import SteenrodMonomial, _normalize_words
 
 from oracles import Model2, ModelOdd, binom_mod
@@ -38,6 +38,8 @@ def test_binom_small_values():
     assert binom_mod_ell(5, 2, 3) == 1
     assert binom_mod_ell(0, 0, 5) == 1
     assert binom_mod_ell(3, 5, 7) == 0
+    assert binom_mod_ell(3, -1, 2) == 0
+    assert binom_mod_ell(-2, -3, 5) == 0
 
 
 def test_binom_negative_upper():
@@ -89,6 +91,9 @@ def test_excess_even_prime():
     assert SteenrodMonomial(2, (3, 1)).excess() == 2
     assert SteenrodMonomial(2, (1,)).excess() == 1
     assert SteenrodMonomial(2, (6, 3, 1)).excess() == 2
+    with pytest.raises(NotAdmissible, match=r"^excess is defined on admissible words only: "
+                                            r"SteenrodMonomial\(p=2, Sq\^1 Sq\^2\)$"):
+        SteenrodMonomial(2, (1, 2)).excess()
 
 
 def test_degree_bookkeeping():
