@@ -65,8 +65,9 @@ class TotalClass:
         return cls(parent, bound, {0: 1})
 
     @classmethod
-    def of_element(cls, parent, elt, bound):
+    def of_element(cls, elt, bound):
         """A (possibly inhomogeneous) element, each term tagged by its degree."""
+        parent = elt.parent
         shift, degree = parent._tag_shift, parent._degree
         packed = {}
         for m, c in elt._packed.items():
@@ -91,6 +92,7 @@ class TotalClass:
         return {m: c for m, c in self._packed.items() if m < above}
 
     def __add__(self, other):
+        self.parent._own(other)
         bound = min(self.bound, other.bound)
         packed = self.parent._addmul(dict(self._upto(bound)), 1, other._upto(bound))
         return TotalClass(self.parent, bound, packed)
@@ -100,7 +102,8 @@ class TotalClass:
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
-            other = TotalClass.of_element(self.parent, other, self.bound)
+            other = TotalClass.of_element(other, self.bound)
+        self.parent._own(other)
         bound = min(self.bound, other.bound)
         packed = self.parent._addmul({}, 1, self._packed, other._packed, bound)
         return TotalClass(self.parent, bound, packed)
@@ -169,7 +172,7 @@ def _splitting_total(parent, chern, truncation):
     the product of the classes c(a), a = 1..l-1, with the sign of each
     degree-2(l-1)m part flipped for odd m (see the module docstring)."""
     ell, shift, bound = parent.prime, parent._tag_shift, 2 * truncation
-    chern = [TotalClass.of_element(parent, cj, bound)._packed for cj in chern]
+    chern = [TotalClass.of_element(cj, bound)._packed for cj in chern]
     total = None
     for a in range(1, ell):
         c_a = {0: 1}
@@ -187,7 +190,7 @@ def _omega_powers(parent, bound):
     stopping before the first zero power, as one running product."""
     if parent.omega is None:
         raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
-    omega = TotalClass.of_element(parent, parent.gen(parent.omega), bound)._packed
+    omega = TotalClass.of_element(parent.gen(parent.omega), bound)._packed
     powers = [{0: 1}]
     while len(powers) <= bound:
         power = parent._addmul({}, 1, powers[-1], omega, bound)
@@ -279,11 +282,12 @@ def fiber_dimension(parent: RingPresentation, hyperplane: str = "l") -> int:
     return _hyperplane_data(parent, hyperplane)[1]
 
 
-def projective_pushforward(parent: RingPresentation, x, n: int, hyperplane: str = "l"):
+def projective_pushforward(x, n: int, hyperplane: str = "l"):
     """Coefficient of hyperplane^n: integration over a P^n fiber.  Accepts a
     RingElement or TotalClass; the result lives in the same presentation
     (supported on hyperplane-free monomials).  A TotalClass's terms with
     hyperplane exponent n lose hyperplane^n and 2n from their degree tag."""
+    parent = x.parent
     gi, fiber_n = _hyperplane_data(parent, hyperplane)
     if fiber_n != n:
         raise NotProjectiveBundleScenario(
@@ -312,7 +316,7 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
         coeff = binom_mod_ell(-(n + 1), k, ell)
         if not coeff:
             continue
-        lam_k = TotalClass.of_element(parent, parent.gen(hyperplane, k * step), bound)
+        lam_k = TotalClass.of_element(parent.gen(hyperplane, k * step), bound)
         eta = {0: 1}
         if ell == 2:
             omegas = omegas or _omega_powers(parent, bound)
@@ -321,11 +325,12 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
     return TotalClass(parent, bound, packed)
 
 
-def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass:
+def total_operation_class(x: RingElement, bound: int) -> TotalClass:
     """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass: the
     cached Cartan total of each monomial of degree deg, with component
     index i in its tag, retagged by degree deg + i (l = 2) or
     deg + 2i(l - 1)."""
+    parent = x.parent
     ell, shift = parent.prime, parent._tag_shift
     step, low = 1 if ell == 2 else 2 * (ell - 1), (1 << shift) - 1
     packed = {}
@@ -345,11 +350,11 @@ def total_operation_class(parent: RingPresentation, x, bound: int) -> TotalClass
     return TotalClass(parent, bound, packed)
 
 
-def verify_relative_wu_projective(parent: RingPresentation, y, m: int,
-                                  hyperplane: str = "l") -> bool:
+def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l") -> bool:
     """Check Sq(f_* x) = f_*(Sq(x) . w_et(N_f)) for x = y * hyperplane^m over
-    the projective-bundle presentation (f the bundle projection, y a base
-    class).  Exact in every degree up to the instability-forced bound."""
+    the projective-bundle presentation of y (f the bundle projection, y a
+    base class).  Exact in every degree up to the instability-forced bound."""
+    parent = y.parent
     gi, n = _hyperplane_data(parent, hyperplane)
     if not 0 <= m <= n:
         raise InvalidArgument("need 0 <= m <= n")
@@ -360,27 +365,26 @@ def verify_relative_wu_projective(parent: RingPresentation, y, m: int,
     bound = parent.prime * (ydeg + 2 * m) + 2 * (n - m) + 2
     lam = parent.gen(hyperplane)
     x = y * lam ** m
-    lhs = total_operation_class(parent, y if m == n else parent.zero(), bound - 2 * n)
-    sq_x = total_operation_class(parent, x, bound)
-    rhs = projective_pushforward(
-        parent, sq_x * normal_bundle_total(parent, n, bound, hyperplane), n, hyperplane
-    )
+    lhs = total_operation_class(y if m == n else parent.zero(), bound - 2 * n)
+    sq_x = total_operation_class(x, bound)
+    rhs = projective_pushforward(sq_x * normal_bundle_total(parent, n, bound, hyperplane),
+                                 n, hyperplane)
     return lhs == rhs
 
 
-def twisted_total_on_cycle(parent: RingPresentation, x: TwistedClass,
-                           bound: int) -> TotalClass:
+def twisted_total_on_cycle(x: TwistedClass, bound: int) -> TotalClass:
     """The operation tracking cycle classes: sum_i (1+omega)^(codim-i)
     Sq^(2i)(x) for l = 2, total P for odd l.  Needs x.codim."""
     if x.codim is None:
         raise MissingCodim("twisted_total_on_cycle needs the cycle codimension")
+    parent = x.value.parent
     if parent.prime != 2:
-        return total_operation_class(parent, x.value, bound)
+        return total_operation_class(x.value, bound)
     omegas = _omega_powers(parent, bound)
     packed = {}
     for i in range(x.degree // 2 + 1):
         piece = parent.apply_letter(2 * i, x.value) if i else x.value  # Sq^0 x = x
         eta = _eta_power(parent, omegas, x.codim - i, bound)
         parent._addmul(packed, 1, eta._packed,
-                       TotalClass.of_element(parent, piece, bound)._packed, bound)
+                       TotalClass.of_element(piece, bound)._packed, bound)
     return TotalClass(parent, bound, packed)

@@ -18,14 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    InvalidArgument,
-    MissingFrobeniusData,
-    OmegaUndeclared,
-    ScenarioIncomplete,
-)
-from .rings import RingElement, RingPresentation, TwistedClass
-from .steenrod import SteenrodMonomial, _is_prime, admissible_monomials
+from .errors import InvalidArgument, MissingCodim, MissingFrobeniusData, OmegaUndeclared
+from .rings import RingElement, TwistedClass
+from .steenrod import _is_prime, _word_degree, admissible_monomials
 
 
 @dataclass(frozen=True)
@@ -73,17 +68,19 @@ def odd_vanishing_check(x: TwistedClass, max_degree: int) -> ObstructionReport:
     )
 
 
-def weird_operator(x: TwistedClass, c: int, which: int,
+def weird_operator(x: TwistedClass, which: int,
                    omega: Optional[RingElement] = None) -> TwistedClass:
-    """The omega-corrected operators at the prime 2:
-    which=1: Sq^2 + binom(c,2) omega^2, which=2: Sq^3 + (c+1) omega Sq^2 +
-    binom(c,2) omega^3.  The second kills every algebraic class of
-    codimension c."""
-    parent = x.value.parent
+    """The omega-corrected operators at the prime 2 for a class of
+    codimension c = x.codim: which=1: Sq^2 + binom(c,2) omega^2, which=2:
+    Sq^3 + (c+1) omega Sq^2 + binom(c,2) omega^3.  The second kills every
+    algebraic class of codimension c."""
+    parent, c = x.value.parent, x.codim
     if parent.prime != 2:
         raise InvalidArgument("the omega-corrected operators live at the prime 2")
     if which not in (1, 2):
         raise InvalidArgument("which must be 1 or 2")
+    if c is None:
+        raise MissingCodim("weird_operator needs the cycle codimension")
     half = (c * (c - 1) // 2) % 2
     linear = (c + 1) % 2
     need_omega = half or (which == 2 and linear)
@@ -111,8 +108,6 @@ def _is_prime_power(q):
     base = q
     for k in range(2, q.bit_length()):
         root = _integer_root(q, k)
-        if root < 2:
-            break
         if root ** k == q:
             base = root
     return _is_prime(base)
@@ -130,44 +125,36 @@ def _integer_root(n, k):
     return low
 
 
-@dataclass
-class FrobeniusContext:
-    """Diagonal Frobenius action: the generator g scales by q^f_g and a Tate
-    twist j contributes q^(-j)."""
-
-    parent: RingPresentation
-    q: int
-
-    def __post_init__(self):
-        if self.q % self.parent.prime == 0:
-            raise InvalidArgument("q must be prime to %d" % self.parent.prime)
-        if not _is_prime_power(self.q):
-            raise InvalidArgument("q must be a prime power, got %d" % self.q)
-
-    def eigenvalue(self, m, twist: int) -> int:
-        ell = self.parent.prime
-        base = self.q % ell
-        total = 0
-        for e, g in zip(m, self.parent.generators):
-            if not e:
-                continue
-            if g.frobenius_exponent is None:
-                raise MissingFrobeniusData("generator %s has no Frobenius exponent" % g.name)
-            total += e * g.frobenius_exponent
-        return pow(base, total - twist, ell)
+def _eigenvalue(parent, q, m, twist):
+    """Frobenius on the monomial m of twist `twist`, acting diagonally: the
+    generator g scales by q^f_g and a Tate twist j contributes q^(-j)."""
+    ell = parent.prime
+    total = 0
+    for e, g in zip(m, parent.generators):
+        if not e:
+            continue
+        if g.frobenius_exponent is None:
+            raise MissingFrobeniusData("generator %s has no Frobenius exponent" % g.name)
+        total += e * g.frobenius_exponent
+    return pow(q % ell, total - twist, ell)
 
 
-def in_image_F_minus_Id(x: TwistedClass, ctx: FrobeniusContext) -> ObstructionReport:
-    """With F diagonal on monomials, x lies in im(F - Id) exactly when its
-    coefficients vanish on every eigenvalue-1 monomial."""
+def in_image_F_minus_Id(x: TwistedClass, q: int) -> ObstructionReport:
+    """With F diagonal on monomials over the field of q elements, x lies in
+    im(F - Id) exactly when its coefficients vanish on every eigenvalue-1
+    monomial."""
     parent = x.value.parent
+    if q % parent.prime == 0:
+        raise InvalidArgument("q must be prime to %d" % parent.prime)
+    if not _is_prime_power(q):
+        raise InvalidArgument("q must be a prime power, got %d" % q)
     witnesses = []
     for m in sorted(x.value.terms, key=lambda m: (parent.monomial_degree(m), m)):
-        if ctx.eigenvalue(m, x.twist) == 1:
+        if _eigenvalue(parent, q, m, x.twist) == 1:
             witnesses.append(parent.render_monomial(m))
     verdict = "in-image" if not witnesses else "not-in-image"
     return ObstructionReport(
-        operator="F - Id membership (q=%d)" % ctx.q,
+        operator="F - Id membership (q=%d)" % q,
         input_text=x.value.render(),
         output_text="",
         verdict=verdict,
@@ -175,26 +162,14 @@ def in_image_F_minus_Id(x: TwistedClass, ctx: FrobeniusContext) -> ObstructionRe
     )
 
 
-@dataclass
-class HsInput:
-    """What the descent check needs: the geometric presentation, the class z
-    whose Bockstein gets wrapped, and the Frobenius parameter."""
-
-    presentation: RingPresentation
-    z: TwistedClass
-    q: int
-
-
-def hs_scripted_check(data: HsInput) -> ObstructionReport:
-    """Run the filtration argument.  At the prime 2 the composite Sq^3 Sq^1
-    must miss im(F - Id); the wrapper y = psi(b z) then has Sq^3(y) =
-    psi(Sq^3 Sq^1 z) nonzero in the graded model, omega Sq^2(y) and omega^3 y
-    die in filtration 2, so the codimension-2 operator fires on y.  Odd
-    primes route through b P^1 b instead."""
-    if not isinstance(data, HsInput) or data.z is None:
-        raise ScenarioIncomplete("the descent check needs an HsInput")
-    pres = data.presentation
-    z = data.z
+def hs_scripted_check(z: TwistedClass, q: int) -> ObstructionReport:
+    """Run the filtration argument on z over the field of q elements.  At
+    the prime 2 the composite Sq^3 Sq^1 must miss im(F - Id); the wrapper
+    y = psi(b z) then has Sq^3(y) = psi(Sq^3 Sq^1 z) nonzero in the graded
+    model, omega Sq^2(y) and omega^3 y die in filtration 2, so the
+    codimension-2 operator fires on y.  Odd primes route through b P^1 b
+    instead."""
+    pres = z.value.parent
     ell = pres.prime
     if ell == 2:
         word = (3, 1)
@@ -205,9 +180,8 @@ def hs_scripted_check(data: HsInput) -> ObstructionReport:
         op_name = "b P^1 on psi(b z)"
         inner = "b P^1 b"
     u = pres.apply_word(word, z.value)
-    shift = SteenrodMonomial(ell, word).degree()
-    ctx = FrobeniusContext(pres, data.q)
-    membership = in_image_F_minus_Id(TwistedClass(u, z.degree + shift, z.twist), ctx)
+    membership = in_image_F_minus_Id(
+        TwistedClass(u, z.degree + _word_degree(ell, word), z.twist), q)
     fires = membership.verdict == "not-in-image" and bool(u)
     return ObstructionReport(
         operator=op_name,

@@ -111,16 +111,12 @@ class RingElement:
         unpack = self.parent._unpack
         return {unpack(m): c for m, c in self._packed.items()}
 
-    def _check(self, other):
-        if self.parent is not other.parent:
-            raise MixedPrimes("elements of different presentations")
-
     def __add__(self, other):
-        self._check(other)
+        self.parent._own(other)
         return self.parent._wrap(self.parent._addmul(dict(self._packed), 1, other._packed))
 
     def __sub__(self, other):
-        self._check(other)
+        self.parent._own(other)
         return self.parent._wrap(self.parent._addmul(dict(self._packed), -1, other._packed))
 
     def scale(self, c):
@@ -129,7 +125,6 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        self._check(other)
         return self.parent.multiply(self, other)
 
     __rmul__ = __mul__
@@ -495,7 +490,14 @@ class RingPresentation:
                     acc.pop(m, None)
         return acc
 
+    def _own(self, x):
+        """Refuse an element, or a total class, of another presentation."""
+        if x.parent is not self:
+            raise MixedPrimes("elements of different presentations")
+
     def multiply(self, a, b):
+        self._own(a)
+        self._own(b)
         return self._wrap(self._addmul({}, 1, a._packed, b._packed))
 
     # -------------------------------------------------------------- actions
@@ -614,6 +616,7 @@ class RingPresentation:
     def apply_letter(self, letter, x):
         """Apply one word letter (int i for Sq^i / P^i, 0 for the odd-prime
         Bockstein) to a RingElement."""
+        self._own(x)
         beta, out = self.prime > 2 and letter == 0, {}
         for m, c in x._packed.items():
             self._addmul(out, c, self._beta_monomial(m) if beta else
@@ -621,6 +624,7 @@ class RingPresentation:
         return self._wrap(out)
 
     def apply_word(self, word, x):
+        self._own(x)  # the empty word applies no letter
         for letter in reversed(word):
             x = self.apply_letter(letter, x)
         return x
@@ -642,6 +646,7 @@ class RingPresentation:
         to its instability bound, and added into one tagged dict, which _split
         splits by component index.  A missing action component raises the
         error that letter-by-letter order meets first."""
+        self._own(x)
         cap = max((self._degree(m) for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
         total = {}
         try:

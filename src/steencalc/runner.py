@@ -7,11 +7,12 @@ and met, and whether an obstruction fired.  QueryResult.passed is the pass
 rule both front ends apply.  Output is deterministic: term order comes from
 the ring's renderers, never from dict iteration.
 
-An answer has one tail.  _evaluate computes what a verb shows, its record
-fields, the value its expectation is compared with and whether it fired;
-_wanted then parses the expectation into the value it names and the text a
-failure shows.  _answer alone builds the QueryResult: the label, record["ok"],
-the expectation line and, for a ring element, record["expected"] and a diff.
+An answer has one tail.  _wanted first parses the expectation into the
+value it names and the text a failure shows, so a bad one fails before any
+computation; _evaluate then computes what a verb shows, its record fields,
+the value its expectation is compared with and whether it fired.  _answer
+alone builds the QueryResult: the label, record["ok"], the expectation line
+and, for a ring element, record["expected"] and a diff.
 
 Answers are cached.  execute_query resolves the ring (or the bundle) by name
 on every call, then looks the answer up in one functools.lru_cache of at
@@ -43,14 +44,8 @@ from .charclasses import (
 )
 from .errors import (DslSyntaxError, InvalidArgument, MissingCodim, NonHomogeneousInput,
                      SteencalcError)
-from .obstructions import (
-    FrobeniusContext,
-    HsInput,
-    hs_scripted_check,
-    in_image_F_minus_Id,
-    odd_vanishing_check,
-    weird_operator,
-)
+from .obstructions import (hs_scripted_check, in_image_F_minus_Id, odd_vanishing_check,
+                           weird_operator)
 from .rings import RingElement, TwistedClass
 from .steenrod import parse_operation
 
@@ -162,12 +157,12 @@ def _answer(query, pres, decl=None) -> QueryResult:
     """The answer to a query on its resolved presentation (None for adem)
     and, for charclass, its bundle declaration; callers get copies."""
     label = dsl.render_query(query)
+    want, named = _wanted(query, pres)  # first: a bad expectation costs no computation
     text, fields, value, fired = _evaluate(query, pres, decl)
     lines = [label] + ["  " + line for line in text.splitlines()]
     record = {"query": label, **fields}
     expected = None
     if query.expect is not None:
-        want, named = _wanted(query, pres)
         if isinstance(want, RingElement):
             record["expected"] = element_record(want)
         expected = record["ok"] = value == want
@@ -181,7 +176,10 @@ def _wanted(query, pres):
     """The value a query's expectation names, and the text a failure shows:
     an Adem-normalised word, a ring element, a verdict, or literal text.
     The one reader of an expectation: a verdict its verb cannot give is an
-    InvalidArgument, from a file and from the command line alike."""
+    InvalidArgument, from a file and from the command line alike.  None
+    for a query without an expectation."""
+    if query.expect is None:
+        return None, None
     if isinstance(query, dsl.AdemQuery):
         want = _operation(query.expect, query.prime, query.expect_span).adem_normalize()
         return want, want.render()
@@ -236,7 +234,7 @@ def _evaluate(query, pres, decl):
         if n != query.n:
             raise SteencalcError("ring %s presents a fiber of dimension %d, not %d"
                                  % (query.ring, n, query.n))
-        holds = verify_relative_wu_projective(pres, y, query.m, query.hyperplane)
+        holds = verify_relative_wu_projective(y, query.m, query.hyperplane)
         verdict = "true" if holds else "false"
         return "= " + verdict, {"verb": "wu-check", "result": verdict}, verdict, not holds
 
@@ -244,6 +242,14 @@ def _evaluate(query, pres, decl):
         raise MissingCodim("obstruct weird needs --codim")
     if query.kind in ("frobenius", "hs") and query.q is None:
         raise SteencalcError("obstruct %s needs --q" % query.kind)
+    unread = [flag for flag, given, kinds in (
+        ("--codim", query.codim is not None, ("weird",)),
+        ("--which", query.which != dsl.ObstructQuery.which, ("weird",)),
+        ("--q", query.q is not None, ("frobenius", "hs")),
+        ("--max-degree", query.max_degree != dsl.ObstructQuery.max_degree, ("odd",)),
+    ) if given and query.kind not in kinds]
+    if unread:
+        raise InvalidArgument("obstruct %s does not read %s" % (query.kind, ", ".join(unread)))
     value = dsl.poly_to_element(pres, query.poly, query.span)
     if not value.is_homogeneous():
         raise NonHomogeneousInput("query input must be degree-homogeneous")
@@ -252,16 +258,13 @@ def _evaluate(query, pres, decl):
     x = TwistedClass(value, value.degree() or 0, twist, query.codim)
 
     if query.kind == "weird":
-        out = weird_operator(x, query.codim, query.which).value
+        out = weird_operator(x, query.which).value
         text = "= %s (NONZERO: obstruction fires)" % out.render() if out else "= 0 (vanishes)"
         fields = {"verb": "obstruct-weird", "result": element_record(out), "fired": bool(out)}
         return text, fields, out, bool(out)
 
-    if query.kind == "odd":
-        report = odd_vanishing_check(x, query.max_degree)
-    elif query.kind == "frobenius":
-        report = in_image_F_minus_Id(x, FrobeniusContext(pres, query.q))
-    else:  # hs
-        report = hs_scripted_check(HsInput(pres, x, query.q))
+    test = {"odd": odd_vanishing_check, "frobenius": in_image_F_minus_Id,
+            "hs": hs_scripted_check}[query.kind]
+    report = test(x, query.max_degree if query.kind == "odd" else query.q)
     fields = {"verb": "obstruct-" + query.kind, "verdict": report.verdict, "fired": report.fires}
     return report.render(), fields, report.verdict, report.fires

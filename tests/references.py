@@ -264,7 +264,7 @@ class ReferenceTotalClass:
         """The package's pushforward of elements, one degree at a time."""
         comps = {}
         for d, elt in self.components.items():
-            pushed = projective_pushforward(self.parent, elt, n, hyperplane)
+            pushed = projective_pushforward(elt, n, hyperplane)
             if pushed:
                 comps[d - 2 * n] = pushed
         return ReferenceTotalClass(self.parent, self.bound - 2 * n, comps)

@@ -11,9 +11,7 @@ import time
 from contextlib import contextmanager
 
 from steencalc import (
-    FrobeniusContext,
     GeneratorSpec,
-    HsInput,
     RingPresentation,
     SteenrodElement,
     TwistedClass,
@@ -316,7 +314,7 @@ def test_gate_2_displayed_identities():
 
         F = corpus.resolve_ring("REALFOURFOLD")
         b, omega = F.gen("b"), F.gen("w")
-        out = weird_operator(TwistedClass(b * omega ** 3, 4, 2), 2, 2)
+        out = weird_operator(TwistedClass(b * omega ** 3, 4, 2, codim=2), 2)
         assert out.value == b * omega ** 6
         assert out.value
 
@@ -356,7 +354,7 @@ def test_gate_3_relative_wu_over_projective_fibers():
                     bases = [R.gen("v", b) if b else R.one() for b in range(5)]
                 for y in bases:
                     for m in range(n + 1):
-                        assert verify_relative_wu_projective(R, y, m), (ell, n, m, y.render())
+                        assert verify_relative_wu_projective(y, m), (ell, n, m, y.render())
 
         assert binom_mod_ell(0, 0, 2) == 1
         for k in range(1, 65):
@@ -420,6 +418,12 @@ def _piece_targets(rng, ell, diag, dim):
     return targets
 
 
+def _eigenvalue(R, q, m, twist):
+    """Frobenius on a monomial, from its definition: (q mod l)^(sum e_g f_g - twist)."""
+    exponent = sum(e * g.frobenius_exponent for e, g in zip(m, R.generators) if e) - twist
+    return pow(q % R.prime, exponent, R.prime)
+
+
 def test_gate_5_frobenius_membership_controls():
     with _gate("5 Frobenius image membership"):
         rng = random.Random(5)
@@ -427,14 +431,13 @@ def test_gate_5_frobenius_membership_controls():
         for name, q in (("CLASSIFYING2", 3), ("CLASSIFYING3", 2), ("CLASSIFYING5", 2)):
             R = corpus.resolve_ring(name)
             ell = R.prime
-            ctx = FrobeniusContext(R, q)
             for degree in range(13):
                 for twist in range(4):
                     basis = R.basis_of_degree(degree, twist=twist)
                     dim = len(basis)
                     if not dim or dim > 12:
                         continue
-                    diag = tuple((ctx.eigenvalue(m, twist) - 1) % ell for m in basis)
+                    diag = tuple((_eigenvalue(R, q, m, twist) - 1) % ell for m in basis)
                     rows = [
                         [diag[i] if j == i else 0 for j in range(dim)]
                         for i in range(dim)
@@ -452,7 +455,7 @@ def test_gate_5_frobenius_membership_controls():
                         for c, m in zip(tgt, basis):
                             if c:
                                 elt = elt + R.element({m: c})
-                        report = in_image_F_minus_Id(TwistedClass(elt, degree, twist), ctx)
+                        report = in_image_F_minus_Id(TwistedClass(elt, degree, twist), q)
                         verdict = report.verdict == "in-image"
                         assert verdict == in_span(rows, list(tgt), ell), (name, degree, twist, tgt)
                         if image is not None:
@@ -460,7 +463,6 @@ def test_gate_5_frobenius_membership_controls():
 
         # q = 1 mod 2 forces F = Id, so membership collapses to vanishing
         R2 = corpus.resolve_ring("CLASSIFYING2")
-        ctx2 = FrobeniusContext(R2, 3)
         for trial in range(100):
             degree = rng.randint(1, 12)
             elt = R2.zero()
@@ -468,7 +470,7 @@ def test_gate_5_frobenius_membership_controls():
                 basis = R2.basis_of_degree(degree)
                 for m in rng.sample(basis, rng.randint(1, min(4, len(basis)))):
                     elt = elt + R2.element({m: 1})
-            report = in_image_F_minus_Id(TwistedClass(elt, degree, rng.randrange(4)), ctx2)
+            report = in_image_F_minus_Id(TwistedClass(elt, degree, rng.randrange(4)), 3)
             assert (report.verdict == "in-image") == (not elt)
 
         for name in ("CLASSIFYING2", "CLASSIFYING3"):
@@ -476,11 +478,8 @@ def test_gate_5_frobenius_membership_controls():
             query = next(q for q in scn.queries
                          if isinstance(q, dsl.ObstructQuery) and q.kind == "hs")
             z = dsl.poly_to_element(scn.presentation, query.poly)
-            data = HsInput(scn.presentation, TwistedClass(z, z.degree(), query.twist), query.q)
-            assert hs_scripted_check(data).fires
-            quiet = hs_scripted_check(
-                HsInput(data.presentation, TwistedClass(data.presentation.zero(), 2, 2), data.q)
-            )
+            assert hs_scripted_check(TwistedClass(z, z.degree(), query.twist), query.q).fires
+            quiet = hs_scripted_check(TwistedClass(scn.presentation.zero(), 2, 2), query.q)
             assert not quiet.fires
 
 

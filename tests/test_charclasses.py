@@ -77,8 +77,8 @@ def test_whitney_product_formula():
     a = [R.gen("t1") + R.gen("t2"), R.gen("t1") * R.gen("t2")]
     b = [R.gen("t3") + R.gen("t4"), R.gen("t3") * R.gen("t4")]
     # chern classes of the direct sum from the product of total chern classes
-    ta = TotalClass.unit(R, 12) + TotalClass.of_element(R, a[0], 12) + TotalClass.of_element(R, a[1], 12)
-    tb = TotalClass.unit(R, 12) + TotalClass.of_element(R, b[0], 12) + TotalClass.of_element(R, b[1], 12)
+    ta = TotalClass.unit(R, 12) + TotalClass.of_element(a[0], 12) + TotalClass.of_element(a[1], 12)
+    tb = TotalClass.unit(R, 12) + TotalClass.of_element(b[0], 12) + TotalClass.of_element(b[1], 12)
     tsum = ta * tb
     csum = [tsum.component(2 * j) for j in range(1, 5)]
     va, vb = VirtualBundle(2, a, [], 12), VirtualBundle(2, b, [], 12)
@@ -114,7 +114,7 @@ def _power(x, n):
 
 def test_totalclass_inverse_and_power():
     R = _root_ring(3, 2)
-    f = TotalClass.unit(R, 12) + TotalClass.of_element(R, R.gen("t1", 2), 12).scale(2)
+    f = TotalClass.unit(R, 12) + TotalClass.of_element(R.gen("t1", 2), 12).scale(2)
     assert f * f.inverse() == TotalClass.unit(R, 12)
     assert _power(f, -2) == (f * f).inverse()
     assert _power(f, 0) == TotalClass.unit(R, 12)
@@ -140,7 +140,7 @@ def _total_ring(key):
 
 def _total(R, bound, comps):
     """The TotalClass with the degree components comps."""
-    return TotalClass.of_element(R, reduce(add, comps.values(), R.zero()), bound)
+    return TotalClass.of_element(reduce(add, comps.values(), R.zero()), bound)
 
 
 def _draw_components(data, key, unit=None):
@@ -219,7 +219,7 @@ def test_totalclass_matches_reference_class(key, data):
     if key.startswith("PROJ"):
         n = fiber_dimension(R)
         for x, ref in ((a * b, ref_a * ref_b), (a.inverse(), ref_a.inverse())):
-            _agrees(projective_pushforward(R, x, n), ref.projective_pushforward(n))
+            _agrees(projective_pushforward(x, n), ref.projective_pushforward(n))
 
 
 def test_far_truncation_on_a_nilpotent_ring():
@@ -239,7 +239,7 @@ def test_bounds_must_fit_the_degree_tag():
     with pytest.raises(InvalidArgument, match="truncation 536870912 is not below 536870912"):
         w_bro(R, VirtualBundle(1, [R.gen("l")], [], 2 ** 29))
     for call in (lambda: normal_bundle_total(R, 1, 2 ** 30),
-                 lambda: total_operation_class(R, R.gen("l"), 2 ** 30),
+                 lambda: total_operation_class(R.gen("l"), 2 ** 30),
                  lambda: TotalClass.unit(R, 2 ** 30)):
         with pytest.raises(InvalidArgument, match="degree bound 1073741824 is not below"):
             call()
@@ -249,7 +249,7 @@ def test_totalclass_inverse_needs_unit():
     from steencalc import NonHomogeneousInput
 
     R = _root_ring(2, 1)
-    f = TotalClass.of_element(R, R.gen("t1"), 6)
+    f = TotalClass.of_element(R.gen("t1"), 6)
     with pytest.raises(NonHomogeneousInput):
         f.inverse()
 
@@ -337,7 +337,7 @@ OMEGA_KEYS = [k for k in PROJ_KEYS if k.endswith("_2")] + ["NIL"]
 
 
 def _eta(R, bound):
-    return TotalClass.of_element(R, R.one() + R.gen(R.omega), bound)
+    return TotalClass.of_element(R.one() + R.gen(R.omega), bound)
 
 
 def _draw_homogeneous(data, R, degree):
@@ -354,9 +354,9 @@ def test_normal_bundle_total_matches_power_route(key, bound):
     lam = R.gen("l")
     if ell == 2:
         eta = _eta(R, bound)
-        want = eta * _power(eta + TotalClass.of_element(R, lam, bound), -(n + 1))
+        want = eta * _power(eta + TotalClass.of_element(lam, bound), -(n + 1))
     else:
-        step = TotalClass.of_element(R, lam ** (ell - 1), bound)
+        step = TotalClass.of_element(lam ** (ell - 1), bound)
         want = _power(TotalClass.unit(R, bound) + step, -(n + 1))
     assert normal_bundle_total(R, n, bound) == want
 
@@ -413,8 +413,8 @@ def test_twisted_total_matches_power_route(key, data):
             want = want + _power(_eta(R, bound), codim - i) * R.apply_letter(2 * i, x.value)
         else:  # the total P, with no eta factor; letter 0 is b, so P^0 is x itself
             piece = R.apply_letter(i, x.value) if i else x.value
-            want = want + TotalClass.of_element(R, piece, bound)
-    assert twisted_total_on_cycle(R, x, bound) == want
+            want = want + TotalClass.of_element(piece, bound)
+    assert twisted_total_on_cycle(x, bound) == want
 
 
 # --------------------------- the F_l product route against the e-basis route
@@ -544,7 +544,7 @@ def test_fiber_dimension_reads_the_rule():
 def test_not_projective_scenario():
     R = _p2r()  # rule l^3 = w-free, but hyperplane name differs
     with pytest.raises(NotProjectiveBundleScenario):
-        projective_pushforward(R, R.one(), 2, hyperplane="w")
+        projective_pushforward(R.one(), 2, hyperplane="w")
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -556,7 +556,7 @@ def test_not_projective_scenario():
     (lambda: fiber_dimension(
         RingPresentation(2, [GeneratorSpec("w", 1)], rules=[RewriteRule("w", 3, {})]), "w"),
      NotProjectiveBundleScenario, "hyperplane class must be even of degree 2"),
-    (lambda: projective_pushforward(_proj(2), _proj(2).one(), 3), NotProjectiveBundleScenario,
+    (lambda: projective_pushforward(_proj(2).one(), 3), NotProjectiveBundleScenario,
      "presentation truncates at 2 but pushforward was asked for n=3"),
 ])
 def test_bundles_and_pushforwards_reject_bad_input(call, error, message):
@@ -568,17 +568,17 @@ def test_pushforward_picks_top_power():
     R = _proj(2)
     l, u = R.gen("l"), R.gen("u")
     # integrates l^n against the fiber and drops lower powers
-    assert projective_pushforward(R, l * l, 2) == R.one()
-    assert not projective_pushforward(R, l, 2)
-    assert not projective_pushforward(R, u, 2)
-    assert projective_pushforward(R, u * l * l, 2) == u
+    assert projective_pushforward(l * l, 2) == R.one()
+    assert not projective_pushforward(l, 2)
+    assert not projective_pushforward(u, 2)
+    assert projective_pushforward(u * l * l, 2) == u
 
 
 def test_pushforward_is_linear():
     R = _proj(2)
     l, u, w = R.gen("l"), R.gen("u"), R.gen("w")
     x = u * l * l + w.scale(1) * l
-    assert projective_pushforward(R, x, 2) == u
+    assert projective_pushforward(x, 2) == u
 
 
 def test_normal_bundle_total_p1():
@@ -594,13 +594,13 @@ def test_relative_wu_holds_across_corpus():
         for ell in (2, 3):
             R = _proj(n, ell)
             for m in range(n + 1):
-                assert verify_relative_wu_projective(R, R.one(), m)
+                assert verify_relative_wu_projective(R.one(), m)
 
 
 def test_relative_wu_rejects_fiber_classes():
     R = _proj(2)
     with pytest.raises(ValueError):
-        verify_relative_wu_projective(R, R.gen("l"), 1)
+        verify_relative_wu_projective(R.gen("l"), 1)
 
 
 def test_relative_wu_fails_on_wrong_action():
@@ -620,7 +620,7 @@ def test_relative_wu_fails_on_wrong_action():
     )
     R = dsl.build_program(dsl.parse(source)).rings["FAKE"]
     results = [
-        verify_relative_wu_projective(R, y, m)
+        verify_relative_wu_projective(y, m)
         for m in (0, 1)
         for y in (R.one(), R.gen("u"), R.gen("w", 2))
     ]
@@ -633,7 +633,7 @@ def test_relative_wu_fails_on_wrong_action():
 def test_twisted_total_golden_p2():
     R = _p2r()
     l2 = TwistedClass(R.gen("l", 2), 4, 2, codim=2)
-    total = twisted_total_on_cycle(R, l2, 9)
+    total = twisted_total_on_cycle(l2, 9)
     w = R.gen("w")
     assert total.component(4) == R.gen("l", 2)
     assert not total.component(6)  # the degree-6 pieces cancel
@@ -643,4 +643,4 @@ def test_twisted_total_golden_p2():
 def test_twisted_total_needs_codim():
     R = _p2r()
     with pytest.raises(MissingCodim):
-        twisted_total_on_cycle(R, TwistedClass(R.gen("l"), 2, 1), 8)
+        twisted_total_on_cycle(TwistedClass(R.gen("l"), 2, 1), 8)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from steencalc import InvalidArgument, corpus, dsl
+from steencalc import InvalidArgument, corpus, dsl, runner
 from steencalc.cli import _build_parser, _query_from_args, main
 from steencalc.runner import execute_query
 
@@ -347,6 +347,23 @@ BAD_VALUES = {
         "obstruct hs --q 3 on x1 in CLASSIFYING2 expect vanish;",
         ["obstruct", "hs", "x1", "--q", "3", "--ring", "CLASSIFYING2", "--expect", "vanish"],
         "obstruct hs cannot give 'vanish' (expected vanishes or nonvanishing)"),
+    "odd-unread-which-and-q": (
+        "obstruct odd --q 4 --which 7 on x1^3*x2^3 in CLASSIFYING2 expect vanishes;",
+        ["obstruct", "odd", "x1^3*x2^3", "--ring", "CLASSIFYING2", "--q", "4", "--which", "7",
+         "--expect", "vanishes"],
+        "obstruct odd does not read --which, --q"),
+    "frobenius-unread-codim": (
+        "obstruct frobenius --codim 2 --q 3 on x1 in CLASSIFYING2;",
+        ["obstruct", "frobenius", "x1", "--codim", "2", "--q", "3", "--ring", "CLASSIFYING2"],
+        "obstruct frobenius does not read --codim"),
+    "hs-unread-max-degree": (
+        "obstruct hs --q 3 --max-degree 9 on x1 in CLASSIFYING2;",
+        ["obstruct", "hs", "x1", "--q", "3", "--max-degree", "9", "--ring", "CLASSIFYING2"],
+        "obstruct hs does not read --max-degree"),
+    "weird-unread-q": (
+        "obstruct weird --codim 2 --q 3 on x1 in CLASSIFYING2;",
+        ["obstruct", "weird", "x1", "--codim", "2", "--q", "3", "--ring", "CLASSIFYING2"],
+        "obstruct weird does not read --q"),
 }
 
 
@@ -364,6 +381,16 @@ def test_impossible_verdict_from_the_library_is_the_same_error():
     query = dsl.WuQuery(2, 1, "PROJ2_2", expect="maybe")
     with pytest.raises(InvalidArgument,
                        match=r"^wu-check cannot give 'maybe' \(expected true or false\)$"):
+        execute_query(query, corpus.resolve_ring)
+
+
+def test_a_bad_verdict_fails_before_the_computation(monkeypatch):
+    def refuse(x, max_degree):
+        raise AssertionError("the odd check ran")
+    monkeypatch.setattr(runner, "odd_vanishing_check", refuse)
+    query = dsl.ObstructQuery("odd", dsl.parse_poly("x1^5*x2^5"), "CLASSIFYING2",
+                              max_degree=1000, expect="in-image")
+    with pytest.raises(InvalidArgument, match=r"^obstruct odd cannot give 'in-image' "):
         execute_query(query, corpus.resolve_ring)
 
 

@@ -288,6 +288,8 @@ def test_parser_matches_reference_on_mutated_files(source):
      "Chern indices must be distinct and start at 1"),
     ("bundle E in R { rank = 1; denom 1 = t; denom 3 = t; }", 1,
      "denom classes of E must be consecutive from 1"),
+    ("bundle E in R { rank = 1; bogus = 2; }", 27,
+     "found 'bogus' (expected 'trunc' or 'chern' or 'denom' or '}')"),
 ])
 def test_bad_query_word_is_reported_where_it_stands(line, col, message, tmp_path, capsys):
     source = "# a comment\n  " + line + "\n"
@@ -468,6 +470,7 @@ def test_semantic_errors_outside_a_file_have_no_position():
         dsl.build_ring(block)
     assert e.value.span is None
     block = dsl.RingBlock("R", 2, (dsl.GenDecl("w", 1),), (dsl.RuleDecl("v", 2, dsl.Poly(())),))
+    assert "  rule v^2 = 0;\n" in dsl.render_ring(block)  # an empty Poly renders as 0
     with pytest.raises(UnknownGenerator, match="^rule on unknown generator 'v'$"):
         dsl.build_ring(block)
 

@@ -7,22 +7,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from steencalc import (
-    FrobeniusContext,
     GeneratorSpec,
-    HsInput,
     InvalidArgument,
+    MissingCodim,
     MissingFrobeniusData,
+    MixedPrimes,
     OmegaUndeclared,
     RingPresentation,
-    ScenarioIncomplete,
+    TotalClass,
     TwistedClass,
     corpus,
     dsl,
     hs_scripted_check,
     in_image_F_minus_Id,
+    obstructions,
     odd_vanishing_check,
+    total_operation_class,
     weird_operator,
 )
+from steencalc.obstructions import _eigenvalue
 from steencalc.steenrod import SteenrodMonomial
 
 from oracles import in_span
@@ -145,10 +148,10 @@ def _wants(x, c, which):
 
 def test_weird_coefficients_follow_codimension_mod_4():
     b, w = REAL4.gen("b"), REAL4.gen("w")
-    x = TwistedClass(b * w * w * w, 4)
     for c in range(8):
+        x = TwistedClass(b * w * w * w, 4, codim=c)
         for which in (1, 2):
-            got = weird_operator(x, c, which)
+            got = weird_operator(x, which)
             assert got.value == _wants(x, c, which), (c, which)
             assert got.degree == 4 + 1 + which
             assert got.twist == 0
@@ -156,7 +159,7 @@ def test_weird_coefficients_follow_codimension_mod_4():
 
 def test_weird_golden_fourfold_witness():
     b, w = REAL4.gen("b"), REAL4.gen("w")
-    out = weird_operator(TwistedClass(b * w * w * w, 4), 2, 2)
+    out = weird_operator(TwistedClass(b * w * w * w, 4, codim=2), 2)
     assert out.value == b * w.scale(1) ** 6
     # the plain odd operations miss this class, the corrected one does not
     assert not odd_vanishing_check(TwistedClass(b * w * w * w, 4), 5).fires
@@ -166,23 +169,25 @@ def test_weird_golden_fourfold_witness():
 def test_weird_rejects_bad_arguments():
     x1 = CLS3.gen("x1")
     with pytest.raises(ValueError):
-        weird_operator(TwistedClass(x1, 1, 1), 2, 1)
+        weird_operator(TwistedClass(x1, 1, 1, codim=2), 1)
     b = REAL4.gen("b")
     with pytest.raises(ValueError):
-        weird_operator(TwistedClass(b, 1), 2, 3)
+        weird_operator(TwistedClass(b, 1, codim=2), 3)
+    with pytest.raises(MissingCodim, match="^weird_operator needs the cycle codimension$"):
+        weird_operator(TwistedClass(b, 1), 1)
 
 
 def test_weird_omega_requirement_depends_on_coefficients():
     R = RingPresentation(2, [GeneratorSpec("u", 2, twist=1, action={1: {}})])
-    u = TwistedClass(R.gen("u"), 2, 1)
+    u4, u2 = (TwistedClass(R.gen("u"), 2, 1, codim=c) for c in (4, 2))
     # c = 4: binom(4,2) and 4+1 are even resp. odd -> only which=2 needs omega
-    assert weird_operator(u, 4, 1).value == R.apply_letter(2, R.gen("u"))
+    assert weird_operator(u4, 1).value == R.apply_letter(2, R.gen("u"))
     with pytest.raises(OmegaUndeclared):
-        weird_operator(u, 4, 2)
+        weird_operator(u4, 2)
     with pytest.raises(OmegaUndeclared):
-        weird_operator(u, 2, 1)
+        weird_operator(u2, 1)
     # explicit omega substitutes for the declaration
-    explicit = weird_operator(u, 2, 1, omega=R.zero())
+    explicit = weird_operator(u2, 1, omega=R.zero())
     assert explicit.value == R.apply_letter(2, R.gen("u"))
 
 
@@ -191,9 +196,9 @@ def test_weird_omega_requirement_depends_on_coefficients():
 
 def test_frobenius_context_rejects_divisible_q():
     with pytest.raises(ValueError):
-        FrobeniusContext(CLS3, 6)
+        in_image_F_minus_Id(TwistedClass(CLS3.zero(), 0), 6)
     with pytest.raises(ValueError):
-        FrobeniusContext(CLS2, 4)
+        in_image_F_minus_Id(TwistedClass(CLS2.zero(), 0), 4)
 
 
 @pytest.mark.parametrize("ring, q", [("CLASSIFYING2", 15), ("CLASSIFYING2", 1),
@@ -201,7 +206,7 @@ def test_frobenius_context_rejects_divisible_q():
                                      ("CLASSIFYING3", 10), ("CLASSIFYING5", 6)])
 def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
     with pytest.raises(InvalidArgument, match="q must be a prime power, got %d" % q):
-        FrobeniusContext(SHIPPED[ring], q)
+        in_image_F_minus_Id(TwistedClass(SHIPPED[ring].zero(), 0), q)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 1849, 2 ** 61 - 1, 3 ** 40,
@@ -209,13 +214,13 @@ def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
 def test_frobenius_context_accepts_prime_powers(q):
     for R in (CLS2, CLS3, CLS5):
         if q % R.prime:
-            assert FrobeniusContext(R, q).q == q
+            report = in_image_F_minus_Id(TwistedClass(R.zero(), 0), q)
+            assert report.operator == "F - Id membership (q=%d)" % q
 
 
 def test_frobenius_needs_exponents():
-    ctx = FrobeniusContext(PROP5, 3)
     with pytest.raises(MissingFrobeniusData):
-        ctx.eigenvalue((1, 0), 0)
+        in_image_F_minus_Id(TwistedClass(PROP5.gen("s"), 3), 3)
 
 
 @given(
@@ -225,17 +230,16 @@ def test_frobenius_needs_exponents():
     t2=st.integers(0, 4),
 )
 def test_frobenius_eigenvalue_multiplicative(e1, e2, t1, t2):
-    ctx = FrobeniusContext(CLS3, 2)
     prod = tuple(a + b for a, b in zip(e1, e2))
-    lhs = ctx.eigenvalue(prod, t1 + t2)
-    rhs = ctx.eigenvalue(e1, t1) * ctx.eigenvalue(e2, t2) % 3
+    lhs = _eigenvalue(CLS3, 2, prod, t1 + t2)
+    rhs = _eigenvalue(CLS3, 2, e1, t1) * _eigenvalue(CLS3, 2, e2, t2) % 3
     assert lhs == rhs
 
 
 def test_classifying3_golden_membership():
     y1, y2 = CLS3.gen("y1"), CLS3.gen("y2")
     x = y1 ** 3 * y2 - y1 * y2 ** 3
-    report = in_image_F_minus_Id(TwistedClass(x, 8, 2), FrobeniusContext(CLS3, 2))
+    report = in_image_F_minus_Id(TwistedClass(x, 8, 2), 2)
     assert report.verdict == "not-in-image"
     assert "y1^3*y2" in report.witnesses
 
@@ -257,21 +261,20 @@ def test_membership_matches_rank_oracle():
     cases = [(CLS3, 2, 4, 2), (CLS3, 2, 6, 3), (CLS5, 2, 4, 2), (CLS5, 3, 6, 3)]
     checked = 0
     for R, q, degree, twist in cases:
-        ctx = FrobeniusContext(R, q)
         for _ in range(40):
             x, basis = _random_element(R, rng, degree, twist)
             if not basis:
                 continue
             span = []
             for i, m in enumerate(basis):
-                lam = ctx.eigenvalue(m, twist)
+                lam = _eigenvalue(R, q, m, twist)
                 if lam != 1:
                     vec = [0] * len(basis)
                     vec[i] = (lam - 1) % R.prime
                     span.append(vec)
             target = [x.terms.get(m, 0) % R.prime for m in basis]
             expected = in_span(span, target, R.prime)
-            got = in_image_F_minus_Id(TwistedClass(x, degree, twist), ctx)
+            got = in_image_F_minus_Id(TwistedClass(x, degree, twist), q)
             assert (got.verdict == "in-image") == expected
             checked += 1
     assert checked >= 120
@@ -280,11 +283,10 @@ def test_membership_matches_rank_oracle():
 def test_membership_collapses_at_two():
     """Odd q is 1 mod 2, so every eigenvalue is 1 and membership means zero."""
     rng = random.Random(11)
-    ctx = FrobeniusContext(CLS2, 3)
     for _ in range(100):
         degree = rng.randrange(1, 7)
         x, _ = _random_element(CLS2, rng, degree, degree)
-        report = in_image_F_minus_Id(TwistedClass(x, degree, degree), ctx)
+        report = in_image_F_minus_Id(TwistedClass(x, degree, degree), 3)
         assert (report.verdict == "in-image") == (not x)
 
 
@@ -292,32 +294,59 @@ def test_membership_collapses_at_two():
 
 
 def _hs_input(scenario):
-    """The descent input named by a scenario's `obstruct hs` query."""
+    """The class and the q named by a scenario's `obstruct hs` query."""
     query = next(q for q in scenario.queries
                  if isinstance(q, dsl.ObstructQuery) and q.kind == "hs")
-    pres = scenario.presentation
-    value = dsl.poly_to_element(pres, query.poly)
-    return HsInput(pres, TwistedClass(value, value.degree(), query.twist), query.q)
+    value = dsl.poly_to_element(scenario.presentation, query.poly)
+    return TwistedClass(value, value.degree(), query.twist), query.q
 
 
 def test_descent_fires_on_classifying_scenarios():
     for name in ("CLASSIFYING2", "CLASSIFYING3", "CLASSIFYING5"):
         scenario = corpus.get_scenario(name)
-        report = hs_scripted_check(_hs_input(scenario))
+        report = hs_scripted_check(*_hs_input(scenario))
         assert report.fires, name
         assert report.verdict == "nonvanishing"
 
 
 def test_descent_quiet_on_zero_and_on_killed_classes():
-    z = HsInput(CLS2, TwistedClass(CLS2.zero(), 2, 2), 3)
-    assert hs_scripted_check(z).verdict == "vanishes"
+    assert hs_scripted_check(TwistedClass(CLS2.zero(), 2, 2), 3).verdict == "vanishes"
     # b(y1) = 0 at the odd prime, so the wrapped class never appears
-    quiet = HsInput(CLS3, TwistedClass(CLS3.gen("y1"), 2, 1), 2)
-    assert hs_scripted_check(quiet).verdict == "vanishes"
+    assert hs_scripted_check(TwistedClass(CLS3.gen("y1"), 2, 1), 2).verdict == "vanishes"
 
 
-def test_descent_requires_data():
-    with pytest.raises(ScenarioIncomplete):
-        hs_scripted_check(corpus.get_scenario("MO3"))
-    with pytest.raises(ScenarioIncomplete):
-        hs_scripted_check(object())
+# ------------------------------------------- one presentation per computation
+
+PROJ = corpus.resolve_ring("PROJ2_2")
+X12 = CLS2.gen("x1") * CLS2.gen("x2")
+WB = REAL4.gen("w") * REAL4.gen("b")
+
+
+@pytest.mark.parametrize("misuse, error", [
+    # a second ring, or a second codimension, beside a class that carries its
+    # own: each of these once answered for the wrong ring or codimension
+    (lambda: hs_scripted_check(obstructions.HsInput(CLS3, TwistedClass(X12, 2, 2), 2)),
+     AttributeError),
+    (lambda: weird_operator(TwistedClass(WB, 2, 0, codim=2), 3, 2), InvalidArgument),
+    (lambda: total_operation_class(CLS3, X12, 6), TypeError),
+    (lambda: PROJ.total_sq(X12), MixedPrimes),
+    (lambda: CLS3.bockstein(X12), MixedPrimes),
+    (lambda: TotalClass.of_element(CLS2.gen("x1"), 6) + TotalClass.of_element(PROJ.gen("l"), 6),
+     MixedPrimes),
+    (lambda: TotalClass.of_element(CLS2.gen("x1"), 6) * PROJ.gen("l"), MixedPrimes),
+], ids=["hs", "weird", "total-operation-class", "total-sq", "bockstein", "total-class-add",
+        "total-class-mul"])
+def test_a_class_meets_only_its_own_presentation(misuse, error):
+    with pytest.raises(error):
+        misuse()
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: hs_scripted_check(TwistedClass(X12, 2, 2), 3).verdict, "nonvanishing"),
+    (lambda: weird_operator(TwistedClass(WB, 2, 0, codim=2), 2).value.render(), "0"),
+    (lambda: weird_operator(TwistedClass(WB, 2, 0, codim=3), 2).value.render(), "w^4*b"),
+    (lambda: total_operation_class(X12, 6).render(),
+     "[2] x1*x2; [3] x1*x2^2 + x1^2*x2; [4] x1^2*x2^2"),
+], ids=["hs", "weird-codim-2", "weird-codim-3", "total-operation-class"])
+def test_the_ring_and_codimension_come_from_the_class(call, want):
+    assert call() == want

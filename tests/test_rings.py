@@ -281,6 +281,8 @@ def test_b_and_sq1_on_one_generator_are_rejected_at_2():
      MixedPrimes, "operation at prime 3 on ring at prime 2"),
     (lambda: model_ring(2, 1).gen("x1") * model_ring(2, 2).gen("x1"),
      MixedPrimes, "elements of different presentations"),
+    (lambda: model_ring(2, 1).apply_op_value(parse_operation("Sq^0", 2), model_ring(2, 2).gen("x1")),
+     MixedPrimes, "elements of different presentations"),
     (lambda: model_ring(2, 1).gen("x1") ** -1, ValueError, "negative power of a ring element"),
     (lambda: RingPresentation(2, [GeneratorSpec("x", 1), GeneratorSpec("x", 2)]),
      ValueError, "duplicate generator names"),
@@ -296,6 +298,13 @@ def test_b_and_sq1_on_one_generator_are_rejected_at_2():
      NonHomogeneousInput, "rule on x is not twist-homogeneous"),
     (lambda: model_ring(2, 2).element({(1,): 1}),
      ValueError, "monomial of width 1 in 2-generator ring"),
+    # an exponent overflow reached through a rule, from the library: no span
+    (lambda: dsl.poly_to_element(
+        RingPresentation(2, [GeneratorSpec("y", 1), GeneratorSpec("w", 1),
+                             GeneratorSpec("z", 536870912)],
+                         rules=[RewriteRule("z", 2, {(1073741823, 1, 0): 1})]),
+        dsl.parse_poly("z^2*y")),
+     InvalidArgument, "monomial y^1073741824*w has an exponent of 1073741824 or more"),
 ])
 def test_presentations_reject_bad_input(build, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
@@ -336,7 +345,7 @@ def test_missing_component_raises_lazily_through_the_cache():
         lambda: R.apply_letter(2, v),
         lambda: R.apply_letter(3, v),
         lambda: R.total_sq(v),
-        lambda: total_operation_class(R, v, 12),
+        lambda: total_operation_class(v, 12),
     ):
         with pytest.raises(MissingActionComponent, match="^component 2 of the action on v "):
             request()
@@ -348,7 +357,7 @@ def test_missing_component_raises_lazily_through_the_cache():
     with pytest.raises(MissingActionComponent) as want:
         for i in range(5):
             ref.apply_letter(i, x)
-    for request in (R.total_sq, lambda x: total_operation_class(R, x, 12)):
+    for request in (R.total_sq, lambda x: total_operation_class(x, 12)):
         with pytest.raises(MissingActionComponent, match="^component 1 of the action on u ") as got:
             request(x)
         assert str(got.value) == str(want.value)
@@ -902,6 +911,8 @@ def test_constructor_normalises_its_terms(R3):
         (RingElement(R2, {(1, 0): 2}), R2.zero()),
         (RingElement(R2, {(1, 0): 3}), R2.gen("x1")),
         (RingElement(R3, {(1, 1, 0, 0): 1}), RingElement(R3, {(1, 1, 0, 0): 4})),
+        (y1 * 5, RingElement(R3, {(0, 0, 1, 0): -1})),
+        (5 * y1, y1.scale(2)),
     ]
     for got, want in cases:
         assert got == want and got.render() == want.render()
