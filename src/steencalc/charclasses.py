@@ -13,13 +13,12 @@ is the total Chern class itself.
 Inhomogeneous results are carried by TotalClass: a presentation, a bound on
 the cohomological degree, and one packed terms dict in which each monomial
 carries its degree in the tag field above the generators
-(RingPresentation._tag_shift, where Cartan totals carry the component
-index).  Rules are degree-homogeneous, so the tag stays exact through
-reduction: a truncated product is one _addmul capped at the bound, a sum is
-a dict merge, and degree components are split off only for output.  The
-cap's guard test needs each tag, and the sum of two, below the field's guard
-bit, so a bound must be below 2^30 (_FIELD_LIMIT) and a bundle's truncation
-below 2^29; larger ones raise InvalidArgument.
+(RingPresentation._tag_shift).  Rules are degree-homogeneous, so the tag
+stays exact through reduction: a truncated product is one _addmul capped at
+the bound, a sum is a dict merge, and degree components are split off only
+for output.  The cap's guard test needs each tag, and the sum of two, below
+the field's guard bit, so a bound must be below 2^30 (_FIELD_LIMIT) and a
+bundle's truncation below 2^29; larger ones raise InvalidArgument.
 
 Powers of eta = 1 + omega and the normal class of P^n over the base have
 closed forms, so no truncated series is raised to a power on their paths:
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InvalidArgument,
-    MissingActionComponent,
     MissingCodim,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
@@ -107,6 +105,12 @@ class TotalClass:
         bound = min(self.bound, other.bound)
         packed = self.parent._addmul({}, 1, self._packed, other._packed, bound)
         return TotalClass(self.parent, bound, packed)
+
+    def __rmul__(self, other):
+        """elt * total, elt kept on the left for the Koszul sign at odd l."""
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return TotalClass.of_element(other, self.bound) * self
 
     def inverse(self):
         """Multiplicative inverse of a class with scalar unit part, by Newton's
@@ -327,27 +331,12 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
 
 def total_operation_class(x: RingElement, bound: int) -> TotalClass:
     """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass: the
-    cached Cartan total of each monomial of degree deg, with component
-    index i in its tag, retagged by degree deg + i (l = 2) or
-    deg + 2i(l - 1)."""
-    parent = x.parent
-    ell, shift = parent.prime, parent._tag_shift
-    step, low = 1 if ell == 2 else 2 * (ell - 1), (1 << shift) - 1
-    packed = {}
-    for m, c in x._packed.items():
-        deg = parent._degree(m)
-        try:
-            total = parent._total(m, deg if ell == 2 else deg // 2)
-        except MissingActionComponent:
-            parent.total_sq(x)  # raises the error letter order meets first, as total_sq does
-            raise
-        retagged = {}
-        for t, v in total.items():
-            d = deg + (t >> shift) * step
-            if d <= bound:
-                retagged[(t & low) + (d << shift)] = v
-        parent._addmul(packed, c, retagged)
-    return TotalClass(parent, bound, packed)
+    components of total_sq, each tagged by its degree.  A missing action
+    component raises what total_sq raises."""
+    total = TotalClass(x.parent, bound)
+    for component in x.parent.total_sq(x).values():
+        total = total + TotalClass.of_element(component, bound)
+    return total
 
 
 def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l") -> bool:
@@ -381,10 +370,8 @@ def twisted_total_on_cycle(x: TwistedClass, bound: int) -> TotalClass:
     if parent.prime != 2:
         return total_operation_class(x.value, bound)
     omegas = _omega_powers(parent, bound)
-    packed = {}
-    for i in range(x.degree // 2 + 1):
-        piece = parent.apply_letter(2 * i, x.value) if i else x.value  # Sq^0 x = x
-        eta = _eta_power(parent, omegas, x.codim - i, bound)
-        parent._addmul(packed, 1, eta._packed,
-                       TotalClass.of_element(piece, bound)._packed, bound)
-    return TotalClass(parent, bound, packed)
+    total = TotalClass(parent, bound)
+    for j, piece in parent.total_sq(x.value).items():
+        if j % 2 == 0:  # Sq^(2i) with i = j // 2
+            total = total + _eta_power(parent, omegas, x.codim - j // 2, bound) * piece
+    return total

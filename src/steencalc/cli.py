@@ -44,8 +44,8 @@ def _build_parser():
     run = sub.add_parser("run", help="evaluate a source file")
     run.add_argument("file")
 
-    def with_ring(p, needs_ring=True):
-        p.add_argument("--ring", required=needs_ring, help="ring name")
+    def with_ring(p):
+        p.add_argument("--ring", required=True, help="ring name")
         p.add_argument("--rings", help="source file declaring extra rings")
 
     apply_p = sub.add_parser("apply", help="apply an operation word")

@@ -16,10 +16,9 @@ the check is the chain they force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidArgument, MissingCodim, MissingFrobeniusData, OmegaUndeclared
-from .rings import RingElement, TwistedClass
+from .rings import TwistedClass
 from .steenrod import _is_prime, _word_degree, admissible_monomials
 
 
@@ -68,8 +67,7 @@ def odd_vanishing_check(x: TwistedClass, max_degree: int) -> ObstructionReport:
     )
 
 
-def weird_operator(x: TwistedClass, which: int,
-                   omega: Optional[RingElement] = None) -> TwistedClass:
+def weird_operator(x: TwistedClass, which: int) -> TwistedClass:
     """The omega-corrected operators at the prime 2 for a class of
     codimension c = x.codim: which=1: Sq^2 + binom(c,2) omega^2, which=2:
     Sq^3 + (c+1) omega Sq^2 + binom(c,2) omega^3.  The second kills every
@@ -83,8 +81,7 @@ def weird_operator(x: TwistedClass, which: int,
         raise MissingCodim("weird_operator needs the cycle codimension")
     half = (c * (c - 1) // 2) % 2
     linear = (c + 1) % 2
-    need_omega = half or (which == 2 and linear)
-    if omega is None and need_omega:
+    if half or (which == 2 and linear):
         if parent.omega is None:
             raise OmegaUndeclared("weird_operator needs omega for codimension %d" % c)
         omega = parent.gen(parent.omega)

@@ -125,6 +125,8 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, RingElement):
+            return NotImplemented
         return self.parent.multiply(self, other)
 
     __rmul__ = __mul__
@@ -639,8 +641,10 @@ class RingPresentation:
         return self._wrap(out)
 
     def total_sq(self, x):
-        """All components of the total Sq (or total P at odd primes) of a
-        homogeneous element, as a dict operation-degree -> RingElement.
+        """All components of the total Sq (or total P at odd primes) of an
+        element, as a dict operation index -> RingElement (Sq^i or P^i of
+        x); for an inhomogeneous x a component mixes degrees.  charclasses
+        reads Cartan totals only through this method.
 
         One pass: each monomial's cached total (_total) is asked for once, up
         to its instability bound, and added into one tagged dict, which _split

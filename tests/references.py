@@ -7,6 +7,10 @@ Unlike the closed-form models in oracles.py, these call into the package:
   differential check of the cached one;
 - `total_class_mul_reference` multiplies total classes through the public
   RingElement operators;
+- `reference_total_operation_class` and `reference_twisted_total_on_cycle`
+  are the total-class operations that read each monomial's cached Cartan
+  total and decoded its component tag, and that applied Sq^(2i) one letter
+  at a time at l = 2;
 - `ReferenceTotalClass` is the total class that kept a map from degree to
   RingElement: products one pair of degrees at a time, the inverse by a
   recurrence over every degree up to the bound, and the pushforward one
@@ -35,7 +39,7 @@ import re
 from typing import NamedTuple
 
 from steencalc import corpus
-from steencalc.charclasses import projective_pushforward
+from steencalc.charclasses import TotalClass, _eta_power, _omega_powers, projective_pushforward
 from steencalc.dsl import (
     ActionDecl,
     AdemQuery,
@@ -182,6 +186,50 @@ def total_class_mul_reference(a, b):
             acc = comps.get(d)
             comps[d] = prod if acc is None else acc + prod
     return {d: e for d, e in comps.items() if e}
+
+
+# ------------------------------ total classes from retagged Cartan totals
+
+
+def reference_total_operation_class(x, bound):
+    """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass: the
+    cached Cartan total of each monomial of degree deg, with component
+    index i in its tag, retagged by degree deg + i (l = 2) or
+    deg + 2i(l - 1)."""
+    parent = x.parent
+    ell, shift = parent.prime, parent._tag_shift
+    step, low = 1 if ell == 2 else 2 * (ell - 1), (1 << shift) - 1
+    packed = {}
+    for m, c in x._packed.items():
+        deg = parent._degree(m)
+        try:
+            total = parent._total(m, deg if ell == 2 else deg // 2)
+        except MissingActionComponent:
+            parent.total_sq(x)  # raises the error letter order meets first, as total_sq does
+            raise
+        retagged = {}
+        for t, v in total.items():
+            d = deg + (t >> shift) * step
+            if d <= bound:
+                retagged[(t & low) + (d << shift)] = v
+        parent._addmul(packed, c, retagged)
+    return TotalClass(parent, bound, packed)
+
+
+def reference_twisted_total_on_cycle(x, bound):
+    """sum_i (1+omega)^(codim-i) Sq^(2i)(x) at l = 2, one apply_letter call
+    per Sq^(2i); total P, through the retagged totals, at odd l."""
+    parent = x.value.parent
+    if parent.prime != 2:
+        return reference_total_operation_class(x.value, bound)
+    omegas = _omega_powers(parent, bound)
+    packed = {}
+    for i in range(x.degree // 2 + 1):
+        piece = parent.apply_letter(2 * i, x.value) if i else x.value  # Sq^0 x = x
+        eta = _eta_power(parent, omegas, x.codim - i, bound)
+        parent._addmul(packed, 1, eta._packed,
+                       TotalClass.of_element(piece, bound)._packed, bound)
+    return TotalClass(parent, bound, packed)
 
 
 class ReferenceTotalClass:

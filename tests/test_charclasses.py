@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from steencalc import (
     GeneratorSpec,
+    MissingActionComponent,
     MissingCodim,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
     OmegaUndeclared,
     RewriteRule,
     RingPresentation,
+    SteencalcError,
     TotalClass,
     TwistedClass,
     VirtualBundle,
@@ -31,7 +33,12 @@ from steencalc import corpus, dsl, model_ring
 from steencalc.charclasses import _eta_power, _omega_powers, fiber_dimension
 
 from oracles import elementary_symmetric, poly_mul, product_one_plus_power, weight_piece
-from references import ReferenceTotalClass, total_class_mul_reference
+from references import (
+    ReferenceTotalClass,
+    reference_total_operation_class,
+    reference_twisted_total_on_cycle,
+    total_class_mul_reference,
+)
 
 
 def _root_ring(ell, r):
@@ -415,6 +422,94 @@ def test_twisted_total_matches_power_route(key, data):
             piece = R.apply_letter(i, x.value) if i else x.value
             want = want + TotalClass.of_element(piece, bound)
     assert twisted_total_on_cycle(x, bound) == want
+
+
+# -------------------- total classes from total_sq against the retagged totals
+
+
+def _cartan_ring(key):
+    """The model rings, the shipped PROJ and MO rings, and two rings whose
+    actions leave components out: at l = 2 Sq^1 of t and Sq^2 of a, at
+    l = 3 P^1 of y."""
+    if key == "MISSING2":
+        return _dsl_ring(key, ["prime = 2", "gen w deg=1", "gen t deg=2", "gen a deg=3",
+                               "rule w^4 = 0", "action Sq^1(a) = w*a", "omega = w"])
+    if key == "MISSING3":
+        return _dsl_ring(key, ["prime = 3", "gen x deg=1 odd twist=1", "gen z deg=2 twist=1",
+                               "gen y deg=4 twist=2", "action b(x) = z", "action b(z) = 0",
+                               "action b(y) = 0"])
+    return _total_ring(key)[0]
+
+
+CARTAN_RINGS = TOTAL_RINGS + [n for n in corpus.scenario_names() if n.startswith("MO")]
+CARTAN_RINGS += ["MISSING2", "MISSING3"]
+
+
+def _same_outcome(run, reference):
+    """run() returns what reference() returns, bound included, or raises an
+    error of the same class."""
+    try:
+        want = reference()
+    except SteencalcError as exc:
+        with pytest.raises(type(exc)):
+            run()
+        return
+    got = run()
+    assert (got.bound, got) == (want.bound, want)
+
+
+@pytest.mark.parametrize("key", CARTAN_RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_total_operation_class_matches_retagged_totals(key, data):
+    """Inhomogeneous inputs of degree up to 8, bounds below and above the
+    instability top l * degree."""
+    R = _cartan_ring(key)
+    x = R.zero()
+    for d in data.draw(st.lists(st.integers(0, 8), max_size=3)):
+        x = x + _draw_homogeneous(data, R, d)
+    bound = data.draw(st.integers(0, R.prime * 8 + 2))
+    _same_outcome(lambda: total_operation_class(x, bound),
+                  lambda: reference_total_operation_class(x, bound))
+
+
+@pytest.mark.parametrize("key", CARTAN_RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_twisted_total_matches_letter_by_letter(key, data):
+    R = _cartan_ring(key)
+    degree = data.draw(st.integers(0, 8))
+    value = _draw_homogeneous(data, R, degree)  # on these rings the twist follows the degree
+    twist = R.monomial_twist(value.monomials()[0]) if value else 0
+    x = TwistedClass(value, degree, twist, codim=data.draw(st.integers(0, 4)))
+    bound = data.draw(st.integers(0, R.prime * degree + 2))
+    _same_outcome(lambda: twisted_total_on_cycle(x, bound),
+                  lambda: reference_twisted_total_on_cycle(x, bound))
+
+
+@pytest.mark.parametrize("key, name", [("MISSING2", "t"), ("MISSING2", "a"), ("MISSING3", "y")])
+def test_total_classes_raise_a_missing_component(key, name):
+    R = _cartan_ring(key)
+    g, spec = R.gen(name), R.generators[R.index[name]]
+    with pytest.raises(MissingActionComponent):
+        total_operation_class(g, 20)
+    with pytest.raises(MissingActionComponent):
+        twisted_total_on_cycle(TwistedClass(g, spec.degree, spec.twist, codim=1), 20)
+
+
+def test_element_times_total_class_keeps_operand_order():
+    """elt * total equals total * elt at l = 2, and at l = 3 an odd-degree
+    factor on the left gives the Koszul sign of its order."""
+    P = corpus.resolve_ring("PROJ2_2")
+    u, total = P.gen("u"), TotalClass.of_element(P.gen("l"), 6)
+    assert (u * total).render() == (total * u).render() == "[4] u*l"
+    R = model_ring(3, 2)
+    x1, x2 = R.gen("x1"), R.gen("x2")
+    left = x1 * TotalClass.of_element(x2 + R.one(), 6)
+    right = TotalClass.of_element(x2 + R.one(), 6) * x1
+    assert left == TotalClass.of_element(x1 * x2 + x1, 6)
+    assert right == TotalClass.of_element(x2 * x1 + x1, 6)
+    assert left != right
 
 
 # --------------------------- the F_l product route against the e-basis route
