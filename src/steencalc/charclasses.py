@@ -11,14 +11,12 @@ degree-2(l-1)m part for odd m gives prod_i (1 + t_i^(l-1)).  At l = 2 this
 is the total Chern class itself.
 
 Inhomogeneous results are carried by TotalClass: a presentation, a bound on
-the cohomological degree, and one packed terms dict in which each monomial
-carries its degree in the tag field above the generators
-(RingPresentation._tag_shift).  Rules are degree-homogeneous, so the tag
-stays exact through reduction: a truncated product is one _addmul capped at
-the bound, a sum is a dict merge, and degree components are split off only
-for output.  The cap's guard test needs each tag, and the sum of two, below
-the field's guard bit, so a bound must be below 2^30 (_FIELD_LIMIT) and a
-bundle's truncation below 2^29; larger ones raise InvalidArgument.
+the cohomological degree, and a RingElement's packed terms dict, in which
+every monomial carries its degree: a truncated product is one _addmul capped
+at the bound, a sum is a dict merge, and degree components are split off
+only for output.  A bound must be below 2^30 (_FIELD_LIMIT), as an exponent
+must, and a bundle's truncation below 2^29; larger ones raise
+InvalidArgument.
 
 Powers of eta = 1 + omega and the normal class of P^n over the base have
 closed forms, so no truncated series is raised to a power on their paths:
@@ -46,8 +44,9 @@ from .steenrod import binom_mod_ell
 
 class TotalClass:
     """Finite inhomogeneous class truncated above degree `bound` (components
-    beyond it are dropped, not zero), as one packed terms dict whose tag
-    field holds each monomial's degree; see the module docstring."""
+    beyond it are dropped, not zero), as one packed terms dict; see the
+    module docstring.  An int scales it, and a RingElement operand of + or *
+    is taken through of_element at its bound."""
 
     __slots__ = ("parent", "bound", "_packed")
 
@@ -64,15 +63,9 @@ class TotalClass:
 
     @classmethod
     def of_element(cls, elt, bound):
-        """A (possibly inhomogeneous) element, each term tagged by its degree."""
-        parent = elt.parent
-        shift, degree = parent._tag_shift, parent._degree
-        packed = {}
-        for m, c in elt._packed.items():
-            d = degree(m)
-            if d <= bound:
-                packed[m + (d << shift)] = c
-        return cls(parent, bound, packed)
+        """A (possibly inhomogeneous) element, through degree bound."""
+        above = bound + 1 << elt.parent._tag_shift
+        return cls(elt.parent, bound, {m: c for m, c in elt._packed.items() if m < above})
 
     @property
     def components(self):
@@ -90,17 +83,27 @@ class TotalClass:
         return {m: c for m, c in self._packed.items() if m < above}
 
     def __add__(self, other):
+        if isinstance(other, RingElement):
+            other = TotalClass.of_element(other, self.bound)
+        elif not isinstance(other, TotalClass):
+            return NotImplemented
         self.parent._own(other)
         bound = min(self.bound, other.bound)
         packed = self.parent._addmul(dict(self._upto(bound)), 1, other._upto(bound))
         return TotalClass(self.parent, bound, packed)
 
+    __radd__ = __add__
+
     def scale(self, c):
         return TotalClass(self.parent, self.bound, self.parent._addmul({}, c, self._packed))
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
         if isinstance(other, RingElement):
             other = TotalClass.of_element(other, self.bound)
+        elif not isinstance(other, TotalClass):
+            return NotImplemented
         self.parent._own(other)
         bound = min(self.bound, other.bound)
         packed = self.parent._addmul({}, 1, self._packed, other._packed, bound)
@@ -108,9 +111,9 @@ class TotalClass:
 
     def __rmul__(self, other):
         """elt * total, elt kept on the left for the Koszul sign at odd l."""
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return TotalClass.of_element(other, self.bound) * self
+        if isinstance(other, RingElement):
+            return TotalClass.of_element(other, self.bound) * self
+        return self.__mul__(other)  # an int scales; anything else is NotImplemented
 
     def inverse(self):
         """Multiplicative inverse of a class with scalar unit part, by Newton's
@@ -289,18 +292,19 @@ def fiber_dimension(parent: RingPresentation, hyperplane: str = "l") -> int:
 def projective_pushforward(x, n: int, hyperplane: str = "l"):
     """Coefficient of hyperplane^n: integration over a P^n fiber.  Accepts a
     RingElement or TotalClass; the result lives in the same presentation
-    (supported on hyperplane-free monomials).  A TotalClass's terms with
-    hyperplane exponent n lose hyperplane^n and 2n from their degree tag."""
+    (supported on hyperplane-free monomials), and a TotalClass's bound drops
+    by 2n."""
     parent = x.parent
     gi, fiber_n = _hyperplane_data(parent, hyperplane)
     if fiber_n != n:
         raise NotProjectiveBundleScenario(
             "presentation truncates at %d but pushforward was asked for n=%d" % (fiber_n, n)
         )
-    shift, total = parent._shifts[gi], isinstance(x, TotalClass)
-    drop = n * parent._units[gi] + (2 * n << parent._tag_shift if total else 0)
+    shift, drop = parent._shifts[gi], n * parent._units[gi]
     packed = {m - drop: c for m, c in x._packed.items() if m >> shift & _FIELD_MASK == n}
-    return TotalClass(parent, x.bound - 2 * n, packed) if total else parent._wrap(packed)
+    if isinstance(x, TotalClass):
+        return TotalClass(parent, x.bound - 2 * n, packed)
+    return parent._wrap(packed)
 
 
 def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
@@ -331,12 +335,9 @@ def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
 
 def total_operation_class(x: RingElement, bound: int) -> TotalClass:
     """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass: the
-    components of total_sq, each tagged by its degree.  A missing action
-    component raises what total_sq raises."""
-    total = TotalClass(x.parent, bound)
-    for component in x.parent.total_sq(x).values():
-        total = total + TotalClass.of_element(component, bound)
-    return total
+    sum of the components of total_sq, through degree bound.  A missing
+    action component raises what total_sq raises."""
+    return TotalClass.of_element(sum(x.parent.total_sq(x).values(), x.parent.zero()), bound)
 
 
 def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l") -> bool:
@@ -347,9 +348,8 @@ def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l")
     gi, n = _hyperplane_data(parent, hyperplane)
     if not 0 <= m <= n:
         raise InvalidArgument("need 0 <= m <= n")
-    for mono in y.terms:
-        if mono[gi]:
-            raise InvalidArgument("y must be a base class (no hyperplane factor)")
+    if any(mono[gi] for mono in y.terms):
+        raise InvalidArgument("y must be a base class (no hyperplane factor)")
     ydeg = max((parent.monomial_degree(mo) for mo in y.terms), default=0)
     bound = parent.prime * (ydeg + 2 * m) + 2 * (n - m) + 2
     lam = parent.gen(hyperplane)

@@ -174,7 +174,7 @@ class BundleDecl:
     name: str
     ring: str
     rank: int
-    trunc: int = 10
+    trunc: int = VirtualBundle.truncation
     chern: tuple = ()  # Poly for c_1, c_2, ... in order
     denom: tuple = ()
     span: Optional[Span] = field(default=None, compare=False)

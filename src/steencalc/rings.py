@@ -6,13 +6,16 @@ data), and rewrite rules of the shape g^k = lower-order terms.
 Elements are kept in normal form: no monomial divisible by a rule's lead
 power, odd-parity exponents at most 1.
 
-Internally a monomial is one int with a _FIELD_BITS-bit field per generator,
-generator 0 most significant, so int order is exponent-tuple order and a
-product is a sum.  Exponents stay below _FIELD_LIMIT, so adding two never
-reaches a field's top (guard) bit; adding the presentation's offsets sets it
-exactly where an exponent reaches its rule's power (2 for odd generators,
-else the limit, which raises InvalidArgument).  Tuples remain the surface of
-terms, element(), monomial_degree, render_monomial and basis_of_degree.
+Internally a monomial is one int: a _FIELD_BITS-bit field per generator,
+generator 0 most significant, under a top field (_tag_shift) holding its
+degree.  Each generator's unit carries its degree, so a product (a sum of
+ints), a homogeneous rule rewrite and the Frobenius keep every degree exact,
+and int order is (degree, exponent tuple) order.  Exponents stay below
+_FIELD_LIMIT, so adding two never reaches a field's top (guard) bit; adding
+the presentation's offsets sets it exactly where an exponent reaches its
+rule's power (2 for odd generators, else the limit, which raises
+InvalidArgument).  Tuples remain the surface of terms, element(),
+monomial_degree, render_monomial and basis_of_degree.
 
 Operations act through the Cartan formula from the declared generator
 actions, by one recursion on raw monomials with one cached total per
@@ -23,13 +26,13 @@ where the Frobenius F multiplies every packed exponent by l and keeps the
 coefficient (c^l = c): it is exact on the commutative even part, and sends
 a monomial with an odd factor to zero.  Below l, or for an odd-parity g
 (exponent at most 1, or a raw rule lead), g^e is split in halves, g^(e//2)
-times g^(e - e//2), so the products grow with log e, not e.  Inside a
-total, the component index (i of Sq^i or P^i) is one more packed field
-above the generators, so a product adds indices and one _addmul with a cap
-multiplies all components at once, dropping through the guard test every
-product above the requested one.  _addmul is the one mod-l accumulate (a
-Frobenius image is reduced as a capped product with the unit {0: 1}), and
-_split the one split by tag.
+times g^(e - e//2), so the products grow with log e, not e.  Component i
+(Sq^i or P^i) of the total on m is its part of degree deg(m) + i (l = 2) or
+deg(m) + 2i(l - 1), so one _addmul capped at a degree multiplies all
+components at once, dropping through the guard test every product above
+the requested one.  _addmul is the one mod-l accumulate (a Frobenius image
+is reduced as a product with the unit {0: 1}), and _split the one split by
+degree.
 
 Total operations are finite degreewise, so no truncation is needed beyond
 the requested component; missing low components of a generator's action
@@ -112,12 +115,13 @@ class RingElement:
         return {unpack(m): c for m, c in self._packed.items()}
 
     def __add__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self.parent._own(other)
         return self.parent._wrap(self.parent._addmul(dict(self._packed), 1, other._packed))
 
     def __sub__(self, other):
-        self.parent._own(other)
-        return self.parent._wrap(self.parent._addmul(dict(self._packed), -1, other._packed))
+        return self + other.scale(-1) if isinstance(other, RingElement) else NotImplemented
 
     def scale(self, c):
         return self.parent._wrap(self.parent._addmul({}, c, self._packed))
@@ -160,11 +164,11 @@ class RingElement:
 
     def degree(self):
         """Common degree of the terms, None for zero or mixed elements."""
-        degs = {self.parent._degree(m) for m in self._packed}
+        degs = {m >> self.parent._tag_shift for m in self._packed}
         return degs.pop() if len(degs) == 1 else None
 
     def monomials(self):
-        return [self.parent._unpack(m) for m in sorted(self._packed)]
+        return sorted(map(self.parent._unpack, self._packed))
 
     def render(self):
         return self.parent.render_element(self)
@@ -242,15 +246,21 @@ class RingPresentation:
         self._degrees = tuple(g.degree for g in self.generators)
         self._twists = tuple(g.twist for g in self.generators)
         self._shifts = tuple(range((self.n - 1) * _FIELD_BITS, -1, -_FIELD_BITS))
-        self._units = tuple(1 << s for s in self._shifts)
+        self._tag_shift = self.n * _FIELD_BITS  # the degree field, above the generators
+        self._low = (1 << self._tag_shift) - 1  # the generator fields
+        bits = [1 << s for s in self._shifts]
+        self._units = tuple(b + (d << self._tag_shift) for b, d in zip(bits, self._degrees))
         self._fields = Struct(">%dI" % self.n)  # "I": one unsigned _FIELD_BITS = 32 field
-        self._odd_bits = sum(u for u, g in zip(self._units, self.generators) if g.parity == "odd")
+        self._odd_bits = sum(b for b, g in zip(bits, self.generators) if g.parity == "odd")
         self._odd_high = self._odd_bits * (_FIELD_MASK - 1)  # odd exponents above 1
-        self._guard = _GUARD * sum(self._units)
-        self._over = _FIELD_LIMIT * sum(self._units)
+        self._guard = _GUARD * sum(bits)
+        self._over = _FIELD_LIMIT * sum(bits)
         # sets a field's guard bit where l times its exponent reaches the limit
-        self._frobenius_over = (_GUARD + _FIELD_LIMIT // -prime) * sum(self._units)
-        self._tag_shift = self.n * _FIELD_BITS  # a total's component index, or a degree
+        self._frobenius_over = (_GUARD + _FIELD_LIMIT // -prime) * sum(bits)
+        # the degree field's guard bit: above the degree of any product of two
+        # monomials, whose exponents are below 2 * _FIELD_LIMIT
+        self._tag_top = 1 << (2 * _FIELD_LIMIT * sum(self._degrees)).bit_length()
+        self._step = 1 if prime == 2 else 2 * (prime - 1)  # the degree of Sq^1 or P^1
 
         self.rules = {}
         self._reduce_cache = {}
@@ -294,7 +304,7 @@ class RingPresentation:
                             for gi, (k, rhs) in self.rules.items())
         caps = [2 if g.parity == "odd" else self.rules.get(gi, (_FIELD_LIMIT,))[0]
                 for gi, g in enumerate(g_by_i)]
-        self._offsets = sum((_GUARD - min(c, _FIELD_LIMIT)) * u for c, u in zip(caps, self._units))
+        self._offsets = sum((_GUARD - min(c, _FIELD_LIMIT)) * b for c, b in zip(caps, bits))
         # normalize declared actions into RingElements; per generator, keep
         # the first component neither declared nor forced (inf if none):
         # instability forces the top one to the l-th power, except for
@@ -316,7 +326,7 @@ class RingPresentation:
                             "action component %d on %s lies above instability" % (k, g.name)
                         )
                     else:
-                        shift = k if prime == 2 else 2 * k * (prime - 1)
+                        shift = k * self._step
                     comp[k] = self.element(raw)
                     self._validate_component(g, comp[k], g.degree + shift)
                 except (ValueError, SteencalcError) as exc:
@@ -351,10 +361,10 @@ class RingPresentation:
         return sum(map(mul, m, self._twists))
 
     def _pack(self, m):
-        """The packed int of an exponent tuple."""
+        """The packed int of an exponent tuple, its degree in the tag."""
         if len(m) != self.n:
             raise ValueError("monomial of width %d in %d-generator ring" % (len(m), self.n))
-        packed = 0
+        packed = self.monomial_degree(m)
         for e in m:
             if not 0 <= e < _FIELD_LIMIT:
                 raise InvalidArgument("exponent %d outside 0..%d" % (e, _FIELD_LIMIT - 1))
@@ -367,10 +377,7 @@ class RingPresentation:
                                % (self.render_monomial(exps), _FIELD_LIMIT))
 
     def _unpack(self, m):
-        return self._fields.unpack(m.to_bytes(self._fields.size, "big"))
-
-    def _degree(self, m):
-        return self.monomial_degree(self._unpack(m))
+        return self._fields.unpack((m & self._low).to_bytes(self._fields.size, "big"))
 
     def _wrap(self, packed):
         """The element with this packed terms dict, taken as normal."""
@@ -393,6 +400,7 @@ class RingPresentation:
         """Build an element from a raw dict exponent-tuple -> int, reducing
         to normal form."""
         if isinstance(raw, RingElement):
+            self._own(raw)
             return raw
         terms = {}
         for m, c in raw.items():
@@ -443,10 +451,10 @@ class RingPresentation:
         """acc += c*a*b in place, on packed terms dicts (acc += c*a when b is
         None), mod l and without zero terms; returns acc.  Products are
         reduced to normal form: a product whose guard test is clear is
-        already normal and is added directly.  With a cap, a and b are tagged
-        (a Cartan component index or a total class's degree in the field
-        above the generators) and the guard test also drops every product
-        whose tag is above cap; b = {0: 1} reduces a's raw tagged monomials."""
+        already normal and is added directly.  With a cap, the guard test
+        also drops every product of degree above cap: the degree field's
+        guard bit, _tag_top, lies above every product's degree, so a cap at
+        or past it drops nothing.  b = {0: 1} reduces a's raw monomials."""
         ell = self.prime
         if b is None:
             for m, v in a.items():
@@ -456,12 +464,12 @@ class RingPresentation:
                 else:
                     acc.pop(m, None)
             return acc
-        odd, offsets, guard, shift = self._odd_bits, self._offsets, self._guard, self._tag_shift
-        above = 1  # the least tag above cap; untagged products carry tag 0
-        if cap is not None:
-            offsets += _GUARD - cap - 1 << shift
-            guard += _GUARD << shift
-            above = cap + 1 << shift
+        odd, shift, top = self._odd_bits, self._tag_shift, self._tag_top
+        if cap is None or cap >= top:
+            cap = top - 1
+        offsets = self._offsets + (top - 1 - cap << shift)
+        guard = self._guard + (top << shift)
+        above = cap + 1 << shift
         for m1, c1 in a.items():
             c1 *= c
             o1 = m1 & odd
@@ -473,17 +481,8 @@ class RingPresentation:
                         c2 = -c2
                 m = m1 + m2
                 if (m + offsets) & guard:
-                    tag = m >> shift << shift
-                    if tag >= above:
-                        continue
-                    c2 *= c1
-                    for r, v in (self._reduce_cache.get(m - tag) or self._reduce(m - tag)).items():
-                        r += tag
-                        new = (acc.get(r, 0) + c2 * v) % ell
-                        if new:
-                            acc[r] = new
-                        else:
-                            acc.pop(r, None)
+                    if m < above:
+                        self._addmul(acc, c1 * c2, self._reduce_cache.get(m) or self._reduce(m))
                     continue
                 new = (acc.get(m, 0) + c1 * c2) % ell
                 if new:
@@ -504,85 +503,80 @@ class RingPresentation:
 
     # -------------------------------------------------------------- actions
 
-    def _split(self, tagged):
-        """A tagged terms dict as tag -> terms dict, in increasing tag."""
-        shift = self._tag_shift
-        low, parts = (1 << shift) - 1, {}
-        for m, c in tagged.items():
-            parts.setdefault(m >> shift, {})[m & low] = c
+    def _split(self, packed):
+        """A terms dict as degree -> terms dict, in increasing degree."""
+        shift, parts = self._tag_shift, {}
+        for m, c in packed.items():
+            parts.setdefault(m >> shift, {})[m] = c
         return dict(sorted(parts.items()))
 
-    def _frobenius(self, total, cap):
-        """F of the components 0..cap of a tagged total of even degree: each
-        packed exponent, the component index included, times l, with its
-        coefficient kept (c^l = c); monomials with an odd factor go to zero.
-        F is injective on monomials, so the raw l-th powers never collide:
-        they are reduced by one capped product with the unit.  Raises
+    def _frobenius(self, m, k):
+        """F, as in the module docstring, of components 0..k of the total on
+        a raw packed monomial of even degree.  F is injective on monomials,
+        so one product with the unit reduces the raw l-th powers.  Raises
         InvalidArgument before a field would reach _FIELD_LIMIT (at l >= 5
         it would carry into the next field)."""
-        ell, shift = self.prime, self._tag_shift
-        above, odd = cap + 1 << shift, self._odd_bits
-        raw = {}
-        for m, c in total.items():
-            if m >= above or m & odd:
+        ell, shift, odd = self.prime, self._tag_shift, self._odd_bits
+        above, raw = (m >> shift) + k * self._step + 1 << shift, {}
+        for p, c in self._total(m, k).items():
+            if p >= above or p & odd:
                 continue
-            if (m + self._frobenius_over) & self._guard:
-                raise self._too_large([e * ell for e in self._unpack(m & (1 << shift) - 1)])
-            raw[m * ell] = c
-        return self._addmul({}, 1, raw, {0: 1}, cap * ell)
+            if (p + self._frobenius_over) & self._guard:
+                raise self._too_large([e * ell for e in self._unpack(p)])
+            raw[p * ell] = c
+        return self._addmul({}, 1, raw, {0: 1})
 
     def _total(self, m, k):
         """Components 0..min(k, instability bound) of the total Sq (l=2) or
-        total P (odd l) on a raw packed monomial, as a tagged terms dict (the
-        component index in the field above the generators), by the recursion
-        of the module docstring.  Cached as (k, total), exact through k, or
-        as (inf, total) once k reaches the bound, above which nothing lies.
-        A missing action component raises MissingActionComponent only when
-        component k reaches it, naming the first such generator in index
-        order."""
+        total P (odd l) on a raw packed monomial, as one terms dict in which
+        component i is the part of degree deg(m) + i * _step, by the
+        recursion of the module docstring.  Cached as (k, total), exact
+        through k, or as (inf, total) once k reaches the bound, above which
+        nothing lies.  A missing action component raises
+        MissingActionComponent only when component k reaches it, naming the
+        first such generator in index order."""
         cache = self._total_cache
         entry = cache.get(m)
         if entry is not None and entry[0] >= k:
             return entry[1]
         if not (k and m):  # component 0 alone, or the unit: m itself
             return self._reduce_cache.get(m) or self._reduce(m)
-        ell = self.prime
+        ell, step, shift = self.prime, self._step, self._tag_shift
         gi = self.n - 1 - ((m & -m).bit_length() - 1) // _FIELD_BITS  # lowest field
-        shift = self._shifts[gi]
-        e = m >> shift & _FIELD_MASK
-        exps = self._unpack(m) if m - (e << shift) else None  # None for a power g^e
-        deg = e * self._degrees[gi] if exps is None else self.monomial_degree(exps)
-        top = deg if ell == 2 else deg // 2
-        cap = min(k, top)
-        if exps:
+        unit = self._units[gi]
+        e = m >> self._shifts[gi] & _FIELD_MASK
+        deg = m >> shift
+        bound = deg if ell == 2 else deg // 2  # instability
+        cap = min(k, bound)
+        top = deg + cap * step  # the degree of component cap
+        if m - e * unit:  # not a generator power
             total = None
-            for u, d in zip(self._units, exps):
+            for u, d in zip(self._units, self._unpack(m)):
                 if d:
                     power = self._total(d * u, cap)
-                    total = power if total is None else self._addmul({}, 1, total, power, cap)
+                    total = power if total is None else self._addmul({}, 1, total, power, top)
         elif e > 1 and (e < ell or m & self._odd_bits):
-            half = e >> 1 << shift
-            total = self._addmul({}, 1, self._total(half, cap), self._total(m - half, cap), cap)
+            half = (e >> 1) * unit
+            total = self._addmul({}, 1, self._total(half, cap), self._total(m - half, cap), top)
         elif self._missing[gi] <= cap:
             raise MissingActionComponent(
                 "component %d of the action on %s is needed but not declared"
                 % (self._missing[gi], self.generators[gi].name))
         elif e > 1:
             q, r = divmod(e, ell)
-            total = self._frobenius(self._total(q << shift, cap // ell), cap // ell)
+            total = self._frobenius(q * unit, cap // ell)
             if r:
-                total = self._addmul({}, 1, total, self._total(r << shift, cap), cap)
+                total = self._addmul({}, 1, total, self._total(r * unit, cap), top)
         else:
             comp, total = self._action[gi], {m: 1}
             for i in range(1, cap + 1):
                 if i in comp:
-                    part = comp[i]._packed
+                    total.update(comp[i]._packed)
                 elif ell < _FIELD_LIMIT:
-                    part = self._reduce(ell * m)  # the forced top component
+                    total.update(self._reduce(ell * m))  # the forced top component
                 else:
                     raise self._too_large([ell if j == gi else 0 for j in range(self.n)])
-                total.update((p + (i << self._tag_shift), c) for p, c in part.items())
-        cache[m] = (k if k < top else math.inf, total)
+        cache[m] = (k if k < bound else math.inf, total)
         return total
 
     def _beta_monomial(self, m):
@@ -593,9 +587,10 @@ class RingPresentation:
             return cached
         out = {}
         if m:
-            gi = self.n - 1 - (m.bit_length() - 1) // _FIELD_BITS  # highest field
+            low = m & self._low
+            gi = self.n - 1 - (low.bit_length() - 1) // _FIELD_BITS  # highest field
             g = self.generators[gi]
-            e = m >> self._shifts[gi]
+            e = low >> self._shifts[gi]
             rest = m - e * self._units[gi]
             comp = self._action[gi]
             if "b" not in comp:
@@ -619,10 +614,10 @@ class RingPresentation:
         """Apply one word letter (int i for Sq^i / P^i, 0 for the odd-prime
         Bockstein) to a RingElement."""
         self._own(x)
-        beta, out = self.prime > 2 and letter == 0, {}
+        beta, out, shift = self.prime > 2 and letter == 0, {}, self._tag_shift
         for m, c in x._packed.items():
-            self._addmul(out, c, self._beta_monomial(m) if beta else
-                         self._split(self._total(m, letter)).get(letter, {}))
+            self._addmul(out, c, self._beta_monomial(m) if beta else self._split(
+                self._total(m, letter)).get((m >> shift) + letter * self._step, {}))
         return self._wrap(out)
 
     def apply_word(self, word, x):
@@ -647,20 +642,23 @@ class RingPresentation:
         reads Cartan totals only through this method.
 
         One pass: each monomial's cached total (_total) is asked for once, up
-        to its instability bound, and added into one tagged dict, which _split
-        splits by component index.  A missing action component raises the
-        error that letter-by-letter order meets first."""
+        to its instability bound; _split splits it by degree, and the degree
+        d of a monomial of degree deg is component (d - deg) / _step.  A
+        missing action component raises the error that letter-by-letter
+        order meets first."""
         self._own(x)
-        cap = max((self._degree(m) for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
-        total = {}
+        shift, step = self._tag_shift, self._step
+        cap = max((m >> shift for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
+        parts = {}
         try:
             for m, c in x._packed.items():
-                self._addmul(total, c, self._total(m, cap))
+                for d, part in self._split(self._total(m, cap)).items():
+                    self._addmul(parts.setdefault((d - (m >> shift)) // step, {}), c, part)
         except MissingActionComponent:
             for i in range(1, cap + 1):
                 self.apply_letter(i, x)
             raise
-        return {i: self._wrap(t) for i, t in self._split(total).items()}
+        return {i: self._wrap(t) for i, t in sorted(parts.items()) if t}
 
     def bockstein(self, x):
         return self.apply_letter(1 if self.prime == 2 else 0, x)
@@ -710,10 +708,10 @@ class RingPresentation:
             rhs_elt = self.element(rhs)
             cap = max_degree if self.prime == 2 else max_degree // (2 * (self.prime - 1))
             # the Cartan formula on the raw lead follows the other side of the rule
-            total = self._split(self._total(lead, cap))
+            total, deg = self._split(self._total(lead, cap)), k * g.degree
             paths = [("%s^%d" % ("Sq" if self.prime == 2 else "P", i),
-                      self._wrap(total.get(i, {})), self.apply_letter(i, rhs_elt))
-                     for i in range(1, cap + 1)]
+                      self._wrap(total.get(deg + i * self._step, {})),
+                      self.apply_letter(i, rhs_elt)) for i in range(1, cap + 1)]
             if self.prime > 2:
                 paths.append(("b", self._wrap(self._beta_monomial(lead)), self.bockstein(rhs_elt)))
             for op, via_lead, via_rhs in paths:
@@ -738,10 +736,9 @@ class RingPresentation:
                         for g, e in zip(self.generators, m) if e) or "1"
 
     def render_element(self, x):
-        terms = x.terms
         parts = []
-        for m in sorted(terms, key=lambda m: (self.monomial_degree(m), m)):
-            c, body = terms[m], self.render_monomial(m)
+        for m in sorted(x._packed):  # in degree, then exponent-tuple order
+            c, body = x._packed[m], self.render_monomial(self._unpack(m))
             parts.append(body if c == 1 else "%d" % c if body == "1" else "%d*%s" % (c, body))
         return " + ".join(parts) or "0"
 

@@ -8,9 +8,9 @@ Unlike the closed-form models in oracles.py, these call into the package:
 - `total_class_mul_reference` multiplies total classes through the public
   RingElement operators;
 - `reference_total_operation_class` and `reference_twisted_total_on_cycle`
-  are the total-class operations that read each monomial's cached Cartan
-  total and decoded its component tag, and that applied Sq^(2i) one letter
-  at a time at l = 2;
+  build the total operation and the twisted total through public calls
+  only: one apply_letter call per component of each monomial, and at l = 2
+  the powers of eta = 1 + omega in `ReferenceTotalClass`;
 - `ReferenceTotalClass` is the total class that kept a map from degree to
   RingElement: products one pair of degrees at a time, the inverse by a
   recurrence over every degree up to the bound, and the pushforward one
@@ -39,7 +39,7 @@ import re
 from typing import NamedTuple
 
 from steencalc import corpus
-from steencalc.charclasses import TotalClass, _eta_power, _omega_powers, projective_pushforward
+from steencalc.charclasses import TotalClass, projective_pushforward
 from steencalc.dsl import (
     ActionDecl,
     AdemQuery,
@@ -57,7 +57,7 @@ from steencalc.dsl import (
     WuQuery,
 )
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
-from steencalc.errors import MixedPrimes
+from steencalc.errors import MixedPrimes, OmegaUndeclared
 from steencalc.steenrod import (
     _MAX_REWRITE_STEPS,
     SteenrodMonomial,
@@ -188,48 +188,40 @@ def total_class_mul_reference(a, b):
     return {d: e for d, e in comps.items() if e}
 
 
-# ------------------------------ total classes from retagged Cartan totals
+# ------------------------- total classes from one letter at a time
 
 
 def reference_total_operation_class(x, bound):
-    """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass: the
-    cached Cartan total of each monomial of degree deg, with component
-    index i in its tag, retagged by degree deg + i (l = 2) or
-    deg + 2i(l - 1)."""
+    """Total Sq (l=2) or total P (odd l) of an element, as a TotalClass:
+    Sq^i (P^i) of each monomial by one apply_letter call per i up to the
+    instability top, summed as RingElements and cut at bound."""
     parent = x.parent
-    ell, shift = parent.prime, parent._tag_shift
-    step, low = 1 if ell == 2 else 2 * (ell - 1), (1 << shift) - 1
-    packed = {}
-    for m, c in x._packed.items():
-        deg = parent._degree(m)
-        try:
-            total = parent._total(m, deg if ell == 2 else deg // 2)
-        except MissingActionComponent:
-            parent.total_sq(x)  # raises the error letter order meets first, as total_sq does
-            raise
-        retagged = {}
-        for t, v in total.items():
-            d = deg + (t >> shift) * step
-            if d <= bound:
-                retagged[(t & low) + (d << shift)] = v
-        parent._addmul(packed, c, retagged)
-    return TotalClass(parent, bound, packed)
+    total = parent.zero()
+    for m, c in x.terms.items():
+        mono = parent.element({m: c})
+        for i in range(parent.monomial_degree(m) // (1 if parent.prime == 2 else 2) + 1):
+            total = total + (parent.apply_letter(i, mono) if i else mono)  # letter 0 is b at odd l
+    return TotalClass.of_element(total, bound)
 
 
 def reference_twisted_total_on_cycle(x, bound):
     """sum_i (1+omega)^(codim-i) Sq^(2i)(x) at l = 2, one apply_letter call
-    per Sq^(2i); total P, through the retagged totals, at odd l."""
+    per Sq^(2i), with the powers of eta = 1 + omega and the truncated sum
+    taken in ReferenceTotalClass; the reference total P at odd l."""
     parent = x.value.parent
     if parent.prime != 2:
         return reference_total_operation_class(x.value, bound)
-    omegas = _omega_powers(parent, bound)
-    packed = {}
+    if parent.omega is None:
+        raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
+    eta = ReferenceTotalClass.of_element(parent, parent.one() + parent.gen(parent.omega), bound)
+    total = ReferenceTotalClass(parent, bound)
     for i in range(x.degree // 2 + 1):
         piece = parent.apply_letter(2 * i, x.value) if i else x.value  # Sq^0 x = x
-        eta = _eta_power(parent, omegas, x.codim - i, bound)
-        parent._addmul(packed, 1, eta._packed,
-                       TotalClass.of_element(piece, bound)._packed, bound)
-    return TotalClass(parent, bound, packed)
+        power = ReferenceTotalClass.unit(parent, bound)
+        for _ in range(abs(x.codim - i)):
+            power = power * eta
+        total = total + (power if x.codim >= i else power.inverse()) * piece
+    return TotalClass.of_element(sum(total.components.values(), parent.zero()), bound)
 
 
 class ReferenceTotalClass:

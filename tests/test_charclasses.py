@@ -11,6 +11,7 @@ from steencalc import (
     GeneratorSpec,
     MissingActionComponent,
     MissingCodim,
+    MixedPrimes,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
     OmegaUndeclared,
@@ -510,6 +511,65 @@ def test_element_times_total_class_keeps_operand_order():
     assert left == TotalClass.of_element(x1 * x2 + x1, 6)
     assert right == TotalClass.of_element(x2 * x1 + x1, 6)
     assert left != right
+
+
+def test_total_class_arithmetic_with_ints_and_elements():
+    """An int scales a total class from either side; a ring element is
+    added or multiplied at the class's bound, from either side; any other
+    operand raises TypeError."""
+    P = corpus.resolve_ring("PROJ2_2")
+    u, l = P.gen("u"), P.gen("l")
+    total = TotalClass.of_element(l, 6)
+    assert total * 3 == 3 * total == total and total * 2 == 2 * total == TotalClass(P, 6)
+    assert total + u == u + total == TotalClass.of_element(l + u, 6)
+    assert (u + total).bound == 6 and (u + total).render() == "[2] %s" % (l + u).render()
+    assert TotalClass.of_element(l, 1) + u == TotalClass(P, 1)
+    R = model_ring(3, 2)
+    odd = TotalClass.of_element(R.gen("x2") + R.one(), 6)
+    assert odd * 2 == 2 * odd == odd.scale(2) != odd
+    for bad in (lambda: total + 3, lambda: 3 + total, lambda: total * 2.0, lambda: 2.0 * total,
+                lambda: total + "l", lambda: total - u, lambda: u - total, lambda: u + 3):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(MixedPrimes):
+        total + model_ring(2, 2).gen("x1")
+
+
+INVARIANT_RINGS = ["model:2:3", "model:3:2", "model:5:2"] + corpus.scenario_names()
+
+
+def _maybe(make, *args):
+    """[make(*args)], or [] where an action component it needs is missing."""
+    try:
+        return [make(*args)]
+    except MissingActionComponent:
+        return []
+
+
+@pytest.mark.parametrize("key", INVARIANT_RINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_packed_monomial_carries_its_degree(key, data):
+    """The field above the generators holds each monomial's degree, however
+    the element or total class was made."""
+    R = _total_ring(key)[0] if key.startswith("model:") else corpus.resolve_ring(key)
+    raw = {tuple(data.draw(st.integers(0, 4)) for _ in range(R.n)): data.draw(st.integers(1, 9))
+           for _ in range(data.draw(st.integers(0, 3)))}
+    x = R.element(raw)
+    for d in data.draw(st.lists(st.integers(0, 6), max_size=2)):
+        x = x + _draw_homogeneous(data, R, d)
+    y = _draw_homogeneous(data, R, data.draw(st.integers(1, 6)))
+    made = [x, y, x * y, x ** data.draw(st.integers(0, 3)), y * 2]
+    made += _maybe(R.bockstein, x) + [c for t in _maybe(R.total_sq, x) for c in t.values()]
+    for letter in range(4):
+        made += _maybe(R.apply_letter, letter, x)
+    bound = data.draw(st.integers(0, 16))
+    a, b = TotalClass.of_element(x, bound), TotalClass.of_element(R.one() + y, bound)
+    made += [a, b, a * b, y * a, a + y, b.inverse(), b.inverse() * a]
+    made += _maybe(total_operation_class, x, bound)
+    for elt in made:
+        for m in elt._packed:
+            assert m >> R._tag_shift == R.monomial_degree(R._unpack(m))
 
 
 # --------------------------- the F_l product route against the e-basis route

@@ -894,6 +894,54 @@ def test_exponents_at_the_field_limit_raise():
     assert (R.gen("x") * R.gen("x", limit - 2)) == top
 
 
+LARGE_DEGREE_RING = (
+    "ring B { prime = 2; gen x deg=8; gen y deg=9; rule y^2 = 0; "
+    "action Sq^1(x) = y; action Sq^1(y) = 0; }\n"
+)
+
+
+def test_degrees_past_two_to_the_31_with_a_rule(tmp_path, capsys):
+    # x^(2^30 - 1) has degree 8 * (2^30 - 1), about 8.6e9: more than 32 bits
+    # of degree, carried exactly through the Frobenius steps, the capped
+    # products and the rule y^2 = 0
+    R = dsl.build_program(dsl.parse(LARGE_DEGREE_RING)).rings["B"]
+    e = rings._FIELD_LIMIT - 1
+    x, y = R.gen("x", e), R.gen("y")
+    assert x.degree() == 8 * e > 2 ** 32
+    want = R.gen("x", e - 1) * y
+    assert R.apply_letter(1, x) == want and want.degree() == 8 * e + 1
+    assert not R.apply_letter(1, x * y) and not x * y * y
+    for elt in (x, want, x * y, R.apply_letter(1, x)):
+        assert all(m >> R._tag_shift == R.monomial_degree(R._unpack(m)) for m in elt._packed)
+    path = tmp_path / "large.steen"
+    path.write_text(LARGE_DEGREE_RING)
+    for poly, expect in (("x^%d" % e, "x^%d*y" % (e - 1)), ("x^%d*y" % e, "0")):
+        argv = ["apply", "Sq^1", poly, "--ring", "B", "--rings", str(path), "--expect", expect]
+        assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_element_refuses_an_element_of_another_presentation():
+    R2, R3 = model_ring(2, 2), model_ring(2, 3)
+    x = R2.gen("x1") * R2.gen("x2")
+    with pytest.raises(MixedPrimes):
+        R3.element(x)
+    with pytest.raises(MixedPrimes):
+        RingElement(R3, x)
+    assert R2.element(x) is x and RingElement(R2, x) == x
+
+
+def test_ring_elements_add_only_ring_elements():
+    R = model_ring(3, 2)
+    x = R.gen("x1")
+    for bad in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x, lambda: x + 1.0):
+        with pytest.raises(TypeError):
+            bad()
+    assert x - R.gen("y1") == x + R.gen("y1").scale(-1)
+    with pytest.raises(MixedPrimes):
+        x - model_ring(3, 1).gen("y1")
+
+
 def test_terms_view_is_tuple_keyed_and_round_trips(R3):
     x = (R3.gen("x1") + R3.gen("y2")) * (R3.gen("x2") + R3.gen("y1").scale(2))
     assert x.terms and all(type(m) is tuple and len(m) == R3.n for m in x.terms)
