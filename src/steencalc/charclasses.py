@@ -24,7 +24,9 @@ eta^e = sum_i C(e, i) omega^i for every integer e, and, because the
 hyperplane class satisfies lambda^(n+1) = 0, the normal class
 eta (eta + lambda)^-(n+1) is sum_{k<=n} C(-(n+1), k) lambda^k eta^-(n+k) at
 l = 2 and (1 + lambda^(l-1))^-(n+1) = sum_{k<=n} C(-(n+1), k) lambda^(k(l-1))
-at odd l.  The binomials are taken mod l with steenrod.binom_mod_ell.
+at odd l.  The binomials C(e, i) mod 2 are Lucas's bit test, the others
+steenrod.binom_mod_ell.  The fiber dimension n is the presentation's, read
+from that rule: the pushforward and the normal class take no n.
 """
 
 from __future__ import annotations
@@ -209,10 +211,12 @@ def _omega_powers(parent, bound):
 
 def _eta_power(parent, omegas, e, bound):
     """eta^e = (1 + omega)^e = sum_i C(e, i) omega^i for any integer e, at
-    l = 2, through degree bound, from the powers omegas of _omega_powers."""
+    l = 2, through degree bound, from the powers omegas of _omega_powers.
+    By Lucas, C(e, i) is odd exactly when i & ~e == 0: the binary digits of
+    i lie among those of e, read 2-adically (~e = -e - 1) for negative e."""
     packed = {}
     for i in range(min(bound if e < 0 else e, bound, len(omegas) - 1) + 1):
-        if binom_mod_ell(e, i, 2):
+        if not i & ~e:
             packed.update(omegas[i])
     return TotalClass(parent, bound, packed)
 
@@ -289,17 +293,14 @@ def fiber_dimension(parent: RingPresentation, hyperplane: str = "l") -> int:
     return _hyperplane_data(parent, hyperplane)[1]
 
 
-def projective_pushforward(x, n: int, hyperplane: str = "l"):
-    """Coefficient of hyperplane^n: integration over a P^n fiber.  Accepts a
+def projective_pushforward(x, hyperplane: str = "l"):
+    """Coefficient of hyperplane^n: integration over the P^n fiber, n read
+    from the rule hyperplane^(n+1) = 0 of x's presentation.  Accepts a
     RingElement or TotalClass; the result lives in the same presentation
     (supported on hyperplane-free monomials), and a TotalClass's bound drops
     by 2n."""
     parent = x.parent
-    gi, fiber_n = _hyperplane_data(parent, hyperplane)
-    if fiber_n != n:
-        raise NotProjectiveBundleScenario(
-            "presentation truncates at %d but pushforward was asked for n=%d" % (fiber_n, n)
-        )
+    gi, n = _hyperplane_data(parent, hyperplane)
     shift, drop = parent._shifts[gi], n * parent._units[gi]
     packed = {m - drop: c for m, c in x._packed.items() if m >> shift & _FIELD_MASK == n}
     if isinstance(x, TotalClass):
@@ -307,15 +308,15 @@ def projective_pushforward(x, n: int, hyperplane: str = "l"):
     return parent._wrap(packed)
 
 
-def normal_bundle_total(parent: RingPresentation, n: int, bound: int,
+def normal_bundle_total(parent: RingPresentation, bound: int,
                         hyperplane: str = "l") -> TotalClass:
     """w_et of the relative virtual normal bundle of P^n -> point over the
-    base: eta/(eta + lambda)^(n+1) with eta = 1 + omega at l = 2, and
-    (1 + lambda^(l-1))^-(n+1) at odd l, for lambda the hyperplane class.
-    Since lambda^(n+1) = 0 both are finite sums in closed form:
+    base, n read from the rule lambda^(n+1) = 0 on the hyperplane class
+    lambda: eta/(eta + lambda)^(n+1) with eta = 1 + omega at l = 2, and
+    (1 + lambda^(l-1))^-(n+1) at odd l.  Both are finite sums in closed form:
     sum_{k<=n} C(-(n+1), k) lambda^k eta^-(n+k) at l = 2 and
     sum_{k<=n} C(-(n+1), k) lambda^(k(l-1)) at odd l."""
-    _hyperplane_data(parent, hyperplane)
+    n = _hyperplane_data(parent, hyperplane)[1]
     ell = parent.prime
     step = 1 if ell == 2 else ell - 1  # lambda-power per k
     omegas = None  # built on first use, so an empty range of k needs no omega
@@ -356,8 +357,7 @@ def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l")
     x = y * lam ** m
     lhs = total_operation_class(y if m == n else parent.zero(), bound - 2 * n)
     sq_x = total_operation_class(x, bound)
-    rhs = projective_pushforward(sq_x * normal_bundle_total(parent, n, bound, hyperplane),
-                                 n, hyperplane)
+    rhs = projective_pushforward(sq_x * normal_bundle_total(parent, bound, hyperplane), hyperplane)
     return lhs == rhs
 
 

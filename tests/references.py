@@ -14,7 +14,7 @@ Unlike the closed-form models in oracles.py, these call into the package:
 - `ReferenceTotalClass` is the total class that kept a map from degree to
   RingElement: products one pair of degrees at a time, the inverse by a
   recurrence over every degree up to the bound, and the pushforward one
-  degree at a time;
+  degree at a time, read off the exponent tuples of `terms`;
 - `reference_lex` is the character-by-character lexer the DSL front end
   once used;
 - `reference_parse` and `reference_parse_poly` are the DSL front end the
@@ -39,7 +39,7 @@ import re
 from typing import NamedTuple
 
 from steencalc import corpus
-from steencalc.charclasses import TotalClass, projective_pushforward
+from steencalc.charclasses import TotalClass
 from steencalc.dsl import (
     ActionDecl,
     AdemQuery,
@@ -301,12 +301,14 @@ class ReferenceTotalClass:
         return ReferenceTotalClass(self.parent, self.bound, out)
 
     def projective_pushforward(self, n, hyperplane="l"):
-        """The package's pushforward of elements, one degree at a time."""
-        comps = {}
+        """Integration over a P^n fiber, one degree at a time: the
+        coefficient of hyperplane^n, read from each component's exponent
+        tuples, with that factor removed."""
+        gi, comps = self.parent.index[hyperplane], {}
         for d, elt in self.components.items():
-            pushed = projective_pushforward(elt, n, hyperplane)
+            pushed = {m[:gi] + (0,) + m[gi + 1:]: c for m, c in elt.terms.items() if m[gi] == n}
             if pushed:
-                comps[d - 2 * n] = pushed
+                comps[d - 2 * n] = self.parent.element(pushed)
         return ReferenceTotalClass(self.parent, self.bound - 2 * n, comps)
 
     def __eq__(self, other):

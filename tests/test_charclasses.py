@@ -21,6 +21,7 @@ from steencalc import (
     TotalClass,
     TwistedClass,
     VirtualBundle,
+    binom_mod_ell,
     normal_bundle_total,
     projective_pushforward,
     total_operation_class,
@@ -227,7 +228,7 @@ def test_totalclass_matches_reference_class(key, data):
     if key.startswith("PROJ"):
         n = fiber_dimension(R)
         for x, ref in ((a * b, ref_a * ref_b), (a.inverse(), ref_a.inverse())):
-            _agrees(projective_pushforward(x, n), ref.projective_pushforward(n))
+            _agrees(projective_pushforward(x), ref.projective_pushforward(n))
 
 
 def test_far_truncation_on_a_nilpotent_ring():
@@ -246,7 +247,7 @@ def test_bounds_must_fit_the_degree_tag():
     R = _proj(1)
     with pytest.raises(InvalidArgument, match="truncation 536870912 is not below 536870912"):
         w_bro(R, VirtualBundle(1, [R.gen("l")], [], 2 ** 29))
-    for call in (lambda: normal_bundle_total(R, 1, 2 ** 30),
+    for call in (lambda: normal_bundle_total(R, 2 ** 30),
                  lambda: total_operation_class(R.gen("l"), 2 ** 30),
                  lambda: TotalClass.unit(R, 2 ** 30)):
         with pytest.raises(InvalidArgument, match="degree bound 1073741824 is not below"):
@@ -366,7 +367,21 @@ def test_normal_bundle_total_matches_power_route(key, bound):
     else:
         step = TotalClass.of_element(lam ** (ell - 1), bound)
         want = _power(TotalClass.unit(R, bound) + step, -(n + 1))
-    assert normal_bundle_total(R, n, bound) == want
+    assert normal_bundle_total(R, bound) == want
+
+
+@pytest.mark.parametrize("low", range(-300, 300, 100))
+def test_eta_power_odd_binomials_match_lucas(low):
+    """_eta_power keeps omega^i exactly where C(e, i) is odd, which it reads
+    as i & ~e == 0, for e of either sign."""
+    R = RingPresentation(2, [GeneratorSpec("w", 1)], omega="w")
+    omegas = _omega_powers(R, 300)
+    w = R.gen("w")
+    for e in range(low, low + 100):
+        want = [i for i in range(301) if binom_mod_ell(e, i, 2)]
+        got = _eta_power(R, omegas, e, 300).components
+        assert list(got) == want, e
+        assert all(got[i] == w ** i for i in want), e
 
 
 @settings(max_examples=80, deadline=None)
@@ -699,7 +714,7 @@ def test_fiber_dimension_reads_the_rule():
 def test_not_projective_scenario():
     R = _p2r()  # rule l^3 = w-free, but hyperplane name differs
     with pytest.raises(NotProjectiveBundleScenario):
-        projective_pushforward(R.one(), 2, hyperplane="w")
+        projective_pushforward(R.one(), hyperplane="w")
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -711,8 +726,6 @@ def test_not_projective_scenario():
     (lambda: fiber_dimension(
         RingPresentation(2, [GeneratorSpec("w", 1)], rules=[RewriteRule("w", 3, {})]), "w"),
      NotProjectiveBundleScenario, "hyperplane class must be even of degree 2"),
-    (lambda: projective_pushforward(_proj(2).one(), 3), NotProjectiveBundleScenario,
-     "presentation truncates at 2 but pushforward was asked for n=3"),
 ])
 def test_bundles_and_pushforwards_reject_bad_input(call, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
@@ -723,22 +736,22 @@ def test_pushforward_picks_top_power():
     R = _proj(2)
     l, u = R.gen("l"), R.gen("u")
     # integrates l^n against the fiber and drops lower powers
-    assert projective_pushforward(l * l, 2) == R.one()
-    assert not projective_pushforward(l, 2)
-    assert not projective_pushforward(u, 2)
-    assert projective_pushforward(u * l * l, 2) == u
+    assert projective_pushforward(l * l) == R.one()
+    assert not projective_pushforward(l)
+    assert not projective_pushforward(u)
+    assert projective_pushforward(u * l * l) == u
 
 
 def test_pushforward_is_linear():
     R = _proj(2)
     l, u, w = R.gen("l"), R.gen("u"), R.gen("w")
     x = u * l * l + w.scale(1) * l
-    assert projective_pushforward(x, 2) == u
+    assert projective_pushforward(x) == u
 
 
 def test_normal_bundle_total_p1():
     R = _proj(1)
-    total = normal_bundle_total(R, 1, 8)
+    total = normal_bundle_total(R, 8)
     # eta(eta+l)^{-2} at l=2: degree-0 part is 1
     assert total.component(0) == R.one()
     assert total

@@ -132,8 +132,7 @@ def test_resolve_ring_unknown():
 @pytest.mark.parametrize("name", corpus.scenario_names())
 def test_actions_consistent_on_scenario_rings(name):
     pres = corpus.get_scenario(name).presentation
-    report = pres.check_action_consistency(12)
-    assert report.ok and report.failures == ()
+    assert pres.check_action_consistency() == ()
 
 
 def test_scenario_reports_render_one_line_per_step():

@@ -236,6 +236,14 @@ def _sources():
 SOURCES = _sources()
 
 
+def test_session_rings_are_consistent():
+    with open(SESSION_RINGS, encoding="utf-8") as fh:
+        program = dsl.build_program(dsl.parse(fh.read()))
+    assert len(program.rings) == 6
+    for name, ring in program.rings.items():
+        assert ring.check_action_consistency() == (), name
+
+
 @pytest.mark.parametrize("index", range(len(SOURCES)))
 def test_parser_matches_reference_on_shipped_files(index):
     source = SOURCES[index]

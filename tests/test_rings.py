@@ -629,8 +629,8 @@ def test_normal_form_idempotent_and_multiplicative():
 
 def test_consistency_report_clean_on_model_rings():
     for ell in (2, 3, 5):
-        rep = model_ring(ell).check_action_consistency(10)
-        assert rep.ok, rep.failures
+        failures = model_ring(ell).check_action_consistency()
+        assert not failures, failures
 
 
 def _ring(source, name):
@@ -642,24 +642,48 @@ def test_consistency_reports_planted_failures():
         "ring A { prime = 2; gen w deg=1; gen l deg=2; rule l^2 = w^4;"
         " action Sq^1(l) = w*l; }", "A",
     )
-    rep = bad2.check_action_consistency(12)
-    assert not rep.ok
-    assert "Sq^2(l^2): lead gives w^6, rhs gives 0" in rep.failures
+    failures = bad2.check_action_consistency()
+    assert failures
+    assert "Sq^2(l^2): lead gives w^6, rhs gives 0" in failures
 
     odd = (
         "ring B { prime = 3; gen x deg=1 odd; gen y deg=2; gen v deg=4;"
         " rule y^2 = v; action b(x) = 0; action b(y) = x*y; action b(v) = %s;"
         " action P^1(v) = 2*v^2; }"
     )
-    rep = _ring(odd % "0", "B").check_action_consistency(12)
-    assert not rep.ok
-    assert rep.failures == ("b(y^2): lead gives 2*x*v, rhs gives 0",)
-    rep = _ring(odd % "2*x*v", "B").check_action_consistency(12)
-    assert rep.ok and rep.failures == ()
+    failures = _ring(odd % "0", "B").check_action_consistency()
+    assert failures == ("b(y^2): lead gives 2*x*v, rhs gives 0",)
+    assert _ring(odd % "2*x*v", "B").check_action_consistency() == ()
     # a declared top component must be the l-th power
     top = _ring("ring C { prime = 2; gen w deg=1; action Sq^1(w) = 0; }", "C")
-    rep = top.check_action_consistency(4)
-    assert rep.failures == ("top action on unstable w differs from w^2",)
+    assert top.check_action_consistency() == ("top action on unstable w differs from w^2",)
+
+
+def test_consistency_covers_every_letter_that_acts():
+    # l^7 has degree 14, so Sq^1..Sq^14 act on the rule's two sides; Sq^14
+    # is the square and agrees, and every other letter fails up to Sq^13
+    ring = _ring("ring R { prime = 2; gen w deg=1; gen l deg=2; rule l^7 = w^14;"
+                 " action Sq^1(l) = w*l; }", "R")
+    assert ring.check_action_consistency() == (
+        "Sq^1(l^7): lead gives w^15, rhs gives 0",
+        "Sq^2(l^7): lead gives w^14*l + w^16, rhs gives w^16",
+        "Sq^3(l^7): lead gives w^17, rhs gives 0",
+        "Sq^4(l^7): lead gives w^14*l^2 + w^16*l + w^18, rhs gives w^18",
+        "Sq^5(l^7): lead gives w^15*l^2 + w^19, rhs gives 0",
+        "Sq^6(l^7): lead gives w^14*l^3 + w^18*l + w^20, rhs gives w^20",
+        "Sq^7(l^7): lead gives w^21, rhs gives 0",
+        "Sq^8(l^7): lead gives w^14*l^4 + w^18*l^2 + w^20*l, rhs gives w^22",
+        "Sq^9(l^7): lead gives w^15*l^4 + w^19*l^2, rhs gives 0",
+        "Sq^10(l^7): lead gives w^14*l^5 + w^16*l^4 + w^18*l^3, rhs gives w^24",
+        "Sq^11(l^7): lead gives w^17*l^4, rhs gives 0",
+        "Sq^12(l^7): lead gives w^14*l^6 + w^16*l^5, rhs gives w^26",
+        "Sq^13(l^7): lead gives w^15*l^6, rhs gives 0",
+    )
+
+
+@pytest.mark.parametrize("ell, n", [(ell, n) for ell in (2, 3, 5) for n in range(1, 6)])
+def test_consistency_clean_on_model_rings_of_every_width(ell, n):
+    assert model_ring(ell, n).check_action_consistency() == ()
 
 
 # --------------------------------------------- packed monomials vs tuples
@@ -979,8 +1003,9 @@ def test_constructor_normalises_its_terms(R3):
      "4*x1*x2*x3 + x2*x3*y3 + x1*x2*y3"),
 ])
 def test_monomial_and_render_order_on_model_rings(ell, monomials, text):
-    # packed-int order is exponent-tuple order, so both listings keep the
-    # order they had when monomials were tuples
+    # packed-int order is (degree, exponent tuple) order: monomials() sorts
+    # the exponent tuples and render sorts the packed ints, degree first, so
+    # both listings keep the order they had when monomials were tuples
     R = model_ring(ell, 3)
     g = [R.gen(spec.name) for spec in R.generators]
     x = (g[0] + g[1] - g[2]) * (g[0] + g[-1]) * g[1]
