@@ -14,9 +14,11 @@ Inhomogeneous results are carried by TotalClass: a presentation, a bound on
 the cohomological degree, and a RingElement's packed terms dict, in which
 every monomial carries its degree: a truncated product is one _addmul capped
 at the bound, a sum is a dict merge, and degree components are split off
-only for output.  A bound must be below 2^30 (_FIELD_LIMIT), as an exponent
-must, and a bundle's truncation below 2^29; larger ones raise
-InvalidArgument.
+only for output.  A bound must be below 2^30 (_FIELD_LIMIT), and a
+bundle's truncation below 2^29; larger ones raise InvalidArgument.  The
+degree tag does not need this (its guard bit is per presentation): the
+limit only bounds _omega_powers, whose list grows with the bound when omega
+is not nilpotent.  ROADMAP item 12's per-call budget is meant to replace it.
 
 Powers of eta = 1 + omega and the normal class of P^n over the base have
 closed forms, so no truncated series is raised to a power on their paths:
@@ -40,7 +42,7 @@ from .errors import (
     NotProjectiveBundleScenario,
     OmegaUndeclared,
 )
-from .rings import _FIELD_LIMIT, _FIELD_MASK, RingElement, RingPresentation, TwistedClass
+from .rings import _FIELD_LIMIT, _FIELD_MASK, RingElement, RingPresentation
 from .steenrod import binom_mod_ell
 
 
@@ -283,7 +285,7 @@ def _hyperplane_data(parent, hyperplane):
         raise NotProjectiveBundleScenario(
             "generator %r is not nilpotent by a rule with zero right side" % hyperplane
         )
-    if parent.generators[gi].degree != 2 or parent.generators[gi].parity != "even":
+    if parent.generators[gi].degree != 2:  # check_generators makes it even
         raise NotProjectiveBundleScenario("hyperplane class must be even of degree 2")
     return gi, rule[0] - 1  # fiber dimension n
 
@@ -322,7 +324,8 @@ def normal_bundle_total(parent: RingPresentation, bound: int,
     omegas = None  # built on first use, so an empty range of k needs no omega
     packed = {}
     for k in range(min(n, bound // (2 * step)) + 1):
-        coeff = binom_mod_ell(-(n + 1), k, ell)
+        # at l = 2 Lucas's bit test, as in _eta_power: ~(-(n+1)) = n
+        coeff = int(not k & n) if ell == 2 else binom_mod_ell(-(n + 1), k, ell)
         if not coeff:
             continue
         lam_k = TotalClass.of_element(parent.gen(hyperplane, k * step), bound)
@@ -361,17 +364,17 @@ def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l")
     return lhs == rhs
 
 
-def twisted_total_on_cycle(x: TwistedClass, bound: int) -> TotalClass:
-    """The operation tracking cycle classes: sum_i (1+omega)^(codim-i)
-    Sq^(2i)(x) for l = 2, total P for odd l.  Needs x.codim."""
-    if x.codim is None:
+def twisted_total_on_cycle(x: RingElement, codim: int, bound: int) -> TotalClass:
+    """The operation tracking cycle classes of codimension codim:
+    sum_i (1+omega)^(codim-i) Sq^(2i)(x) for l = 2, total P for odd l."""
+    if codim is None:
         raise MissingCodim("twisted_total_on_cycle needs the cycle codimension")
-    parent = x.value.parent
+    parent = x.parent
     if parent.prime != 2:
-        return total_operation_class(x.value, bound)
+        return total_operation_class(x, bound)
     omegas = _omega_powers(parent, bound)
     total = TotalClass(parent, bound)
-    for j, piece in parent.total_sq(x.value).items():
+    for j, piece in parent.total_sq(x).items():
         if j % 2 == 0:  # Sq^(2i) with i = j // 2
-            total = total + _eta_power(parent, omegas, x.codim - j // 2, bound) * piece
+            total = total + _eta_power(parent, omegas, codim - j // 2, bound) * piece
     return total

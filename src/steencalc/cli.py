@@ -125,7 +125,8 @@ def _build_source(source):
     return dsl.build_program(dsl.parse(source))
 
 
-def _corpus_hook(query):
+def _corpus_answer(query):
+    """The answer to a corpus verb, which only the command line runs."""
     label = dsl.render_query(query)
     lines = [label]
     record = {"query": label, "verb": "corpus-" + query.action}
@@ -180,7 +181,8 @@ def _dispatch(args):
         rings_path = getattr(args, "rings", None)
         program = _load_program(rings_path) if rings_path else None
     resolve_ring, resolve_bundle = corpus.resolvers(program)
-    return [execute_query(q, resolve_ring, resolve_bundle, _corpus_hook) for q in queries]
+    return [_corpus_answer(q) if isinstance(q, dsl.CorpusQuery)
+            else execute_query(q, resolve_ring, resolve_bundle) for q in queries]
 
 
 def _emit(results, fmt, ok):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, MissingCodim, MissingFrobeniusData, OmegaUndeclared
-from .rings import TwistedClass
-from .steenrod import _is_prime, _word_degree, admissible_monomials
+from .errors import (InvalidArgument, MissingCodim, MissingFrobeniusData, NonHomogeneousInput,
+                     OmegaUndeclared)
+from .rings import RingElement
+from .steenrod import _is_prime, admissible_monomials
 
 
 @dataclass(frozen=True)
@@ -43,36 +44,40 @@ class ObstructionReport:
         return "\n".join(lines)
 
 
-def odd_vanishing_check(x: TwistedClass, max_degree: int) -> ObstructionReport:
+def odd_vanishing_check(x: RingElement, max_degree: int) -> ObstructionReport:
     """Apply every admissible odd-degree monomial operation up to max_degree.
     Any nonzero output rules out algebraicity.  Words of excess above the
-    degree of x are zero on x by instability, so they are never built."""
+    degree of x are zero on x by instability, so they are never built; a
+    nonzero x must therefore be homogeneous."""
     if max_degree < 0:
         raise InvalidArgument("max degree must be >= 0, got %d" % max_degree)
-    parent = x.value.parent
+    degree = x.degree()
+    if degree is None and x:
+        raise NonHomogeneousInput("odd_vanishing_check needs a degree-homogeneous class")
+    parent = x.parent
     hits = []
-    for mono in admissible_monomials(parent.prime, max_degree, x.degree):
+    for mono in admissible_monomials(parent.prime, max_degree, degree or 0):
         if mono.degree() % 2 == 0 or not mono.word:
             continue
-        out = parent.apply_word(mono.word, x.value)
+        out = parent.apply_word(mono.word, x)
         if out:
             hits.append((mono.render(), out.render()))
     verdict = "nonvanishing" if hits else "vanishes"
     return ObstructionReport(
         operator="odd-degree operations through %d" % max_degree,
-        input_text=x.value.render(),
+        input_text=x.render(),
         output_text=hits[0][1] if hits else "0",
         verdict=verdict,
         witnesses=tuple(hits),
     )
 
 
-def weird_operator(x: TwistedClass, which: int) -> TwistedClass:
+def weird_operator(x: RingElement, which: int, codim: int) -> RingElement:
     """The omega-corrected operators at the prime 2 for a class of
-    codimension c = x.codim: which=1: Sq^2 + binom(c,2) omega^2, which=2:
+    codimension c = codim: which=1: Sq^2 + binom(c,2) omega^2, which=2:
     Sq^3 + (c+1) omega Sq^2 + binom(c,2) omega^3.  The second kills every
     algebraic class of codimension c."""
-    parent, c = x.value.parent, x.codim
+    parent, c = x.parent, codim
     if parent.prime != 2:
         raise InvalidArgument("the omega-corrected operators live at the prime 2")
     if which not in (1, 2):
@@ -85,18 +90,15 @@ def weird_operator(x: TwistedClass, which: int) -> TwistedClass:
         if parent.omega is None:
             raise OmegaUndeclared("weird_operator needs omega for codimension %d" % c)
         omega = parent.gen(parent.omega)
-    sq2 = parent.apply_letter(2, x.value)
+    sq2 = parent.apply_letter(2, x)
     if which == 1:
-        value = sq2
-        if half:
-            value = value + omega * omega * x.value
-        return TwistedClass(value, x.degree + 2, x.twist)
-    value = parent.apply_letter(3, x.value)
+        return sq2 + omega * omega * x if half else sq2
+    value = parent.apply_letter(3, x)
     if linear:
         value = value + omega * sq2
     if half:
-        value = value + omega * omega * omega * x.value
-    return TwistedClass(value, x.degree + 3, x.twist)
+        value = value + omega * omega * omega * x
+    return value
 
 
 def _is_prime_power(q):
@@ -122,9 +124,9 @@ def _integer_root(n, k):
     return low
 
 
-def _eigenvalue(parent, q, m, twist):
-    """Frobenius on the monomial m of twist `twist`, acting diagonally: the
-    generator g scales by q^f_g and a Tate twist j contributes q^(-j)."""
+def _eigenvalue(parent, q, m):
+    """Frobenius on the monomial m, acting diagonally: the generator g
+    scales by q^f_g and the monomial's Tate twist j contributes q^(-j)."""
     ell = parent.prime
     total = 0
     for e, g in zip(m, parent.generators):
@@ -133,40 +135,40 @@ def _eigenvalue(parent, q, m, twist):
         if g.frobenius_exponent is None:
             raise MissingFrobeniusData("generator %s has no Frobenius exponent" % g.name)
         total += e * g.frobenius_exponent
-    return pow(q % ell, total - twist, ell)
+    return pow(q % ell, total - parent.monomial_twist(m), ell)
 
 
-def in_image_F_minus_Id(x: TwistedClass, q: int) -> ObstructionReport:
+def in_image_F_minus_Id(x: RingElement, q: int) -> ObstructionReport:
     """With F diagonal on monomials over the field of q elements, x lies in
     im(F - Id) exactly when its coefficients vanish on every eigenvalue-1
     monomial."""
-    parent = x.value.parent
+    parent = x.parent
     if q % parent.prime == 0:
         raise InvalidArgument("q must be prime to %d" % parent.prime)
     if not _is_prime_power(q):
         raise InvalidArgument("q must be a prime power, got %d" % q)
     witnesses = []
-    for m in sorted(x.value.terms, key=lambda m: (parent.monomial_degree(m), m)):
-        if _eigenvalue(parent, q, m, x.twist) == 1:
+    for m in sorted(x.terms, key=lambda m: (parent.monomial_degree(m), m)):
+        if _eigenvalue(parent, q, m) == 1:
             witnesses.append(parent.render_monomial(m))
     verdict = "in-image" if not witnesses else "not-in-image"
     return ObstructionReport(
         operator="F - Id membership (q=%d)" % q,
-        input_text=x.value.render(),
+        input_text=x.render(),
         output_text="",
         verdict=verdict,
         witnesses=tuple(witnesses),
     )
 
 
-def hs_scripted_check(z: TwistedClass, q: int) -> ObstructionReport:
+def hs_scripted_check(z: RingElement, q: int) -> ObstructionReport:
     """Run the filtration argument on z over the field of q elements.  At
     the prime 2 the composite Sq^3 Sq^1 must miss im(F - Id); the wrapper
     y = psi(b z) then has Sq^3(y) = psi(Sq^3 Sq^1 z) nonzero in the graded
     model, omega Sq^2(y) and omega^3 y die in filtration 2, so the
     codimension-2 operator fires on y.  Odd primes route through b P^1 b
     instead."""
-    pres = z.value.parent
+    pres = z.parent
     ell = pres.prime
     if ell == 2:
         word = (3, 1)
@@ -176,13 +178,12 @@ def hs_scripted_check(z: TwistedClass, q: int) -> ObstructionReport:
         word = (0, 1, 0)
         op_name = "b P^1 on psi(b z)"
         inner = "b P^1 b"
-    u = pres.apply_word(word, z.value)
-    membership = in_image_F_minus_Id(
-        TwistedClass(u, z.degree + _word_degree(ell, word), z.twist), q)
+    u = pres.apply_word(word, z)
+    membership = in_image_F_minus_Id(u, q)
     fires = membership.verdict == "not-in-image" and bool(u)
     return ObstructionReport(
         operator=op_name,
-        input_text=z.value.render(),
+        input_text=z.render(),
         output_text="psi(%s)" % u.render() if fires else "0",
         verdict="nonvanishing" if fires else "vanishes",
         witnesses=(("%s(z)" % inner, u.render()),) + membership.witnesses,

@@ -177,31 +177,6 @@ class RingElement:
         return "<RingElement %s>" % self.render()
 
 
-@dataclass(frozen=True)
-class TwistedClass:
-    """A homogeneous class with its degree, Tate twist, and (for cycle
-    classes) the codimension it came from."""
-
-    value: RingElement
-    degree: int
-    twist: int = 0
-    codim: Optional[int] = None
-
-    def __post_init__(self):
-        p = self.value.parent
-        for m in self.value.terms:
-            if p.monomial_degree(m) != self.degree:
-                raise NonHomogeneousInput(
-                    "monomial %s has degree %d, class declared %d"
-                    % (p.render_monomial(m), p.monomial_degree(m), self.degree)
-                )
-            if p.prime > 2 and (p.monomial_twist(m) - self.twist) % (p.prime - 1):
-                raise NonHomogeneousInput(
-                    "monomial %s has twist %d != %d mod %d"
-                    % (p.render_monomial(m), p.monomial_twist(m), self.twist, p.prime - 1)
-                )
-
-
 def check_generators(prime, generators, omega=None):
     """A presentation's checks on prime, generators and omega, made first.
     An error about one generator carries its spec as the error's `item`."""

@@ -23,8 +23,8 @@ are left out of equality and hashing, presentations are immutable and hash
 by identity, and neither labels nor results carry spans.  A caller gets a
 fresh QueryResult, with its own lines and record, so mutating it changes no
 later answer.  Left out: errors (a failing query raises again, with its own
-line:col) and corpus verbs, whose output depends on files and on the hook
-(the scenario queries they run do go through the cache).  A cached entry
+line:col) and corpus verbs, which the command-line front end answers
+itself (the scenario queries they run do go through the cache).  A cached entry
 keeps its presentation alive until it is evicted or the table is cleared.
 """
 
@@ -46,7 +46,7 @@ from .errors import (DslSyntaxError, InvalidArgument, MissingCodim, NonHomogeneo
                      SteencalcError)
 from .obstructions import (hs_scripted_check, in_image_F_minus_Id, odd_vanishing_check,
                            weird_operator)
-from .rings import RingElement, TwistedClass
+from .rings import RingElement
 from .steenrod import parse_operation
 
 
@@ -119,15 +119,12 @@ def _operation(text, prime, at):
 _ANSWERS_MAX = 1024
 
 
-def execute_query(query, resolve_ring: Callable, resolve_bundle=None,
-                  corpus_hook=None) -> QueryResult:
+def execute_query(query, resolve_ring: Callable, resolve_bundle=None) -> QueryResult:
     """Run one query.  resolve_ring(name) -> RingPresentation (raising
     UnknownGenerator for unknown names); resolve_bundle(name) ->
-    (BundleDecl, RingPresentation); corpus_hook(query) handles corpus verbs."""
+    (BundleDecl, RingPresentation).  Corpus verbs are the command line's."""
     if isinstance(query, dsl.CorpusQuery):
-        if corpus_hook is None:
-            raise SteencalcError("corpus queries are not available here")
-        return corpus_hook(query)
+        raise SteencalcError("corpus queries are not available here")
     if isinstance(query, dsl.AdemQuery):
         answer = _answer(query, None)
     elif isinstance(query, dsl.CharclassQuery):
@@ -255,16 +252,21 @@ def _evaluate(query, pres, decl):
         raise NonHomogeneousInput("query input must be degree-homogeneous")
     twist = query.twist if query.twist is not None else min(
         (pres.monomial_twist(m) for m in value.terms), default=0)
-    x = TwistedClass(value, value.degree() or 0, twist, query.codim)
+    for m in value.terms:
+        if pres.prime > 2 and (pres.monomial_twist(m) - twist) % (pres.prime - 1):
+            raise NonHomogeneousInput(
+                "monomial %s has twist %d != %d mod %d"
+                % (pres.render_monomial(m), pres.monomial_twist(m), twist, pres.prime - 1)
+            )
 
     if query.kind == "weird":
-        out = weird_operator(x, query.which).value
+        out = weird_operator(value, query.which, query.codim)
         text = "= %s (NONZERO: obstruction fires)" % out.render() if out else "= 0 (vanishes)"
         fields = {"verb": "obstruct-weird", "result": element_record(out), "fired": bool(out)}
         return text, fields, out, bool(out)
 
     test = {"odd": odd_vanishing_check, "frobenius": in_image_F_minus_Id,
             "hs": hs_scripted_check}[query.kind]
-    report = test(x, query.max_degree if query.kind == "odd" else query.q)
+    report = test(value, query.max_degree if query.kind == "odd" else query.q)
     fields = {"verb": "obstruct-" + query.kind, "verdict": report.verdict, "fired": report.fires}
     return report.render(), fields, report.verdict, report.fires

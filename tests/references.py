@@ -15,6 +15,9 @@ Unlike the closed-form models in oracles.py, these call into the package:
   RingElement: products one pair of degrees at a time, the inverse by a
   recurrence over every degree up to the bound, and the pushforward one
   degree at a time, read off the exponent tuples of `terms`;
+- `reference_eigenvalue` and `reference_frobenius_witnesses` are the
+  Frobenius membership test that read one Tate twist for the whole class,
+  in place of each monomial's own;
 - `reference_lex` is the character-by-character lexer the DSL front end
   once used;
 - `reference_parse` and `reference_parse_poly` are the DSL front end the
@@ -57,7 +60,7 @@ from steencalc.dsl import (
     WuQuery,
 )
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
-from steencalc.errors import MixedPrimes, OmegaUndeclared
+from steencalc.errors import MissingFrobeniusData, MixedPrimes, OmegaUndeclared
 from steencalc.steenrod import (
     _MAX_REWRITE_STEPS,
     SteenrodMonomial,
@@ -204,24 +207,51 @@ def reference_total_operation_class(x, bound):
     return TotalClass.of_element(total, bound)
 
 
-def reference_twisted_total_on_cycle(x, bound):
-    """sum_i (1+omega)^(codim-i) Sq^(2i)(x) at l = 2, one apply_letter call
-    per Sq^(2i), with the powers of eta = 1 + omega and the truncated sum
-    taken in ReferenceTotalClass; the reference total P at odd l."""
-    parent = x.value.parent
+def reference_twisted_total_on_cycle(x, codim, bound):
+    """sum_i (1+omega)^(codim-i) Sq^(2i)(x) at l = 2 for a homogeneous x, one
+    apply_letter call per Sq^(2i), with the powers of eta = 1 + omega and the
+    truncated sum taken in ReferenceTotalClass; the reference total P at odd l."""
+    parent = x.parent
     if parent.prime != 2:
-        return reference_total_operation_class(x.value, bound)
+        return reference_total_operation_class(x, bound)
     if parent.omega is None:
         raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
     eta = ReferenceTotalClass.of_element(parent, parent.one() + parent.gen(parent.omega), bound)
     total = ReferenceTotalClass(parent, bound)
-    for i in range(x.degree // 2 + 1):
-        piece = parent.apply_letter(2 * i, x.value) if i else x.value  # Sq^0 x = x
+    for i in range((x.degree() or 0) // 2 + 1):
+        piece = parent.apply_letter(2 * i, x) if i else x  # Sq^0 x = x
         power = ReferenceTotalClass.unit(parent, bound)
-        for _ in range(abs(x.codim - i)):
+        for _ in range(abs(codim - i)):
             power = power * eta
-        total = total + (power if x.codim >= i else power.inverse()) * piece
+        total = total + (power if codim >= i else power.inverse()) * piece
     return TotalClass.of_element(sum(total.components.values(), parent.zero()), bound)
+
+
+# ------------------------------------ Frobenius eigenvalues from a class twist
+
+
+def reference_eigenvalue(parent, q, m, twist):
+    """Frobenius on the monomial m of a class of twist `twist`, acting
+    diagonally: the generator g scales by q^f_g and the class's Tate twist j
+    contributes q^(-j)."""
+    ell = parent.prime
+    total = 0
+    for e, g in zip(m, parent.generators):
+        if not e:
+            continue
+        if g.frobenius_exponent is None:
+            raise MissingFrobeniusData("generator %s has no Frobenius exponent" % g.name)
+        total += e * g.frobenius_exponent
+    return pow(q % ell, total - twist, ell)
+
+
+def reference_frobenius_witnesses(x, q, twist):
+    """The eigenvalue-1 monomials of x, as the membership test rendered them
+    when it read one twist for the whole class, in (degree, exponent) order."""
+    parent = x.parent
+    return tuple(parent.render_monomial(m)
+                 for m in sorted(x.terms, key=lambda m: (parent.monomial_degree(m), m))
+                 if reference_eigenvalue(parent, q, m, twist) == 1)
 
 
 class ReferenceTotalClass:

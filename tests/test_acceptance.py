@@ -14,7 +14,6 @@ from steencalc import (
     GeneratorSpec,
     RingPresentation,
     SteenrodElement,
-    TwistedClass,
     VirtualBundle,
     binom_mod_ell,
     hs_scripted_check,
@@ -314,9 +313,9 @@ def test_gate_2_displayed_identities():
 
         F = corpus.resolve_ring("REALFOURFOLD")
         b, omega = F.gen("b"), F.gen("w")
-        out = weird_operator(TwistedClass(b * omega ** 3, 4, 2, codim=2), 2)
-        assert out.value == b * omega ** 6
-        assert out.value
+        out = weird_operator(b * omega ** 3, 2, 2)
+        assert out == b * omega ** 6
+        assert out
 
         M3 = corpus.resolve_ring("MO3")
         w1, w2, w3, s3 = M3.gen("w1"), M3.gen("w2"), M3.gen("w3"), M3.gen("s")
@@ -455,7 +454,7 @@ def test_gate_5_frobenius_membership_controls():
                         for c, m in zip(tgt, basis):
                             if c:
                                 elt = elt + R.element({m: c})
-                        report = in_image_F_minus_Id(TwistedClass(elt, degree, twist), q)
+                        report = in_image_F_minus_Id(elt, q)
                         verdict = report.verdict == "in-image"
                         assert verdict == in_span(rows, list(tgt), ell), (name, degree, twist, tgt)
                         if image is not None:
@@ -470,7 +469,7 @@ def test_gate_5_frobenius_membership_controls():
                 basis = R2.basis_of_degree(degree)
                 for m in rng.sample(basis, rng.randint(1, min(4, len(basis)))):
                     elt = elt + R2.element({m: 1})
-            report = in_image_F_minus_Id(TwistedClass(elt, degree, rng.randrange(4)), 3)
+            report = in_image_F_minus_Id(elt, 3)
             assert (report.verdict == "in-image") == (not elt)
 
         for name in ("CLASSIFYING2", "CLASSIFYING3"):
@@ -478,8 +477,8 @@ def test_gate_5_frobenius_membership_controls():
             query = next(q for q in scn.queries
                          if isinstance(q, dsl.ObstructQuery) and q.kind == "hs")
             z = dsl.poly_to_element(scn.presentation, query.poly)
-            assert hs_scripted_check(TwistedClass(z, z.degree(), query.twist), query.q).fires
-            quiet = hs_scripted_check(TwistedClass(scn.presentation.zero(), 2, 2), query.q)
+            assert hs_scripted_check(z, query.q).fires
+            quiet = hs_scripted_check(scn.presentation.zero(), query.q)
             assert not quiet.fires
 
 

@@ -19,7 +19,6 @@ from steencalc import (
     RingPresentation,
     SteencalcError,
     TotalClass,
-    TwistedClass,
     VirtualBundle,
     binom_mod_ell,
     normal_bundle_total,
@@ -370,18 +369,45 @@ def test_normal_bundle_total_matches_power_route(key, bound):
     assert normal_bundle_total(R, bound) == want
 
 
-@pytest.mark.parametrize("low", range(-300, 300, 100))
-def test_eta_power_odd_binomials_match_lucas(low):
-    """_eta_power keeps omega^i exactly where C(e, i) is odd, which it reads
-    as i & ~e == 0, for e of either sign."""
+@lru_cache(maxsize=None)
+def _w_line():
     R = RingPresentation(2, [GeneratorSpec("w", 1)], omega="w")
-    omegas = _omega_powers(R, 300)
-    w = R.gen("w")
-    for e in range(low, low + 100):
-        want = [i for i in range(301) if binom_mod_ell(e, i, 2)]
-        got = _eta_power(R, omegas, e, 300).components
-        assert list(got) == want, e
-        assert all(got[i] == w ** i for i in want), e
+    return R, _omega_powers(R, 300)
+
+
+def _eta_power_terms(e):
+    """300, and the i with omega^i in eta^e through degree 300, each term
+    checked to be omega^i itself."""
+    R, omegas = _w_line()
+    got = _eta_power(R, omegas, e, 300).components
+    assert all(c == R.gen("w", i) for i, c in got.items()), e
+    return 300, list(got)
+
+
+def _normal_class_terms(e):
+    """n, and the k with lambda^k in the normal class of P^n, e = -(n+1)
+    with n >= 1 (a rule's power is at least 2), over a base where
+    omega^2 = 0, so eta^-(n+k) has constant term 1."""
+    n = -e - 1
+    R = RingPresentation(2, [GeneratorSpec("w", 1), GeneratorSpec("l", 2)],
+                         rules=[RewriteRule("w", 2, {}), RewriteRule("l", n + 1, {})], omega="w")
+    total = normal_bundle_total(R, 2 * n)
+    return n, [k for k in range(n + 1) if (0, k) in total.component(2 * k).terms]
+
+
+@pytest.mark.parametrize("terms, exponents", [
+    *(pytest.param(_eta_power_terms, range(low, low + 100), id=str(low))
+      for low in range(-300, 300, 100)),
+    pytest.param(_normal_class_terms, range(-200, -1), id="normal-class"),
+])
+def test_eta_power_odd_binomials_match_lucas(terms, exponents):
+    """The closed forms keep a term exactly where C(e, i) is odd, which they
+    read as i & ~e == 0 (Lucas, ~e the 2-adic digits of a negative e):
+    omega^i in eta^e for e of either sign, and lambda^k in the normal class
+    of P^n, where e = -(n+1) and ~e = n."""
+    for e in exponents:
+        top, kept = terms(e)
+        assert kept == [i for i in range(top + 1) if binom_mod_ell(e, i, 2)], e
 
 
 @settings(max_examples=80, deadline=None)
@@ -429,15 +455,15 @@ def test_twisted_total_matches_power_route(key, data):
     degree = data.draw(st.integers(0, 8))
     codim = data.draw(st.integers(-2, degree // 2))
     bound = data.draw(st.integers(degree, 20))
-    x = TwistedClass(_draw_homogeneous(data, R, degree), degree, degree // 2, codim=codim)
+    x = _draw_homogeneous(data, R, degree)
     want = TotalClass(R, bound)
     for i in range(degree // 2 + 1):
         if R.prime == 2:
-            want = want + _power(_eta(R, bound), codim - i) * R.apply_letter(2 * i, x.value)
+            want = want + _power(_eta(R, bound), codim - i) * R.apply_letter(2 * i, x)
         else:  # the total P, with no eta factor; letter 0 is b, so P^0 is x itself
-            piece = R.apply_letter(i, x.value) if i else x.value
+            piece = R.apply_letter(i, x) if i else x
             want = want + TotalClass.of_element(piece, bound)
-    assert twisted_total_on_cycle(x, bound) == want
+    assert twisted_total_on_cycle(x, codim, bound) == want
 
 
 # -------------------- total classes from total_sq against the retagged totals
@@ -495,22 +521,21 @@ def test_total_operation_class_matches_retagged_totals(key, data):
 def test_twisted_total_matches_letter_by_letter(key, data):
     R = _cartan_ring(key)
     degree = data.draw(st.integers(0, 8))
-    value = _draw_homogeneous(data, R, degree)  # on these rings the twist follows the degree
-    twist = R.monomial_twist(value.monomials()[0]) if value else 0
-    x = TwistedClass(value, degree, twist, codim=data.draw(st.integers(0, 4)))
+    x = _draw_homogeneous(data, R, degree)
+    codim = data.draw(st.integers(0, 4))
     bound = data.draw(st.integers(0, R.prime * degree + 2))
-    _same_outcome(lambda: twisted_total_on_cycle(x, bound),
-                  lambda: reference_twisted_total_on_cycle(x, bound))
+    _same_outcome(lambda: twisted_total_on_cycle(x, codim, bound),
+                  lambda: reference_twisted_total_on_cycle(x, codim, bound))
 
 
 @pytest.mark.parametrize("key, name", [("MISSING2", "t"), ("MISSING2", "a"), ("MISSING3", "y")])
 def test_total_classes_raise_a_missing_component(key, name):
     R = _cartan_ring(key)
-    g, spec = R.gen(name), R.generators[R.index[name]]
+    g = R.gen(name)
     with pytest.raises(MissingActionComponent):
         total_operation_class(g, 20)
     with pytest.raises(MissingActionComponent):
-        twisted_total_on_cycle(TwistedClass(g, spec.degree, spec.twist, codim=1), 20)
+        twisted_total_on_cycle(g, 1, 20)
 
 
 def test_element_times_total_class_keeps_operand_order():
@@ -800,8 +825,7 @@ def test_relative_wu_fails_on_wrong_action():
 
 def test_twisted_total_golden_p2():
     R = _p2r()
-    l2 = TwistedClass(R.gen("l", 2), 4, 2, codim=2)
-    total = twisted_total_on_cycle(l2, 9)
+    total = twisted_total_on_cycle(R.gen("l", 2), 2, 9)
     w = R.gen("w")
     assert total.component(4) == R.gen("l", 2)
     assert not total.component(6)  # the degree-6 pieces cancel
@@ -811,4 +835,4 @@ def test_twisted_total_golden_p2():
 def test_twisted_total_needs_codim():
     R = _p2r()
     with pytest.raises(MissingCodim):
-        twisted_total_on_cycle(TwistedClass(R.gen("l"), 2, 1), 8)
+        twisted_total_on_cycle(R.gen("l"), None, 8)

@@ -364,6 +364,16 @@ BAD_VALUES = {
         "obstruct weird --codim 2 --q 3 on x1 in CLASSIFYING2;",
         ["obstruct", "weird", "x1", "--codim", "2", "--q", "3", "--ring", "CLASSIFYING2"],
         "obstruct weird does not read --q"),
+    # at an odd prime every monomial twist must match the query's twist mod
+    # l - 1; left out, the twist is the smallest monomial twist
+    "frobenius-twist-mismatch": (
+        "obstruct frobenius --q 2 on x1*x2 in CLASSIFYING3 twist = 1;",
+        ["obstruct", "frobenius", "x1*x2", "--q", "2", "--ring", "CLASSIFYING3", "--twist", "1"],
+        "monomial x1*x2 has twist 2 != 1 mod 2"),
+    "frobenius-mixed-twists": (
+        "obstruct frobenius --q 2 on x1*x2 + y1 in CLASSIFYING3;",
+        ["obstruct", "frobenius", "x1*x2 + y1", "--q", "2", "--ring", "CLASSIFYING3"],
+        "monomial x1*x2 has twist 2 != 1 mod 2"),
 }
 
 

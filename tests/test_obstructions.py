@@ -2,9 +2,10 @@
 Frobenius membership, and the scripted descent chain."""
 
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from steencalc import (
     GeneratorSpec,
@@ -12,10 +13,10 @@ from steencalc import (
     MissingCodim,
     MissingFrobeniusData,
     MixedPrimes,
+    NonHomogeneousInput,
     OmegaUndeclared,
     RingPresentation,
     TotalClass,
-    TwistedClass,
     corpus,
     dsl,
     hs_scripted_check,
@@ -29,7 +30,8 @@ from steencalc.obstructions import _eigenvalue
 from steencalc.steenrod import SteenrodMonomial
 
 from oracles import in_span
-from references import reference_admissible_words
+from references import (reference_admissible_words, reference_eigenvalue,
+                        reference_frobenius_witnesses)
 
 
 REAL4 = corpus.resolve_ring("REALFOURFOLD")
@@ -44,7 +46,7 @@ CLS5 = corpus.resolve_ring("CLASSIFYING5")
 
 def test_odd_ops_catch_nonalgebraic_product():
     s, t = PROP5.gen("s"), PROP5.gen("t")
-    report = odd_vanishing_check(TwistedClass(s * t, 4), 3)
+    report = odd_vanishing_check(s * t, 3)
     assert report.fires and report.verdict == "nonvanishing"
     assert ("Sq^3", "s^2*t") in report.witnesses
 
@@ -52,21 +54,21 @@ def test_odd_ops_catch_nonalgebraic_product():
 def test_odd_ops_pass_when_plain_operations_die():
     b, w = REAL4.gen("b"), REAL4.gen("w")
     x = b * w * w * w
-    report = odd_vanishing_check(TwistedClass(x, 4), 5)
+    report = odd_vanishing_check(x, 5)
     assert not report.fires and report.verdict == "vanishes"
     assert report.witnesses == ()
 
 
 def test_odd_ops_zero_and_trivial_bound():
-    assert odd_vanishing_check(TwistedClass(PROP5.zero(), 4), 9).verdict == "vanishes"
+    assert odd_vanishing_check(PROP5.zero(), 9).verdict == "vanishes"
     s = PROP5.gen("s")
-    assert odd_vanishing_check(TwistedClass(s, 3), 0).verdict == "vanishes"
+    assert odd_vanishing_check(s, 0).verdict == "vanishes"
 
 
 def test_odd_ops_at_odd_prime():
     x1, y1 = CLS3.gen("x1"), CLS3.gen("y1")
-    assert odd_vanishing_check(TwistedClass(x1, 1, 1), 5).fires  # b(x1) = y1
-    assert not odd_vanishing_check(TwistedClass(y1, 2, 1), 5).fires
+    assert odd_vanishing_check(x1, 5).fires  # b(x1) = y1
+    assert not odd_vanishing_check(y1, 5).fires
 
 
 SHIPPED = {name: corpus.resolve_ring(name) for name in corpus.scenario_names()}
@@ -102,22 +104,28 @@ def test_odd_check_matches_every_word(name):
                  for w in reference_admissible_words(R.prime, max_degree)]
         for m in _low_basis(R, 5):
             x = R.element({m: 1})
-            twisted = TwistedClass(x, R.monomial_degree(m), R.monomial_twist(m))
             hits = tuple((w.render(), R.apply_word(w.word, x).render())
                          for w in words if w.degree() % 2 and R.apply_word(w.word, x))
-            report = odd_vanishing_check(twisted, max_degree)
+            report = odd_vanishing_check(x, max_degree)
             assert report.witnesses == hits
             assert report.verdict == ("nonvanishing" if hits else "vanishes")
 
 
 def test_odd_check_needs_a_nonnegative_bound():
     with pytest.raises(InvalidArgument, match="max degree must be >= 0, got -5"):
-        odd_vanishing_check(TwistedClass(CLS2.gen("x1"), 1, 1), -5)
+        odd_vanishing_check(CLS2.gen("x1"), -5)
+
+
+def test_odd_check_refuses_an_inhomogeneous_class():
+    # its excess bound is the degree of x, which a mixed class does not have
+    x1 = CLS2.gen("x1")
+    with pytest.raises(NonHomogeneousInput):
+        odd_vanishing_check(x1 + x1 * x1, 5)
 
 
 def test_odd_check_far_bound_builds_only_low_excess_words():
     # x1 has degree 1, so only the words Sq^(2^k) ... Sq^2 Sq^1 can act
-    report = odd_vanishing_check(TwistedClass(CLS2.gen("x1"), 1, 1), 100000)
+    report = odd_vanishing_check(CLS2.gen("x1"), 100000)
     assert report.verdict == "nonvanishing"
     assert len(report.witnesses) == 16
     assert report.witnesses[-1] == (
@@ -129,63 +137,62 @@ def test_odd_check_far_bound_builds_only_low_excess_words():
 
 def _wants(x, c, which):
     """The documented formulas, assembled from ring primitives only."""
-    R = x.value.parent
+    R = x.parent
     w = R.gen("w")
     half = (c * (c - 1) // 2) % 2
-    sq2 = R.apply_letter(2, x.value)
+    sq2 = R.apply_letter(2, x)
     if which == 1:
         out = sq2
         if half:
-            out = out + w * w * x.value
+            out = out + w * w * x
         return out
-    out = R.apply_letter(3, x.value)
+    out = R.apply_letter(3, x)
     if (c + 1) % 2:
         out = out + w * sq2
     if half:
-        out = out + w * w * w * x.value
+        out = out + w * w * w * x
     return out
 
 
 def test_weird_coefficients_follow_codimension_mod_4():
     b, w = REAL4.gen("b"), REAL4.gen("w")
+    x = b * w * w * w
     for c in range(8):
-        x = TwistedClass(b * w * w * w, 4, codim=c)
         for which in (1, 2):
-            got = weird_operator(x, which)
-            assert got.value == _wants(x, c, which), (c, which)
-            assert got.degree == 4 + 1 + which
-            assert got.twist == 0
+            got = weird_operator(x, which, c)
+            assert got == _wants(x, c, which), (c, which)
+            assert not got or got.degree() == 4 + 1 + which
 
 
 def test_weird_golden_fourfold_witness():
     b, w = REAL4.gen("b"), REAL4.gen("w")
-    out = weird_operator(TwistedClass(b * w * w * w, 4, codim=2), 2)
-    assert out.value == b * w.scale(1) ** 6
+    out = weird_operator(b * w * w * w, 2, 2)
+    assert out == b * w.scale(1) ** 6
     # the plain odd operations miss this class, the corrected one does not
-    assert not odd_vanishing_check(TwistedClass(b * w * w * w, 4), 5).fires
-    assert out.value
+    assert not odd_vanishing_check(b * w * w * w, 5).fires
+    assert out
 
 
 def test_weird_rejects_bad_arguments():
     x1 = CLS3.gen("x1")
     with pytest.raises(ValueError):
-        weird_operator(TwistedClass(x1, 1, 1, codim=2), 1)
+        weird_operator(x1, 1, 2)
     b = REAL4.gen("b")
     with pytest.raises(ValueError):
-        weird_operator(TwistedClass(b, 1, codim=2), 3)
+        weird_operator(b, 3, 2)
     with pytest.raises(MissingCodim, match="^weird_operator needs the cycle codimension$"):
-        weird_operator(TwistedClass(b, 1), 1)
+        weird_operator(b, 1, None)
 
 
 def test_weird_omega_requirement_depends_on_coefficients():
     R = RingPresentation(2, [GeneratorSpec("u", 2, twist=1, action={1: {}})])
-    u4, u2 = (TwistedClass(R.gen("u"), 2, 1, codim=c) for c in (4, 2))
+    u = R.gen("u")
     # c = 4: binom(4,2) and 4+1 are even resp. odd -> only which=2 needs omega
-    assert weird_operator(u4, 1).value == R.apply_letter(2, R.gen("u"))
+    assert weird_operator(u, 1, 4) == R.apply_letter(2, u)
     with pytest.raises(OmegaUndeclared):
-        weird_operator(u4, 2)
+        weird_operator(u, 2, 4)
     with pytest.raises(OmegaUndeclared):
-        weird_operator(u2, 1)
+        weird_operator(u, 1, 2)
 
 
 # ------------------------------------------------------------- Frobenius
@@ -193,9 +200,9 @@ def test_weird_omega_requirement_depends_on_coefficients():
 
 def test_frobenius_context_rejects_divisible_q():
     with pytest.raises(ValueError):
-        in_image_F_minus_Id(TwistedClass(CLS3.zero(), 0), 6)
+        in_image_F_minus_Id(CLS3.zero(), 6)
     with pytest.raises(ValueError):
-        in_image_F_minus_Id(TwistedClass(CLS2.zero(), 0), 4)
+        in_image_F_minus_Id(CLS2.zero(), 4)
 
 
 @pytest.mark.parametrize("ring, q", [("CLASSIFYING2", 15), ("CLASSIFYING2", 1),
@@ -203,7 +210,7 @@ def test_frobenius_context_rejects_divisible_q():
                                      ("CLASSIFYING3", 10), ("CLASSIFYING5", 6)])
 def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
     with pytest.raises(InvalidArgument, match="q must be a prime power, got %d" % q):
-        in_image_F_minus_Id(TwistedClass(SHIPPED[ring].zero(), 0), q)
+        in_image_F_minus_Id(SHIPPED[ring].zero(), q)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 27, 49, 1849, 2 ** 61 - 1, 3 ** 40,
@@ -211,32 +218,30 @@ def test_frobenius_context_rejects_q_not_a_prime_power(ring, q):
 def test_frobenius_context_accepts_prime_powers(q):
     for R in (CLS2, CLS3, CLS5):
         if q % R.prime:
-            report = in_image_F_minus_Id(TwistedClass(R.zero(), 0), q)
+            report = in_image_F_minus_Id(R.zero(), q)
             assert report.operator == "F - Id membership (q=%d)" % q
 
 
 def test_frobenius_needs_exponents():
     with pytest.raises(MissingFrobeniusData):
-        in_image_F_minus_Id(TwistedClass(PROP5.gen("s"), 3), 3)
+        in_image_F_minus_Id(PROP5.gen("s"), 3)
 
 
 @given(
-    e1=st.tuples(*[st.integers(0, 3)] * 6),
-    e2=st.tuples(*[st.integers(0, 3)] * 6),
-    t1=st.integers(0, 4),
-    t2=st.integers(0, 4),
+    e1=st.tuples(*[st.integers(0, 3)] * 5),
+    e2=st.tuples(*[st.integers(0, 3)] * 5),
 )
-def test_frobenius_eigenvalue_multiplicative(e1, e2, t1, t2):
+def test_frobenius_eigenvalue_multiplicative(e1, e2):
     prod = tuple(a + b for a, b in zip(e1, e2))
-    lhs = _eigenvalue(CLS3, 2, prod, t1 + t2)
-    rhs = _eigenvalue(CLS3, 2, e1, t1) * _eigenvalue(CLS3, 2, e2, t2) % 3
+    lhs = _eigenvalue(CLS3, 2, prod)
+    rhs = _eigenvalue(CLS3, 2, e1) * _eigenvalue(CLS3, 2, e2) % 3
     assert lhs == rhs
 
 
 def test_classifying3_golden_membership():
     y1, y2 = CLS3.gen("y1"), CLS3.gen("y2")
     x = y1 ** 3 * y2 - y1 * y2 ** 3
-    report = in_image_F_minus_Id(TwistedClass(x, 8, 2), 2)
+    report = in_image_F_minus_Id(x, 2)
     assert report.verdict == "not-in-image"
     assert "y1^3*y2" in report.witnesses
 
@@ -264,14 +269,14 @@ def test_membership_matches_rank_oracle():
                 continue
             span = []
             for i, m in enumerate(basis):
-                lam = _eigenvalue(R, q, m, twist)
+                lam = reference_eigenvalue(R, q, m, twist)
                 if lam != 1:
                     vec = [0] * len(basis)
                     vec[i] = (lam - 1) % R.prime
                     span.append(vec)
             target = [x.terms.get(m, 0) % R.prime for m in basis]
             expected = in_span(span, target, R.prime)
-            got = in_image_F_minus_Id(TwistedClass(x, degree, twist), q)
+            got = in_image_F_minus_Id(x, q)
             assert (got.verdict == "in-image") == expected
             checked += 1
     assert checked >= 120
@@ -283,8 +288,41 @@ def test_membership_collapses_at_two():
     for _ in range(100):
         degree = rng.randrange(1, 7)
         x, _ = _random_element(CLS2, rng, degree, degree)
-        report = in_image_F_minus_Id(TwistedClass(x, degree, degree), 3)
+        report = in_image_F_minus_Id(x, 3)
         assert (report.verdict == "in-image") == (not x)
+
+
+def _frobenius_ring(key, data):
+    """A shipped CLASSIFYING ring, or model_ring(l, 2) with Frobenius
+    exponents drawn for its generators (it declares none)."""
+    if key.startswith("CLASSIFYING"):
+        return SHIPPED[key]
+    ell = int(key.split(":")[1])
+    return RingPresentation(ell, [replace(g, frobenius_exponent=data.draw(st.integers(0, 4)))
+                                  for g in corpus.model_ring(ell, 2).generators])
+
+
+@pytest.mark.parametrize("key", ["CLASSIFYING3", "CLASSIFYING5", "model:3", "model:5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_membership_reads_each_monomial_twist_as_the_class_twist(key, data):
+    """Frobenius on a monomial reads the monomial's own twist; the class
+    twist it once read gave the same witnesses for every twist the class
+    could be given: one that every monomial twist matches mod l - 1."""
+    R = _frobenius_ring(key, data)
+    ell = R.prime
+    degree = data.draw(st.integers(0, 6))
+    residue = data.draw(st.integers(0, ell - 2))
+    basis = R.basis_of_degree(degree, residue)
+    picked = data.draw(st.lists(st.sampled_from(basis), max_size=4, unique=True)) if basis else []
+    x = R.element({m: data.draw(st.integers(1, ell - 1)) for m in picked})
+    q = data.draw(st.sampled_from([q for q in (2, 4, 7, 8, 9, 11, 25, 27, 49, 243) if q % ell]))
+    got = in_image_F_minus_Id(x, q).witnesses
+    twists = [t for t in range(-2 * (ell - 1), 2 * (ell - 1) + 1)
+              if all((R.monomial_twist(m) - t) % (ell - 1) == 0 for m in x.terms)]
+    assert twists
+    for twist in twists:
+        assert reference_frobenius_witnesses(x, q, twist) == got, twist
 
 
 # ---------------------------------------------------------------- descent
@@ -294,8 +332,7 @@ def _hs_input(scenario):
     """The class and the q named by a scenario's `obstruct hs` query."""
     query = next(q for q in scenario.queries
                  if isinstance(q, dsl.ObstructQuery) and q.kind == "hs")
-    value = dsl.poly_to_element(scenario.presentation, query.poly)
-    return TwistedClass(value, value.degree(), query.twist), query.q
+    return dsl.poly_to_element(scenario.presentation, query.poly), query.q
 
 
 def test_descent_fires_on_classifying_scenarios():
@@ -307,9 +344,9 @@ def test_descent_fires_on_classifying_scenarios():
 
 
 def test_descent_quiet_on_zero_and_on_killed_classes():
-    assert hs_scripted_check(TwistedClass(CLS2.zero(), 2, 2), 3).verdict == "vanishes"
+    assert hs_scripted_check(CLS2.zero(), 3).verdict == "vanishes"
     # b(y1) = 0 at the odd prime, so the wrapped class never appears
-    assert hs_scripted_check(TwistedClass(CLS3.gen("y1"), 2, 1), 2).verdict == "vanishes"
+    assert hs_scripted_check(CLS3.gen("y1"), 2).verdict == "vanishes"
 
 
 # ------------------------------------------- one presentation per computation
@@ -320,11 +357,10 @@ WB = REAL4.gen("w") * REAL4.gen("b")
 
 
 @pytest.mark.parametrize("misuse, error", [
-    # a second ring, or a second codimension, beside a class that carries its
-    # own: each of these once answered for the wrong ring or codimension
-    (lambda: hs_scripted_check(obstructions.HsInput(CLS3, TwistedClass(X12, 2, 2), 2)),
-     AttributeError),
-    (lambda: weird_operator(TwistedClass(WB, 2, 0, codim=2), 3, 2), TypeError),
+    # a second ring beside a class that carries its own, or a codimension
+    # given twice: each of these once answered for the wrong ring or codimension
+    (lambda: hs_scripted_check(obstructions.HsInput(CLS3, X12, 2)), AttributeError),
+    (lambda: weird_operator(WB, 2, 2, codim=3), TypeError),
     (lambda: total_operation_class(CLS3, X12, 6), TypeError),
     (lambda: PROJ.total_sq(X12), MixedPrimes),
     (lambda: CLS3.bockstein(X12), MixedPrimes),
@@ -339,9 +375,9 @@ def test_a_class_meets_only_its_own_presentation(misuse, error):
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: hs_scripted_check(TwistedClass(X12, 2, 2), 3).verdict, "nonvanishing"),
-    (lambda: weird_operator(TwistedClass(WB, 2, 0, codim=2), 2).value.render(), "0"),
-    (lambda: weird_operator(TwistedClass(WB, 2, 0, codim=3), 2).value.render(), "w^4*b"),
+    (lambda: hs_scripted_check(X12, 3).verdict, "nonvanishing"),
+    (lambda: weird_operator(WB, 2, 2).render(), "0"),
+    (lambda: weird_operator(WB, 2, 3).render(), "w^4*b"),
     (lambda: total_operation_class(X12, 6).render(),
      "[2] x1*x2; [3] x1*x2^2 + x1^2*x2; [4] x1^2*x2^2"),
 ], ids=["hs", "weird-codim-2", "weird-codim-3", "total-operation-class"])

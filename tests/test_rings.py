@@ -17,7 +17,6 @@ from steencalc import (
     RewriteRule,
     RingElement,
     RingPresentation,
-    TwistedClass,
     corpus,
     dsl,
     model_ring,
@@ -173,7 +172,7 @@ cls2 = st.dictionaries(mono2, st.just(1), min_size=1, max_size=3)
 def test_letter_action_matches_oracle_l2(cls, k):
     R = model_ring(2, 3)
     model = Model2(3)
-    # keep inputs homogeneous so TwistedClass-style comparisons stay simple
+    # keep inputs homogeneous so the comparisons stay simple
     degree = sum(next(iter(cls)))
     cls = {m: 1 for m in cls if sum(m) == degree}
     got = R.apply_letter(k, _to_engine2(R, cls))
@@ -539,22 +538,6 @@ def test_exponents_reaching_the_limit_through_an_operation_raise(capsys):
         R = RingPresentation(ell, [GeneratorSpec("x", 2)])
         with pytest.raises(InvalidArgument, match=r"^monomial x\^%d has an exponent of " % ell):
             R.apply_letter(1, R.gen("x"))
-
-
-# ------------------------------------------------------------- twist data
-
-
-def test_twisted_class_validates_degree(R3):
-    with pytest.raises(NonHomogeneousInput):
-        TwistedClass(R3.gen("x1") + R3.gen("y1"), 1)
-
-
-def test_twisted_class_validates_twist_residue(R3):
-    x1x2 = R3.gen("x1") * R3.gen("x2")
-    # generators carry no twist here, so twist must be even
-    TwistedClass(x1x2, 2, 0)
-    with pytest.raises(NonHomogeneousInput):
-        TwistedClass(x1x2, 2, 1)
 
 
 # ------------------------------------------------------------- inspection
