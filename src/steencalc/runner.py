@@ -250,14 +250,15 @@ def _evaluate(query, pres, decl):
     value = dsl.poly_to_element(pres, query.poly, query.span)
     if not value.is_homogeneous():
         raise NonHomogeneousInput("query input must be degree-homogeneous")
-    twist = query.twist if query.twist is not None else min(
-        (pres.monomial_twist(m) for m in value.terms), default=0)
-    for m in value.terms:
-        if pres.prime > 2 and (pres.monomial_twist(m) - twist) % (pres.prime - 1):
-            raise NonHomogeneousInput(
-                "monomial %s has twist %d != %d mod %d"
-                % (pres.render_monomial(m), pres.monomial_twist(m), twist, pres.prime - 1)
-            )
+    if pres.prime > 2:
+        twist = query.twist if query.twist is not None else min(
+            (pres.monomial_twist(m) for m in value.terms), default=0)
+        for m in value.terms:
+            if (pres.monomial_twist(m) - twist) % (pres.prime - 1):
+                raise NonHomogeneousInput(
+                    "monomial %s has twist %d != %d mod %d"
+                    % (pres.render_monomial(m), pres.monomial_twist(m), twist, pres.prime - 1)
+                )
 
     if query.kind == "weird":
         out = weird_operator(value, query.which, query.codim)

@@ -27,6 +27,7 @@ from steencalc import (
 from steencalc import corpus, dsl
 
 from oracles import Model2, ModelOdd, in_span
+from references import reference_eigenvalue
 
 
 @contextmanager
@@ -417,12 +418,6 @@ def _piece_targets(rng, ell, diag, dim):
     return targets
 
 
-def _eigenvalue(R, q, m, twist):
-    """Frobenius on a monomial, from its definition: (q mod l)^(sum e_g f_g - twist)."""
-    exponent = sum(e * g.frobenius_exponent for e, g in zip(m, R.generators) if e) - twist
-    return pow(q % R.prime, exponent, R.prime)
-
-
 def test_gate_5_frobenius_membership_controls():
     with _gate("5 Frobenius image membership"):
         rng = random.Random(5)
@@ -436,7 +431,7 @@ def test_gate_5_frobenius_membership_controls():
                     dim = len(basis)
                     if not dim or dim > 12:
                         continue
-                    diag = tuple((_eigenvalue(R, q, m, twist) - 1) % ell for m in basis)
+                    diag = tuple((reference_eigenvalue(R, q, m, twist) - 1) % ell for m in basis)
                     rows = [
                         [diag[i] if j == i else 0 for j in range(dim)]
                         for i in range(dim)

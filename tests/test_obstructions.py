@@ -227,15 +227,35 @@ def test_frobenius_needs_exponents():
         in_image_F_minus_Id(PROP5.gen("s"), 3)
 
 
-@given(
-    e1=st.tuples(*[st.integers(0, 3)] * 5),
-    e2=st.tuples(*[st.integers(0, 3)] * 5),
-)
-def test_frobenius_eigenvalue_multiplicative(e1, e2):
-    prod = tuple(a + b for a, b in zip(e1, e2))
-    lhs = _eigenvalue(CLS3, 2, prod)
-    rhs = _eigenvalue(CLS3, 2, e1) * _eigenvalue(CLS3, 2, e2) % 3
-    assert lhs == rhs
+# prime powers q; q = 1 mod l makes every eigenvalue 1, so the draws skip it
+_FROBENIUS_Q = (2, 3, 4, 7, 8, 9, 11, 25, 27, 49, 243)
+
+
+def _drawn_frobenius_ring(R, data):
+    """R with a Frobenius exponent in [0, 4] drawn for each generator: on the
+    shipped CLASSIFYING rings every exponent equals its generator's twist,
+    so every eigenvalue there is 1."""
+    return RingPresentation(R.prime, [replace(g, frobenius_exponent=data.draw(st.integers(0, 4)))
+                                      for g in R.generators])
+
+
+def test_frobenius_eigenvalue_multiplicative():
+    seen = set()
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def check(data):
+        R = _drawn_frobenius_ring(data.draw(st.sampled_from([CLS3, CLS5])), data)
+        q = data.draw(st.sampled_from([q for q in _FROBENIUS_Q if q % R.prime > 1]))
+        e1, e2 = (data.draw(st.tuples(*[st.integers(0, 3)] * R.n)) for _ in "12")
+        prod = tuple(a + b for a, b in zip(e1, e2))
+        lhs = _eigenvalue(R, q, prod)
+        rhs = _eigenvalue(R, q, e1) * _eigenvalue(R, q, e2) % R.prime
+        assert lhs == rhs
+        seen.update((lhs, rhs))
+
+    check()
+    assert seen - {1}
 
 
 def test_classifying3_golden_membership():
@@ -292,37 +312,35 @@ def test_membership_collapses_at_two():
         assert (report.verdict == "in-image") == (not x)
 
 
-def _frobenius_ring(key, data):
-    """A shipped CLASSIFYING ring, or model_ring(l, 2) with Frobenius
-    exponents drawn for its generators (it declares none)."""
-    if key.startswith("CLASSIFYING"):
-        return SHIPPED[key]
-    ell = int(key.split(":")[1])
-    return RingPresentation(ell, [replace(g, frobenius_exponent=data.draw(st.integers(0, 4)))
-                                  for g in corpus.model_ring(ell, 2).generators])
-
-
-@pytest.mark.parametrize("key", ["CLASSIFYING3", "CLASSIFYING5", "model:3", "model:5"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_membership_reads_each_monomial_twist_as_the_class_twist(key, data):
+@pytest.mark.parametrize("R", [CLS3, CLS5, corpus.model_ring(3, 2), corpus.model_ring(5, 2)],
+                         ids=["CLASSIFYING3", "CLASSIFYING5", "model:3", "model:5"])
+def test_membership_reads_each_monomial_twist_as_the_class_twist(R):
     """Frobenius on a monomial reads the monomial's own twist; the class
     twist it once read gave the same witnesses for every twist the class
     could be given: one that every monomial twist matches mod l - 1."""
-    R = _frobenius_ring(key, data)
-    ell = R.prime
-    degree = data.draw(st.integers(0, 6))
-    residue = data.draw(st.integers(0, ell - 2))
-    basis = R.basis_of_degree(degree, residue)
-    picked = data.draw(st.lists(st.sampled_from(basis), max_size=4, unique=True)) if basis else []
-    x = R.element({m: data.draw(st.integers(1, ell - 1)) for m in picked})
-    q = data.draw(st.sampled_from([q for q in (2, 4, 7, 8, 9, 11, 25, 27, 49, 243) if q % ell]))
-    got = in_image_F_minus_Id(x, q).witnesses
-    twists = [t for t in range(-2 * (ell - 1), 2 * (ell - 1) + 1)
-              if all((R.monomial_twist(m) - t) % (ell - 1) == 0 for m in x.terms)]
-    assert twists
-    for twist in twists:
-        assert reference_frobenius_witnesses(x, q, twist) == got, twist
+    fewer = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        S = _drawn_frobenius_ring(R, data)
+        ell = S.prime
+        basis = S.basis_of_degree(data.draw(st.integers(1, 6)))
+        first = data.draw(st.sampled_from(basis))
+        same = [m for m in basis if (S.monomial_twist(m) - S.monomial_twist(first)) % (ell - 1) == 0]
+        picked = data.draw(st.lists(st.sampled_from(same), min_size=1, max_size=4, unique=True))
+        x = S.element({m: data.draw(st.integers(1, ell - 1)) for m in picked})
+        q = data.draw(st.sampled_from([q for q in _FROBENIUS_Q if q % ell > 1]))
+        got = in_image_F_minus_Id(x, q).witnesses
+        twists = [t for t in range(-2 * (ell - 1), 2 * (ell - 1) + 1)
+                  if all((S.monomial_twist(m) - t) % (ell - 1) == 0 for m in x.terms)]
+        assert twists
+        for twist in twists:
+            assert reference_frobenius_witnesses(x, q, twist) == got, twist
+        fewer.append(len(got) < len(x.terms))  # some monomial's eigenvalue is not 1
+
+    check()
+    assert any(fewer)
 
 
 # ---------------------------------------------------------------- descent
