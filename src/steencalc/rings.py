@@ -19,8 +19,10 @@ monomial_degree, render_monomial and basis_of_degree.
 
 Operations act through the Cartan formula from the declared generator
 actions, by one recursion on raw monomials with one cached total per
-monomial.  The total on a monomial is the product, in generator order (so
-with no Koszul sign), of the totals of its generator powers g^e.  When
+monomial.  The total on a monomial that is not a generator power is one
+product: the total on its prefix (the monomial without its last, lowest-field
+generator power g^e) times the total on g^e, in generator order (so with no
+Koszul sign); monomials that share a prefix share its cached total.  When
 l = 2 or g has even degree, total(g^(lq+r)) = F(total(g^q)) * total(g^r),
 where the Frobenius F multiplies every packed exponent by l and keeps the
 coefficient (c^l = c): it is exact on the commutative even part, and sends
@@ -28,11 +30,11 @@ a monomial with an odd factor to zero.  Below l, or for an odd-parity g
 (exponent at most 1, or a raw rule lead), g^e is split in halves, g^(e//2)
 times g^(e - e//2), so the products grow with log e, not e.  Component i
 (Sq^i or P^i) of the total on m is its part of degree deg(m) + i (l = 2) or
-deg(m) + 2i(l - 1), so one _addmul capped at a degree multiplies all
-components at once, dropping through the guard test every product above
-the requested one.  _addmul is the one mod-l accumulate (a Frobenius image
-is reduced as a product with the unit {0: 1}), and _split the one split by
-degree.
+deg(m) + 2i(l - 1), so one product capped at a degree makes all components
+at once, dropping through the guard test every term above the requested
+one; total_sq and apply_letter read each term's component from its degree
+tag.  _addmul is the one mod-l product (a Frobenius image is reduced as a
+product with the unit {0: 1}).
 
 Total operations are finite degreewise, so no truncation is needed beyond
 the requested component; missing low components of a generator's action
@@ -44,9 +46,9 @@ everything above it is zero.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from operator import mul
-from struct import Struct
 from typing import Optional
 
 from .errors import (
@@ -225,7 +227,7 @@ class RingPresentation:
         self._low = (1 << self._tag_shift) - 1  # the generator fields
         bits = [1 << s for s in self._shifts]
         self._units = tuple(b + (d << self._tag_shift) for b, d in zip(bits, self._degrees))
-        self._fields = Struct(">%dI" % self.n)  # "I": one unsigned _FIELD_BITS = 32 field
+        self._fields = struct.Struct(">%dI" % self.n)  # "I": one unsigned _FIELD_BITS = 32 field
         self._odd_bits = sum(b for b, g in zip(bits, self.generators) if g.parity == "odd")
         self._odd_high = self._odd_bits * (_FIELD_MASK - 1)  # odd exponents above 1
         self._guard = _GUARD * sum(bits)
@@ -316,17 +318,17 @@ class RingPresentation:
     # ------------------------------------------------------------- structure
 
     def _validate_component(self, g, elt, expected_degree):
-        for m in map(self._unpack, elt._packed):
-            degree = self.monomial_degree(m)
+        for p in elt._packed:
+            degree = p >> self._tag_shift
             if degree != expected_degree:
                 raise NonHomogeneousInput(
                     "action on %s: component has degree %d, expected %d"
                     % (g.name, degree, expected_degree)
                 )
-            if self.prime > 2 and (self.monomial_twist(m) - g.twist) % (self.prime - 1):
+            if self.prime > 2 and (self.monomial_twist(self._unpack(p)) - g.twist) % (self.prime - 1):
                 raise NonHomogeneousInput(
                     "action on %s: component twist %d != %d mod %d"
-                    % (g.name, self.monomial_twist(m), g.twist, self.prime - 1)
+                    % (g.name, self.monomial_twist(self._unpack(p)), g.twist, self.prime - 1)
                 )
 
     def monomial_degree(self, m):
@@ -336,15 +338,18 @@ class RingPresentation:
         return sum(map(mul, m, self._twists))
 
     def _pack(self, m):
-        """The packed int of an exponent tuple, its degree in the tag."""
+        """The packed int of an exponent tuple, its degree in the tag: the
+        fields pack through the presentation's Struct, as _unpack unpacks."""
         if len(m) != self.n:
             raise ValueError("monomial of width %d in %d-generator ring" % (len(m), self.n))
-        packed = self.monomial_degree(m)
-        for e in m:
-            if not 0 <= e < _FIELD_LIMIT:
-                raise InvalidArgument("exponent %d outside 0..%d" % (e, _FIELD_LIMIT - 1))
-            packed = packed << _FIELD_BITS | e
-        return packed
+        try:
+            packed = int.from_bytes(self._fields.pack(*m), "big")
+        except struct.error:  # a negative, too large or non-int exponent
+            packed = self._guard
+        if packed & (self._guard | self._over):
+            e = next(e for e in m if not (isinstance(e, int) and 0 <= e < _FIELD_LIMIT))
+            raise InvalidArgument("exponent %s outside 0..%d" % (e, _FIELD_LIMIT - 1))
+        return packed | self.monomial_degree(m) << self._tag_shift
 
     def _too_large(self, exps):
         """The error for a monomial, given as exponents, past _FIELD_LIMIT."""
@@ -377,10 +382,11 @@ class RingPresentation:
         if isinstance(raw, RingElement):
             self._own(raw)
             return raw
-        terms = {}
+        terms, offsets, guard = {}, self._offsets, self._guard
         for m, c in raw.items():
             if c % self.prime:
-                self._addmul(terms, c, self._reduce(self._pack(m)))
+                p = self._pack(m)
+                self._addmul(terms, c, self._reduce(p) if (p + offsets) & guard else {p: 1})
         return self._wrap(terms)
 
     # ----------------------------------------------------------- arithmetic
@@ -499,7 +505,7 @@ class RingPresentation:
             if (p + self._frobenius_over) & self._guard:
                 raise self._too_large([e * ell for e in self._unpack(p)])
             raw[p * ell] = c
-        return self._addmul({}, 1, raw, {0: 1})
+        return self._addmul({}, 1, raw, {0: 1}) if raw else raw
 
     def _total(self, m, k):
         """Components 0..min(k, instability bound) of the total Sq (l=2) or
@@ -509,7 +515,9 @@ class RingPresentation:
         through k, or as (inf, total) once k reaches the bound, above which
         nothing lies.  A missing action component raises
         MissingActionComponent only when component k reaches it, naming the
-        first such generator in index order."""
+        first such generator in index order: a prefix is asked for before
+        its last power, and every power at the cap a product of all powers
+        would give it, min(k, its own bound)."""
         cache = self._total_cache
         entry = cache.get(m)
         if entry is not None and entry[0] >= k:
@@ -524,12 +532,8 @@ class RingPresentation:
         bound = deg if ell == 2 else deg // 2  # instability
         cap = min(k, bound)
         top = deg + cap * step  # the degree of component cap
-        if m - e * unit:  # not a generator power
-            total = None
-            for u, d in zip(self._units, self._unpack(m)):
-                if d:
-                    power = self._total(d * u, cap)
-                    total = power if total is None else self._addmul({}, 1, total, power, top)
+        if m - e * unit:  # not a generator power: its prefix's total times g^e's
+            total = self._addmul({}, 1, self._total(m - e * unit, cap), self._total(e * unit, cap), top)
         elif e > 1 and (e < ell or m & self._odd_bits):
             half = (e >> 1) * unit
             total = self._addmul({}, 1, self._total(half, cap), self._total(m - half, cap), top)
@@ -576,23 +580,28 @@ class RingPresentation:
             # where beta(g^e) = [e] beta(g) g^{e-1} and [e] alternates for
             # odd-degree g (moving beta(g) past g flips a sign per factor)
             count = e if g.degree % 2 == 0 else e % 2
-            g_before = self._reduce((e - 1) * self._units[gi])
-            head = self._addmul({}, count, comp["b"]._packed, g_before)
-            self._addmul(out, 1, head, self._reduce(rest))
-            sign = -1 if (e * g.degree) % 2 else 1
-            g_power = self._reduce(m - rest)
-            self._addmul(out, sign, g_power, self._beta_monomial(rest))
+            # (at e = 1, head is count * beta(g): no product with the unit)
+            g_before = self._reduce((e - 1) * self._units[gi]) if e > 1 else None
+            head = self._addmul({}, count, comp["b"]._packed, g_before) if comp["b"] else {}
+            if rest and head:  # skip the products with an empty or a unit side
+                head = self._addmul({}, 1, head, self._reduce(rest))
+            out, beta_rest = head, self._beta_monomial(rest) if rest else {}
+            if beta_rest:
+                sign = -1 if (e * g.degree) % 2 else 1
+                self._addmul(out, sign, self._reduce(m - rest), beta_rest)
         self._beta_cache[m] = out
         return out
 
     def apply_letter(self, letter, x):
         """Apply one word letter (int i for Sq^i / P^i, 0 for the odd-prime
-        Bockstein) to a RingElement."""
+        Bockstein) to a RingElement: of each monomial m's cached total, the
+        terms of degree deg(m) + letter * _step."""
         self._own(x)
         beta, out, shift = self.prime > 2 and letter == 0, {}, self._tag_shift
         for m, c in x._packed.items():
-            self._addmul(out, c, self._beta_monomial(m) if beta else self._split(
-                self._total(m, letter)).get((m >> shift) + letter * self._step, {}))
+            target = (m >> shift) + letter * self._step
+            self._addmul(out, c, self._beta_monomial(m) if beta else
+                         {p: v for p, v in self._total(m, letter).items() if p >> shift == target})
         return self._wrap(out)
 
     def apply_word(self, word, x):
@@ -616,19 +625,25 @@ class RingPresentation:
         x); for an inhomogeneous x a component mixes degrees.  charclasses
         reads Cartan totals only through this method.
 
-        One pass: each monomial's cached total (_total) is asked for once, up
-        to its instability bound; _split splits it by degree, and the degree
-        d of a monomial of degree deg is component (d - deg) / _step.  A
-        missing action component raises the error that letter-by-letter
-        order meets first."""
+        One pass: each monomial m's cached total (_total) is asked for once,
+        up to its instability bound, and each of its terms, of degree d, is
+        added straight into component (d - deg(m)) / _step.  A missing action
+        component raises the error that letter-by-letter order meets first."""
         self._own(x)
-        shift, step = self._tag_shift, self._step
-        cap = max((m >> shift for m in x._packed), default=0) // (2 if self.prime > 2 else 1)
+        ell, shift, step = self.prime, self._tag_shift, self._step
+        cap = max((m >> shift for m in x._packed), default=0) // (2 if ell > 2 else 1)
         parts = {}
         try:
             for m, c in x._packed.items():
-                for d, part in self._split(self._total(m, cap)).items():
-                    self._addmul(parts.setdefault((d - (m >> shift)) // step, {}), c, part)
+                d = m >> shift
+                for p, v in self._total(m, cap).items():
+                    i = ((p >> shift) - d) // step
+                    part = parts.get(i) or parts.setdefault(i, {})
+                    new = (part.get(p, 0) + c * v) % ell
+                    if new:
+                        part[p] = new
+                    else:
+                        part.pop(p, None)
         except MissingActionComponent:
             for i in range(1, cap + 1):
                 self.apply_letter(i, x)

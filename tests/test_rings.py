@@ -429,6 +429,76 @@ def test_cached_cartan_path_matches_reference(key, data):
     assert R.bockstein(x) == ref.bockstein(x)
 
 
+@pytest.mark.parametrize("key", ["model:2:3", "model:3:2", "model:5:2"] + corpus.scenario_names())
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_total_sq_on_inhomogeneous_elements(key, data):
+    # total_sq reads each term's component index from the degree of its own
+    # monomial, so an element mixing degrees splits as its homogeneous parts
+    R, ref, bases = _diff_ring(key)
+    bases = {**bases, 0: [(0,) * R.n]}
+    degrees = data.draw(st.lists(st.sampled_from(sorted(bases)), min_size=2, max_size=3, unique=True))
+    parts = []
+    for d in degrees:
+        monos = data.draw(st.lists(st.sampled_from(bases[d]), min_size=1, max_size=3, unique=True))
+        parts.append(R.element({m: data.draw(st.integers(1, R.prime - 1)) for m in monos}))
+    x = sum(parts, R.zero())
+    assert x.degree() is None
+    total = R.total_sq(x)
+    cap = max(degrees) if R.prime == 2 else max(degrees) // 2
+    assert total[0] == x and max(total) <= cap
+    for i in range(1, cap + 2):
+        by_parts = sum((R.apply_letter(i, part) for part in parts), R.zero())
+        assert total.get(i, R.zero()) == by_parts == ref.apply_letter(i, x), i
+
+
+@pytest.mark.parametrize("ell, short, long, low, high", [
+    (2, (3, 2, 0), (3, 2, 5), 1, 6),  # x1^3*x2^2 and x1^3*x2^2*x3^5
+    (3, (1, 0, 2, 0), (1, 0, 2, 3), 1, 4),  # x1*y1^2 and x1*y1^2*y2^3
+    (5, (0, 1, 4, 0), (0, 1, 4, 6), 1, 3),  # x2*y1^4 and x2*y1^4*y2^6
+])
+def test_prefix_totals_serve_longer_and_shorter_requests(ell, short, long, low, high):
+    # the total on a monomial is the cached total on its prefix (the monomial
+    # without its last generator power) times the total on that power: a
+    # prefix cached through a low component is extended for a longer
+    # monomial asked for a higher one, and one cached high answers a low one
+    requests = [(short, low), (long, high)]
+    for order in (requests, requests[::-1]):
+        R = model_ring(ell, 3 if ell == 2 else 2)
+        ref = CartanReference(R)
+        for m, k in order:
+            x = R.element({m: 1})
+            assert R.apply_letter(k, x) == ref.apply_letter(k, x), (m, k)
+            total = R.total_sq(x)
+            for i in range(1, max(total) + 2):
+                assert total.get(i, R.zero()) == ref.apply_letter(i, x), (m, i)
+
+
+def test_missing_component_names_the_lowest_generator_through_the_prefix_cache():
+    # u and v each lack a component that Sq^2 and Sq^3 of w*u*v reach: the
+    # error names u, the lower index, as the reference does, whether or not
+    # the prefix w*u already has a total cached through Sq^1
+    message = "^component %d of the action on %s is needed but not declared$"
+    for warm in (False, True):
+        R = RingPresentation(2, [
+            GeneratorSpec("w", 1),
+            GeneratorSpec("u", 4, action={1: {(5, 0, 0): 1}}),  # Sq^2 never given
+            GeneratorSpec("v", 3),  # Sq^1 and Sq^2 never given
+        ])
+        ref = CartanReference(R)
+        wu, wuv = R.element({(1, 1, 0): 1}), R.element({(1, 1, 1): 1})
+        if warm:
+            assert R.apply_letter(1, wu) == ref.apply_letter(1, wu)
+        for k, missing, name in ((1, 1, "v"), (2, 2, "u"), (3, 2, "u")):
+            with pytest.raises(MissingActionComponent) as want:
+                ref.apply_letter(k, wuv)
+            with pytest.raises(MissingActionComponent, match=message % (missing, name)) as got:
+                R.apply_letter(k, wuv)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(MissingActionComponent, match=message % (1, "v")):
+            R.total_sq(wuv)  # the lowest component first, as letter by letter
+
+
 # ------------------------------------- powers against closed forms
 
 # A generator g of degree 1 at l = 2 or degree 2 at odd l has total
@@ -899,6 +969,16 @@ def test_exponents_at_the_field_limit_raise():
     assert (top * R.gen("y", 2)).terms == {(limit - 1, 2): 1}
     assert not top * R.gen("y", 2) * R.gen("y")
     assert (R.gen("x") * R.gen("x", limit - 2)) == top
+
+
+@pytest.mark.parametrize("e", [-1, rings._FIELD_LIMIT, 2 ** 32, 2 ** 64, 1.5, 2.0])
+def test_exponents_outside_a_field_raise_invalid_argument(e):
+    R = RingPresentation(2, [GeneratorSpec("x", 1), GeneratorSpec("y", 2)])
+    message = r"^exponent %s outside 0\.\.1073741823$" % re.escape(str(e))
+    for build in (R.element, lambda terms: RingElement(R, terms)):
+        for m in ((1, e), (e, 0)):
+            with pytest.raises(InvalidArgument, match=message):
+                build({m: 1})
 
 
 LARGE_DEGREE_RING = (
