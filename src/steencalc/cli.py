@@ -7,9 +7,12 @@ with --rings first, then against the built-in scenario rings, so
 
     steencalc apply "Sq^3 Sq^1" x1*x2 --ring CLASSIFYING2
 
-works out of the box.  argparse reads only a command's shape; its values
-are checked by execute_query, as for the same query in a file.  Exit
-status: 0 when everything ran and every expectation held, 1 when an
+works out of the box.  Each verb's positionals, options, types, choices and
+help are written once, in the table _verbs: a plain argv is read from it
+directly, and argparse, whose parser is built from it, reads every other
+argv and writes help, usage and usage errors.  Both read only a command's
+shape; execute_query checks its values, as for the same query in a file.
+Exit status: 0 when everything ran and every expectation held, 1 when an
 expectation failed or an obstruction fired with no expectation recording
 that it should, 2 on input errors.
 """
@@ -21,6 +24,7 @@ import json
 import sys
 from dataclasses import fields
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import corpus, dsl
 from .errors import SteencalcError
@@ -30,92 +34,105 @@ _FORMATS = ("text", "json", "json-like-structured")
 
 
 @lru_cache(maxsize=1)
+def _verbs():
+    """Each verb once: its query class (None for run), its help, and its
+    arguments in order, each name with the keywords of its add_argument."""
+    ring = {"--ring": dict(required=True, help="ring name"),
+            "--rings": dict(help="source file declaring extra rings")}
+    number = dict(type=int)
+    return {
+        "run": (None, "evaluate a source file", {"file": {}}),
+        "apply": (dsl.ApplyQuery, "apply an operation word", {
+            "op_text": dict(metavar="op",
+                            help='operation text, e.g. "Sq^3 Sq^1" or "b P^1 b"'),
+            "poly": {}, **ring, "--expect": dict(help="expected polynomial")}),
+        "normalize": (dsl.NormalizeQuery, "normal form of a polynomial", {
+            "poly": {}, **ring, "--expect": dict(help="expected polynomial")}),
+        "adem": (dsl.AdemQuery, "admissible form of an operation word", {
+            "op_text": dict(metavar="op"), "--prime": number,
+            "--expect": dict(help="expected operation text")}),
+        "obstruct": (dsl.ObstructQuery, "run one obstruction test", {
+            "kind": dict(choices=("odd", "weird", "frobenius", "hs")), "poly": {}, **ring,
+            "--codim": number, "--which": dict(type=int, help="1 or 2, for the weird kind"),
+            "--q": dict(type=int, help="size of the ground field"),
+            "--max-degree": number, "--twist": number,
+            "--expect": dict(help="verdict (vanishes, nonvanishing, in-image, not-in-image), "
+                             "or a polynomial for the weird kind")}),
+        "wu-check": (dsl.WuQuery, "verify the pushforward identity", {
+            "--n": dict(type=int, required=True, help="fiber dimension"),
+            "--m": dict(type=int, required=True, help="cycle dimension over the base"),
+            **ring, "--y": dict(help="base class (default 1)"), "--hyperplane": {},
+            "--expect": dict(help="true or false")}),
+        "charclass": (dsl.CharclassQuery, "total class of a declared bundle", {
+            "kind": dict(choices=("w", "wet")), "bundle": {},
+            "--rings": dict(required=True, help="source file declaring the bundle"),
+            "--expect": dict(help="expected rendered class")}),
+        "corpus": (dsl.CorpusQuery, "list or run built-in scenarios", {
+            "action": dict(choices=("list", "run")),
+            "name": dict(nargs="?", help="scenario name, or all")}),
+    }
+
+
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argparse parser of _verbs(): help, usage, errors, and every argv
+    _read_argv declines."""
     parser = argparse.ArgumentParser(
-        prog="steencalc",
-        description="mod-l operation calculus on presented graded rings",
-    )
-    parser.add_argument(
-        "--format", choices=_FORMATS, default="text",
-        help="output format (json-like-structured is an alias of json)",
-    )
+        prog="steencalc", description="mod-l operation calculus on presented graded rings")
+    parser.add_argument("--format", choices=_FORMATS, default="text",
+                        help="output format (json-like-structured is an alias of json)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="evaluate a source file")
-    run.add_argument("file")
-
-    def with_ring(p):
-        p.add_argument("--ring", required=True, help="ring name")
-        p.add_argument("--rings", help="source file declaring extra rings")
-
-    apply_p = sub.add_parser("apply", help="apply an operation word")
-    apply_p.set_defaults(query=dsl.ApplyQuery)
-    apply_p.add_argument(
-        "op_text", metavar="op", help='operation text, e.g. "Sq^3 Sq^1" or "b P^1 b"'
-    )
-    apply_p.add_argument("poly")
-    with_ring(apply_p)
-    apply_p.add_argument("--expect", help="expected polynomial")
-
-    norm = sub.add_parser("normalize", help="normal form of a polynomial")
-    norm.set_defaults(query=dsl.NormalizeQuery)
-    norm.add_argument("poly")
-    with_ring(norm)
-    norm.add_argument("--expect", help="expected polynomial")
-
-    adem = sub.add_parser("adem", help="admissible form of an operation word")
-    adem.set_defaults(query=dsl.AdemQuery)
-    adem.add_argument("op_text", metavar="op")
-    adem.add_argument("--prime", type=int)
-    adem.add_argument("--expect", help="expected operation text")
-
-    obstruct = sub.add_parser("obstruct", help="run one obstruction test")
-    obstruct.set_defaults(query=dsl.ObstructQuery)
-    obstruct.add_argument("kind", choices=("odd", "weird", "frobenius", "hs"))
-    obstruct.add_argument("poly")
-    with_ring(obstruct)
-    obstruct.add_argument("--codim", type=int)
-    obstruct.add_argument("--which", type=int, help="1 or 2, for the weird kind")
-    obstruct.add_argument("--q", type=int, help="size of the ground field")
-    obstruct.add_argument("--max-degree", type=int)
-    obstruct.add_argument("--twist", type=int)
-    obstruct.add_argument(
-        "--expect",
-        help="verdict (vanishes, nonvanishing, in-image, not-in-image), "
-        "or a polynomial for the weird kind",
-    )
-
-    wu = sub.add_parser("wu-check", help="verify the pushforward identity")
-    wu.set_defaults(query=dsl.WuQuery)
-    wu.add_argument("--n", type=int, required=True, help="fiber dimension")
-    wu.add_argument("--m", type=int, required=True, help="cycle dimension over the base")
-    with_ring(wu)
-    wu.add_argument("--y", help="base class (default 1)")
-    wu.add_argument("--hyperplane")
-    wu.add_argument("--expect", help="true or false")
-
-    cc = sub.add_parser("charclass", help="total class of a declared bundle")
-    cc.set_defaults(query=dsl.CharclassQuery)
-    cc.add_argument("kind", choices=("w", "wet"))
-    cc.add_argument("bundle")
-    cc.add_argument("--rings", required=True, help="source file declaring the bundle")
-    cc.add_argument("--expect", help="expected rendered class")
-
-    corp = sub.add_parser("corpus", help="list or run built-in scenarios")
-    corp.set_defaults(query=dsl.CorpusQuery)
-    corp.add_argument("action", choices=("list", "run"))
-    corp.add_argument("name", nargs="?", help="scenario name, or all")
-
+    for verb, (query, text, arguments) in _verbs().items():
+        p = sub.add_parser(verb, help=text)
+        if query is not None:
+            p.set_defaults(query=query)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
     return parser
+
+
+def _read_argv(argv):
+    """The namespace argparse gives for a plain argv, read from _verbs(); None
+    for any other, which argparse then reads or refuses.  Plain: --format
+    first if at all, the verb, then its positionals in order and its options
+    by full name, each once, with a value that does not start with - and
+    converts by its type into its choices."""
+    fmt = "text"
+    if len(argv) > 1 and argv[0] == "--format" and argv[1] in _FORMATS:
+        fmt, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in _verbs():
+        return None
+    query, _, arguments = _verbs()[argv[0]]
+    positionals = [name for name in arguments if name[0] != "-"]
+    given, words = {}, iter(argv[1:])
+    for word in words:
+        option = word[:1] == "-"
+        name = word if option else positionals.pop(0) if positionals else None
+        value = next(words, "-") if option else word
+        keywords = None if name in given else arguments.get(name)
+        if keywords is None or value[:1] == "-":
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[name] = value
+    if any(name not in given and kw.get("required", name[0] != "-" and "nargs" not in kw)
+           for name, kw in arguments.items()):
+        return None
+    values = {name.lstrip("-").replace("-", "_"): given.get(name) for name in arguments}
+    if query is not None:
+        values["query"] = query
+    return SimpleNamespace(format=fmt, command=argv[0], **values)
 
 
 # ------------------------------------------------------------ source files
 
 
 def _load_program(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    return _build_source(source)
+    return _build_source(corpus.read_source(path))
 
 
 @lru_cache(maxsize=8)
@@ -187,22 +204,21 @@ def _dispatch(args):
 
 def _emit(results, fmt, ok):
     if fmt == "text":
-        for r in results:
-            for line in r.lines:
-                print(line)
+        sys.stdout.writelines(line + "\n" for r in results for line in r.lines)
         return
-    payload = {"ok": ok, "results": [r.record for r in results]}
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # the text of json.dumps({"ok": ok, "results": records}, sort_keys=True,
+    # indent=2), each record's own text indented to its depth
+    items = ",\n".join("    " + r.record_json().replace("\n", "\n    ") for r in results)
+    print('{\n  "ok": %s,\n  "results": %s\n}'
+          % (json.dumps(ok), "[\n%s\n  ]" % items if items else "[]"))
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         results = _dispatch(args)
-    except SteencalcError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SteencalcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     passed = all(r.passed for r in results)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import dsl
-from .errors import ScenarioIncomplete, UnknownGenerator
+from .errors import ScenarioIncomplete, SteencalcError, UnknownGenerator
 from .rings import GeneratorSpec, RingPresentation
 
 ENV_DATA_DIR = "STEENCALC_CORPUS_DIR"
@@ -132,13 +132,22 @@ def _path(directory: str, name: str) -> str:
     return os.path.join(directory, name + ".steen")
 
 
+def read_source(path: str) -> str:
+    """The text of a source file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SteencalcError("%s is not UTF-8: byte 0x%02x at offset %d"
+                             % (path, exc.object[exc.start], exc.start)) from None
+
+
 @lru_cache(maxsize=None)
 def _load(directory: str, name: str) -> Scenario:
     path = _path(directory, name)
     if not os.path.isfile(path):
         raise ScenarioIncomplete("no scenario %r in %s" % (name, directory))
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
+    source = read_source(path)
     program = dsl.build_program(dsl.parse(source))
     if name not in program.rings:
         raise ScenarioIncomplete("scenario %s must define ring %s" % (name, name))

@@ -59,6 +59,7 @@ from .errors import (
     OmegaUndeclared,
     RuleNonTermination,
     SteencalcError,
+    UnknownGenerator,
 )
 from .steenrod import _require_prime
 
@@ -372,8 +373,10 @@ class RingPresentation:
         return self._wrap({0: 1})
 
     def gen(self, name, power=1):
-        if not 0 <= power < _FIELD_LIMIT:
-            raise InvalidArgument("exponent %d outside 0..%d" % (power, _FIELD_LIMIT - 1))
+        if not (isinstance(power, int) and 0 <= power < _FIELD_LIMIT):
+            raise InvalidArgument("exponent %s outside 0..%d" % (power, _FIELD_LIMIT - 1))
+        if name not in self.index:
+            raise UnknownGenerator("unknown generator %r" % (name,))
         return self._wrap(dict(self._reduce(power * self._units[self.index[name]])))
 
     def element(self, raw):

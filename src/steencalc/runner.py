@@ -21,15 +21,18 @@ reads: the resolved presentation, and for charclass the bundle declaration.
 The key is sound because AST nodes are frozen dataclasses whose source spans
 are left out of equality and hashing, presentations are immutable and hash
 by identity, and neither labels nor results carry spans.  A caller gets a
-fresh QueryResult, with its own lines and record, so mutating it changes no
-later answer.  Left out: errors (a failing query raises again, with its own
-line:col) and corpus verbs, which the command-line front end answers
-itself (the scenario queries they run do go through the cache).  A cached entry
-keeps its presentation alive until it is evicted or the table is cleared.
+fresh QueryResult with its own copy of the lines; its record is copied from
+the cached one on its first read, and record_json encodes the cached record
+once per cached answer, so mutating a result changes no later answer.  Left
+out: errors (a failing query raises again, with its own line:col) and
+corpus verbs, which the command-line front end answers itself (the scenario
+queries they run do go through the cache).  A cached entry keeps its
+presentation alive until it is evicted or the table is cleared.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -66,6 +69,25 @@ class QueryResult:
     def passed(self):
         """ok, and no obstruction fired without an expectation recording it."""
         return self.ok and not (self.fired and self.expected is None)
+
+    def __getattr__(self, name):
+        """The record of a result from the cache, which has none of its own
+        until this first read copies the cached answer's record into it."""
+        if name != "record" or "_cached" not in vars(self):
+            raise AttributeError(name)
+        self.record = record = _fresh(self._cached.record)
+        return record
+
+    def record_json(self):
+        """json.dumps(self.record, sort_keys=True, indent=2); while the
+        record of a result from the cache is unread, the cached answer's
+        text, encoded once."""
+        if "record" in vars(self):
+            return json.dumps(self.record, sort_keys=True, indent=2)
+        answer = self._cached
+        if "_json" not in vars(answer):
+            answer._json = json.dumps(answer.record, sort_keys=True, indent=2)
+        return answer._json
 
 
 def element_record(x):
@@ -136,8 +158,10 @@ def execute_query(query, resolve_ring: Callable, resolve_bundle=None) -> QueryRe
         answer = _answer(query, resolve_ring(query.ring))
     else:
         raise TypeError("unhandled query %r" % (query,))
-    return QueryResult(answer.label, list(answer.lines), _fresh(answer.record),
-                       answer.expected, answer.fired)
+    result = object.__new__(QueryResult)  # no record until its first read
+    vars(result).update(label=answer.label, lines=list(answer.lines), expected=answer.expected,
+                        fired=answer.fired, _cached=answer)
+    return result
 
 
 def _fresh(value):

@@ -22,6 +22,7 @@ from steencalc import (
     model_ring,
     parse_operation,
     rings,
+    UnknownGenerator,
     total_operation_class,
 )
 from steencalc.cli import main
@@ -308,6 +309,20 @@ def test_b_and_sq1_on_one_generator_are_rejected_at_2():
 def test_presentations_reject_bad_input(build, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, -1, 1 << 30, "2"])
+def test_gen_checks_its_exponent_as_element_does(power):
+    R = model_ring(2, 2)
+    message = "^%s$" % re.escape("exponent %s outside 0..1073741823" % power)
+    for build in (lambda: R.gen("x1", power), lambda: R.element({(power, 0): 1})):
+        with pytest.raises(InvalidArgument, match=message):
+            build()
+
+
+def test_gen_of_an_unknown_name_is_an_unknown_generator():
+    with pytest.raises(UnknownGenerator, match="^unknown generator 'x9'$"):
+        model_ring(2, 2).gen("x9")
 
 
 def test_instability_top(R2):
