@@ -33,8 +33,8 @@ times g^(e - e//2), so the products grow with log e, not e.  Component i
 deg(m) + 2i(l - 1), so one product capped at a degree makes all components
 at once, dropping through the guard test every term above the requested
 one; total_sq and apply_letter read each term's component from its degree
-tag.  _addmul is the one mod-l product (a Frobenius image is reduced as a
-product with the unit {0: 1}).
+tag.  _addmul is the one mod-l product; a Frobenius image adds its l-th
+powers whose guard test is clear as they are, and reduces the others.
 
 Total operations are finite degreewise, so no truncation is needed beyond
 the requested component; missing low components of a generator's action
@@ -61,7 +61,7 @@ from .errors import (
     SteencalcError,
     UnknownGenerator,
 )
-from .steenrod import _require_prime
+from .steenrod import _require_int, _require_prime
 
 _MAX_REDUCTIONS = 1_000_000
 _FIELD_BITS = 32
@@ -127,7 +127,7 @@ class RingElement:
         return self + other.scale(-1) if isinstance(other, RingElement) else NotImplemented
 
     def scale(self, c):
-        return self.parent._wrap(self.parent._addmul({}, c, self._packed))
+        return self.parent._wrap(self.parent._addmul({}, _require_int(c), self._packed))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -381,15 +381,23 @@ class RingPresentation:
 
     def element(self, raw):
         """Build an element from a raw dict exponent-tuple -> int, reducing
-        to normal form."""
+        to normal form: a monomial whose guard test is clear is added as it
+        is.  A coefficient that is not an int raises InvalidArgument."""
         if isinstance(raw, RingElement):
             self._own(raw)
             return raw
-        terms, offsets, guard = {}, self._offsets, self._guard
+        ell, terms, offsets, guard = self.prime, {}, self._offsets, self._guard
         for m, c in raw.items():
-            if c % self.prime:
+            if _require_int(c) % ell:
                 p = self._pack(m)
-                self._addmul(terms, c, self._reduce(p) if (p + offsets) & guard else {p: 1})
+                if (p + offsets) & guard:
+                    self._addmul(terms, c, self._reduce(p))
+                    continue
+                new = (terms.get(p, 0) + c) % ell
+                if new:
+                    terms[p] = new
+                else:
+                    terms.pop(p, None)
         return self._wrap(terms)
 
     # ----------------------------------------------------------- arithmetic
@@ -438,7 +446,7 @@ class RingPresentation:
         already normal and is added directly.  With a cap, the guard test
         also drops every product of degree above cap: the degree field's
         guard bit, _tag_top, lies above every product's degree, so a cap at
-        or past it drops nothing.  b = {0: 1} reduces a's raw monomials."""
+        or past it drops nothing."""
         ell = self.prime
         if b is None:
             for m, v in a.items():
@@ -497,18 +505,27 @@ class RingPresentation:
     def _frobenius(self, m, k):
         """F, as in the module docstring, of components 0..k of the total on
         a raw packed monomial of even degree.  F is injective on monomials,
-        so one product with the unit reduces the raw l-th powers.  Raises
-        InvalidArgument before a field would reach _FIELD_LIMIT (at l >= 5
-        it would carry into the next field)."""
+        so an l-th power whose guard test is clear is added as it is and the
+        others are reduced.  Raises InvalidArgument before a field would
+        reach _FIELD_LIMIT (at l >= 5 it would carry into the next field)."""
         ell, shift, odd = self.prime, self._tag_shift, self._odd_bits
-        above, raw = (m >> shift) + k * self._step + 1 << shift, {}
+        offsets, guard = self._offsets, self._guard
+        above, out = (m >> shift) + k * self._step + 1 << shift, {}
         for p, c in self._total(m, k).items():
             if p >= above or p & odd:
                 continue
-            if (p + self._frobenius_over) & self._guard:
+            if (p + self._frobenius_over) & guard:
                 raise self._too_large([e * ell for e in self._unpack(p)])
-            raw[p * ell] = c
-        return self._addmul({}, 1, raw, {0: 1}) if raw else raw
+            p *= ell
+            if (p + offsets) & guard:
+                self._addmul(out, c, self._reduce(p))
+                continue
+            new = (out.get(p, 0) + c) % ell
+            if new:
+                out[p] = new
+            else:
+                out.pop(p, None)
+        return out
 
     def _total(self, m, k):
         """Components 0..min(k, instability bound) of the total Sq (l=2) or

@@ -13,6 +13,12 @@ each read, as RingElement.terms does for its packed monomials, and
 SteenrodElement(l, e.terms) == e.  adem_normalize rewrites elements into the
 admissible basis; the rewriting is validated against an independent
 Cartan-formula oracle in the test suite, not trusted.
+
+A product puts each left word's letters, last first, in front of the right
+operand's terms, one letter at a time: the normal form of one letter in front
+of one word comes from a bounded table, _letter_product, filled by the same
+rewriting.  So a product's terms follow that route in their insertion order;
+render(), monomials(), equality and hashing do not depend on it.
 """
 
 from __future__ import annotations
@@ -30,8 +36,14 @@ from .errors import (
 )
 
 # Pair rewrites are memoized; one normalization call that exceeds this many
-# expansions indicates a cycle and raises InternalNonTermination.
+# expansions indicates a cycle and raises InternalNonTermination.  A product
+# normalizes one letter in front of one word per call, so there the bound
+# applies to each letter product.
 _MAX_REWRITE_STEPS = 1_000_000
+
+# Entries of the letter table, _letter_product: about twice what one pass of
+# products over words of degree <= 32 at l = 2, 3 and 5 fills.
+_LETTER_TABLE_SIZE = 4096
 
 
 # Miller-Rabin with the first k of these bases decides primality exactly below
@@ -79,6 +91,13 @@ def _require_prime(ell):
     if isinstance(ell, int) and (ell in _BASES or _is_prime(ell)):
         return ell
     raise InvalidArgument("not a prime: %r" % (ell,))
+
+
+def _require_int(c):
+    # a coefficient; a bool is an int
+    if not isinstance(c, int):
+        raise InvalidArgument("coefficient %r is not an integer" % (c,))
+    return c
 
 
 def binom_mod_ell(n: int, k: int, ell: int) -> int:
@@ -284,6 +303,46 @@ def _normalize_words(prime, terms):
     return result
 
 
+@lru_cache(maxsize=_LETTER_TABLE_SIZE)
+def _letter_product(prime, a, word):
+    """The normal form of the letter a in front of word, a raw word allowed,
+    as a tuple of (word, coeff) pairs."""
+    return tuple(_normalize_words(prime, {(a,) + word: 1}).items())
+
+
+def _multiply_words(prime, left, right):
+    """The normal form of the product of two dicts word -> coeff, raw words
+    and coefficients allowed.  Each left word's letters, last first, go in
+    front of the right operand's terms through _letter_product, and the
+    first letter's products add straight into the result.  An empty left
+    word adds the normal form of right itself."""
+    letter_product = _letter_product
+    c0 = left.get((), 0) % prime
+    result = _normalize_words(prime, {w: c0 * c for w, c in right.items()}) if c0 else {}
+    for w1, c1 in left.items():
+        c1 %= prime
+        if not (w1 and c1):
+            continue
+        terms = right
+        for a in reversed(w1[1:]):
+            step = {}
+            for w, c in terms.items():
+                for w2, c2 in letter_product(prime, a, w):
+                    step[w2] = step.get(w2, 0) + c * c2
+            terms = step
+        a = w1[0]
+        for w, c in terms.items():
+            c = c1 * c % prime
+            if c:
+                for w2, c2 in letter_product(prime, a, w):
+                    new = (result.get(w2, 0) + c * c2) % prime
+                    if new:
+                        result[w2] = new
+                    else:
+                        del result[w2]
+    return result
+
+
 class SteenrodElement:
     """F_l-linear combination of operation words.
 
@@ -309,7 +368,7 @@ class SteenrodElement:
             else:
                 word = tuple(key)
                 _check_word(prime, word)
-            coeff %= prime
+            coeff = _require_int(coeff) % prime
             if coeff:
                 words[word] = coeff
         self._words = words
@@ -353,22 +412,20 @@ class SteenrodElement:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c %= self.prime
+        c = _require_int(c) % self.prime
         words = {w: (c * v) % self.prime for w, v in self._words.items()} if c else {}
         return SteenrodElement._trusted(self.prime, words)
 
     def multiply(self, other) -> "SteenrodElement":
-        """Concatenate words and renormalize with Adem relations; an int
-        scales, as it does a RingElement."""
+        """The product in admissible form, by _multiply_words: each of this
+        element's words applies its letters, last first, to other's terms
+        through the letter table, so the result's term order follows that
+        route.  An int scales, as it does a RingElement."""
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        raw = {}
-        for w1, c1 in self._words.items():
-            for w2, c2 in other._words.items():
-                word = w1 + w2
-                raw[word] = raw.get(word, 0) + c1 * c2
-        return SteenrodElement._trusted(self.prime, _normalize_words(self.prime, raw))
+        words = _multiply_words(self.prime, self._words, other._words)
+        return SteenrodElement._trusted(self.prime, words)
 
     __mul__ = multiply
 

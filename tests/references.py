@@ -29,7 +29,7 @@ Unlike the closed-form models in oracles.py, these call into the package:
   word from its first letter, over the engine's own Adem pair tables;
 - `ReferenceSteenrodElement` is the Steenrod element that kept a map from
   SteenrodMonomial to coefficient, one monomial object per term, over the
-  engine's own `_normalize_words`;
+  engine's own `_normalize_words` and `_multiply_words`;
 - `reference_admissible_words` is the enumerator that grew words inward,
   with no excess bound;
 - `reference_basis_of_degree` is the monomial enumerator that tried every
@@ -66,6 +66,7 @@ from steencalc.steenrod import (
     SteenrodMonomial,
     _adem_pbp,
     _adem_pp,
+    _multiply_words,
     _normalize_words,
     _require_prime,
 )
@@ -1040,12 +1041,10 @@ class ReferenceSteenrodElement:
 
     def multiply(self, other):
         self._check(other)
-        raw = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                word = m1.word + m2.word
-                raw[word] = raw.get(word, 0) + c1 * c2
-        return self._normalized(raw)
+        p = self.prime
+        words = _multiply_words(p, {m.word: c for m, c in self.terms.items()},
+                                {m.word: c for m, c in other.terms.items()})
+        return ReferenceSteenrodElement(p, {SteenrodMonomial(p, w): c for w, c in words.items()})
 
     def adem_normalize(self):
         return self._normalized({m.word: c for m, c in self.terms.items()})

@@ -996,6 +996,18 @@ def test_exponents_outside_a_field_raise_invalid_argument(e):
                 build({m: 1})
 
 
+@pytest.mark.parametrize("c", [1.5, 2.0, "1", None])
+def test_non_integer_coefficients_raise_invalid_argument(c):
+    R = model_ring(3, 2)
+    message = r"^coefficient %s is not an integer$" % re.escape(repr(c))
+    for build in (R.element, lambda terms: RingElement(R, terms)):
+        with pytest.raises(InvalidArgument, match=message):
+            build({(0, 0, 1, 0): 1, (1, 0, 0, 0): c})
+    with pytest.raises(InvalidArgument, match=message):
+        R.gen("y1").scale(c)
+    assert R.element({(0, 0, 1, 0): True}) == R.gen("y1").scale(True) == R.gen("y1")
+
+
 LARGE_DEGREE_RING = (
     "ring B { prime = 2; gen x deg=8; gen y deg=9; rule y^2 = 0; "
     "action Sq^1(x) = y; action Sq^1(y) = 0; }\n"

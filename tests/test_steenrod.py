@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,7 @@ from steencalc import (
     steenrod,
 )
 from steencalc.errors import InternalNonTermination, InvalidArgument, NotAdmissible
-from steencalc.steenrod import SteenrodMonomial, _normalize_words
+from steencalc.steenrod import SteenrodMonomial, _multiply_words, _normalize_words
 
 from oracles import Model2, ModelOdd, binom_mod
 from references import (
@@ -311,6 +312,31 @@ def _small_raw_terms(prime):
     return st.dictionaries(words, st.integers(-prime, 2 * prime), max_size=4)
 
 
+def _normalized_concatenations(prime, left, right):
+    raw = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            raw[w1 + w2] = raw.get(w1 + w2, 0) + c1 * c2
+    return _normalize_words(prime, raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+    st.just(p), _small_raw_terms(p), _small_raw_terms(p))))
+@example((2, {(): 1, (2, 2): 1}, {(1, 1): 1, (2, 3): 1, (): 2}))
+@example((3, {(): 2}, {(0, 0): 1, (1, 1, 0): 1, (1, 0, 0, 2): 2, (2,): 3}))
+@example((5, {(2, 0, 0, 1): 5, (): 4, (1, 1): 1}, {(0, 0, 3, 1): 1, (): 10, (1, 2): 4}))
+def test_multiply_words_matches_normalized_concatenations(case):
+    """Putting each left word's letters, last first, in front of the right
+    terms through the letter table gives the normal form of the concatenated
+    words, from an empty table and from a filled one."""
+    prime, left, right = case
+    want = _normalized_concatenations(prime, left, right)
+    steenrod._letter_product.cache_clear()
+    assert _multiply_words(prime, left, right) == want
+    assert _multiply_words(prime, left, right) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
     st.just(p), _small_raw_terms(p), _small_raw_terms(p), st.integers(-9, 9))))
@@ -430,6 +456,17 @@ def test_public_entry_points_still_validate():
         SteenrodElement(5, {(1.0,): 1})
     for ell in (2, 3, 5, 7, 11, 97):
         assert SteenrodElement(ell).prime == ell
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0, "1", None])
+def test_non_integer_coefficient_is_invalid_argument(c):
+    message = r"^coefficient %s is not an integer$" % re.escape(repr(c))
+    for prime in (2, 3):
+        with pytest.raises(InvalidArgument, match=message):
+            SteenrodElement(prime, {(1,): c})
+        with pytest.raises(InvalidArgument, match=message):
+            SteenrodElement(prime, {(1,): 1}).scale(c)
+    assert SteenrodElement(3, {(1,): True}) == SteenrodElement(3, {(1,): 2}).scale(True).scale(2)
 
 
 @pytest.mark.parametrize("prime", [5.0, "5", None])
