@@ -14,13 +14,15 @@ argv and writes help, usage and usage errors.  Both read only a command's
 shape; execute_query checks its values, as for the same query in a file.
 Exit status: 0 when everything ran and every expectation held, 1 when an
 expectation failed or an obstruction fired with no expectation recording
-that it should, 2 on input errors.
+that it should, 2 on input errors, CLOSED_PIPE (141) with nothing on stderr
+when standard output closes before everything is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from functools import lru_cache
@@ -31,6 +33,7 @@ from .errors import SteencalcError
 from .runner import QueryResult, execute_query
 
 _FORMATS = ("text", "json", "json-like-structured")
+CLOSED_PIPE = 141  # a shell's status for a process that SIGPIPE ended
 
 
 @lru_cache(maxsize=1)
@@ -213,6 +216,19 @@ def _emit(results, fmt, ok):
           % (json.dumps(ok), "[\n%s\n  ]" % items if items else "[]"))
 
 
+def _stdout_to_devnull():
+    """Point stdout's descriptor at os.devnull once its reader has gone, so
+    what is left in its buffer goes there when the interpreter flushes it
+    at exit, with no traceback."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # a stdout with no descriptor, such as a StringIO
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv) or _build_parser().parse_args(argv)
@@ -222,7 +238,12 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     passed = all(r.passed for r in results)
-    _emit(results, args.format, passed)
+    try:
+        _emit(results, args.format, passed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return CLOSED_PIPE
     return 0 if passed else 1
 
 

@@ -19,6 +19,12 @@ build_program, the semantic pass, checks names and homogeneity and builds
 the presentations.
 Parenthesized subpolynomials are expanded at parse time; factor order inside
 a term is preserved, since at odd primes x2*x1 is not x1*x2.
+
+parse() reads a source a line at a time while each line holds one
+statement (or one line of a ring block, or a comment) in the usual layout,
+each line by one pattern; from the first other line on, the token parser
+_Parser reads the rest.  Trees, spans and errors are the same either way:
+every DslSyntaxError comes from _Parser.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from contextlib import contextmanager
+from functools import lru_cache
 from dataclasses import dataclass, field
 from itertools import accumulate, count
 from operator import add, itemgetter
@@ -72,11 +79,12 @@ _TOKEN = re.compile(
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _scan(source):
-    """(texts, matches): the token texts, ending in the eof token "", and
-    their matches, from which a token's offset is read when it is needed.
-    Raises DslSyntaxError at the first character no token starts with."""
-    matches = list(_TOKEN.finditer(source))
+def _scan(source, offset=0):
+    """(texts, matches): the token texts from offset on, ending in the eof
+    token "", and their matches, from which a token's offset is read when it
+    is needed.  Raises DslSyntaxError at the first character no token starts
+    with."""
+    matches = list(_TOKEN.finditer(source, offset))
     texts = list(map(itemgetter(1), matches))
     if None in texts:
         bad = matches[texts.index(None)]
@@ -268,11 +276,12 @@ class _Parser:
         self.newlines = None  # found at the first span
         self.pos = 0
 
-    def scan(self):
-        """Read the token texts and matches; each entry point (parse_file,
-        parse_operation, the parse_poly function) calls it first, so an
-        operation word can look for '#' before its text is scanned."""
-        self.toks, self.matches = _scan(self.source)
+    def scan(self, offset=0):
+        """Read the token texts and matches from offset on; each entry point
+        (parse_file, parse_operation, the parse_poly function) calls it
+        first, so an operation word can look for '#' before its text is
+        scanned."""
+        self.toks, self.matches = _scan(self.source, offset)
 
     def span(self):
         """(line, col) of the current token."""
@@ -653,8 +662,8 @@ class _Parser:
             "wu-check", "charclass", "corpus",
         )
 
-    def parse_file(self):
-        self.scan()
+    def parse_file(self, offset=0):
+        self.scan(offset)
         rings, bundles, queries = [], [], []
         toks = self.toks
         while toks[self.pos]:
@@ -667,14 +676,192 @@ class _Parser:
         return FileAst(tuple(rings), tuple(bundles), tuple(queries))
 
 
+# ------------------------------------------------------------ line reader
+
+# Most sources hold one statement, or one line of a ring block, to a line,
+# with options in the order render() writes them.  Such a line is read by
+# the pattern its first two characters name; its span is its number and
+# first column.  Its polynomials are checked by _POLY, the flat polynomials
+# _Parser reads, and read by a findall of _POLY_ATOM.  At the first line no
+# pattern reads, the rest of the source goes to _Parser, from the header of
+# the ring block the line is in, if any; so trees, spans and errors are
+# those of _Parser alone, the only source of DslSyntaxError.
+_FACTOR = r"(?!wu-check)[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?"
+_TERM = r"(?:(?:\d+\s*(?:\*\s*)?)?{0}(?:\s*\*\s*{0})*|\d+)".format(_FACTOR)
+_POLY = re.compile(r"(?:-\s*)?{0}(?:\s*[+-]\s*{0})*".format(_TERM))
+_POLY_ATOM = re.compile(r"([+-])|(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
+
+
+# One pattern per statement the line reader reads, N standing for a name.
+_LINE_STATEMENTS = (
+    r'apply\s*"([^"]*)"\s*to\s+(.+?)\s+in\s+N(?:\s+expect\s+(.+?))?\s*;',
+    r"normalize\s+(.+?)\s+in\s+N(?:\s+expect\s+(.+?))?\s*;",
+    r"obstruct\s+(odd|weird|frobenius|hs)(?:\s+--codim\s+(?P<codim>\d+))?"
+    r"(?:\s+--which\s+(?P<which>\d+))?(?:\s+--q\s+(?P<q>\d+))?"
+    r"(?:\s+--max-degree\s+(?P<max_degree>\d+))?\s+on\s+(.+?)\s+in\s+N"
+    r"(?:\s+twist\s*=\s*(?P<twist>\d+))?"
+    r"(?:\s+expect\s+(?:([A-Za-z_][A-Za-z_0-9]*(?:-[A-Za-z_][A-Za-z_0-9]*)*)|(.+?)))?\s*;",
+    r"wu-check\s+--n\s+(?P<n>\d+)\s+--m\s+(?P<m>\d+)\s+in\s+N(?:\s+y\s*=\s*(.+?))?"
+    r"(?:\s+hyperplane\s*=\s*N)?(?:\s+expect\s+N)?\s*;",
+    r'adem\s*"([^"]*)"(?:\s*prime\s*=\s*(?P<prime>\d+))?(?:\s*expect\s*"([^"]*)")?\s*;',
+    r'charclass\s+(w|wet)\s+of\s+N(?:\s+expect\s*"([^"]*)")?\s*;',
+    r"corpus\s+(?:(list)|(run)\s+N)\s*;",
+    r"ring\s+N\s*\{",
+    r"prime\s*=\s*(\d+)\s*;",
+    r"gen\s+N\s+deg\s*=\s*(\d+)(?:\s+twist\s*=\s*(\d+))?(\s+odd)?(?:\s+frob\s*=\s*(\d+))?\s*;",
+    r"rule\s+N\s*\^\s*(\d+)\s*=\s*(.+?)\s*;",
+    r"action\s+(?:(Sq|P)\s*\^\s*(\d+)|b)\s*\(\s*N\s*\)\s*=\s*(.+?)\s*;",
+    r"omega\s*=\s*N\s*;",
+)
+
+
+@lru_cache(maxsize=32)
+def _line_pattern(key):
+    """The pattern of the statement whose first two characters are key, None
+    for none; each is compiled at its first use, so a process that reads no
+    source compiles none."""
+    for source in _LINE_STATEMENTS:
+        if source[:2] == key:
+            return re.compile(source.replace("N", "([A-Za-z_][A-Za-z_0-9]*)"))
+    return None
+
+
+class _Unread(Exception):
+    """A line the line reader leaves to _Parser."""
+
+
+def _match(text):
+    pattern = _line_pattern(text[:2])
+    m = pattern and pattern.fullmatch(text)
+    if not m:
+        raise _Unread
+    return m
+
+
+def _flat_poly(text, open_end=False):
+    """The Poly _Parser reads from text.  Raises _Unread if _POLY does not
+    match, or if a name follows (open_end) a last term that is a bare
+    integer, which _Parser would multiply by that name."""
+    if not _POLY.fullmatch(text):
+        raise _Unread
+    negate = text[0] == "-"
+    terms, coeff, factors, bare = [], 1, (), False
+    for sign, num, name, exp in _POLY_ATOM.findall(text, int(negate)):
+        if sign:
+            terms.append((-coeff if negate else coeff, factors))
+            negate, coeff, factors = sign == "-", 1, ()
+        elif num:
+            coeff, bare = int(num), True
+        else:
+            bare = False
+            if not exp or int(exp):
+                factors += ((name, int(exp or 1)),)
+    if bare and open_end:
+        raise _Unread
+    terms.append((-coeff if negate else coeff, factors))
+    return Poly(tuple(terms))
+
+
+def _read_query(text, line, col):
+    """The query a line holds.  A pattern's named groups are the int options
+    given; the quote before string group g is at column col + m.start(g) - 1."""
+    m = _match(text)
+    span, verb = (line, col), text[:2]
+    if m.re.groupindex:
+        options = {key: int(value) for key, value in m.groupdict().items() if value}
+    if verb == "ap":
+        return ApplyQuery(m[1], _flat_poly(m[2], True), m[3], m[4] and _flat_poly(m[4]),
+                          span, (line, col + m.start(1) - 1))
+    if verb == "no":
+        return NormalizeQuery(_flat_poly(m[1], True), m[2], m[3] and _flat_poly(m[3]), span)
+    if verb == "ob":
+        if m[10] and m[1] != "weird":  # not a verdict
+            raise _Unread
+        if m[9] or m[10]:
+            options["expect"] = _flat_poly(m[9] or m[10]) if m[1] == "weird" else m[9]
+        return ObstructQuery(m[1], _flat_poly(m[6], True), m[7], span=span, **options)
+    if verb == "wu":
+        for key, value in (("y", m[4] and _flat_poly(m[4], m[5] or m[6])),
+                           ("hyperplane", m[5]), ("expect", m[6])):
+            if value is not None:
+                options[key] = value
+        return WuQuery(ring=m[3], span=span, **options)
+    if verb == "ad":
+        if m[3] is not None:
+            options.update(expect=m[3], expect_span=(line, col + m.start(3) - 1))
+        return AdemQuery(m[1], span=span, op_span=(line, col + m.start(1) - 1), **options)
+    if verb == "ch":
+        return CharclassQuery(m[1], m[2], m[3], span)
+    if verb == "co":
+        return CorpusQuery(m[1] or m[2], m[3], span)
+    raise _Unread  # a ring block's line
+
+
+def _read_lines(source):
+    """(rings, queries, resume): the ring blocks and queries of the lines
+    read from the top, and the offset _Parser goes on from, None if every
+    line was read."""
+    rings, queries = [], []
+    block, resume, offset = None, 0, 0
+    try:
+        for number, line in enumerate(source.split("\n"), 1):
+            here, offset = offset, offset + len(line) + 1
+            text = line.strip()
+            if not text or text[0] == "#":  # a comment runs to the end of the line
+                continue
+            col = line.find(text[0]) + 1
+            if block is None:
+                resume = here
+                if text[:2] == "ri":
+                    name, span, prime, omega = _match(text)[1], (number, col), None, None
+                    block = ([], [], [])
+                else:
+                    queries.append(_read_query(text, number, col))
+                continue
+            gens, rules, actions = block
+            if text == "}" and prime is not None:
+                rings.append(RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions),
+                                       omega, span))
+                block = None
+                continue
+            m, item = _match(text), text[:2]
+            if (item == "pr") != (prime is None):
+                raise _Unread
+            if item == "pr":
+                prime = int(m[1])
+            elif item == "ge":
+                gens.append(GenDecl(m[1], int(m[2]), int(m[3] or 0), bool(m[4]),
+                                    m[5] and int(m[5]), (number, col)))
+            elif item == "ru":
+                rules.append(RuleDecl(m[1], int(m[2]), _flat_poly(m[3]), (number, col)))
+            elif item == "ac":
+                actions.append(ActionDecl(m[1] or "b", m[2] and int(m[2]), m[3],
+                                          _flat_poly(m[4]), (number, col)))
+            elif item == "om":
+                omega = m[1]
+            else:
+                raise _Unread  # a query, or a ring header
+    except _Unread:
+        return rings, queries, resume
+    return rings, queries, None if block is None else resume
+
+
 def parse(source: str) -> FileAst:
     """Parse a source file into its syntax tree.  Syntax only: name and
     homogeneity errors surface from build_program."""
-    return _Parser(source).parse_file()
+    rings, queries, resume = _read_lines(source)
+    if resume is None:
+        return FileAst(tuple(rings), (), tuple(queries))
+    rest = _Parser(source).parse_file(resume)
+    return FileAst(tuple(rings) + rest.rings, rest.bundles, tuple(queries) + rest.queries)
 
 
 def parse_poly(text: str) -> Poly:
     """Parse a standalone polynomial, e.g. from a CLI argument."""
+    try:
+        return _flat_poly(text.strip())
+    except _Unread:
+        pass
     parser = _Parser(text)
     parser.scan()
     poly = parser.parse_poly()

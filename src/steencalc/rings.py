@@ -615,13 +615,23 @@ class RingPresentation:
     def apply_letter(self, letter, x):
         """Apply one word letter (int i for Sq^i / P^i, 0 for the odd-prime
         Bockstein) to a RingElement: of each monomial m's cached total, the
-        terms of degree deg(m) + letter * _step."""
+        terms of degree deg(m) + letter * _step, each added straight into
+        the result."""
         self._own(x)
-        beta, out, shift = self.prime > 2 and letter == 0, {}, self._tag_shift
+        ell, out, shift = self.prime, {}, self._tag_shift
+        beta = ell > 2 and letter == 0
         for m, c in x._packed.items():
+            if beta:
+                self._addmul(out, c, self._beta_monomial(m))
+                continue
             target = (m >> shift) + letter * self._step
-            self._addmul(out, c, self._beta_monomial(m) if beta else
-                         {p: v for p, v in self._total(m, letter).items() if p >> shift == target})
+            for p, v in self._total(m, letter).items():
+                if p >> shift == target:
+                    new = (out.get(p, 0) + c * v) % ell
+                    if new:
+                        out[p] = new
+                    else:
+                        out.pop(p, None)
         return self._wrap(out)
 
     def apply_word(self, word, x):

@@ -1,6 +1,7 @@
 """Exit codes, output formats, and the file evaluation path."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from steencalc import InvalidArgument, corpus, dsl, runner
-from steencalc.cli import _build_parser, _query_from_args, main
+from steencalc.cli import CLOSED_PIPE, _build_parser, _query_from_args, main
 from steencalc.runner import execute_query
 
 from references import data_file_path
@@ -214,6 +215,35 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_quietly(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["--format", fmt, "corpus", "run", "CLASSIFYING2"]) == CLOSED_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_no_traceback():
+    # the reader is gone long before the corpus is written, so the write,
+    # and the flush at exit, meet a closed pipe
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steencalc", "--format", "json", "corpus", "run", "all"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait() == CLOSED_PIPE
+    assert err == b""
 
 
 # ------------------------------------------- arguments outside their range

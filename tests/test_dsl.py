@@ -1,6 +1,8 @@
 """Surface syntax: lexing, parsing, rendering, and elaboration into rings."""
 
+import json
 import os
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -281,6 +283,140 @@ def mutated_source(draw):
 @given(mutated_source())
 def test_parser_matches_reference_on_mutated_files(source):
     assert _parse_outcome(dsl.parse, source) == _parse_outcome(reference_parse, source)
+
+
+# ------------------------------------------------------------ the line reader
+
+SESSION_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(SESSION_RINGS)),
+                                 "session_reference.json")
+
+
+def _handovers(monkeypatch):
+    """The offsets the line reader hands sources over to _Parser at, from
+    here on."""
+    offsets = []
+    parse_file = dsl._Parser.parse_file
+
+    def spy(self, offset=0):
+        offsets.append(offset)
+        return parse_file(self, offset)
+
+    monkeypatch.setattr(dsl._Parser, "parse_file", spy)
+    return offsets
+
+
+def test_line_reader_reads_the_shipped_files_and_session_queries(monkeypatch):
+    offsets = _handovers(monkeypatch)
+    for name in corpus.scenario_names():
+        with open(data_file_path(name), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        dsl.parse("\n".join(lines))
+        if name == "MO3":  # its one parenthesised polynomial, on line 18
+            assert "(" in lines[17]
+            assert offsets == [sum(len(line) + 1 for line in lines[:17])]
+        else:
+            assert offsets == [], name
+        offsets.clear()
+    with open(SESSION_REFERENCE, encoding="utf-8") as fh:
+        texts = [e["text"] for e in json.load(fh)["entries"] if e["mode"] == "lib"]
+    assert texts
+    for text in texts:
+        dsl.parse(text)
+    assert offsets == []
+
+
+GAPS = [" ", "  ", "\t", " \t"]
+# generator names, some of them query keywords, and their exponents
+POLY_NAMES = ["x", "y2", "w", "in", "expect", "hyperplane", "to"]
+POLY_EXPONENTS = ["", "^2", "^0", "^12", "^٢", " ^ 3", "^\t1"]
+
+
+@st.composite
+def flat_poly(draw):
+    """A polynomial without parentheses, in the spellings the token parser
+    reads alike: 2x, 2 x, 2*x, constants, x^0, other scripts' digits, and a
+    leading -."""
+    out = draw(st.sampled_from(["", "", "-", "- "]))
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            out += draw(st.sampled_from([" + ", "+", " - ", "-", "\t-\t"]))
+        coeff = draw(st.sampled_from(["", "", "2", "0", "12", "٣"]))
+        names = draw(st.lists(st.sampled_from(POLY_NAMES), min_size=0 if coeff else 1,
+                              max_size=2))
+        if coeff and names:
+            coeff += draw(st.sampled_from(["", " ", "*", " * "]))
+        out += coeff + draw(st.sampled_from(["*", " * ", "\t*"])).join(
+            name + draw(st.sampled_from(POLY_EXPONENTS)) for name in names)
+    return out
+
+
+def _tight(left, right):
+    """Whether two tokens, as (kind, value), lex alike with nothing between
+    them and are commonly written so: next to a symbol or a string, and a
+    hyphen between words."""
+    if "string" in (left[0], right[0]):
+        return True
+    if "-" in (left[1], right[1]):
+        return (right if left[1] == "-" else left)[0] in ("ident", "int")
+    return "sym" in (left[0], right[0])
+
+
+# statements with polynomials P: ~ is a gap, ` a gap or none
+POLY_QUERIES = [
+    'apply~"Sq^1"~to~P~in~R', "normalize~P~in~R",
+    "obstruct~weird~--which~1~on~P~in~R~twist`=`2",
+]
+POLY_EXPECTS = ["", "~expect~P"]
+WU_QUERY = "wu-check~--n~1~--m~1~in~R~y`=`P"
+WU_ENDINGS = ["", "~hyperplane`=`l", "~expect~true", "~hyperplane`=`l~expect~false"]
+POLY_ITEMS = ["rule~x`^`2`=`P", "action~Sq`^`1`(`x`)`=`P"]
+
+
+@st.composite
+def line_source(draw):
+    """A shipped file, one statement or ring block line to a line, with its
+    layout redrawn: tabs, spaces around = ^ * and none where tokens allow,
+    \\r\\n endings, comment lines; with polynomial queries appended and
+    polynomial rules and actions added to its ring."""
+    with open(data_file_path(draw(st.sampled_from(corpus.scenario_names()))),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        tokens = [tok[:2] for tok in reference_lex(line)[:-1]]
+        lines[i] = tokens[0][1] + "".join(
+            draw(st.sampled_from([""] + GAPS if _tight(left, right) else GAPS)) + right[1]
+            for left, right in zip(tokens, tokens[1:]))
+    items = [draw(st.sampled_from(POLY_ITEMS)) for _ in range(draw(st.integers(0, 2)))]
+    queries = [
+        draw(st.sampled_from(POLY_QUERIES)) + draw(st.sampled_from(POLY_EXPECTS))
+        if draw(st.booleans()) else WU_QUERY + draw(st.sampled_from(WU_ENDINGS))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    close = lines.index("}")
+    out = ""
+    for line in lines[:close] + items + lines[close:] + queries:
+        if "~" in line:
+            line = re.sub("[~`P]", lambda m: draw(
+                flat_poly() if m[0] == "P" else
+                st.sampled_from(GAPS if m[0] == "~" else [""] + GAPS)), line + "`;")
+        out += (draw(st.sampled_from(["", "  ", "\t"])) + line
+                + draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(["\n", "\r\n"])))
+        if draw(st.integers(0, 9)) == 0:
+            out += draw(st.sampled_from(["\n", "  # a comment\n", "#\n"]))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_source())
+def test_line_reader_matches_reference(source):
+    assert _parse_outcome(dsl.parse, source) == _parse_outcome(reference_parse, source)
+
+
+@settings(max_examples=400, deadline=None)
+@given(flat_poly())
+def test_flat_polys_match_reference(text):
+    assert (_parse_outcome(dsl.parse_poly, text)
+            == _parse_outcome(reference_parse_poly, text))
 
 
 @pytest.mark.parametrize("line, col, message", [
