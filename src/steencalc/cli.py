@@ -29,7 +29,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import corpus, dsl
-from .errors import SteencalcError
+from .errors import InvalidArgument, SteencalcError
 from .runner import QueryResult, execute_query
 
 _FORMATS = ("text", "json", "json-like-structured")
@@ -147,6 +147,8 @@ def _build_source(source):
 
 def _corpus_answer(query):
     """The answer to a corpus verb, which only the command line runs."""
+    if query.action == "list" and query.name is not None:
+        raise InvalidArgument("corpus list takes no scenario name")
     label = dsl.render_query(query)
     lines = [label]
     record = {"query": label, "verb": "corpus-" + query.action}

@@ -20,11 +20,11 @@ the presentations.
 Parenthesized subpolynomials are expanded at parse time; factor order inside
 a term is preserved, since at odd primes x2*x1 is not x1*x2.
 
-parse() reads a source a line at a time while each line holds one
-statement (or one line of a ring block, or a comment) in the usual layout,
-each line by one pattern; from the first other line on, the token parser
-_Parser reads the rest.  Trees, spans and errors are the same either way:
-every DslSyntaxError comes from _Parser.
+Each statement's grammar is written once, in _LAYOUTS, as the text render()
+writes.  parse() reads a line in its statement's layout directly; from the
+first other line on, the token parser _Parser reads the rest, queries along
+the same layouts.  Trees, spans and errors are the same either way: every
+DslSyntaxError comes from _Parser.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from functools import lru_cache
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, count
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Optional, Union
 
 from .errors import (
@@ -134,6 +134,8 @@ class Poly:
             else:
                 chunks.append("%s %s" % (sign, body))
         return " ".join(chunks)
+
+    __str__ = render
 
 
 @dataclass(frozen=True)
@@ -322,24 +324,6 @@ class _Parser:
             self.unexpected(what)
         self.pos += 1
         return tok
-
-    def expect_keyword(self, what, words):
-        """One of the identifiers words; a wrong one is reported where it
-        stands."""
-        tok = self.toks[self.pos]
-        if tok not in words:
-            if tok[:1] not in _IDENT_START:
-                self.unexpected(what)
-            self.fail("found %r" % tok, words)
-        self.pos += 1
-        return tok
-
-    def expect_string(self):
-        tok = self.toks[self.pos]
-        if tok[:1] != '"':
-            self.unexpected('"..."')
-        self.pos += 1
-        return tok[1:-1]
 
     def eat(self, text):
         if self.toks[self.pos] == text:
@@ -552,115 +536,62 @@ class _Parser:
         )
 
     # -------- queries
-    # A query's options are keyword arguments given only when their clause
-    # is present, so each default is written once, on the query class.
-
-    def _parse_flags(self, allowed):
-        """The --flag int pairs, keyed by the flag's field name."""
-        out = {}
-        while self.toks[self.pos][:2] == "--":
-            key = self.toks[self.pos][2:]
-            if key not in allowed:
-                self.fail("unknown flag --%s" % key, tuple("--" + a for a in allowed))
-            self.pos += 1
-            out[key.replace("-", "_")] = self.expect_int("a value for --%s" % key)
-        return out
-
-    def _parse_verdict(self):
-        # verdicts may be hyphenated (not-in-image), which the lexer splits
-        word = self.expect_ident("a verdict")
-        while self.eat("-"):
-            word += "-" + self.expect_ident("a verdict word")
-        return word
 
     def parse_query(self):
-        span = self.span()
-        verb = self.toks[self.pos]
-        if verb == "apply":
-            self.next()
-            op_span = self.span()
-            op_text = self.expect_string()
-            self.expect("to")
-            poly = self.parse_poly()
-            self.expect("in")
-            ring = self.expect_ident("a ring name")
-            expect = self.parse_poly() if self.eat("expect") else None
-            self.expect(";")
-            return ApplyQuery(op_text, poly, ring, expect, span, op_span)
-        if verb == "normalize":
-            self.next()
-            poly = self.parse_poly()
-            self.expect("in")
-            ring = self.expect_ident("a ring name")
-            expect = self.parse_poly() if self.eat("expect") else None
-            self.expect(";")
-            return NormalizeQuery(poly, ring, expect, span)
-        if verb == "adem":
-            self.next()
-            op_span = self.span()
-            op_text = self.expect_string()
-            options = {}
-            if self.eat("prime"):
-                self.expect("=")
-                options["prime"] = self.expect_int("a prime")
-            if self.eat("expect"):
-                options["expect_span"] = self.span()
-                options["expect"] = self.expect_string()
-            self.expect(";")
-            return AdemQuery(op_text, span=span, op_span=op_span, **options)
-        if verb == "obstruct":
-            self.next()
-            kind = self.expect_keyword("odd, weird, frobenius, or hs",
-                                       ("odd", "weird", "frobenius", "hs"))
-            flags = self._parse_flags(("codim", "which", "q", "max-degree"))
-            self.expect("on")
-            poly = self.parse_poly()
-            self.expect("in")
-            ring = self.expect_ident("a ring name")
-            if self.eat("twist"):
-                self.expect("=")
-                flags["twist"] = self.expect_int("a twist")
-            if self.eat("expect"):
-                flags["expect"] = self.parse_poly() if kind == "weird" else self._parse_verdict()
-            self.expect(";")
-            return ObstructQuery(kind, poly, ring, span=span, **flags)
-        if verb == "wu-check":
-            self.next()
-            flags = self._parse_flags(("n", "m"))
-            if "n" not in flags or "m" not in flags:
-                self.fail("wu-check needs --n and --m", ("--n", "--m"))
-            self.expect("in")
-            ring = self.expect_ident("a ring name")
-            if self.eat("y"):
-                self.expect("=")
-                flags["y"] = self.parse_poly()
-            if self.eat("hyperplane"):
-                self.expect("=")
-                flags["hyperplane"] = self.expect_ident("a generator name")
-            if self.eat("expect"):
-                flags["expect"] = self.expect_ident("true or false")
-            self.expect(";")
-            return WuQuery(ring=ring, span=span, **flags)
-        if verb == "charclass":
-            self.next()
-            kind = self.expect_keyword("w or wet", ("w", "wet"))
-            self.expect("of")
-            bundle = self.expect_ident("a bundle name")
-            expect = self.expect_string() if self.eat("expect") else None
-            self.expect(";")
-            return CharclassQuery(kind, bundle, expect, span)
-        if verb == "corpus":
-            self.next()
-            action = self.expect_keyword("list or run", ("list", "run"))
-            name = None
-            if action == "run":
-                name = self.expect_ident("a scenario name or all")
-            self.expect(";")
-            return CorpusQuery(action, name, span)
-        self.unexpected(
-            "ring", "bundle", "apply", "normalize", "adem", "obstruct",
-            "wu-check", "charclass", "corpus",
-        )
+        """A query, along its layout; a field left out takes its class default."""
+        verb, values = self.toks[self.pos], {"span": self.span()}
+        if verb not in _VERBS:
+            self.unexpected("ring", "bundle", *_VERBS)
+        layout = _layout(verb[:2])
+        self._walk(layout, layout.steps, values)
+        node = object.__new__(layout.cls)  # its fields set at once, as _Layout.read does
+        vars(node).update(layout.defaults, **values)
+        return node
+
+    def _walk(self, layout, steps, values):
+        toks = self.toks
+        for step in steps:
+            tok = toks[self.pos]
+            if step[0] == "word":
+                if tok != step[1]:
+                    self.unexpected(step[1])
+                self.pos += 1
+            elif step[0] == "flags":
+                flags, required = layout.flags, layout.required
+                while toks[self.pos][:2] == "--":
+                    if toks[self.pos] not in flags:
+                        self.fail("unknown flag %s" % toks[self.pos], tuple(flags))
+                    self._walk(layout, [flags[self.next()]], values)
+                if any(flags[flag][1] not in values for flag in required):
+                    self.fail("%s needs %s" % (layout.verb, " and ".join(required)), required)
+            elif step[0] == "clause":
+                if tok == step[1] if step[1] else values.get(layout.choice) == step[2]:
+                    self._walk(layout, step[3], values)
+            else:
+                _, name, kind, what, span_name, override = step
+                if override and values.get(layout.choice) == override[0]:
+                    kind = override[1]
+                if kind == "p":
+                    values[name] = self.parse_poly()
+                elif kind == "i":
+                    values[name] = self.expect_int(what)
+                elif kind == "v":  # hyphenated words (not-in-image), which the lexer splits
+                    word = self.expect_ident("a verdict")
+                    while self.eat("-"):
+                        word += "-" + self.expect_ident("a verdict word")
+                    values[name] = word
+                elif kind == "s":
+                    if tok[:1] != '"':
+                        self.unexpected('"..."')
+                    if span_name:
+                        values[span_name] = self.span()
+                    values[name] = self.next()[1:-1]
+                else:  # a name, or one of the words kind
+                    if tok[:1] not in _IDENT_START:
+                        self.unexpected(what)
+                    if kind != "n" and tok not in kind:
+                        self.fail("found %r" % tok, kind)
+                    values[name] = self.next()
 
     def parse_file(self, offset=0):
         self.scan(offset)
@@ -676,66 +607,189 @@ class _Parser:
         return FileAst(tuple(rings), tuple(bundles), tuple(queries))
 
 
+# ---------------------------------------------------------------- layouts
+
+# Each statement, and each line of a ring block, written once, as render()
+# writes it.  {f:k} is field f, of kind s (a quoted string), p (a
+# polynomial), n (a name), i (an integer), v (a verdict: words joined by
+# hyphens) or the words a|b, the statement's choice; "k,w:k2" is k2 after
+# the choice w, and "k/text" says what an error expects there.  [...] is a
+# clause, written when its field is not the class default and read when its
+# first word comes next; [w: ...] is also written after the choice w unless
+# its field is None, and, if a field starts it, read after w only.  Flags in
+# a row are read in any order; one whose field has no class default must be
+# given.  A space is whitespace, which a line may leave out next to a symbol
+# or a string.  The line reader's patterns, the token parser's queries and
+# render() are made from these, each layout at its first use.
+_LAYOUTS = (
+    (RingBlock, "ring {name:n} {"),
+    (RingBlock, "prime = {prime:i};"),
+    (GenDecl, "gen {name:n} deg={degree:i}[ twist={twist:i}][ odd][ frob={frob:i}];"),
+    (RuleDecl, "rule {gen:n}^{power:i} = {rhs:p};"),
+    (ActionDecl, "action {kind:Sq|P|b}[^{index:i}]({gen:n}) = {rhs:p};"),
+    (RingBlock, "omega = {omega:n};"),
+    (ApplyQuery, "apply {op_text:s} to {poly:p} in {ring:n}[ expect {expect:p}];"),
+    (NormalizeQuery, "normalize {poly:p} in {ring:n}[ expect {expect:p}];"),
+    (AdemQuery, "adem {op_text:s}[ prime = {prime:i}][ expect {expect:s}];"),
+    (ObstructQuery, "obstruct {kind:odd|weird|frobenius|hs}[ --codim {codim:i}]"
+                    "[weird: --which {which:i}][ --q {q:i}][ --max-degree {max_degree:i}]"
+                    " on {poly:p} in {ring:n}[ twist = {twist:i}][ expect {expect:v,weird:p}];"),
+    (WuQuery, "wu-check --n {n:i} --m {m:i} in {ring:n}[ y = {y:p}]"
+              "[ hyperplane = {hyperplane:n/a generator name}][ expect {expect:n/true or false}];"),
+    (CharclassQuery, "charclass {kind:w|wet} of {bundle:n}[ expect {expect:s}];"),
+    (CorpusQuery, "corpus {action:list|run}[run: {name:n/a scenario name or all}];"),
+)
+_QUERIES = tuple(cls for cls, text in _LAYOUTS if cls.__name__.endswith("Query"))
+_VERBS = tuple(text.split()[0] for cls, text in _LAYOUTS if cls in _QUERIES)
+_LAYOUT_TOKEN = r"( ?)(?:\{(\w+):([^}/]*)/?([^}]*)\}|(\[)(?:(\w+):)?|(\])|([\w-]+)|(.))"
+# a name; the lexer reads wu-check as one word wherever a token starts
+_NAME = "(?!wu-check)[A-Za-z_][A-Za-z_0-9]*"
+
+
+class _Layout:
+    """A layout, compiled: the line reader's pattern, a group per field in
+    order (or bool word); the token parser's steps, (word, text), a field,
+    (clause, first word, guard, steps) and (flags,) at each flag, the first
+    reading the row; and render()'s parts."""
+
+    def __init__(self, cls, text):
+        self.cls, self.verb = cls, text.split()[0]
+        self.choice, self.fields, self.bound, self.parts = None, [], [], []
+        self.flags, self.source, self.last = {}, "", None
+        self.steps = self._compile(iter(re.findall(_LAYOUT_TOKEN, text)))
+        self.pattern = re.compile(self.source)
+        self.required = tuple(f for f, step in self.flags.items() if not hasattr(cls, step[1]))
+        self.defaults = {f.name: f.default for f in fields(cls)}
+
+    def _compile(self, tokens, guard=False):
+        """The steps of the tokens up to the end, or the ] of a clause with
+        guard, adding to the pattern and the parts.  Two words need a gap."""
+        steps, fmt, names, flag, start = [], "", [], None, len(self.source)
+        for gap, field, kind, what, bracket, clause, close, word, sym in tokens:
+            if close:
+                break
+            elif bracket:
+                self._part(fmt, names)
+                fmt, names = "", []
+                body = self._compile(tokens, clause or None)
+                if body[0] == ("flags",):
+                    steps.append(body[0])
+                else:
+                    first = body[0][1] if body[0][0] == "word" else None
+                    if first is None:
+                        self.bound.append((body[0][1], clause))
+                    steps.append(("clause", first, clause or None, body))
+            else:
+                is_word = bool(word or field and kind != "s")
+                if self.last is not None:
+                    self.source += r"\s+" if gap and is_word and self.last else r"\s*"
+                self.last, fmt = is_word, fmt + gap
+                if field:
+                    step = self._field(field, kind, what, flag)
+                    fmt += '"%s"' if step[2] == "s" else "%s"
+                    names.append(step[1])
+                    if flag:
+                        self.flags[flag] = step
+                    else:
+                        steps.append(step)
+                else:
+                    fmt += word + sym
+                    self.source += word or re.escape(sym)
+                    flag = word if word[:2] == "--" else None
+                    steps.append(("flags",) if flag else ("word", word + sym))
+        if guard is not False:
+            self.source = "%s(?%s%s)?" % (self.source[:start], ":" if names else
+                                          "P<%s>" % fmt.split()[-1], self.source[start:])
+        self._part(fmt, names, guard)
+        return steps
+
+    def _field(self, name, kind, what, flag):
+        """The step of a field, its group added to the pattern."""
+        kind, _, override = kind.partition(",")
+        if "|" in kind:
+            self.source += "(?P<%s>%s)" % (name, kind)
+            kind = tuple(kind.split("|"))
+            self.choice = self.choice or name
+            what = what or ", ".join(kind[:-1]) + "," * (len(kind) > 2) + " or " + kind[-1]
+        else:
+            self.source += '"(?P<%s>[^"]*)"' % name if kind == "s" else "(?P<%s>%s)" % (
+                name, r"\d+" if kind == "i" else _NAME if kind == "n" else ".+?")
+            what = what or ("a %s name" % name if kind == "n" else
+                            "a value for " + flag if flag else "a " + name)
+        span = name.partition("_")[0] + "_span"
+        self.fields.append(("field", name, kind, what, span if kind == "s" and hasattr(
+            self.cls, span) else None, override and tuple(override.split(":"))))
+        return self.fields[-1]
+
+    def _part(self, fmt, names, guard=False):
+        """Add a part; a clause's is tested on its field, or its bool word."""
+        if fmt:
+            test = guard is not False and (names[0] if names else fmt.split()[-1])
+            self.parts.append((fmt, attrgetter(*names) if names else None, test,
+                               test and getattr(self.cls, test, None), guard))
+
+    def render(self, node):
+        out = ""
+        for fmt, get, test, default, guard in self.parts:
+            if test:
+                value = getattr(node, test)  # `is` first: Poly.__eq__ is slow
+                if (value is default or default is not None and value == default) and (
+                        guard is None or value is None or getattr(node, self.choice) != guard):
+                    continue
+            out += fmt % get(node) if get else fmt
+        return out
+
+    def read(self, m, line, col):
+        """The query of a line matched; _Unread unless _Parser reads it alike."""
+        if self.cls not in _QUERIES:
+            raise _Unread
+        text, choice = m.string, self.choice and m[self.choice]
+        values = {"span": (line, col)}
+        for (_, name, kind, _, span_name, override), value in zip(self.fields, m.groups()):
+            if value is None:
+                continue
+            if override and choice == override[0]:
+                kind = override[1]
+            if kind == "i":
+                value = int(value)
+            elif kind == "p":
+                value = _flat_poly(value, text[m.end(name)] != ";")  # else a word may follow
+            elif kind == "v" and not re.fullmatch("{0}(?:-{0})*".format(_NAME), value):
+                raise _Unread
+            elif span_name:
+                values[span_name] = (line, col + m.start(name) - 1)
+            values[name] = value
+        for name, guard in self.bound:
+            if (name in values) != (choice == guard):
+                raise _Unread
+        node = object.__new__(self.cls)  # a frozen dataclass's __init__ sets each field alone
+        vars(node).update(self.defaults, **values)
+        return node
+
+
+@lru_cache(maxsize=32)
+def _layout(key):
+    """The layout whose first two characters, or node class, are key; None for none."""
+    return next((_Layout(cls, text) if key == text[:2] else _layout(text[:2])
+                 for cls, text in _LAYOUTS if key in (text[:2], cls)), None)
+
+
 # ------------------------------------------------------------ line reader
 
-# Most sources hold one statement, or one line of a ring block, to a line,
-# with options in the order render() writes them.  Such a line is read by
-# the pattern its first two characters name; its span is its number and
-# first column.  Its polynomials are checked by _POLY, the flat polynomials
-# _Parser reads, and read by a findall of _POLY_ATOM.  At the first line no
-# pattern reads, the rest of the source goes to _Parser, from the header of
-# the ring block the line is in, if any; so trees, spans and errors are
-# those of _Parser alone, the only source of DslSyntaxError.
-_FACTOR = r"(?!wu-check)[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?"
+# A line in its statement's layout is read by the pattern of the layout its
+# first two characters name, its polynomials checked by _POLY (the flat ones
+# _Parser reads) and read by a findall of _POLY_ATOM; its span is its number
+# and first column.  At the first other line the rest of the source goes to
+# _Parser, from the header of the ring block it is in, if any: so _Parser is
+# the only source of DslSyntaxError.
+_FACTOR = _NAME + r"(?:\s*\^\s*\d+)?"
 _TERM = r"(?:(?:\d+\s*(?:\*\s*)?)?{0}(?:\s*\*\s*{0})*|\d+)".format(_FACTOR)
 _POLY = re.compile(r"(?:-\s*)?{0}(?:\s*[+-]\s*{0})*".format(_TERM))
 _POLY_ATOM = re.compile(r"([+-])|(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
 
 
-# One pattern per statement the line reader reads, N standing for a name.
-_LINE_STATEMENTS = (
-    r'apply\s*"([^"]*)"\s*to\s+(.+?)\s+in\s+N(?:\s+expect\s+(.+?))?\s*;',
-    r"normalize\s+(.+?)\s+in\s+N(?:\s+expect\s+(.+?))?\s*;",
-    r"obstruct\s+(odd|weird|frobenius|hs)(?:\s+--codim\s+(?P<codim>\d+))?"
-    r"(?:\s+--which\s+(?P<which>\d+))?(?:\s+--q\s+(?P<q>\d+))?"
-    r"(?:\s+--max-degree\s+(?P<max_degree>\d+))?\s+on\s+(.+?)\s+in\s+N"
-    r"(?:\s+twist\s*=\s*(?P<twist>\d+))?"
-    r"(?:\s+expect\s+(?:([A-Za-z_][A-Za-z_0-9]*(?:-[A-Za-z_][A-Za-z_0-9]*)*)|(.+?)))?\s*;",
-    r"wu-check\s+--n\s+(?P<n>\d+)\s+--m\s+(?P<m>\d+)\s+in\s+N(?:\s+y\s*=\s*(.+?))?"
-    r"(?:\s+hyperplane\s*=\s*N)?(?:\s+expect\s+N)?\s*;",
-    r'adem\s*"([^"]*)"(?:\s*prime\s*=\s*(?P<prime>\d+))?(?:\s*expect\s*"([^"]*)")?\s*;',
-    r'charclass\s+(w|wet)\s+of\s+N(?:\s+expect\s*"([^"]*)")?\s*;',
-    r"corpus\s+(?:(list)|(run)\s+N)\s*;",
-    r"ring\s+N\s*\{",
-    r"prime\s*=\s*(\d+)\s*;",
-    r"gen\s+N\s+deg\s*=\s*(\d+)(?:\s+twist\s*=\s*(\d+))?(\s+odd)?(?:\s+frob\s*=\s*(\d+))?\s*;",
-    r"rule\s+N\s*\^\s*(\d+)\s*=\s*(.+?)\s*;",
-    r"action\s+(?:(Sq|P)\s*\^\s*(\d+)|b)\s*\(\s*N\s*\)\s*=\s*(.+?)\s*;",
-    r"omega\s*=\s*N\s*;",
-)
-
-
-@lru_cache(maxsize=32)
-def _line_pattern(key):
-    """The pattern of the statement whose first two characters are key, None
-    for none; each is compiled at its first use, so a process that reads no
-    source compiles none."""
-    for source in _LINE_STATEMENTS:
-        if source[:2] == key:
-            return re.compile(source.replace("N", "([A-Za-z_][A-Za-z_0-9]*)"))
-    return None
-
-
 class _Unread(Exception):
     """A line the line reader leaves to _Parser."""
-
-
-def _match(text):
-    pattern = _line_pattern(text[:2])
-    m = pattern and pattern.fullmatch(text)
-    if not m:
-        raise _Unread
-    return m
 
 
 def _flat_poly(text, open_end=False):
@@ -762,41 +816,6 @@ def _flat_poly(text, open_end=False):
     return Poly(tuple(terms))
 
 
-def _read_query(text, line, col):
-    """The query a line holds.  A pattern's named groups are the int options
-    given; the quote before string group g is at column col + m.start(g) - 1."""
-    m = _match(text)
-    span, verb = (line, col), text[:2]
-    if m.re.groupindex:
-        options = {key: int(value) for key, value in m.groupdict().items() if value}
-    if verb == "ap":
-        return ApplyQuery(m[1], _flat_poly(m[2], True), m[3], m[4] and _flat_poly(m[4]),
-                          span, (line, col + m.start(1) - 1))
-    if verb == "no":
-        return NormalizeQuery(_flat_poly(m[1], True), m[2], m[3] and _flat_poly(m[3]), span)
-    if verb == "ob":
-        if m[10] and m[1] != "weird":  # not a verdict
-            raise _Unread
-        if m[9] or m[10]:
-            options["expect"] = _flat_poly(m[9] or m[10]) if m[1] == "weird" else m[9]
-        return ObstructQuery(m[1], _flat_poly(m[6], True), m[7], span=span, **options)
-    if verb == "wu":
-        for key, value in (("y", m[4] and _flat_poly(m[4], m[5] or m[6])),
-                           ("hyperplane", m[5]), ("expect", m[6])):
-            if value is not None:
-                options[key] = value
-        return WuQuery(ring=m[3], span=span, **options)
-    if verb == "ad":
-        if m[3] is not None:
-            options.update(expect=m[3], expect_span=(line, col + m.start(3) - 1))
-        return AdemQuery(m[1], span=span, op_span=(line, col + m.start(1) - 1), **options)
-    if verb == "ch":
-        return CharclassQuery(m[1], m[2], m[3], span)
-    if verb == "co":
-        return CorpusQuery(m[1] or m[2], m[3], span)
-    raise _Unread  # a ring block's line
-
-
 def _read_lines(source):
     """(rings, queries, resume): the ring blocks and queries of the lines
     read from the top, and the offset _Parser goes on from, None if every
@@ -809,22 +828,24 @@ def _read_lines(source):
             text = line.strip()
             if not text or text[0] == "#":  # a comment runs to the end of the line
                 continue
-            col = line.find(text[0]) + 1
             if block is None:
                 resume = here
-                if text[:2] == "ri":
-                    name, span, prime, omega = _match(text)[1], (number, col), None, None
-                    block = ([], [], [])
-                else:
-                    queries.append(_read_query(text, number, col))
-                continue
-            gens, rules, actions = block
-            if text == "}" and prime is not None:
+            elif text == "}" and prime is not None:
                 rings.append(RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions),
                                        omega, span))
                 block = None
                 continue
-            m, item = _match(text), text[:2]
+            col, item, layout = line.find(text[0]) + 1, text[:2], _layout(text[:2])
+            m = layout and layout.pattern.fullmatch(text)
+            if not m:
+                raise _Unread
+            if block is None:
+                if item == "ri":
+                    name, span, prime, omega = m[1], (number, col), None, None
+                    gens, rules, actions = block = ([], [], [])
+                else:
+                    queries.append(layout.read(m, number, col))
+                continue
             if (item == "pr") != (prime is None):
                 raise _Unread
             if item == "pr":
@@ -835,8 +856,10 @@ def _read_lines(source):
             elif item == "ru":
                 rules.append(RuleDecl(m[1], int(m[2]), _flat_poly(m[3]), (number, col)))
             elif item == "ac":
-                actions.append(ActionDecl(m[1] or "b", m[2] and int(m[2]), m[3],
-                                          _flat_poly(m[4]), (number, col)))
+                if (m[1] == "b") != (m[2] is None):
+                    raise _Unread
+                actions.append(ActionDecl(m[1], m[2] and int(m[2]), m[3], _flat_poly(m[4]),
+                                          (number, col)))
             elif item == "om":
                 omega = m[1]
             else:
@@ -874,28 +897,15 @@ def parse_poly(text: str) -> Poly:
 
 
 def render_gen(g: GenDecl):
-    bits = ["gen %s deg=%d" % (g.name, g.degree)]
-    if g.twist:
-        bits.append("twist=%d" % g.twist)
-    if g.odd:
-        bits.append("odd")
-    if g.frob is not None:
-        bits.append("frob=%d" % g.frob)
-    return " ".join(bits) + ";"
+    return _layout("ge").render(g)
 
 
 def render_ring(r: RingBlock):
-    lines = ["ring %s {" % r.name, "  prime = %d;" % r.prime]
-    for g in r.gens:
-        lines.append("  " + render_gen(g))
-    for rule in r.rules:
-        lines.append("  rule %s^%d = %s;" % (rule.gen, rule.power, rule.rhs.render()))
-    for a in r.actions:
-        lines.append("  action %s(%s) = %s;" % (a.op_text(), a.gen, a.rhs.render()))
-    if r.omega is not None:
-        lines.append("  omega = %s;" % r.omega)
-    lines.append("}")
-    return "\n".join(lines)
+    lines = [_layout("ri").render(r)]
+    for key, nodes in (("pr", [r]), ("ge", r.gens), ("ru", r.rules), ("ac", r.actions),
+                       ("om", [r] if r.omega is not None else [])):
+        lines.extend("  " + _layout(key).render(node) for node in nodes)
+    return "\n".join(lines + ["}"])
 
 
 def render_bundle(b: BundleDecl):
@@ -910,48 +920,11 @@ def render_bundle(b: BundleDecl):
 
 
 def render_query(q):
-    """The source text of a query.  An option is left out at its class
-    default and where its kind does not read it, but weird always shows
-    --which; an expectation comes last, quoted for adem and charclass."""
-    if isinstance(q, ApplyQuery):
-        out = 'apply "%s" to %s in %s' % (q.op_text, q.poly.render(), q.ring)
-    elif isinstance(q, NormalizeQuery):
-        out = "normalize %s in %s" % (q.poly.render(), q.ring)
-    elif isinstance(q, AdemQuery):
-        out = 'adem "%s"' % q.op_text
-        if q.prime != AdemQuery.prime:
-            out += " prime = %d" % q.prime
-    elif isinstance(q, ObstructQuery):
-        out = "obstruct %s" % q.kind
-        if q.codim is not None:
-            out += " --codim %d" % q.codim
-        if q.kind == "weird":
-            out += " --which %d" % q.which
-        if q.q is not None:
-            out += " --q %d" % q.q
-        if q.kind == "odd" and q.max_degree != ObstructQuery.max_degree:
-            out += " --max-degree %d" % q.max_degree
-        out += " on %s in %s" % (q.poly.render(), q.ring)
-        if q.twist is not None:
-            out += " twist = %d" % q.twist
-    elif isinstance(q, WuQuery):
-        out = "wu-check --n %d --m %d in %s" % (q.n, q.m, q.ring)
-        if q.y is not None:
-            out += " y = %s" % q.y.render()
-        if q.hyperplane != WuQuery.hyperplane:
-            out += " hyperplane = %s" % q.hyperplane
-    elif isinstance(q, CharclassQuery):
-        out = "charclass %s of %s" % (q.kind, q.bundle)
-    elif isinstance(q, CorpusQuery):
-        return "corpus %s%s;" % (q.action, "" if q.name is None else " " + q.name)
-    else:
+    """A query's source text, in its layout: an option is written whenever it
+    differs from its class default, and weird always writes --which."""
+    if type(q) not in _QUERIES:
         raise TypeError("not a query: %r" % (q,))
-    if isinstance(q.expect, Poly):
-        out += " expect " + q.expect.render()
-    elif q.expect is not None:
-        form = ' expect "%s"' if isinstance(q, (AdemQuery, CharclassQuery)) else " expect %s"
-        out += form % q.expect
-    return out + ";"
+    return _layout(type(q)).render(q)
 
 
 def render(ast: FileAst) -> str:

@@ -184,6 +184,16 @@ def test_corpus_list_and_run(capsys):
     assert main(["corpus", "run"]) == 0
 
 
+def test_corpus_list_takes_no_name(tmp_path, capsys):
+    for argv in (["corpus", "list", "MO3"], ["--format", "json", "corpus", "list", "MO3"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: corpus list takes no scenario name\n")
+    path = tmp_path / "list.steen"
+    path.write_text("corpus list MO3;\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: 1:13: found 'MO3' (expected ';')\n")
+
+
 def test_corpus_unknown_scenario(capsys):
     assert main(["corpus", "run", "NOSUCH"]) == 2
 

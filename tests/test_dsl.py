@@ -60,6 +60,8 @@ def test_full_file_round_trip():
         "obstruct weird --codim 2 --which 1 on l^2 in P expect 0;\n"
         "obstruct odd --max-degree 5 on l in P twist = 1;\n"
         "obstruct frobenius --q 3 on l in P twist = 1 expect not-in-image;\n"
+        "obstruct odd --which 3 on l in P;\n"
+        "obstruct hs --max-degree 9 --q 2 on l in P;\n"
         "wu-check --n 2 --m 1 in P;\n"
         "wu-check --n 2 --m 1 in P y = w hyperplane = h expect true;\n"
         "corpus list;\n"
@@ -224,14 +226,22 @@ SESSION_RINGS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "perfbench", "rings", "session.steen",
 )
+SESSION_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(SESSION_RINGS)),
+                                 "session_reference.json")
 
 
 def _sources():
+    """The shipped files, the session rings, and one source of the session's
+    library queries and the corpus verbs, a statement to a line: the shipped
+    files hold no adem, charclass or corpus statement."""
     paths = [data_file_path(name) for name in corpus.scenario_names()]
     out = []
     for path in paths + [SESSION_RINGS]:
         with open(path, encoding="utf-8") as fh:
             out.append(fh.read())
+    with open(SESSION_REFERENCE, encoding="utf-8") as fh:
+        texts = [e["text"] for e in json.load(fh)["entries"] if e["mode"] == "lib"]
+    out.append("\n".join(texts + ["corpus list;", "corpus run all;", "corpus run MO3;", ""]))
     return out
 
 
@@ -286,9 +296,6 @@ def test_parser_matches_reference_on_mutated_files(source):
 
 
 # ------------------------------------------------------------ the line reader
-
-SESSION_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(SESSION_RINGS)),
-                                 "session_reference.json")
 
 
 def _handovers(monkeypatch):
@@ -419,6 +426,92 @@ def test_flat_polys_match_reference(text):
             == _parse_outcome(reference_parse_poly, text))
 
 
+# ------------------------------------------- every layout, read both ways
+
+TREE_NAMES = ["x", "y2", "w", "_a", "in", "expect", "odd", "hyperplane", "Sq", "b"]
+names = st.sampled_from(TREE_NAMES)
+ints = st.integers(0, 10**6)
+# text of a quoted string: no quote and no line break
+quoted = st.text(st.sampled_from('Sq^12 Pb*+-#;[]\té'), max_size=12)
+
+
+@st.composite
+def tree_poly(draw, last_constant=True):
+    """A Poly that renders to its own source: terms with nonzero exponents,
+    and a last term with a factor where a word follows it, since _Parser
+    would read 2 in as 2*in."""
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(st.tuples(names, st.integers(1, 12)), max_size=2,
+                                min_size=0 if last_constant or i else 1))
+        terms.append((draw(st.integers(-3, 12)), tuple(factors)))
+    return dsl.Poly(tuple(terms[::-1]))
+
+
+def _options(draw, **options):
+    """The options drawn as set, each either given or left at its default."""
+    return {k: draw(v) for k, v in options.items() if draw(st.booleans())}
+
+
+@st.composite
+def tree_query(draw):
+    verb = draw(st.sampled_from(
+        ["apply", "normalize", "adem", "obstruct", "wu-check", "charclass", "corpus"]))
+    poly = tree_poly(last_constant=False)
+    if verb == "apply":
+        return dsl.ApplyQuery(draw(quoted), draw(poly), draw(names),
+                              **_options(draw, expect=tree_poly()))
+    if verb == "normalize":
+        return dsl.NormalizeQuery(draw(poly), draw(names), **_options(draw, expect=tree_poly()))
+    if verb == "adem":
+        return dsl.AdemQuery(draw(quoted), **_options(draw, prime=ints, expect=quoted))
+    if verb == "obstruct":
+        kind = draw(st.sampled_from(["odd", "weird", "frobenius", "hs"]))
+        reads = {"odd": dict(max_degree=ints), "weird": dict(codim=ints, which=ints),
+                 "frobenius": dict(q=ints), "hs": dict(q=ints)}[kind]
+        verdict = st.sampled_from(["vanishes", "nonvanishing", "in-image", "not-in-image", "x"])
+        return dsl.ObstructQuery(kind, draw(poly), draw(names), **_options(
+            draw, twist=ints, expect=tree_poly() if kind == "weird" else verdict, **reads))
+    if verb == "wu-check":
+        options = _options(draw, hyperplane=names, expect=st.sampled_from(["true", "false"]))
+        options.update(_options(draw, y=tree_poly(last_constant=not options)))
+        return dsl.WuQuery(draw(ints), draw(ints), draw(names), **options)
+    if verb == "charclass":
+        return dsl.CharclassQuery(draw(st.sampled_from(["w", "wet"])), draw(names),
+                                  **_options(draw, expect=quoted))
+    action = draw(st.sampled_from(["list", "run"]))
+    return dsl.CorpusQuery(action, draw(names) if action == "run" else None)
+
+
+@st.composite
+def tree_ring(draw):
+    gens = draw(st.lists(st.builds(
+        dsl.GenDecl, names, ints, st.integers(0, 5), st.booleans(), st.none() | ints),
+        max_size=3))
+    rules = draw(st.lists(st.builds(dsl.RuleDecl, names, ints, tree_poly()), max_size=2))
+    actions = draw(st.lists(st.builds(
+        lambda kind, index, gen, rhs: dsl.ActionDecl(kind, None if kind == "b" else index,
+                                                     gen, rhs),
+        st.sampled_from(["Sq", "P", "b"]), ints, names, tree_poly()), max_size=3))
+    return dsl.RingBlock(draw(names), draw(ints), tuple(gens), tuple(rules), tuple(actions),
+                         draw(st.none() | names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tree_ring(), max_size=2), st.lists(tree_query(), min_size=1, max_size=6))
+def test_rendered_trees_read_alike_by_line_and_by_token(rings, queries):
+    """render() writes every layout so that the line reader reads it with no
+    handover, and _Parser alone reads it to the same tree and spans."""
+    tree = dsl.FileAst(tuple(rings), (), tuple(queries))
+    source = dsl.render(tree)
+    read_rings, read_queries, resume = dsl._read_lines(source)
+    assert resume is None
+    by_line = dsl.FileAst(tuple(read_rings), (), tuple(read_queries))
+    by_token = dsl._Parser(source).parse_file()
+    assert by_line == tree == by_token
+    assert _spans(by_line) == _spans(by_token)
+
+
 @pytest.mark.parametrize("line, col, message", [
     ("obstruct bogus on x1 in CLASSIFYING2;", 10,
      "found 'bogus' (expected 'odd' or 'weird' or 'frobenius' or 'hs')"),
@@ -426,6 +519,8 @@ def test_flat_polys_match_reference(text):
      "found '5' (expected odd, weird, frobenius, or hs)"),
     ("charclass wt of E;", 11, "found 'wt' (expected 'w' or 'wet')"),
     ("corpus walk all;", 8, "found 'walk' (expected 'list' or 'run')"),
+    # the lexer reads wu-check as one word, so this verdict is two words
+    ("obstruct odd on x1 in R expect wu-checks;", 40, "found 's' (expected ';')"),
     ("bundle E in R { rank = 1; chern 0 = t; }", 33,
      "Chern indices must be distinct and start at 1"),
     ("bundle E in R { rank = 1; chern 1 = t; chern 1 = t; }", 46,
