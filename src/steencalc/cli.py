@@ -11,7 +11,8 @@ works out of the box.  Each verb's positionals, options, types, choices and
 help are written once, in the table _verbs: a plain argv is read from it
 directly, and argparse, whose parser is built from it, reads every other
 argv and writes help, usage and usage errors.  Both read only a command's
-shape; execute_query checks its values, as for the same query in a file.
+shape; execute_query checks its values, as for the same query in a file,
+and answers every verb, corpus list and corpus run included.
 Exit status: 0 when everything ran and every expectation held, 1 when an
 expectation failed or an obstruction fired with no expectation recording
 that it should, 2 on input errors, CLOSED_PIPE (141) with nothing on stderr
@@ -29,8 +30,8 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import corpus, dsl
-from .errors import InvalidArgument, SteencalcError
-from .runner import QueryResult, execute_query
+from .errors import SteencalcError
+from .runner import execute_query
 
 _FORMATS = ("text", "json", "json-like-structured")
 CLOSED_PIPE = 141  # a shell's status for a process that SIGPIPE ended
@@ -145,36 +146,6 @@ def _build_source(source):
     return dsl.build_program(dsl.parse(source))
 
 
-def _corpus_answer(query):
-    """The answer to a corpus verb, which only the command line runs."""
-    if query.action == "list" and query.name is not None:
-        raise InvalidArgument("corpus list takes no scenario name")
-    label = dsl.render_query(query)
-    lines = [label]
-    record = {"query": label, "verb": "corpus-" + query.action}
-    if query.action == "list":
-        names = corpus.scenario_names()
-        lines.extend("  " + n for n in names)
-        record["result"] = names
-        return QueryResult(label, lines, record)
-    names = corpus.scenario_names() if query.name in (None, "all") else [query.name]
-    ok = True
-    out = []
-    for name in names:
-        report = corpus.run_scenario(corpus.get_scenario(name))
-        ok = ok and report.ok
-        out.append(
-            {
-                "scenario": report.name,
-                "ok": report.ok,
-                "steps": [{"label": s.label, "ok": s.ok} for s in report.steps],
-            }
-        )
-        lines.extend("  " + line for line in report.render().splitlines())
-    record.update({"result": out, "ok": ok})
-    return QueryResult(label, lines, record, expected=ok)
-
-
 # ---------------------------------------------------------------- dispatch
 
 
@@ -203,8 +174,7 @@ def _dispatch(args):
         rings_path = getattr(args, "rings", None)
         program = _load_program(rings_path) if rings_path else None
     resolve_ring, resolve_bundle = corpus.resolvers(program)
-    return [_corpus_answer(q) if isinstance(q, dsl.CorpusQuery)
-            else execute_query(q, resolve_ring, resolve_bundle) for q in queries]
+    return [execute_query(q, resolve_ring, resolve_bundle) for q in queries]
 
 
 def _emit(results, fmt, ok):

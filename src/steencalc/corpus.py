@@ -6,7 +6,9 @@ defining a ring called NAME and the queries run against it; the queries also
 see any other ring or bundle the file declares.  The files are the
 scenarios: to add one, drop in a file.  Where a check cannot be phrased
 as a single query (products of several operation values), EXTRA_CHECKS adds
-a named identity evaluated against a frozen literal.
+a named identity evaluated against a frozen literal.  The corpus verbs are
+answered by runner.execute_query, which caches a run by the scenarios it
+runs; run_scenario refuses a corpus verb inside a scenario file.
 
 The Thom-space rings MO3 and MO5 declare their actions through the Wu
 formula Sq^i(w_j) = sum_t binom(j+t-i-1, t) w_{i-t} w_{j+t} with w_0 = 1 and
@@ -28,10 +30,11 @@ ENV_DATA_DIR = "STEENCALC_CORPUS_DIR"
 _PACKAGE_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     """A scenario file's text and its built program, whose ring NAME the
-    queries and extra checks are about."""
+    queries and extra checks are about.  Hashed by identity, as a
+    presentation is, so a corpus answer can be cached by its scenarios."""
 
     name: str
     source: str
@@ -201,12 +204,15 @@ def resolvers(program):
 
 def run_scenario(s: Scenario) -> ScenarioReport:
     """The scenario's queries, in the scope of its own rings and bundles,
-    then its extra checks."""
-    from .runner import execute_query  # local import to keep layering one-way
+    then its extra checks.  A corpus verb is refused: a scenario cannot
+    run itself."""
+    from .runner import execute_query  # local import: runner imports this module
 
     ring, bundle = resolvers(s.program)
     steps = []
     for query in s.queries:
+        if isinstance(query, dsl.CorpusQuery):
+            raise SteencalcError("corpus queries are not available here")
         result = execute_query(query, ring, bundle)
         steps.append(StepResult(result.label, result.passed, "\n".join(result.lines[1:])))
     for label, check in s.extra_checks:

@@ -256,6 +256,7 @@ class CorpusQuery:
     action: str  # list | run
     name: Optional[str] = None
     span: Optional[Span] = field(default=None, compare=False)
+    expect = None  # no expect clause: a run passes or fails with its scenarios
 
 
 @dataclass(frozen=True)
@@ -894,10 +895,6 @@ def parse_poly(text: str) -> Poly:
 
 
 # ------------------------------------------------------------- rendering
-
-
-def render_gen(g: GenDecl):
-    return _layout("ge").render(g)
 
 
 def render_ring(r: RingBlock):

@@ -14,20 +14,23 @@ the value its expectation is compared with and whether it fired.  _answer
 alone builds the QueryResult: the label, record["ok"], the expectation line
 and, for a ring element, record["expected"] and a diff.
 
-Answers are cached.  execute_query resolves the ring (or the bundle) by name
-on every call, then looks the answer up in one functools.lru_cache of at
-most _ANSWERS_MAX entries, keyed by the query and the objects the answer
-reads: the resolved presentation, and for charclass the bundle declaration.
-The key is sound because AST nodes are frozen dataclasses whose source spans
-are left out of equality and hashing, presentations are immutable and hash
-by identity, and neither labels nor results carry spans.  A caller gets a
-fresh QueryResult with its own copy of the lines; its record is copied from
-the cached one on its first read, and record_json encodes the cached record
-once per cached answer, so mutating a result changes no later answer.  Left
-out: errors (a failing query raises again, with its own line:col) and
-corpus verbs, which the command-line front end answers itself (the scenario
-queries they run do go through the cache).  A cached entry keeps its
-presentation alive until it is evicted or the table is cleared.
+Answers are cached.  execute_query resolves what a query reads on every
+call, then looks the answer up in one functools.lru_cache of at most
+_ANSWERS_MAX entries, keyed by the query and those objects: the ring's
+presentation, for charclass also the bundle declaration, and for corpus the
+scenario names it lists or the scenarios it runs.  The key is sound because
+AST nodes are frozen dataclasses whose source spans are left out of equality
+and hashing, presentations are immutable and hash by identity, scenarios
+hash by identity and are loaded once per directory and name, and neither
+labels nor results carry spans.  So a switched corpus directory
+or an added scenario file gets a fresh corpus answer, and a repeated one is
+a hit (the scenario queries it runs go through the cache too).  A caller
+gets a fresh QueryResult with its own copy of the lines; its record is
+copied from the cached one on its first read, and record_json encodes the
+cached record once per cached answer, so mutating a result changes no later
+answer.  Errors are left out: a failing query raises again, with its own
+line:col.  A cached entry keeps what it reads alive until it is evicted or
+the table is cleared.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from . import dsl
+from . import corpus, dsl
 from .charclasses import (
     VirtualBundle,
     fiber_dimension,
@@ -144,10 +147,12 @@ _ANSWERS_MAX = 1024
 def execute_query(query, resolve_ring: Callable, resolve_bundle=None) -> QueryResult:
     """Run one query.  resolve_ring(name) -> RingPresentation (raising
     UnknownGenerator for unknown names); resolve_bundle(name) ->
-    (BundleDecl, RingPresentation).  Corpus verbs are the command line's."""
+    (BundleDecl, RingPresentation).  Corpus verbs read the corpus directory."""
     if isinstance(query, dsl.CorpusQuery):
-        raise SteencalcError("corpus queries are not available here")
-    if isinstance(query, dsl.AdemQuery):
+        names = corpus.scenario_names() if query.name in (None, "all") else [query.name]
+        scope = names if query.action == "list" else map(corpus.get_scenario, names)
+        answer = _answer(query, tuple(scope))
+    elif isinstance(query, dsl.AdemQuery):
         answer = _answer(query, None)
     elif isinstance(query, dsl.CharclassQuery):
         if resolve_bundle is None:
@@ -175,14 +180,16 @@ def _fresh(value):
 
 @lru_cache(maxsize=_ANSWERS_MAX)
 def _answer(query, pres, decl=None) -> QueryResult:
-    """The answer to a query on its resolved presentation (None for adem)
-    and, for charclass, its bundle declaration; callers get copies."""
+    """The answer to a query on what execute_query resolved for it: its
+    presentation (None for adem; for corpus, the scenario names or the
+    scenarios) and, for charclass, its bundle declaration; callers get
+    copies."""
     label = dsl.render_query(query)
     want, named = _wanted(query, pres)  # first: a bad expectation costs no computation
     text, fields, value, fired = _evaluate(query, pres, decl)
     lines = [label] + ["  " + line for line in text.splitlines()]
     record = {"query": label, **fields}
-    expected = None
+    expected = fields.get("ok")  # None but for a corpus run, which passes or fails itself
     if query.expect is not None:
         if isinstance(want, RingElement):
             record["expected"] = element_record(want)
@@ -224,6 +231,18 @@ def _wanted(query, pres):
 def _evaluate(query, pres, decl):
     """What a query computes: the text after its label, its record fields,
     the value an expectation is compared with, and whether it fired."""
+    if isinstance(query, dsl.CorpusQuery):
+        if query.action == "list":
+            if query.name is not None:
+                raise InvalidArgument("corpus list takes no scenario name")
+            return "\n".join(pres), {"verb": "corpus-list", "result": list(pres)}, None, False
+        reports = [corpus.run_scenario(s) for s in pres]
+        ok = all(r.ok for r in reports)
+        result = [{"scenario": r.name, "ok": r.ok,
+                   "steps": [{"label": s.label, "ok": s.ok} for s in r.steps]} for r in reports]
+        text = "\n".join(r.render() for r in reports)
+        return text, {"verb": "corpus-run", "result": result, "ok": ok}, ok, False
+
     if isinstance(query, dsl.AdemQuery):
         normal = _operation(query.op_text, query.prime, query.op_span).adem_normalize()
         rendered = normal.render()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steencalc import SteencalcError, corpus, dsl, runner
-from steencalc.cli import (_FORMATS, _build_parser, _corpus_answer, _emit, _read_argv,
+from steencalc.cli import (_FORMATS, _build_parser, _emit, _read_argv,
                            _verbs, main)
 
 
@@ -254,9 +254,8 @@ def test_emitted_json_is_json_dumps_of_the_records(ok, capsys):
     assert _emitted([], ok, capsys) == _payload(ok, [])
     one = _answers()[:1]
     assert _emitted(one, ok, capsys) == _payload(ok, one)
-    # corpus answers are built outside the cache
-    built = [_corpus_answer(dsl.CorpusQuery("run", "P2REAL")),
-             _corpus_answer(dsl.CorpusQuery("list"))]
+    built = [runner.execute_query(dsl.CorpusQuery("run", "P2REAL"), corpus.resolve_ring),
+             runner.execute_query(dsl.CorpusQuery("list"), corpus.resolve_ring)]
     many = _answers()
     many = many[:3] + built + many[3:]
     out = _emitted(many, ok, capsys)

@@ -127,7 +127,6 @@ def test_one_ring_name_in_two_sources_gets_two_answers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("corpus list;", "corpus queries are not available here"),
     ("charclass w of E;", "no bundles in scope"),
 ])
 def test_verbs_without_their_resolver_are_refused(text, message):
