@@ -33,8 +33,6 @@ from that rule: the pushforward and the normal class take no n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     InvalidArgument,
     MissingCodim,
@@ -42,6 +40,7 @@ from .errors import (
     NotProjectiveBundleScenario,
     OmegaUndeclared,
 )
+from .record import Record
 from .rings import _FIELD_LIMIT, _FIELD_MASK, RingElement, RingPresentation
 from .steenrod import binom_mod_ell
 
@@ -150,8 +149,7 @@ class TotalClass:
         return "<TotalClass %s>" % self.render()
 
 
-@dataclass
-class VirtualBundle:
+class VirtualBundle(Record):
     """Difference of two bundles given by truncated total Chern classes.
 
     rank is the virtual rank.  Chern lists hold c_1, c_2, ... as homogeneous
@@ -160,8 +158,8 @@ class VirtualBundle:
     """
 
     rank: int
-    numerator_chern: list = field(default_factory=list)
-    denominator_chern: list = field(default_factory=list)
+    numerator_chern: list = []
+    denominator_chern: list = []
     truncation: int = 10
 
     def validate(self, parent):

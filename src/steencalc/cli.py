@@ -21,11 +21,9 @@ when standard output closes before everything is written.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -80,7 +78,10 @@ def _verbs():
 @lru_cache(maxsize=1)
 def _build_parser():
     """The argparse parser of _verbs(): help, usage, errors, and every argv
-    _read_argv declines."""
+    _read_argv declines.  argparse is imported here, its only user, so a
+    plain argv never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="steencalc", description="mod-l operation calculus on presented graded rings")
     parser.add_argument("--format", choices=_FORMATS, default="text",
@@ -151,18 +152,19 @@ def _build_source(source):
 
 def _query_from_args(args):
     """The query class the subcommand names, built from the fields given in
-    args, so an option left out takes the class's default; execute_query
-    checks the values.  poly and y are polynomials, and so is the
+    args, so an option left out takes the class's default; the argv reader
+    has checked that each required field is given, and execute_query checks
+    the values.  poly and y are polynomials, and so is the
     expectation of a query on a polynomial, except an obstruction verdict."""
-    values = {f.name: v for f in fields(args.query)
-              if (v := getattr(args, f.name, None)) is not None}
+    values = {name: v for name in args.query._fields
+              if (v := getattr(args, name, None)) is not None}
     polys = ["poly", "y"]
     if "poly" in values and values.get("kind") in (None, "weird"):
         polys.append("expect")
     for name in polys:
         if name in values:
             values[name] = dsl.parse_poly(values[name])
-    return args.query(**values)
+    return args.query._from(values)
 
 
 def _dispatch(args):

@@ -19,19 +19,18 @@ operation s^2 = w_n s is carried by a rewrite rule.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import dsl
 from .errors import ScenarioIncomplete, SteencalcError, UnknownGenerator
+from .record import Record
 from .rings import GeneratorSpec, RingPresentation
 
 ENV_DATA_DIR = "STEENCALC_CORPUS_DIR"
 _PACKAGE_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(eq=False)
-class Scenario:
+class Scenario(Record):
     """A scenario file's text and its built program, whose ring NAME the
     queries and extra checks are about.  Hashed by identity, as a
     presentation is, so a corpus answer can be cached by its scenarios."""
@@ -42,6 +41,8 @@ class Scenario:
     # label -> callable(presentation) returning (ok, detail)
     extra_checks: tuple = ()
 
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     @property
     def presentation(self) -> RingPresentation:
         return self.program.rings[self.name]
@@ -51,15 +52,13 @@ class Scenario:
         return self.program.queries
 
 
-@dataclass
-class StepResult:
+class StepResult(Record):
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(Record):
     name: str
     steps: tuple
 

@@ -13,10 +13,11 @@ A source file is a sequence of ring blocks, bundle blocks, and queries:
     apply "Sq^2" to l^2 in P2R expect w^2*l^2;
 
 Queries name either a ring from the same file or a built-in one.  Parsing is
-split from meaning: parse() builds the syntax tree (every node carries a
-line:col span, excluded from equality so rendered trees round-trip), then
-build_program, the semantic pass, checks names and homogeneity and builds
-the presentations.
+split from meaning: parse() builds the syntax tree, then build_program, the
+semantic pass, checks names and homogeneity and builds the presentations.
+The nodes are frozen records (record.FrozenRecord): each carries a line:col
+span, left out of equality and hashing, so rendered trees round-trip and a
+query is the same answer-cache key wherever it stands.
 Parenthesized subpolynomials are expanded at parse time; factor order inside
 a term is preserved, since at odd primes x2*x1 is not x1*x2.
 
@@ -33,10 +34,9 @@ import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from functools import lru_cache
-from dataclasses import dataclass, field, fields
 from itertools import accumulate, count
 from operator import add, attrgetter, itemgetter
-from typing import Optional, Union
+from sys import intern
 
 from .errors import (
     DslSyntaxError,
@@ -49,6 +49,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .charclasses import VirtualBundle
+from .record import FrozenRecord, Record
 from .rings import _FIELD_LIMIT, GeneratorSpec, RewriteRule, RingPresentation, check_generators
 
 # ----------------------------------------------------------------- lexing
@@ -109,13 +110,25 @@ def _line_col(newlines, offset):
 
 Span = tuple  # (line, col)
 
+# Every cold parse and build makes Polys, GenDecls, RuleDecls, ActionDecls,
+# a FileAst and a Program, so each writes its own __init__ over its fields,
+# faster than the Record one; Poly also its own == and hash.
 
-@dataclass(frozen=True)
-class Poly:
+
+class Poly(FrozenRecord):
     """Flat sum of terms; each term is (coefficient, ((gen, exp), ...)) with
     factor order as written."""
 
     terms: tuple
+
+    def __init__(self, terms):  # no __dict__ made: .terms, read by == and hash, reads fastest
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        return self.terms == other.terms if other.__class__ is Poly else NotImplemented
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def render(self):
         if not self.terms:
@@ -138,132 +151,131 @@ class Poly:
     __str__ = render
 
 
-@dataclass(frozen=True)
-class GenDecl:
+class GenDecl(FrozenRecord):
     name: str
     degree: int
     twist: int = 0
     odd: bool = False
-    frob: Optional[int] = None
-    span: Optional[Span] = field(default=None, compare=False)
+    frob: int | None = None
+    span: Span | None = None
+
+    def __init__(self, name, degree, twist=0, odd=False, frob=None, span=None):
+        self.__dict__.update(name=name, degree=degree, twist=twist, odd=odd, frob=frob, span=span)
 
 
-@dataclass(frozen=True)
-class RuleDecl:
+class RuleDecl(FrozenRecord):
     gen: str
     power: int
     rhs: Poly
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Span | None = None
+
+    def __init__(self, gen, power, rhs, span=None):
+        self.__dict__.update(gen=gen, power=power, rhs=rhs, span=span)
 
 
-@dataclass(frozen=True)
-class ActionDecl:
+class ActionDecl(FrozenRecord):
     kind: str  # Sq | P | b
-    index: Optional[int]
+    index: int | None
     gen: str
     rhs: Poly
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Span | None = None
+
+    def __init__(self, kind, index, gen, rhs, span=None):
+        self.__dict__.update(kind=kind, index=index, gen=gen, rhs=rhs, span=span)
 
     def op_text(self):
         return self.kind if self.kind == "b" else "%s^%d" % (self.kind, self.index)
 
 
-@dataclass(frozen=True)
-class RingBlock:
+class RingBlock(FrozenRecord):
     name: str
     prime: int
     gens: tuple = ()
     rules: tuple = ()
     actions: tuple = ()
-    omega: Optional[str] = None
-    span: Optional[Span] = field(default=None, compare=False)
+    omega: str | None = None
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class BundleDecl:
+class BundleDecl(FrozenRecord):
     name: str
     ring: str
     rank: int
     trunc: int = VirtualBundle.truncation
     chern: tuple = ()  # Poly for c_1, c_2, ... in order
     denom: tuple = ()
-    span: Optional[Span] = field(default=None, compare=False)
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class ApplyQuery:
+class ApplyQuery(FrozenRecord):
     op_text: str
     poly: Poly
     ring: str
-    expect: Optional[Poly] = None
-    span: Optional[Span] = field(default=None, compare=False)
-    op_span: Optional[Span] = field(default=None, compare=False)  # of the opening quote
+    expect: Poly | None = None
+    span: Span | None = None
+    op_span: Span | None = None  # of the opening quote
 
 
-@dataclass(frozen=True)
-class NormalizeQuery:
+class NormalizeQuery(FrozenRecord):
     poly: Poly
     ring: str
-    expect: Optional[Poly] = None
-    span: Optional[Span] = field(default=None, compare=False)
+    expect: Poly | None = None
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class AdemQuery:
+class AdemQuery(FrozenRecord):
     op_text: str
     prime: int = 2
-    expect: Optional[str] = None
-    span: Optional[Span] = field(default=None, compare=False)
-    op_span: Optional[Span] = field(default=None, compare=False)  # of the opening quote
-    expect_span: Optional[Span] = field(default=None, compare=False)
+    expect: str | None = None
+    span: Span | None = None
+    op_span: Span | None = None  # of the opening quote
+    expect_span: Span | None = None
 
 
-@dataclass(frozen=True)
-class ObstructQuery:
+class ObstructQuery(FrozenRecord):
     kind: str  # odd | weird | frobenius | hs
     poly: Poly
     ring: str
-    codim: Optional[int] = None
+    codim: int | None = None
     which: int = 2
-    q: Optional[int] = None
+    q: int | None = None
     max_degree: int = 7
-    twist: Optional[int] = None
-    expect: Optional[Union[Poly, str]] = None  # Poly for weird, else a verdict word
-    span: Optional[Span] = field(default=None, compare=False)
+    twist: int | None = None
+    expect: Poly | str | None = None  # Poly for weird, else a verdict word
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class WuQuery:
+class WuQuery(FrozenRecord):
     n: int
     m: int
     ring: str
-    y: Optional[Poly] = None
+    y: Poly | None = None
     hyperplane: str = "l"
-    expect: Optional[str] = None  # "true" | "false"
-    span: Optional[Span] = field(default=None, compare=False)
+    expect: str | None = None  # "true" | "false"
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class CharclassQuery:
+class CharclassQuery(FrozenRecord):
     kind: str  # w | wet
     bundle: str
-    expect: Optional[str] = None  # rendered TotalClass
-    span: Optional[Span] = field(default=None, compare=False)
+    expect: str | None = None  # rendered TotalClass
+    span: Span | None = None
 
 
-@dataclass(frozen=True)
-class CorpusQuery:
+class CorpusQuery(FrozenRecord):
     action: str  # list | run
-    name: Optional[str] = None
-    span: Optional[Span] = field(default=None, compare=False)
+    name: str | None = None
+    span: Span | None = None
     expect = None  # no expect clause: a run passes or fails with its scenarios
 
 
-@dataclass(frozen=True)
-class FileAst:
+class FileAst(FrozenRecord):
     rings: tuple = ()
     bundles: tuple = ()
     queries: tuple = ()
+
+    def __init__(self, rings=(), bundles=(), queries=()):
+        self.__dict__.update(rings=rings, bundles=bundles, queries=queries)
 
 
 # ----------------------------------------------------------------- parser
@@ -545,9 +557,7 @@ class _Parser:
             self.unexpected("ring", "bundle", *_VERBS)
         layout = _layout(verb[:2])
         self._walk(layout, layout.steps, values)
-        node = object.__new__(layout.cls)  # its fields set at once, as _Layout.read does
-        vars(node).update(layout.defaults, **values)
-        return node
+        return layout.cls._from(values)
 
     def _walk(self, layout, steps, values):
         toks = self.toks
@@ -660,7 +670,6 @@ class _Layout:
         self.steps = self._compile(iter(re.findall(_LAYOUT_TOKEN, text)))
         self.pattern = re.compile(self.source)
         self.required = tuple(f for f, step in self.flags.items() if not hasattr(cls, step[1]))
-        self.defaults = {f.name: f.default for f in fields(cls)}
 
     def _compile(self, tokens, guard=False):
         """The steps of the tokens up to the end, or the ] of a clause with
@@ -705,8 +714,10 @@ class _Layout:
         return steps
 
     def _field(self, name, kind, what, flag):
-        """The step of a field, its group added to the pattern."""
-        kind, _, override = kind.partition(",")
+        """The step of a field, its group added to the pattern.  Its name is
+        interned, as attribute names are: a node's dict keyed by a copy is
+        read on the slow path."""
+        name, (kind, _, override) = intern(name), kind.partition(",")
         if "|" in kind:
             self.source += "(?P<%s>%s)" % (name, kind)
             kind = tuple(kind.split("|"))
@@ -717,7 +728,7 @@ class _Layout:
                 name, r"\d+" if kind == "i" else _NAME if kind == "n" else ".+?")
             what = what or ("a %s name" % name if kind == "n" else
                             "a value for " + flag if flag else "a " + name)
-        span = name.partition("_")[0] + "_span"
+        span = intern(name.partition("_")[0] + "_span")
         self.fields.append(("field", name, kind, what, span if kind == "s" and hasattr(
             self.cls, span) else None, override and tuple(override.split(":"))))
         return self.fields[-1]
@@ -763,9 +774,7 @@ class _Layout:
         for name, guard in self.bound:
             if (name in values) != (choice == guard):
                 raise _Unread
-        node = object.__new__(self.cls)  # a frozen dataclass's __init__ sets each field alone
-        vars(node).update(self.defaults, **values)
-        return node
+        return self.cls._from(values)
 
 
 @lru_cache(maxsize=32)
@@ -1060,11 +1069,13 @@ def build_ring(block: RingBlock) -> RingPresentation:
         return RingPresentation(block.prime, specs, rules=rules, omega=block.omega)
 
 
-@dataclass
-class Program:
+class Program(Record):
     rings: dict
     bundles: dict  # name -> BundleDecl
     queries: tuple
+
+    def __init__(self, rings, bundles, queries):
+        self.rings, self.bundles, self.queries = rings, bundles, queries
 
 
 def build_program(ast: FileAst) -> Program:

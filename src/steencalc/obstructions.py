@@ -15,16 +15,14 @@ the check is the chain they force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (InvalidArgument, MissingCodim, MissingFrobeniusData, NonHomogeneousInput,
                      OmegaUndeclared)
+from .record import FrozenRecord
 from .rings import RingElement
 from .steenrod import _is_prime, admissible_monomials
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(FrozenRecord):
     operator: str
     input_text: str
     output_text: str

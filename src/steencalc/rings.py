@@ -47,9 +47,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
 
 from .errors import (
     InvalidArgument,
@@ -61,6 +59,7 @@ from .errors import (
     SteencalcError,
     UnknownGenerator,
 )
+from .record import Record
 from .steenrod import _require_int, _require_prime
 
 _MAX_REDUCTIONS = 1_000_000
@@ -70,8 +69,7 @@ _FIELD_LIMIT = 1 << (_FIELD_BITS - 2)
 _GUARD = 1 << (_FIELD_BITS - 1)
 
 
-@dataclass
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """One ring generator.
 
     action maps operation components to polynomials (raw exponent-tuple
@@ -86,18 +84,26 @@ class GeneratorSpec:
     degree: int
     twist: int = 0
     parity: str = "even"
-    action: dict = field(default_factory=dict)
-    frobenius_exponent: Optional[int] = None
+    action: dict = {}
+    frobenius_exponent: int | None = None
+
+    def __init__(self, name, degree, twist=0, parity="even", action=None,
+                 frobenius_exponent=None):  # built for every generator of every ring
+        self.name, self.degree, self.twist = name, degree, twist
+        self.parity, self.action = parity, {} if action is None else action
+        self.frobenius_exponent = frobenius_exponent
 
 
-@dataclass
-class RewriteRule:
+class RewriteRule(Record):
     """g^power = rhs, with rhs lead-reduced (every monomial has g-exponent
     below power)."""
 
     gen: str
     power: int
     rhs: dict
+
+    def __init__(self, gen, power, rhs):  # built for every rule of every ring
+        self.gen, self.power, self.rhs = gen, power, rhs
 
 
 class RingElement:

@@ -19,8 +19,9 @@ call, then looks the answer up in one functools.lru_cache of at most
 _ANSWERS_MAX entries, keyed by the query and those objects: the ring's
 presentation, for charclass also the bundle declaration, and for corpus the
 scenario names it lists or the scenarios it runs.  The key is sound because
-AST nodes are frozen dataclasses whose source spans are left out of equality
-and hashing, presentations are immutable and hash by identity, scenarios
+AST nodes are frozen records (record.FrozenRecord) whose source spans, the
+fields named span or ending in _span, are left out of equality and hashing,
+presentations are immutable and hash by identity, scenarios
 hash by identity and are loaded once per directory and name, and neither
 labels nor results carry spans.  So a switched corpus directory
 or an added scenario file gets a fresh corpus answer, and a repeated one is
@@ -36,9 +37,7 @@ the table is cleared.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 from . import corpus, dsl
 from .charclasses import (
@@ -52,17 +51,21 @@ from .errors import (DslSyntaxError, InvalidArgument, MissingCodim, NonHomogeneo
                      SteencalcError)
 from .obstructions import (hs_scripted_check, in_image_F_minus_Id, odd_vanishing_check,
                            weird_operator)
+from .record import Record
 from .rings import RingElement
 from .steenrod import parse_operation
 
 
-@dataclass
-class QueryResult:
+class QueryResult(Record):
     label: str
     lines: list
     record: dict
-    expected: Optional[bool] = None  # None: no expectation attached
+    expected: bool | None = None  # None: no expectation attached
     fired: bool = False
+
+    def __init__(self, label, lines, record, expected=None, fired=False):  # one per answer
+        self.label, self.lines, self.record = label, lines, record
+        self.expected, self.fired = expected, fired
 
     @property
     def ok(self):
@@ -144,7 +147,7 @@ def _operation(text, prime, at):
 _ANSWERS_MAX = 1024
 
 
-def execute_query(query, resolve_ring: Callable, resolve_bundle=None) -> QueryResult:
+def execute_query(query, resolve_ring, resolve_bundle=None) -> QueryResult:
     """Run one query.  resolve_ring(name) -> RingPresentation (raising
     UnknownGenerator for unknown names); resolve_bundle(name) ->
     (BundleDecl, RingPresentation).  Corpus verbs read the corpus directory."""

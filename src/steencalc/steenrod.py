@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
     MixedPrimes,
     NotAdmissible,
 )
+from .record import FrozenRecord
 
 # Pair rewrites are memoized; one normalization call that exceeds this many
 # expansions indicates a cycle and raises InternalNonTermination.  A product
@@ -128,8 +128,7 @@ def _lucas(n, k, ell):
     return result
 
 
-@dataclass(frozen=True)
-class SteenrodMonomial:
+class SteenrodMonomial(FrozenRecord):
     """One operation word over a fixed prime.
 
     Invariants: letters are >= 1 for prime 2 (Sq^i), >= 0 for odd primes
@@ -139,9 +138,10 @@ class SteenrodMonomial:
     prime: int
     word: tuple
 
-    def __post_init__(self):
-        _require_prime(self.prime)
-        _check_word(self.prime, self.word)
+    def __init__(self, prime, word):
+        _require_prime(prime)
+        _check_word(prime, word)
+        self.__dict__.update(prime=prime, word=word)
 
     def degree(self) -> int:
         return _word_degree(self.prime, self.word)

@@ -227,6 +227,43 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == want
 
 
+# cli.main(argv) in a fresh interpreter; prints its status, its stdout and
+# which of the modules a one-shot run should not need it imported
+_ONE_SHOT = """
+import contextlib, io, json, sys
+from steencalc import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    status = cli.main(sys.argv[1:])
+unneeded = ("argparse", "dataclasses", "gettext", "inspect", "typing")
+print(json.dumps([status, out.getvalue(), [m for m in unneeded if m in sys.modules]]))
+"""
+
+
+def _one_shot(argv):
+    """[status, stdout, unneeded modules loaded] of one run under -S, so
+    that no .pth file preloads modules, with the engine from src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _ONE_SHOT, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_one_shot_run_imports_no_code_generation_and_no_argparse():
+    assert _one_shot(["adem", "Sq^2 Sq^2"]) == [0, 'adem "Sq^2 Sq^2";\n  = Sq^3 Sq^1\n', []]
+
+
+def test_an_argv_only_argparse_reads_still_loads_it():
+    status, out, loaded = _one_shot(
+        ["apply", "Sq^1", "x1", "--ring=CLASSIFYING2", "--expect", "x1^2"])
+    assert (status, out) == (0, 'apply "Sq^1" to x1 in CLASSIFYING2 expect x1^2;\n'
+                                "  = x1^2\n  expected: ok\n")
+    assert "argparse" in loaded
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone."""
 

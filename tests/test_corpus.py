@@ -1,8 +1,6 @@
 """The shipped scenario library must run clean, and the corpus directory
 can be switched at run time."""
 
-import dataclasses
-
 import pytest
 
 from steencalc import ScenarioIncomplete, UnknownGenerator, corpus, dsl
@@ -142,7 +140,8 @@ def test_scenario_reports_render_one_line_per_step():
     assert "MO3" in text
     # a failing step's detail follows it, one indented line per detail line
     planted = corpus._composite_check("planted composite on w2*s", "w2*s", "0")
-    scenario = dataclasses.replace(corpus.get_scenario("MO3"), extra_checks=(planted,))
+    mo3 = corpus.get_scenario("MO3")
+    scenario = corpus.Scenario(mo3.name, mo3.source, mo3.program, extra_checks=(planted,))
     report = corpus.run_scenario(scenario)
     assert not report.ok
     assert report.render().splitlines()[0] == "scenario MO3: FAIL"

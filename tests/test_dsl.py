@@ -3,7 +3,6 @@
 import json
 import os
 import re
-from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +26,7 @@ from steencalc import (
     rings,
 )
 from steencalc.cli import main
+from steencalc.record import Record
 
 from references import (
     data_file_path,
@@ -199,11 +199,11 @@ def _spans(tree):
     order: spans take no part in equality, so the trees alone would not
     compare them."""
     out = []
-    if is_dataclass(tree):
-        for f in fields(tree):
-            value = getattr(tree, f.name)
-            if f.name.endswith("span"):
-                out.append((type(tree).__name__, f.name, value))
+    if isinstance(tree, Record):
+        for name in tree._fields:
+            value = getattr(tree, name)
+            if name.endswith("span"):
+                out.append((type(tree).__name__, name, value))
             else:
                 out.extend(_spans(value))
     elif isinstance(tree, tuple):

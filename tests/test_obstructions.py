@@ -2,7 +2,6 @@
 Frobenius membership, and the scripted descent chain."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,8 +234,10 @@ def _drawn_frobenius_ring(R, data):
     """R with a Frobenius exponent in [0, 4] drawn for each generator: on the
     shipped CLASSIFYING rings every exponent equals its generator's twist,
     so every eigenvalue there is 1."""
-    return RingPresentation(R.prime, [replace(g, frobenius_exponent=data.draw(st.integers(0, 4)))
-                                      for g in R.generators])
+    return RingPresentation(R.prime, [
+        GeneratorSpec(g.name, g.degree, g.twist, g.parity, g.action,
+                      frobenius_exponent=data.draw(st.integers(0, 4)))
+        for g in R.generators])
 
 
 def test_frobenius_eigenvalue_multiplicative():
