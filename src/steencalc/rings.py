@@ -692,32 +692,32 @@ class RingPresentation:
     # ------------------------------------------------------------ inspection
 
     def basis_of_degree(self, degree, twist=None):
-        """Normal-form monomials of the given degree (and twist residue,
-        when one is supplied), sorted lexicographically."""
+        """Normal-form monomials of the given degree (and twist residue, when
+        one is supplied), as exponent tuples in lexicographic order.
+
+        The generators split at n // 2.  Each half lists its exponent tuples
+        of degree at most `degree` in order (at most 1 on an odd generator,
+        below a rule's power), the second half's grouped by degree.  Each
+        first-half prefix p of degree s, in order, is joined to the tails of
+        degree `degree - s`: p orders before its tail, so the list is in order."""
+        for name, value in (("degree", degree), ("twist", 0 if twist is None else twist)):
+            if not isinstance(value, int):
+                raise InvalidArgument("%s %r is not an integer" % (name, value))
         caps = [1 if g.parity == "odd" else self.rules.get(gi, (degree + 2,))[0] - 1
                 for gi, g in enumerate(self.generators)]
-        # reach[gi]: the degrees up to `degree` that generators gi.. can make,
-        # so the walk below never enters a branch that ends in no monomial
-        reach = [{0}]
-        for d, cap in zip(reversed(self._degrees), reversed(caps)):
-            reach.append({s + e * d for s in reach[-1]
-                          for e in range(min(cap, (degree - s) // d) + 1)})
-        reach.reverse()
+
+        def half(gens):  # (exponent tuple, degree) pairs of gens, in order
+            pairs = [((), 0)]
+            for d, cap in zip(self._degrees[gens], caps[gens]):
+                pairs = [(t + (e,), s + e * d) for t, s in pairs
+                         for e in range(min(cap, (degree - s) // d) + 1)]
+            return pairs
+        tails = {}
+        for t, s in half(slice(self.n // 2, self.n)):
+            tails.setdefault(s, []).append(t)
         out = []
-
-        def rec(gi, left, exps):
-            if gi == self.n:
-                out.append(tuple(exps))
-                return
-            d, below = self._degrees[gi], reach[gi + 1]
-            for e in range(min(caps[gi], left // d) + 1):
-                if left - e * d in below:
-                    exps.append(e)
-                    rec(gi + 1, left - e * d, exps)
-                    exps.pop()
-
-        if degree in reach[0]:
-            rec(0, degree, [])
+        for p, s in half(slice(self.n // 2)):
+            out.extend(map(p.__add__, tails.get(degree - s, ())))
         if twist is not None and self.prime > 2:
             out = [m for m in out if (self.monomial_twist(m) - twist) % (self.prime - 1) == 0]
         return out

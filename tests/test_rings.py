@@ -632,6 +632,20 @@ def test_basis_of_degree_counts(R2):
     # monomials of degree d in three degree-1 variables
     for d, want in [(0, 1), (1, 3), (2, 6), (3, 10)]:
         assert len(R2.basis_of_degree(d)) == want
+    # model_ring(2, n): the monomials of degree d in n degree-1 variables
+    for n in range(1, 6):
+        R = model_ring(2, n)
+        for d in range(-1, 13):
+            want = math.comb(d + n - 1, n - 1) if d >= 0 else 0
+            assert len(R.basis_of_degree(d)) == want
+    # model_ring(l, n), l odd: k of the n degree-1 exterior generators times
+    # a monomial of degree d - k in the n degree-2 polynomial ones
+    for ell, n in itertools.product((3, 5), range(1, 5)):
+        R = model_ring(ell, n)
+        for d in range(-1, 13):
+            want = sum(math.comb(n, k) * math.comb((d - k) // 2 + n - 1, n - 1)
+                       for k in range(min(n, d) + 1) if (d - k) % 2 == 0)
+            assert len(R.basis_of_degree(d)) == want
 
 
 def test_basis_respects_rules_and_parity(R3):
@@ -659,8 +673,8 @@ def test_basis_twist_filter():
 
 
 def test_basis_matches_exhaustive_enumerator():
-    """The suffix-reach walk lists what trying every exponent lists, on the
-    model rings and every shipped ring, with and without a twist."""
+    """Joining the two half-tables lists what trying every exponent lists, on
+    the model rings and every shipped ring, with and without a twist."""
     rings_ = [model_ring(ell, n) for ell in (2, 3, 5) for n in (3, 4, 5)]
     rings_ += [corpus.resolve_ring(name) for name in corpus.scenario_names()]
     for R in rings_:
@@ -669,6 +683,48 @@ def test_basis_matches_exhaustive_enumerator():
         for degree, twist in itertools.product(range(8), range(max(1, R.prime - 1))):
             assert (R.basis_of_degree(degree, twist)
                     == reference_basis_of_degree(R, degree, twist))
+
+
+@st.composite
+def basis_presentations(draw):
+    """0-7 generators of degree 1-5 at l = 2, 3 or 5 (parity from the degree
+    at odd l, a twist 0-3), some with a rule g^k = 0, k = 2..4: the two
+    halves of the basis split are empty, equal or one apart."""
+    ell = draw(st.sampled_from((2, 3, 5)))
+    gens, rules = [], []
+    for i in range(draw(st.integers(0, 7))):
+        degree = draw(st.integers(1, 5))
+        parity = "odd" if ell > 2 and degree % 2 else "even"
+        gens.append(GeneratorSpec("g%d" % i, degree, draw(st.integers(0, 3)), parity))
+        if draw(st.booleans()):
+            rules.append(RewriteRule("g%d" % i, draw(st.integers(2, 4)), {}))
+    return RingPresentation(ell, gens, rules=rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_presentations())
+def test_basis_matches_exhaustive_enumerator_on_random_presentations(R):
+    # the reference sorts what it finds, so the order is checked too
+    for degree in range(-1, 13):
+        for twist in (None, *range(max(1, R.prime - 1))):
+            assert (R.basis_of_degree(degree, twist)
+                    == reference_basis_of_degree(R, degree, twist))
+
+
+@pytest.mark.parametrize("degree, twist, text", [
+    (2.0, None, "degree 2.0 is not an integer"),
+    ("3", None, "degree '3' is not an integer"),
+    (None, None, "degree None is not an integer"),
+    (2, 1.0, "twist 1.0 is not an integer"),
+    (2, "1", "twist '1' is not an integer"),
+])
+def test_basis_rejects_a_degree_or_twist_that_is_not_an_int(degree, twist, text):
+    for R in (model_ring(2, 2), model_ring(3, 2)):
+        with pytest.raises(InvalidArgument, match="^%s$" % re.escape(text)):
+            R.basis_of_degree(degree, twist)
+    # a bool is an int
+    R = model_ring(3, 2)
+    assert R.basis_of_degree(True, False) == R.basis_of_degree(1, 0)
 
 
 def test_normal_form_idempotent_and_multiplicative():
