@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from .errors import (
     InvalidArgument,
-    MissingCodim,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
     OmegaUndeclared,
@@ -361,18 +360,3 @@ def verify_relative_wu_projective(y: RingElement, m: int, hyperplane: str = "l")
     rhs = projective_pushforward(sq_x * normal_bundle_total(parent, bound, hyperplane), hyperplane)
     return lhs == rhs
 
-
-def twisted_total_on_cycle(x: RingElement, codim: int, bound: int) -> TotalClass:
-    """The operation tracking cycle classes of codimension codim:
-    sum_i (1+omega)^(codim-i) Sq^(2i)(x) for l = 2, total P for odd l."""
-    if codim is None:
-        raise MissingCodim("twisted_total_on_cycle needs the cycle codimension")
-    parent = x.parent
-    if parent.prime != 2:
-        return total_operation_class(x, bound)
-    omegas = _omega_powers(parent, bound)
-    total = TotalClass(parent, bound)
-    for j, piece in parent.total_sq(x).items():
-        if j % 2 == 0:  # Sq^(2i) with i = j // 2
-            total = total + _eta_power(parent, omegas, codim - j // 2, bound) * piece
-    return total

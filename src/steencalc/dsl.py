@@ -363,17 +363,17 @@ class _Parser:
         return tok == "(" or tok[:1] in _IDENT_START
 
     def _parse_term(self, negate):
-        """One term as a list of (coeff, factors); a parenthesized factor
-        multiplies out."""
+        """One term as a list of (coeff, factors): a bare integer, or factors
+        joined by * after an optional N*; a parenthesized factor multiplies
+        out."""
         toks = self.toks
         coeff = 1
         if toks[self.pos].isdecimal():
             coeff = int(self.next())
-            if self.eat("*"):
-                if not self._starts_factor():
-                    self.unexpected("a generator", "(")
-            elif not self._starts_factor():
+            if not self.eat("*"):
                 return [(-coeff if negate else coeff, ())]
+            if not self._starts_factor():
+                self.unexpected("a generator", "(")
         elif not self._starts_factor():
             self.unexpected("a generator", "an integer", "(")
         terms = [(-coeff if negate else coeff, ())]
@@ -755,7 +755,7 @@ class _Layout:
         """The query of a line matched; _Unread unless _Parser reads it alike."""
         if self.cls not in _QUERIES:
             raise _Unread
-        text, choice = m.string, self.choice and m[self.choice]
+        choice = self.choice and m[self.choice]
         values = {"span": (line, col)}
         for (_, name, kind, _, span_name, override), value in zip(self.fields, m.groups()):
             if value is None:
@@ -765,7 +765,7 @@ class _Layout:
             if kind == "i":
                 value = int(value)
             elif kind == "p":
-                value = _flat_poly(value, text[m.end(name)] != ";")  # else a word may follow
+                value = _flat_poly(value)
             elif kind == "v" and not re.fullmatch("{0}(?:-{0})*".format(_NAME), value):
                 raise _Unread
             elif span_name:
@@ -793,7 +793,7 @@ def _layout(key):
 # _Parser, from the header of the ring block it is in, if any: so _Parser is
 # the only source of DslSyntaxError.
 _FACTOR = _NAME + r"(?:\s*\^\s*\d+)?"
-_TERM = r"(?:(?:\d+\s*(?:\*\s*)?)?{0}(?:\s*\*\s*{0})*|\d+)".format(_FACTOR)
+_TERM = r"(?:(?:\d+\s*\*\s*)?{0}(?:\s*\*\s*{0})*|\d+)".format(_FACTOR)
 _POLY = re.compile(r"(?:-\s*)?{0}(?:\s*[+-]\s*{0})*".format(_TERM))
 _POLY_ATOM = re.compile(r"([+-])|(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
 
@@ -802,26 +802,21 @@ class _Unread(Exception):
     """A line the line reader leaves to _Parser."""
 
 
-def _flat_poly(text, open_end=False):
+def _flat_poly(text):
     """The Poly _Parser reads from text.  Raises _Unread if _POLY does not
-    match, or if a name follows (open_end) a last term that is a bare
-    integer, which _Parser would multiply by that name."""
+    match."""
     if not _POLY.fullmatch(text):
         raise _Unread
     negate = text[0] == "-"
-    terms, coeff, factors, bare = [], 1, (), False
+    terms, coeff, factors = [], 1, ()
     for sign, num, name, exp in _POLY_ATOM.findall(text, int(negate)):
         if sign:
             terms.append((-coeff if negate else coeff, factors))
             negate, coeff, factors = sign == "-", 1, ()
         elif num:
-            coeff, bare = int(num), True
-        else:
-            bare = False
-            if not exp or int(exp):
-                factors += ((name, int(exp or 1)),)
-    if bare and open_end:
-        raise _Unread
+            coeff = int(num)
+        elif not exp or int(exp):
+            factors += ((name, int(exp or 1)),)
     terms.append((-coeff if negate else coeff, factors))
     return Poly(tuple(terms))
 

@@ -44,9 +44,13 @@ class ObstructionReport(FrozenRecord):
 
 def odd_vanishing_check(x: RingElement, max_degree: int) -> ObstructionReport:
     """Apply every admissible odd-degree monomial operation up to max_degree.
-    Any nonzero output rules out algebraicity.  Words of excess above the
-    degree of x are zero on x by instability, so they are never built; a
-    nonzero x must therefore be homogeneous."""
+    Where omega = 0, any nonzero output rules out algebraicity.  On a ring
+    that declares omega a cycle class x of codimension c has Sq^1 x = c
+    omega x, so this raw check can flag algebraic classes (obstruct odd l
+    --ring P2REAL says nonvanishing) until ROADMAP item 23 reads it from the
+    Chow decomposition of Sq.  Words of excess above the degree of x are
+    zero on x by instability, so they are never built; a nonzero x must
+    therefore be homogeneous."""
     if max_degree < 0:
         raise InvalidArgument("max degree must be >= 0, got %d" % max_degree)
     degree = x.degree()

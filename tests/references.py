@@ -7,10 +7,8 @@ Unlike the closed-form models in oracles.py, these call into the package:
   differential check of the cached one;
 - `total_class_mul_reference` multiplies total classes through the public
   RingElement operators;
-- `reference_total_operation_class` and `reference_twisted_total_on_cycle`
-  build the total operation and the twisted total through public calls
-  only: one apply_letter call per component of each monomial, and at l = 2
-  the powers of eta = 1 + omega in `ReferenceTotalClass`;
+- `reference_total_operation_class` builds the total operation through
+  public calls only: one apply_letter call per component of each monomial;
 - `ReferenceTotalClass` is the total class that kept a map from degree to
   RingElement: products one pair of degrees at a time, the inverse by a
   recurrence over every degree up to the bound, and the pushforward one
@@ -60,7 +58,7 @@ from steencalc.dsl import (
     WuQuery,
 )
 from steencalc.errors import DslSyntaxError, InternalNonTermination, MissingActionComponent
-from steencalc.errors import MissingFrobeniusData, MixedPrimes, OmegaUndeclared
+from steencalc.errors import MissingFrobeniusData, MixedPrimes
 from steencalc.steenrod import (
     _MAX_REWRITE_STEPS,
     SteenrodMonomial,
@@ -208,26 +206,6 @@ def reference_total_operation_class(x, bound):
     return TotalClass.of_element(total, bound)
 
 
-def reference_twisted_total_on_cycle(x, codim, bound):
-    """sum_i (1+omega)^(codim-i) Sq^(2i)(x) at l = 2 for a homogeneous x, one
-    apply_letter call per Sq^(2i), with the powers of eta = 1 + omega and the
-    truncated sum taken in ReferenceTotalClass; the reference total P at odd l."""
-    parent = x.parent
-    if parent.prime != 2:
-        return reference_total_operation_class(x, bound)
-    if parent.omega is None:
-        raise OmegaUndeclared("the prime-2 etale class needs a distinguished omega")
-    eta = ReferenceTotalClass.of_element(parent, parent.one() + parent.gen(parent.omega), bound)
-    total = ReferenceTotalClass(parent, bound)
-    for i in range((x.degree() or 0) // 2 + 1):
-        piece = parent.apply_letter(2 * i, x) if i else x  # Sq^0 x = x
-        power = ReferenceTotalClass.unit(parent, bound)
-        for _ in range(abs(codim - i)):
-            power = power * eta
-        total = total + (power if codim >= i else power.inverse()) * piece
-    return TotalClass.of_element(sum(total.components.values(), parent.zero()), bound)
-
-
 # ------------------------------------ Frobenius eigenvalues from a class twist
 
 
@@ -268,10 +246,6 @@ class ReferenceTotalClass:
                 continue
             comps[d] = elt
         self.components = comps
-
-    @classmethod
-    def unit(cls, parent, bound):
-        return cls(parent, bound, {0: parent.one()})
 
     @classmethod
     def of_element(cls, parent, elt, bound):
@@ -538,14 +512,13 @@ class _Parser:
         coeff = 1
         if self.peek().kind == "int":
             coeff = int(self.next().value)
-            if self.at_sym("*"):
-                self.next()
-                if not self._starts_factor():
-                    self.fail(
-                        "found %r" % (self.peek().value or "end of input"), ("a generator", "(")
-                    )
-            elif not self._starts_factor():
+            if not self.at_sym("*"):
                 return [(-coeff if negate else coeff, ())]
+            self.next()
+            if not self._starts_factor():
+                self.fail(
+                    "found %r" % (self.peek().value or "end of input"), ("a generator", "(")
+                )
         elif not self._starts_factor():
             self.fail(
                 "found %r" % (self.peek().value or "end of input"),

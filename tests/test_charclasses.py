@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from steencalc import (
     GeneratorSpec,
     MissingActionComponent,
-    MissingCodim,
     MixedPrimes,
     NonHomogeneousInput,
     NotProjectiveBundleScenario,
@@ -24,7 +23,6 @@ from steencalc import (
     normal_bundle_total,
     projective_pushforward,
     total_operation_class,
-    twisted_total_on_cycle,
     verify_relative_wu_projective,
     verify_wet_chow,
     w_bro,
@@ -37,7 +35,6 @@ from oracles import elementary_symmetric, poly_mul, product_one_plus_power, weig
 from references import (
     ReferenceTotalClass,
     reference_total_operation_class,
-    reference_twisted_total_on_cycle,
     total_class_mul_reference,
 )
 
@@ -448,24 +445,6 @@ def test_w_et_matches_power_route(key, data):
     assert verify_wet_chow(R, v)
 
 
-@settings(max_examples=60, deadline=None)
-@given(key=st.sampled_from(OMEGA_KEYS + ["PROJ2_3", "PROJ1_5"]), data=st.data())
-def test_twisted_total_matches_power_route(key, data):
-    R = _bundle_ring(key)
-    degree = data.draw(st.integers(0, 8))
-    codim = data.draw(st.integers(-2, degree // 2))
-    bound = data.draw(st.integers(degree, 20))
-    x = _draw_homogeneous(data, R, degree)
-    want = TotalClass(R, bound)
-    for i in range(degree // 2 + 1):
-        if R.prime == 2:
-            want = want + _power(_eta(R, bound), codim - i) * R.apply_letter(2 * i, x)
-        else:  # the total P, with no eta factor; letter 0 is b, so P^0 is x itself
-            piece = R.apply_letter(i, x) if i else x
-            want = want + TotalClass.of_element(piece, bound)
-    assert twisted_total_on_cycle(x, codim, bound) == want
-
-
 # -------------------- total classes from total_sq against the retagged totals
 
 
@@ -515,27 +494,12 @@ def test_total_operation_class_matches_retagged_totals(key, data):
                   lambda: reference_total_operation_class(x, bound))
 
 
-@pytest.mark.parametrize("key", CARTAN_RINGS)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_twisted_total_matches_letter_by_letter(key, data):
-    R = _cartan_ring(key)
-    degree = data.draw(st.integers(0, 8))
-    x = _draw_homogeneous(data, R, degree)
-    codim = data.draw(st.integers(0, 4))
-    bound = data.draw(st.integers(0, R.prime * degree + 2))
-    _same_outcome(lambda: twisted_total_on_cycle(x, codim, bound),
-                  lambda: reference_twisted_total_on_cycle(x, codim, bound))
-
-
 @pytest.mark.parametrize("key, name", [("MISSING2", "t"), ("MISSING2", "a"), ("MISSING3", "y")])
 def test_total_classes_raise_a_missing_component(key, name):
     R = _cartan_ring(key)
     g = R.gen(name)
     with pytest.raises(MissingActionComponent):
         total_operation_class(g, 20)
-    with pytest.raises(MissingActionComponent):
-        twisted_total_on_cycle(g, 1, 20)
 
 
 def test_element_times_total_class_keeps_operand_order():
@@ -818,21 +782,3 @@ def test_relative_wu_fails_on_wrong_action():
         for y in (R.one(), R.gen("u"), R.gen("w", 2))
     ]
     assert not all(results)
-
-
-# ---------------------------------------------------------- twisted totals
-
-
-def test_twisted_total_golden_p2():
-    R = _p2r()
-    total = twisted_total_on_cycle(R.gen("l", 2), 2, 9)
-    w = R.gen("w")
-    assert total.component(4) == R.gen("l", 2)
-    assert not total.component(6)  # the degree-6 pieces cancel
-    assert total.component(7) == w * w * w * R.gen("l", 2)
-
-
-def test_twisted_total_needs_codim():
-    R = _p2r()
-    with pytest.raises(MissingCodim):
-        twisted_total_on_cycle(R.gen("l"), None, 8)

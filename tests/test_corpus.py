@@ -1,6 +1,8 @@
 """The shipped scenario library must run clean, and the corpus directory
 can be switched at run time."""
 
+from math import comb
+
 import pytest
 
 from steencalc import ScenarioIncomplete, UnknownGenerator, corpus, dsl
@@ -25,6 +27,28 @@ def test_shipped_data_parses(name):
     with open(data_file_path(name), encoding="utf-8") as fh:
         ast = dsl.parse(fh.read())
     assert any(r.name == name for r in ast.rings)
+
+
+@pytest.mark.parametrize("name", ["MO3", "MO5"])
+def test_mo_rings_follow_wu_formula(name):
+    """Each Sq^k(w_m), 1 <= k <= m, declared or left to instability, is Wu's
+    formula sum_t C(m-k+t-1, t) w_(k-t) w_(m+t), with w_0 = 1, w_j = 0 above
+    the rank n and C(-1, 0) = 1; and the Thom class s has Sq^i(s) = w_i s,
+    i = 1..n (Milnor-Stasheff, Problem 8-A and section 8).  The binomials
+    are math.comb's, not the engine's."""
+    R = corpus.resolve_ring(name)
+    n = int(name[2:])
+    w = [R.one()] + [R.gen("w%d" % j) for j in range(1, n + 1)]
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            want = R.zero()
+            for t in range(min(k, n - m) + 1):
+                if t == 0 or comb(m - k + t - 1, t) % 2:
+                    want = want + w[k - t] * w[m + t]
+            assert R.apply_letter(k, w[m]) == want, "Sq^%d(w%d)" % (k, m)
+    s = R.gen("s")
+    for i in range(1, n + 1):
+        assert R.apply_letter(i, s) == w[i] * s, "Sq^%d(s)" % i
 
 
 def test_env_override_changes_lookup(tmp_path, monkeypatch):

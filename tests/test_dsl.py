@@ -109,6 +109,22 @@ def test_trailing_garbage_rejected_by_parse_poly():
         dsl.parse_poly("")
 
 
+@pytest.mark.parametrize("text, col", [("2x", 2), ("2 x", 3), ("2 (x + y)", 3)])
+def test_a_coefficient_joins_its_factor_only_through_a_star(text, col):
+    """A bare integer is a whole term: what follows it without * is refused,
+    alike by both readers and by the reference parser, standalone and
+    before in."""
+    found = "1:%d: found %r (expected 'in')" % (col + 10, text[col - 1])
+    for parse_poly, parse in ((dsl.parse_poly, dsl.parse),
+                              (reference_parse_poly, reference_parse)):
+        with pytest.raises(DslSyntaxError) as caught:
+            parse_poly(text)
+        assert str(caught.value) == "1:%d: trailing input after the polynomial" % col
+        with pytest.raises(DslSyntaxError) as caught:
+            parse("normalize %s in R;" % text)
+        assert str(caught.value) == found
+
+
 def test_errors_at_the_end_of_input_name_it(capsys):
     assert main(["normalize", "2*", "--ring", "MO3"]) == 2
     assert capsys.readouterr().err == (
@@ -340,9 +356,9 @@ POLY_EXPONENTS = ["", "^2", "^0", "^12", "^٢", " ^ 3", "^\t1"]
 
 @st.composite
 def flat_poly(draw):
-    """A polynomial without parentheses, in the spellings the token parser
-    reads alike: 2x, 2 x, 2*x, constants, x^0, other scripts' digits, and a
-    leading -."""
+    """A polynomial without parentheses: 2*x, constants, x^0, other scripts'
+    digits and a leading -, and the juxtaposed 2x and 2 x, which both readers
+    refuse alike."""
     out = draw(st.sampled_from(["", "", "-", "- "]))
     for i in range(draw(st.integers(1, 3))):
         if i:
@@ -436,16 +452,12 @@ quoted = st.text(st.sampled_from('Sq^12 Pb*+-#;[]\té'), max_size=12)
 
 
 @st.composite
-def tree_poly(draw, last_constant=True):
+def tree_poly(draw):
     """A Poly that renders to its own source: terms with nonzero exponents,
-    and a last term with a factor where a word follows it, since _Parser
-    would read 2 in as 2*in."""
-    terms = []
-    for i in range(draw(st.integers(1, 3))):
-        factors = draw(st.lists(st.tuples(names, st.integers(1, 12)), max_size=2,
-                                min_size=0 if last_constant or i else 1))
-        terms.append((draw(st.integers(-3, 12)), tuple(factors)))
-    return dsl.Poly(tuple(terms[::-1]))
+    any of them a bare integer, the last one too where a word follows it."""
+    terms = draw(st.lists(st.tuples(st.integers(-3, 12), st.lists(
+        st.tuples(names, st.integers(1, 12)), max_size=2).map(tuple)), min_size=1, max_size=3))
+    return dsl.Poly(tuple(terms))
 
 
 def _options(draw, **options):
@@ -457,12 +469,12 @@ def _options(draw, **options):
 def tree_query(draw):
     verb = draw(st.sampled_from(
         ["apply", "normalize", "adem", "obstruct", "wu-check", "charclass", "corpus"]))
-    poly = tree_poly(last_constant=False)
     if verb == "apply":
-        return dsl.ApplyQuery(draw(quoted), draw(poly), draw(names),
+        return dsl.ApplyQuery(draw(quoted), draw(tree_poly()), draw(names),
                               **_options(draw, expect=tree_poly()))
     if verb == "normalize":
-        return dsl.NormalizeQuery(draw(poly), draw(names), **_options(draw, expect=tree_poly()))
+        return dsl.NormalizeQuery(draw(tree_poly()), draw(names),
+                                  **_options(draw, expect=tree_poly()))
     if verb == "adem":
         return dsl.AdemQuery(draw(quoted), **_options(draw, prime=ints, expect=quoted))
     if verb == "obstruct":
@@ -470,12 +482,11 @@ def tree_query(draw):
         reads = {"odd": dict(max_degree=ints), "weird": dict(codim=ints, which=ints),
                  "frobenius": dict(q=ints), "hs": dict(q=ints)}[kind]
         verdict = st.sampled_from(["vanishes", "nonvanishing", "in-image", "not-in-image", "x"])
-        return dsl.ObstructQuery(kind, draw(poly), draw(names), **_options(
+        return dsl.ObstructQuery(kind, draw(tree_poly()), draw(names), **_options(
             draw, twist=ints, expect=tree_poly() if kind == "weird" else verdict, **reads))
     if verb == "wu-check":
-        options = _options(draw, hyperplane=names, expect=st.sampled_from(["true", "false"]))
-        options.update(_options(draw, y=tree_poly(last_constant=not options)))
-        return dsl.WuQuery(draw(ints), draw(ints), draw(names), **options)
+        return dsl.WuQuery(draw(ints), draw(ints), draw(names), **_options(
+            draw, y=tree_poly(), hyperplane=names, expect=st.sampled_from(["true", "false"])))
     if verb == "charclass":
         return dsl.CharclassQuery(draw(st.sampled_from(["w", "wet"])), draw(names),
                                   **_options(draw, expect=quoted))

@@ -11,8 +11,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steencalc import SteencalcError, corpus, dsl, runner
-from steencalc.cli import (_FORMATS, _build_parser, _emit, _read_argv,
+from steencalc import DslSyntaxError, SteencalcError, corpus, dsl, runner
+from steencalc.cli import (_FORMATS, _build_parser, _emit, _query_from_args, _read_argv,
                            _verbs, main)
 
 
@@ -46,22 +46,25 @@ MUTATIONS = ["none"] * 9 + ["prefix", "equals", "dashdash", "repeat", "unknown",
 
 
 @st.composite
-def argvs(draw, verb):
+def argvs(draw, verb, pools=None):
     """An argv for verb: its positionals in order, its options (the
     required ones and some others) in any order among them, perhaps
     --format first, and then at most one change that makes it not plain:
     an option by prefix or as --opt=value, a --, a repeated or unknown
-    option, a word left out or added, -h, or --format after the verb."""
+    option, a word left out or added, -h, or --format after the verb.
+    An argument's values are a pair (plain, odd) as in TEXT and NUMBERS,
+    from pools where it names the argument."""
     arguments = _verbs()[verb][2]
 
-    def value(keywords):
-        plain, odd = NUMBERS if "type" in keywords else TEXT
+    def value(name):
+        keywords = arguments[name]
+        plain, odd = (pools or {}).get(name) or (NUMBERS if "type" in keywords else TEXT)
         plain = list(keywords.get("choices", plain))
         return draw(st.sampled_from(odd if draw(st.integers(0, 4)) == 0 else plain))
 
-    positionals = [[value(kw)] for name, kw in arguments.items()
+    positionals = [[value(name)] for name, kw in arguments.items()
                    if name[0] != "-" and ("nargs" not in kw or draw(st.booleans()))]
-    options = [[name, value(kw)] for name, kw in arguments.items()
+    options = [[name, value(name)] for name, kw in arguments.items()
                if name[0] == "-" and (kw.get("required") or draw(st.booleans()))]
     units = draw(st.permutations(options + [None] * len(positionals)))
     units = [u if u is not None else positionals.pop(0) for u in units]
@@ -73,7 +76,7 @@ def argvs(draw, verb):
     elif mutation == "equals" and picked:
         picked[:] = ["%s=%s" % tuple(picked)]
     elif mutation == "repeat" and picked:
-        units.insert(at, [picked[0], value(arguments[picked[0]])])
+        units.insert(at, [picked[0], value(picked[0])])
     elif mutation == "drop" and units:
         del units[min(at, len(units) - 1)]
     elif mutation != "none":
@@ -153,6 +156,79 @@ NOT_PLAIN = [
 @pytest.mark.parametrize("argv", NOT_PLAIN, ids=" ".join)
 def test_other_argvs_go_to_argparse(argv):
     assert not _same_as_argparse(argv)
+
+
+# ------------------------------------------------ labels that read back
+
+BUNDLES = ("ring B {\n  prime = 2;\n  gen w deg=1;\n  gen t deg=2;\n  rule t^3 = 0;\n"
+           "  omega = w;\n}\nbundle E in B { rank = 1; trunc = 4; chern 1 = t; }\n")
+# values that reach an answer, with each argument's odd ones: the ring
+# PROJ2_2 and its polynomials (bare integers among them, so a label can end
+# a polynomial with one before a word), and the file of bundle E
+POLYS = (["w", "u*l + w^2", "l^2", "2", "1", "0"], TEXT[1])
+LABEL_POOLS = {
+    "--ring": (["PROJ2_2"], TEXT[1]), "poly": POLYS, "--y": POLYS,
+    "op_text": (["Sq^1", "Sq^2 Sq^1", "2 Sq^2"], TEXT[1]), "bundle": (["E"], TEXT[1]),
+    "name": (["PROJ2_2", "all"], TEXT[1]), "--hyperplane": (["l", "u"], TEXT[1]),
+    "--expect": (["0", "1", "w^2", "true", "vanishes", "Sq^3 Sq^1", "[0] 1"], TEXT[1]),
+    "--n": (["2", "٢", "1"], NUMBERS[1]), "--m": (["0", "1", "2"], NUMBERS[1]),
+}
+# commands whose labels end a polynomial with a bare integer before a word
+BARE_INTEGER_LABELS = [
+    ["normalize", "2", "--ring", "MO3"],
+    ["wu-check", "--n", "2", "--m", "1", "--ring", "PROJ2_2", "--y", "1", "--hyperplane", "l",
+     "--expect", "true"],
+    ["obstruct", "weird", "1", "--ring", "P2REAL", "--codim", "1", "--twist", "2", "--expect", "0"],
+]
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    path = tmp_path_factory.mktemp("labels") / "bundles.steen"
+    path.write_text(BUNDLES, encoding="utf-8")
+    return str(path)
+
+
+def _main(argv):
+    """(exit status, stdout) of main(argv), stderr dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+@pytest.mark.parametrize("verb", sorted(set(_verbs()) - {"run"}))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_answered_labels_read_back_as_their_query(verb, data, bundles):
+    """Every argv read directly and answered (exit 0 or 1) prints the label
+    of a query that dsl.parse reads back to that query."""
+    argv = data.draw(argvs(verb, {**LABEL_POOLS, "--rings": ([bundles], TEXT[1])}))
+    args = _read_argv(argv)
+    if args is None or _main(argv)[0] == 2:
+        return
+    query = _query_from_args(args)
+    if query == dsl.CorpusQuery("run"):
+        return  # `corpus run;` does not read back; test_bare_corpus_run_label pins it
+    assert dsl.parse(dsl.render_query(query)).queries == (query,)
+
+
+@pytest.mark.xfail(strict=True, raises=DslSyntaxError,
+                   reason="corpus run with no name prints a label that needs a name")
+def test_bare_corpus_run_label():
+    label = dsl.render_query(_query_from_args(_read_argv(["corpus", "run"])))
+    assert dsl.parse(label).queries == (dsl.CorpusQuery("run"),)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", BARE_INTEGER_LABELS, ids=" ".join)
+def test_labels_run_from_a_file_as_printed(argv, fmt, tmp_path):
+    status, out = _main(["--format", fmt] + argv)
+    label = out.split("\n")[0] if fmt == "text" else json.loads(out)["results"][0]["query"]
+    path = tmp_path / "label.steen"
+    path.write_text(label + "\n", encoding="utf-8")
+    assert status == 0
+    assert _main(["--format", fmt, "run", str(path)]) == (status, out)
 
 
 # ---------------------------------------------------- help and usage bytes
