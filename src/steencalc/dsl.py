@@ -21,11 +21,11 @@ query is the same answer-cache key wherever it stands.
 Parenthesized subpolynomials are expanded at parse time; factor order inside
 a term is preserved, since at odd primes x2*x1 is not x1*x2.
 
-Each statement's grammar is written once, in _LAYOUTS, as the text render()
-writes.  parse() reads a line in its statement's layout directly; from the
-first other line on, the token parser _Parser reads the rest, queries along
-the same layouts.  Trees, spans and errors are the same either way: every
-DslSyntaxError comes from _Parser.
+Each statement's grammar, and each line's of a ring or bundle block, is
+written once, in _LAYOUTS, as the text render() writes.  parse() reads a line
+in its layout directly; from the first other line on, the token parser
+_Parser reads the rest along the same layouts.  Trees, spans and errors are
+the same either way.
 """
 
 from __future__ import annotations
@@ -110,9 +110,10 @@ def _line_col(newlines, offset):
 
 Span = tuple  # (line, col)
 
-# Every cold parse and build makes Polys, GenDecls, RuleDecls, ActionDecls,
-# a FileAst and a Program, so each writes its own __init__ over its fields,
-# faster than the Record one; Poly also its own == and hash.
+# Every cold parse and build makes Polys, a FileAst and a Program, so each
+# writes its own __init__ over its fields, faster than the Record one; Poly
+# also its own == and hash.  The line reader writes the other nodes' fields
+# into records of their defaults (_Layout.read).
 
 
 class Poly(FrozenRecord):
@@ -159,9 +160,6 @@ class GenDecl(FrozenRecord):
     frob: int | None = None
     span: Span | None = None
 
-    def __init__(self, name, degree, twist=0, odd=False, frob=None, span=None):
-        self.__dict__.update(name=name, degree=degree, twist=twist, odd=odd, frob=frob, span=span)
-
 
 class RuleDecl(FrozenRecord):
     gen: str
@@ -169,22 +167,25 @@ class RuleDecl(FrozenRecord):
     rhs: Poly
     span: Span | None = None
 
-    def __init__(self, gen, power, rhs, span=None):
-        self.__dict__.update(gen=gen, power=power, rhs=rhs, span=span)
-
 
 class ActionDecl(FrozenRecord):
     kind: str  # Sq | P | b
-    index: int | None
+    index: int | None = None  # None for b
     gen: str
     rhs: Poly
     span: Span | None = None
 
-    def __init__(self, kind, index, gen, rhs, span=None):
-        self.__dict__.update(kind=kind, index=index, gen=gen, rhs=rhs, span=span)
-
     def op_text(self):
         return self.kind if self.kind == "b" else "%s^%d" % (self.kind, self.index)
+
+
+class _ClassLine(FrozenRecord):
+    """A `chern N = p;` or `denom N = p;` line of a bundle block, as it is
+    read or written; a BundleDecl holds the polynomials in index order."""
+
+    index: int
+    poly: Poly
+    span: Span | None = None
 
 
 class RingBlock(FrozenRecord):
@@ -453,139 +454,76 @@ class _Parser:
             sign = {"+": 1, "-": -1}.get(toks[self.pos]) or self.unexpected("+", "-")
             self.pos += 1
 
-    # -------- declarations
+    # -------- statements, along their layouts
 
-    def parse_ring(self):
-        span = self.span()
-        self.expect("ring")
-        name = self.expect_ident("a ring name")
-        self.expect("{", "prime", "=")
-        prime = self.expect_int("a prime")
-        self.expect(";")
-        gens, rules, actions, omega = [], [], [], None
-        while not self.eat("}"):
-            ispan = self.span()
-            item = self.toks[self.pos]
-            if item not in ("gen", "rule", "action", "omega"):
-                self.unexpected("gen", "rule", "action", "omega", "}")
-            self.pos += 1
-            if item == "gen":
-                gname = self.expect_ident("a generator name")
-                self.expect("deg", "=")
-                deg = self.expect_int("a degree")
-                twist, odd, frob = 0, False, None
-                while not self.eat(";"):
-                    if self.eat("twist"):
-                        self.expect("=")
-                        twist = self.expect_int("a twist")
-                    elif self.eat("odd"):
-                        odd = True
-                    elif self.eat("frob"):
-                        self.expect("=")
-                        frob = self.expect_int("a Frobenius exponent")
-                    else:
-                        self.unexpected("twist", "odd", "frob", ";")
-                gens.append(GenDecl(gname, deg, twist, odd, frob, ispan))
-            elif item == "rule":
-                gname = self.expect_ident("a generator name")
-                self.expect("^")
-                power = self.expect_int("a power")
-                self.expect("=")
-                rhs = self.parse_poly()
-                self.expect(";")
-                rules.append(RuleDecl(gname, power, rhs, ispan))
-            elif item == "action":
-                kind, index = self.parse_opname()
-                self.expect("(")
-                gname = self.expect_ident("a generator name")
-                self.expect(")", "=")
-                rhs = self.parse_poly()
-                self.expect(";")
-                actions.append(ActionDecl(kind, index, gname, rhs, ispan))
+    def parse_file(self, offset=0):
+        self.scan(offset)
+        blocks, queries = {RingBlock: [], BundleDecl: []}, []
+        toks = self.toks
+        while toks[self.pos]:
+            verb, values = toks[self.pos], {"span": self.span()}
+            if verb not in _VERBS:
+                self.unexpected(*_VERBS)
+            layout = _layout(verb[:2])
+            self._walk(layout, layout.steps, values)
+            if layout.first is None:  # a field left out takes its class default
+                queries.append(layout.cls._from(values))
             else:
-                self.expect("=")
-                omega = self.expect_ident("a generator name")
-                self.expect(";")
-        return RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions), omega, span)
+                blocks[layout.cls].append(self.parse_block(layout, values))
+        return FileAst(tuple(blocks[RingBlock]), tuple(blocks[BundleDecl]), tuple(queries))
 
-    def parse_bundle(self):
-        span = self.span()
-        self.expect("bundle")
-        name = self.expect_ident("a bundle name")
-        self.expect("in")
-        ring = self.expect_ident("a ring name")
-        self.expect("{", "rank", "=")
-        rank_sign = -1 if self.eat("-") else 1
-        rank = rank_sign * self.expect_int("a rank")
-        self.expect(";")
-        options, chern, denom = {}, {}, {}
+    def parse_block(self, layout, values):
+        """The block whose header layout read values, from its opening line on."""
+        self._walk(layout.first, layout.first.steps, values)
         while not self.eat("}"):
-            if self.eat("trunc"):
-                self.expect("=")
-                options["trunc"] = self.expect_int("a truncation")
-                self.expect(";")
-            elif self.toks[self.pos] in ("chern", "denom"):
-                target = denom if self.next() == "denom" else chern
-                idx = self.expect_int("a Chern index")
-                if idx < 1 or idx in target:
-                    self.pos -= 1  # report it at the index
-                    self.fail("Chern indices must be distinct and start at 1")
-                self.expect("=")
-                target[idx] = self.parse_poly()
-                self.expect(";")
+            verb = self.toks[self.pos]
+            if verb not in layout.items:
+                self.unexpected(*layout.items, "}")
+            item = layout.items[verb]
+            if item.slot is None:
+                self._walk(item, item.steps, values)
             else:
-                self.unexpected("trunc", "chern", "denom", "}")
-        for label, table in (("chern", chern), ("denom", denom)):
-            if table and sorted(table) != list(range(1, max(table) + 1)):
-                raise DslSyntaxError(
-                    "%s classes of %s must be consecutive from 1" % (label, name),
-                    span[0], span[1],
-                )
-        return BundleDecl(
-            name, ring, rank,
-            chern=tuple(chern[i] for i in sorted(chern)),
-            denom=tuple(denom[i] for i in sorted(denom)),
-            span=span, **options,
-        )
+                nodes, node = values.setdefault(item.slot, []), {"span": self.span()}
+                self._walk(item, item.steps, node, nodes)
+                nodes.append(item.cls._from(node))
+        return layout.cls._from(_close(layout, values))
 
-    # -------- queries
-
-    def parse_query(self):
-        """A query, along its layout; a field left out takes its class default."""
-        verb, values = self.toks[self.pos], {"span": self.span()}
-        if verb not in _VERBS:
-            self.unexpected("ring", "bundle", *_VERBS)
-        layout = _layout(verb[:2])
-        self._walk(layout, layout.steps, values)
-        return layout.cls._from(values)
-
-    def _walk(self, layout, steps, values):
+    def _walk(self, layout, steps, values, taken=()):
+        """Read steps into values, a Chern index new among the lines taken."""
         toks = self.toks
         for step in steps:
             tok = toks[self.pos]
             if step[0] == "word":
                 if tok != step[1]:
-                    self.unexpected(step[1])
+                    self.unexpected(*step[2])
                 self.pos += 1
             elif step[0] == "flags":
                 flags, required = layout.flags, layout.required
-                while toks[self.pos][:2] == "--":
-                    if toks[self.pos] not in flags:
-                        self.fail("unknown flag %s" % toks[self.pos], tuple(flags))
-                    self._walk(layout, [flags[self.next()]], values)
-                if any(flags[flag][1] not in values for flag in required):
+                while toks[self.pos] in flags:
+                    self._walk(layout, flags[self.next()], values)
+                if step[1] and toks[self.pos][:2] == "--":
+                    self.fail("unknown flag %s" % toks[self.pos], tuple(flags))
+                if any(name not in values for name in required.values()):
                     self.fail("%s needs %s" % (layout.verb, " and ".join(required)), required)
             elif step[0] == "clause":
-                if tok == step[1] if step[1] else values.get(layout.choice) == step[2]:
-                    self._walk(layout, step[3], values)
+                _, first, guard, body = step
+                if tok == first if guard is None else values.get(layout.choice) in guard and (
+                        first or tok != ";"):
+                    self._walk(layout, body, values)
             else:
-                _, name, kind, what, span_name, override = step
+                _, name, kind, what, span_name, override, _ = step
                 if override and values.get(layout.choice) == override[0]:
                     kind = override[1]
                 if kind == "p":
                     values[name] = self.parse_poly()
-                elif kind == "i":
-                    values[name] = self.expect_int(what)
+                elif kind in ("i", "z", "c"):
+                    sign = -1 if kind == "z" and self.eat("-") else 1
+                    values[name] = sign * self.expect_int(*what)
+                    if kind == "c" and not _new_index(values[name], taken):
+                        self.pos -= 1  # report it at the index
+                        self.fail("Chern indices must be distinct and start at 1")
+                elif kind == "b":
+                    values[name] = True
                 elif kind == "v":  # hyphenated words (not-in-image), which the lexer splits
                     word = self.expect_ident("a verdict")
                     while self.eat("-"):
@@ -599,138 +537,167 @@ class _Parser:
                     values[name] = self.next()[1:-1]
                 else:  # a name, or one of the words kind
                     if tok[:1] not in _IDENT_START:
-                        self.unexpected(what)
+                        self.unexpected(*what)
                     if kind != "n" and tok not in kind:
                         self.fail("found %r" % tok, kind)
                     values[name] = self.next()
 
-    def parse_file(self, offset=0):
-        self.scan(offset)
-        rings, bundles, queries = [], [], []
-        toks = self.toks
-        while toks[self.pos]:
-            if toks[self.pos] == "ring":
-                rings.append(self.parse_ring())
-            elif toks[self.pos] == "bundle":
-                bundles.append(self.parse_bundle())
-            else:
-                queries.append(self.parse_query())
-        return FileAst(tuple(rings), tuple(bundles), tuple(queries))
-
 
 # ---------------------------------------------------------------- layouts
 
-# Each statement, and each line of a ring block, written once, as render()
-# writes it.  {f:k} is field f, of kind s (a quoted string), p (a
-# polynomial), n (a name), i (an integer), v (a verdict: words joined by
-# hyphens) or the words a|b, the statement's choice; "k,w:k2" is k2 after
-# the choice w, and "k/text" says what an error expects there.  [...] is a
-# clause, written when its field is not the class default and read when its
-# first word comes next; [w: ...] is also written after the choice w unless
-# its field is None, and, if a field starts it, read after w only.  Flags in
-# a row are read in any order; one whose field has no class default must be
-# given.  A space is whitespace, which a line may leave out next to a symbol
-# or a string.  The line reader's patterns, the token parser's queries and
-# render() are made from these, each layout at its first use.
+# Each statement, and each line of a block, written once, as render() writes
+# it.  {f:k} is field f, of kind s (a quoted string), p (a polynomial), n (a
+# name), i (an integer), z (an integer, maybe negative), c (a Chern index:
+# from 1, and new among its block's lines of its verb), v (a verdict: words
+# joined by hyphens) or the words a|b, the statement's choice; "k,w:k2" is
+# k2 after the choice w, and "k/text" says what an error expects there.
+# [...] is a clause, written when its field is not the class default and
+# read when its first word comes next; one word alone is a bool field.
+# [w: ...] (w may be a|b) is also written after the choice w unless its
+# field is None, and read after w only: there it must be given, but one a
+# field starts is left out where the statement ends.  A clause marked * is a
+# flag: the flags in a row are read in any order and may repeat, and one
+# whose field has no class default must be given; an error after a row of
+# bare words lists them, while a --word no row holds is an unknown flag.  A
+# space is whitespace, which a line may leave out next to a symbol or a
+# string.  A block is its header, the line that must open it, its item lines
+# in any order, each adding a node to the block field it names (or, naming
+# none, setting the block's own fields), and }.  The line reader's patterns,
+# the token parser's steps and render() are made from these, each statement's
+# or block's layouts at their first use.
 _LAYOUTS = (
-    (RingBlock, "ring {name:n} {"),
-    (RingBlock, "prime = {prime:i};"),
-    (GenDecl, "gen {name:n} deg={degree:i}[ twist={twist:i}][ odd][ frob={frob:i}];"),
-    (RuleDecl, "rule {gen:n}^{power:i} = {rhs:p};"),
-    (ActionDecl, "action {kind:Sq|P|b}[^{index:i}]({gen:n}) = {rhs:p};"),
-    (RingBlock, "omega = {omega:n};"),
+    (RingBlock, "ring {name:n/a ring name} {", "prime = {prime:i};", (
+        ("gens", GenDecl, "gen {name:n/a generator name} deg={degree:i}[ twist={twist:i/a twist}]*"
+                          "[ odd]*[ frob={frob:i/a Frobenius exponent}]*;"),
+        ("rules", RuleDecl, "rule {gen:n/a generator name}^{power:i} = {rhs:p};"),
+        ("actions", ActionDecl, "action {kind:Sq|P|b}[Sq|P:^{index:i/an exponent}]"
+                                "({gen:n/a generator name}) = {rhs:p};"),
+        (None, RingBlock, "omega = {omega:n/a generator name};"),
+    )),
+    (BundleDecl, "bundle {name:n/a bundle name} in {ring:n/a ring name} {",
+     "rank = {rank:z/a rank};", (
+        (None, BundleDecl, "trunc = {trunc:i/a truncation};"),
+        ("chern", _ClassLine, "chern {index:c/a Chern index} = {poly:p};"),
+        ("denom", _ClassLine, "denom {index:c/a Chern index} = {poly:p};"),
+    )),
     (ApplyQuery, "apply {op_text:s} to {poly:p} in {ring:n}[ expect {expect:p}];"),
     (NormalizeQuery, "normalize {poly:p} in {ring:n}[ expect {expect:p}];"),
     (AdemQuery, "adem {op_text:s}[ prime = {prime:i}][ expect {expect:s}];"),
-    (ObstructQuery, "obstruct {kind:odd|weird|frobenius|hs}[ --codim {codim:i}]"
-                    "[weird: --which {which:i}][ --q {q:i}][ --max-degree {max_degree:i}]"
-                    " on {poly:p} in {ring:n}[ twist = {twist:i}][ expect {expect:v,weird:p}];"),
-    (WuQuery, "wu-check --n {n:i} --m {m:i} in {ring:n}[ y = {y:p}]"
+    (ObstructQuery, "obstruct {kind:odd|weird|frobenius|hs/odd, weird, frobenius, or hs}"
+                    "[ --codim {codim:i}]*[weird: --which {which:i}]*[ --q {q:i}]*"
+                    "[ --max-degree {max_degree:i}]* on {poly:p} in {ring:n}[ twist = {twist:i}]"
+                    "[ expect {expect:v,weird:p}];"),
+    (WuQuery, "wu-check[ --n {n:i}]*[ --m {m:i}]* in {ring:n}[ y = {y:p}]"
               "[ hyperplane = {hyperplane:n/a generator name}][ expect {expect:n/true or false}];"),
-    (CharclassQuery, "charclass {kind:w|wet} of {bundle:n}[ expect {expect:s}];"),
-    (CorpusQuery, "corpus {action:list|run}[run: {name:n/a scenario name or all}];"),
+    (CharclassQuery, "charclass {kind:w|wet/w or wet} of {bundle:n}[ expect {expect:s}];"),
+    (CorpusQuery, "corpus {action:list|run/list or run}[run: {name:n/a scenario name or all}];"),
 )
-_QUERIES = tuple(cls for cls, text in _LAYOUTS if cls.__name__.endswith("Query"))
-_VERBS = tuple(text.split()[0] for cls, text in _LAYOUTS if cls in _QUERIES)
-_LAYOUT_TOKEN = r"( ?)(?:\{(\w+):([^}/]*)/?([^}]*)\}|(\[)(?:(\w+):)?|(\])|([\w-]+)|(.))"
+_QUERIES = tuple(entry[0] for entry in _LAYOUTS if len(entry) == 2)
+_VERBS = tuple(re.match(r"[\w-]+", entry[1])[0] for entry in _LAYOUTS)
+_LAYOUT_TOKEN = r"( ?)(?:\{(\w+):([^}/]*)/?([^}]*)\}|(\[)(?:([\w|]+):)?|(\]\*?)|([\w-]+)|(.))"
 # a name; the lexer reads wu-check as one word wherever a token starts
 _NAME = "(?!wu-check)[A-Za-z_][A-Za-z_0-9]*"
 
 
 class _Layout:
     """A layout, compiled: the line reader's pattern, a group per field in
-    order (or bool word); the token parser's steps, (word, text), a field,
-    (clause, first word, guard, steps) and (flags,) at each flag, the first
-    reading the row; and render()'s parts."""
+    order; the token parser's steps, (word, text, what an error expects), a
+    field, (clause, first word, guard, steps) and (flags, dashed) at a row of
+    flags, each flag's steps after its word in flags; and render()'s parts.
+    A block's header layout also holds its opening line's layout, first, and
+    its item lines' layouts, items, by verb; keys and opening hold these by
+    a line's first two characters.  An item's slot is the block field it
+    adds its node to, None for a line of the block's own fields."""
 
-    def __init__(self, cls, text):
-        self.cls, self.verb = cls, text.split()[0]
+    def __init__(self, cls, text, first=None, items=(), slot=None):
+        self.cls, self.verb, self.slot = cls, re.match(r"[\w-]+", text)[0], slot
         self.choice, self.fields, self.bound, self.parts = None, [], [], []
         self.flags, self.source, self.last = {}, "", None
-        self.steps = self._compile(iter(re.findall(_LAYOUT_TOKEN, text)))
+        self.steps = self._compile(iter(re.findall(_LAYOUT_TOKEN, text)))[0]
         self.pattern = re.compile(self.source)
-        self.required = tuple(f for f, step in self.flags.items() if not hasattr(cls, step[1]))
+        self.required = {flag: steps[-1][1] for flag, steps in self.flags.items()
+                         if not hasattr(cls, steps[-1][1])}
+        # read() converts each field by its kind; the spans of strings and the
+        # fields a choice overrides come later, once the choice is known
+        self.reads = [(group, f[1], None if f[5] else f[6])
+                      for group, f in enumerate(self.fields, 1)]
+        self.later = [f for f in self.fields if f[4] or f[5]]
+        self.first = first and _Layout(cls, first)
+        self.items = {item.verb: item for item in (
+            _Layout(item_cls, item_text, slot=slot) for slot, item_cls, item_text in items)}
+        self.keys = {verb[:2]: item for verb, item in self.items.items()}
+        self.slots = [item.slot for item in self.items.values() if item.slot]
+        self.opening = first and {first[:2]: self.first}
 
     def _compile(self, tokens, guard=False):
         """The steps of the tokens up to the end, or the ] of a clause with
-        guard, adding to the pattern and the parts.  Two words need a gap."""
-        steps, fmt, names, flag, start = [], "", [], None, len(self.source)
+        guard, and whether that ] is marked *, adding to the pattern and the
+        parts.  Two words need a gap."""
+        steps, fmt, names, flag, close, start = [], "", [], None, "", len(self.source)
         for gap, field, kind, what, bracket, clause, close, word, sym in tokens:
             if close:
                 break
             elif bracket:
                 self._part(fmt, names)
                 fmt, names = "", []
-                body = self._compile(tokens, clause or None)
-                if body[0] == ("flags",):
-                    steps.append(body[0])
+                clause = clause and tuple(clause.split("|")) or None
+                body, is_flag = self._compile(tokens, clause)
+                if is_flag:
+                    self.flags[body[0][1]] = body[1:]
+                    if steps[-1][0] != "flags":
+                        steps.append(("flags", body[0][1][:2] == "--"))
                 else:
                     first = body[0][1] if body[0][0] == "word" else None
-                    if first is None:
-                        self.bound.append((body[0][1], clause))
-                    steps.append(("clause", first, clause or None, body))
+                    if clause:  # its first field's group, to test in read()
+                        field = next(s for s in body if s[0] == "field")
+                        self.bound.append((self.fields.index(field) + 1, clause, first))
+                    steps.append(("clause", first, clause, body))
             else:
                 is_word = bool(word or field and kind != "s")
                 if self.last is not None:
                     self.source += r"\s+" if gap and is_word and self.last else r"\s*"
                 self.last, fmt = is_word, fmt + gap
                 if field:
-                    step = self._field(field, kind, what, flag)
-                    fmt += '"%s"' if step[2] == "s" else "%s"
-                    names.append(step[1])
-                    if flag:
-                        self.flags[flag] = step
-                    else:
-                        steps.append(step)
+                    steps.append(self._field(field, kind, what, flag))
+                    fmt += '"%s"' if kind == "s" else "%s"
+                    names.append(steps[-1][1])
                 else:
                     fmt += word + sym
                     self.source += word or re.escape(sym)
                     flag = word if word[:2] == "--" else None
-                    steps.append(("flags",) if flag else ("word", word + sym))
+                    row = tuple(self.flags) if steps[-1:] == [("flags", False)] else ()
+                    steps.append(("word", word + sym, row + (word + sym,)))
         if guard is not False:
-            self.source = "%s(?%s%s)?" % (self.source[:start], ":" if names else
-                                          "P<%s>" % fmt.split()[-1], self.source[start:])
+            test = names[0] if names else fmt.split()[-1]
+            if not names:
+                steps.append(self._field(test, "b", "", None))
+            self.source = "%s(?%s%s)%s" % (self.source[:start], ":" if names else "P<%s>" % test,
+                                           self.source[start:], "?" * hasattr(self.cls, test))
         self._part(fmt, names, guard)
-        return steps
+        return steps, close == "]*"
 
     def _field(self, name, kind, what, flag):
-        """The step of a field, its group added to the pattern.  Its name is
-        interned, as attribute names are: a node's dict keyed by a copy is
-        read on the slow path."""
+        """The step of a field, its group added to the pattern (a bool's is
+        its clause's).  Its name is interned, as attribute names are: a
+        node's dict keyed by a copy is read on the slow path."""
         name, (kind, _, override) = intern(name), kind.partition(",")
+        convert = {"i": int, "z": int, "c": int, "b": bool, "p": _flat_poly, "v": _verdict}
+        if override:
+            word, override = override.split(":")
+            override = (word, override, convert[override])
         if "|" in kind:
             self.source += "(?P<%s>%s)" % (name, kind)
             kind = tuple(kind.split("|"))
             self.choice = self.choice or name
-            what = what or ", ".join(kind[:-1]) + "," * (len(kind) > 2) + " or " + kind[-1]
-        else:
+        elif kind != "b":
             self.source += '"(?P<%s>[^"]*)"' % name if kind == "s" else "(?P<%s>%s)" % (
-                name, r"\d+" if kind == "i" else _NAME if kind == "n" else ".+?")
-            what = what or ("a %s name" % name if kind == "n" else
-                            "a value for " + flag if flag else "a " + name)
+                name, r"-?\d+" if kind == "z" else r"\d+" if kind in "ic" else
+                _NAME if kind == "n" else ".+?")
+        what = (what,) if what else kind if type(kind) is tuple else (
+            "a %s name" % name if kind == "n" else "a value for " + flag if flag else "a " + name,)
         span = intern(name.partition("_")[0] + "_span")
         self.fields.append(("field", name, kind, what, span if kind == "s" and hasattr(
-            self.cls, span) else None, override and tuple(override.split(":"))))
+            self.cls, span) else None, override, convert.get(kind)))
         return self.fields[-1]
 
     def _part(self, fmt, names, guard=False):
@@ -746,52 +713,81 @@ class _Layout:
             if test:
                 value = getattr(node, test)  # `is` first: Poly.__eq__ is slow
                 if (value is default or default is not None and value == default) and (
-                        guard is None or value is None or getattr(node, self.choice) != guard):
+                        guard is None or value is None or getattr(node, self.choice) not in guard):
                     continue
             out += fmt % get(node) if get else fmt
         return out
 
-    def read(self, m, line, col):
-        """The query of a line matched; _Unread unless _Parser reads it alike."""
-        if self.cls not in _QUERIES:
-            raise _Unread
-        choice = self.choice and m[self.choice]
-        values = {"span": (line, col)}
-        for (_, name, kind, _, span_name, override), value in zip(self.fields, m.groups()):
-            if value is None:
-                continue
-            if override and choice == override[0]:
-                kind = override[1]
-            if kind == "i":
-                value = int(value)
-            elif kind == "p":
-                value = _flat_poly(value)
-            elif kind == "v" and not re.fullmatch("{0}(?:-{0})*".format(_NAME), value):
-                raise _Unread
-            elif span_name:
-                values[span_name] = (line, col + m.start(name) - 1)
-            values[name] = value
-        for name, guard in self.bound:
-            if (name in values) != (choice == guard):
-                raise _Unread
-        return self.cls._from(values)
+    def read(self, m, line, col, values=None):
+        """The node of a line matched, or, given values, values with its
+        fields added; _Unread unless _Parser reads the line alike.  A node's
+        fields are written into a record of the class defaults: faster than
+        _from copying a dict of values."""
+        node = None
+        if values is None:
+            node = object.__new__(self.cls)
+            values = node.__dict__
+            values.update(self.cls._defaults)
+            values["span"] = (line, col)
+        for group, name, convert in self.reads:
+            value = m[group]
+            if value is not None:
+                values[name] = convert(value) if convert else value
+        if self.later or self.bound:
+            choice = values.get(self.choice)
+            for _, name, _, _, span_name, override, convert in self.later:
+                if m[name] is None:
+                    continue
+                if span_name:
+                    values[span_name] = (line, col + m.start(name) - 1)
+                else:  # an override: its value was left as read
+                    values[name] = (override[2] if choice == override[0] else convert)(m[name])
+            for group, guard, first in self.bound:
+                given = m[group] is not None
+                if (choice in guard) != given and (first or given):
+                    raise _Unread
+        return values if node is None else node
 
 
 @lru_cache(maxsize=32)
 def _layout(key):
-    """The layout whose first two characters, or node class, are key; None for none."""
-    return next((_Layout(cls, text) if key == text[:2] else _layout(text[:2])
-                 for cls, text in _LAYOUTS if key in (text[:2], cls)), None)
+    """The layout of the statement or block whose first two characters, or
+    node class, are key; None for none."""
+    return next((_Layout(*entry) if key == entry[1][:2] else _layout(entry[1][:2])
+                 for entry in _LAYOUTS if key in (entry[1][:2], entry[0])), None)
+
+
+def _new_index(index, lines):
+    """Whether a Chern index may follow the lines of its verb: from 1, and new."""
+    return index > 0 and all(line.index != index for line in lines)
+
+
+def _close(layout, values):
+    """The values a block's lines read, by its header's layout, finished:
+    each item list a tuple, the Chern lines' polynomials in index order,
+    which must run 1, 2, ...."""
+    for item in layout.items.values():
+        nodes = values.get(item.slot)
+        if nodes is None:
+            continue
+        if nodes and item.cls is _ClassLine:
+            nodes.sort(key=attrgetter("index"))
+            if nodes[-1].index != len(nodes):
+                raise DslSyntaxError("%s classes of %s must be consecutive from 1" % (
+                    item.slot, values["name"]), *values["span"])
+            nodes = [line.poly for line in nodes]
+        values[item.slot] = tuple(nodes)
+    return values
 
 
 # ------------------------------------------------------------ line reader
 
-# A line in its statement's layout is read by the pattern of the layout its
-# first two characters name, its polynomials checked by _POLY (the flat ones
-# _Parser reads) and read by a findall of _POLY_ATOM; its span is its number
-# and first column.  At the first other line the rest of the source goes to
-# _Parser, from the header of the ring block it is in, if any: so _Parser is
-# the only source of DslSyntaxError.
+# A line in its layout is read by the pattern its first two characters name,
+# among the statements or within its block, a polynomial checked by _POLY
+# (the flat ones _Parser reads) and read by a findall of _POLY_ATOM; its span
+# is its number and first column.  At the first other line the rest of the
+# source goes to _Parser, from the header of the block it is in, if any, so
+# that every DslSyntaxError but _close's comes from _Parser.
 _FACTOR = _NAME + r"(?:\s*\^\s*\d+)?"
 _TERM = r"(?:(?:\d+\s*\*\s*)?{0}(?:\s*\*\s*{0})*|\d+)".format(_FACTOR)
 _POLY = re.compile(r"(?:-\s*)?{0}(?:\s*[+-]\s*{0})*".format(_TERM))
@@ -821,67 +817,70 @@ def _flat_poly(text):
     return Poly(tuple(terms))
 
 
+def _verdict(text):
+    """text, a verdict; _Unread unless _Parser reads it alike."""
+    if not re.fullmatch("{0}(?:-{0})*".format(_NAME), text):
+        raise _Unread
+    return text
+
+
 def _read_lines(source):
-    """(rings, queries, resume): the ring blocks and queries of the lines
-    read from the top, and the offset _Parser goes on from, None if every
-    line was read."""
-    rings, queries = [], []
-    block, resume, offset = None, 0, 0
+    """(tree, resume): the tree of the lines read from the top, and the
+    offset _Parser goes on from, None if every line was read."""
+    blocks, queries, lines = {RingBlock: [], BundleDecl: []}, [], source.split("\n")
+    header, resume = None, 1
     try:
-        for number, line in enumerate(source.split("\n"), 1):
-            here, offset = offset, offset + len(line) + 1
+        for number, line in enumerate(lines, 1):
             text = line.strip()
             if not text or text[0] == "#":  # a comment runs to the end of the line
                 continue
-            if block is None:
-                resume = here
-            elif text == "}" and prime is not None:
-                rings.append(RingBlock(name, prime, tuple(gens), tuple(rules), tuple(actions),
-                                       omega, span))
-                block = None
+            if header is None:
+                resume, layout = number, _layout(text[:2])
+            elif text == "}" and keys is header.keys:
+                _close(header, values)
+                blocks[header.cls].append(block)
+                header = None
                 continue
-            col, item, layout = line.find(text[0]) + 1, text[:2], _layout(text[:2])
+            else:
+                layout = keys.get(text[:2])
             m = layout and layout.pattern.fullmatch(text)
             if not m:
                 raise _Unread
-            if block is None:
-                if item == "ri":
-                    name, span, prime, omega = m[1], (number, col), None, None
-                    gens, rules, actions = block = ([], [], [])
-                else:
+            col = line.find(text[0]) + 1
+            if header is None:
+                if layout.first is None:
                     queries.append(layout.read(m, number, col))
-                continue
-            if (item == "pr") != (prime is None):
-                raise _Unread
-            if item == "pr":
-                prime = int(m[1])
-            elif item == "ge":
-                gens.append(GenDecl(m[1], int(m[2]), int(m[3] or 0), bool(m[4]),
-                                    m[5] and int(m[5]), (number, col)))
-            elif item == "ru":
-                rules.append(RuleDecl(m[1], int(m[2]), _flat_poly(m[3]), (number, col)))
-            elif item == "ac":
-                if (m[1] == "b") != (m[2] is None):
-                    raise _Unread
-                actions.append(ActionDecl(m[1], m[2] and int(m[2]), m[3], _flat_poly(m[4]),
-                                          (number, col)))
-            elif item == "om":
-                omega = m[1]
+                else:
+                    block = layout.read(m, number, col)
+                    values = block.__dict__  # the lines after fill it in
+                    for slot in layout.slots:
+                        values[slot] = []
+                    header, keys = layout, layout.opening
+            elif layout.slot is None:  # a line of the block's own fields
+                layout.read(m, number, col, values)
+                keys = header.keys
             else:
-                raise _Unread  # a query, or a ring header
+                node = layout.read(m, number, col)
+                if layout.cls is _ClassLine and not _new_index(node.index, values[layout.slot]):
+                    raise _Unread
+                values[layout.slot].append(node)
+        if header is None:
+            resume = None
     except _Unread:
-        return rings, queries, resume
-    return rings, queries, None if block is None else resume
+        pass
+    tree = FileAst(tuple(blocks[RingBlock]), tuple(blocks[BundleDecl]), tuple(queries))
+    return tree, resume and sum(map(len, lines[:resume - 1])) + resume - 1
 
 
 def parse(source: str) -> FileAst:
     """Parse a source file into its syntax tree.  Syntax only: name and
     homogeneity errors surface from build_program."""
-    rings, queries, resume = _read_lines(source)
+    tree, resume = _read_lines(source)
     if resume is None:
-        return FileAst(tuple(rings), (), tuple(queries))
+        return tree
     rest = _Parser(source).parse_file(resume)
-    return FileAst(tuple(rings) + rest.rings, rest.bundles, tuple(queries) + rest.queries)
+    return FileAst(tree.rings + rest.rings, tree.bundles + rest.bundles,
+                   tree.queries + rest.queries)
 
 
 def parse_poly(text: str) -> Poly:
@@ -901,23 +900,22 @@ def parse_poly(text: str) -> Poly:
 # ------------------------------------------------------------- rendering
 
 
-def render_ring(r: RingBlock):
-    lines = [_layout("ri").render(r)]
-    for key, nodes in (("pr", [r]), ("ge", r.gens), ("ru", r.rules), ("ac", r.actions),
-                       ("om", [r] if r.omega is not None else [])):
-        lines.extend("  " + _layout(key).render(node) for node in nodes)
+def render_block(block):
+    """A ring or bundle block in its layouts: its header, its opening line,
+    its items, and }; a line of the block's own fields (omega, trunc) is
+    written when its field is not the class default."""
+    layout = _layout(type(block))
+    lines = [layout.render(block), "  " + layout.first.render(block)]
+    for item in layout.items.values():
+        if item.slot is None:
+            name = item.fields[0][1]
+            nodes = [block] if getattr(block, name) != block._defaults.get(name) else ()
+        elif item.cls is _ClassLine:
+            nodes = map(_ClassLine, count(1), getattr(block, item.slot))
+        else:
+            nodes = getattr(block, item.slot)
+        lines.extend("  " + item.render(node) for node in nodes)
     return "\n".join(lines + ["}"])
-
-
-def render_bundle(b: BundleDecl):
-    lines = ["bundle %s in %s {" % (b.name, b.ring), "  rank = %d;" % b.rank]
-    lines.append("  trunc = %d;" % b.trunc)
-    for i, p in enumerate(b.chern, start=1):
-        lines.append("  chern %d = %s;" % (i, p.render()))
-    for i, p in enumerate(b.denom, start=1):
-        lines.append("  denom %d = %s;" % (i, p.render()))
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def render_query(q):
@@ -929,9 +927,8 @@ def render_query(q):
 
 
 def render(ast: FileAst) -> str:
-    parts = [render_ring(r) for r in ast.rings]
-    parts.extend(render_bundle(b) for b in ast.bundles)
-    parts.extend(render_query(q) for q in ast.queries)
+    parts = [render_block(block) for block in ast.rings + ast.bundles]
+    parts.extend(map(render_query, ast.queries))
     return "\n".join(parts) + ("\n" if parts else "")
 
 

@@ -796,7 +796,7 @@ class _Parser:
             self.next()
             action = self.expect_keyword("list or run", ("list", "run"))
             name = None
-            if action == "run":
+            if action == "run" and not self.at_sym(";"):  # bare, it runs every scenario
                 name = self.expect_ident("a scenario name or all")
             self.expect_sym(";")
             return CorpusQuery(action, name, span=span)

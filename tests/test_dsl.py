@@ -280,6 +280,20 @@ def test_parser_matches_reference_on_shipped_files(index):
     assert got == _parse_outcome(reference_parse, source)
 
 
+@pytest.mark.parametrize("source", [
+    # gen options in any order, one repeated
+    "ring R {\n  prime = 2;\n  gen x deg=1 odd twist=1;\n  gen y deg=2 frob=1 twist=2 odd"
+    " twist=3;\n}\n",
+    # bundle items interleaved, trunc given twice, a negative rank
+    "ring R {\n  prime = 2;\n  gen t deg=2;\n}\nbundle E in R {\n  rank = -1;\n  chern 2 = t^2;"
+    "\n  trunc = 6;\n  denom 1 = t;\n  chern 1 = t;\n  trunc = 8;\n}\n",
+])
+def test_block_items_in_any_order_match_reference(source):
+    got = _parse_outcome(dsl.parse, source)
+    assert got[0] != "error"
+    assert got == _parse_outcome(reference_parse, source)
+
+
 def _token_extents(source):
     """(start, end) offsets of each token but eof, from the reference lexer."""
     line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
@@ -345,6 +359,8 @@ def test_line_reader_reads_the_shipped_files_and_session_queries(monkeypatch):
     assert texts
     for text in texts:
         dsl.parse(text)
+    with open(SESSION_RINGS, encoding="utf-8") as fh:  # the session set-up, bundles included
+        dsl.parse(fh.read())
     assert offsets == []
 
 
@@ -508,16 +524,26 @@ def tree_ring(draw):
                          draw(st.none() | names))
 
 
+@st.composite
+def tree_bundle(draw):
+    """A bundle of signed rank, its truncation given or left at the default,
+    with one or more Chern classes and any number of denominator ones."""
+    return dsl.BundleDecl(draw(names), draw(names), draw(st.integers(-10**6, 10**6)),
+                          chern=tuple(draw(st.lists(tree_poly(), min_size=1, max_size=3))),
+                          denom=tuple(draw(st.lists(tree_poly(), max_size=2))),
+                          **_options(draw, trunc=ints))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(tree_ring(), max_size=2), st.lists(tree_query(), min_size=1, max_size=6))
-def test_rendered_trees_read_alike_by_line_and_by_token(rings, queries):
+@given(st.lists(tree_ring(), max_size=2), st.lists(tree_bundle(), max_size=2),
+       st.lists(tree_query(), min_size=1, max_size=6))
+def test_rendered_trees_read_alike_by_line_and_by_token(rings, bundles, queries):
     """render() writes every layout so that the line reader reads it with no
     handover, and _Parser alone reads it to the same tree and spans."""
-    tree = dsl.FileAst(tuple(rings), (), tuple(queries))
+    tree = dsl.FileAst(tuple(rings), tuple(bundles), tuple(queries))
     source = dsl.render(tree)
-    read_rings, read_queries, resume = dsl._read_lines(source)
+    by_line, resume = dsl._read_lines(source)
     assert resume is None
-    by_line = dsl.FileAst(tuple(read_rings), (), tuple(read_queries))
     by_token = dsl._Parser(source).parse_file()
     assert by_line == tree == by_token
     assert _spans(by_line) == _spans(by_token)
@@ -720,7 +746,7 @@ def test_semantic_errors_outside_a_file_have_no_position():
         dsl.build_ring(block)
     assert e.value.span is None
     block = dsl.RingBlock("R", 2, (dsl.GenDecl("w", 1),), (dsl.RuleDecl("v", 2, dsl.Poly(())),))
-    assert "  rule v^2 = 0;\n" in dsl.render_ring(block)  # an empty Poly renders as 0
+    assert "  rule v^2 = 0;\n" in dsl.render_block(block)  # an empty Poly renders as 0
     with pytest.raises(UnknownGenerator, match="^rule on unknown generator 'v'$"):
         dsl.build_ring(block)
 

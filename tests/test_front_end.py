@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steencalc import DslSyntaxError, SteencalcError, corpus, dsl, runner
+from steencalc import SteencalcError, corpus, dsl, runner
 from steencalc.cli import (_FORMATS, _build_parser, _emit, _query_from_args, _read_argv,
                            _verbs, main)
 
@@ -208,13 +208,9 @@ def test_answered_labels_read_back_as_their_query(verb, data, bundles):
     if args is None or _main(argv)[0] == 2:
         return
     query = _query_from_args(args)
-    if query == dsl.CorpusQuery("run"):
-        return  # `corpus run;` does not read back; test_bare_corpus_run_label pins it
     assert dsl.parse(dsl.render_query(query)).queries == (query,)
 
 
-@pytest.mark.xfail(strict=True, raises=DslSyntaxError,
-                   reason="corpus run with no name prints a label that needs a name")
 def test_bare_corpus_run_label():
     label = dsl.render_query(_query_from_args(_read_argv(["corpus", "run"])))
     assert dsl.parse(label).queries == (dsl.CorpusQuery("run"),)
